@@ -8,6 +8,7 @@ name so identical contents give identical bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -36,8 +37,16 @@ def save_checkpoint(path, tensors):
         head += b"".join(struct.pack("<Q", d) for d in arr.shape)
         blobs.append(head + arr.tobytes(order="C"))
     payload = MAGIC + struct.pack("<I", len(blobs)) + b"".join(blobs)
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    # write beside the target, then rename over it: a crash mid-write leaves
+    # the old file (or none), never a truncated one
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return len(payload)
 
 
@@ -45,6 +54,22 @@ def _take(buf, offset, n, path):
     if offset + n > len(buf):
         raise CheckpointError(f"truncated checkpoint {path}")
     return buf[offset:offset + n], offset + n
+
+
+def _element_count(shape, limit, path):
+    """Element count of `shape`, multiplied one dim at a time and refused as
+    soon as it passes `limit` (the elements left in the file) or, for a
+    zero-size tensor, what numpy can shape; a crafted header can neither
+    overflow it nor make it slow."""
+    empty = 0 in shape
+    cap = np.iinfo(np.intp).max // 8 if empty else limit
+    n = 1
+    for dim in shape:
+        n *= dim or 1
+        if n > cap:
+            raise CheckpointError(
+                f"tensor shape {shape} in {path} exceeds the {cap} elements allowed")
+    return 0 if empty else n
 
 
 def load_checkpoint(path):
@@ -69,7 +94,7 @@ def load_checkpoint(path):
         (rank,) = struct.unpack("<I", raw)
         raw, off = _take(buf, off, 8 * rank, path)
         shape = struct.unpack(f"<{rank}Q", raw) if rank else ()
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
+        n = _element_count(shape, (len(buf) - off) // 8, path)
         raw, off = _take(buf, off, 8 * n, path)
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):

@@ -71,7 +71,7 @@ from .numerics.tensor import inject_backward_fault
 from .sampler import (
     ManifoldProjection,
     OdeConfig,
-    generate,
+    generate_batch,
     init_manifold_projection,
     project_to_codebook_manifold,
     write_motion_csv,
@@ -213,15 +213,14 @@ def cmd_generate(args):
     ds = build_dataset(cfg.dataset)
     u, condition_id = _condition_for(args, cfg, ds)
     cond = condition_for_clip(u.audio, u.text, net, heads)
-    run_hash = config_hash(cfg)
     seeds = np.random.default_rng([cfg.seed, 5]).integers(0, 2**31,
                                                           size=args.count)
-    for i, s in enumerate(seeds):
-        ode = OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme,
-                        seed=int(s))
-        motion = generate(net, stacks, codecs, cond, ode, proj=proj,
-                          scale=cfg.sacm.scale, fps=cfg.dataset.fps,
-                          config_hash=run_hash)
+    odes = [OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme, seed=int(s))
+            for s in seeds]
+    motions = generate_batch(net, stacks, codecs, [cond] * args.count, odes,
+                             proj=proj, scale=cfg.sacm.scale, fps=cfg.dataset.fps,
+                             config_hash=config_hash(cfg))
+    for i, motion in enumerate(motions):
         csv_path = write_motion_csv(motion, out / f"gen_{i:03d}.csv")
         sidecar = write_sidecar(motion, out / f"gen_{i:03d}.json", condition_id)
         print(csv_path)

@@ -277,7 +277,9 @@ def tcam_fuse(x, cond, net, return_attn=False):
 def velocity_forward(net, zt, t, cond):
     """Predict the velocity field at interpolant zt, time t, condition cond.
 
-    Accepts (L, d_G) + scalar t or batched (B, L, d_G) + per-example t (B,).
+    Accepts (L, d_G) or batched (B, L, d_G) with a scalar t or a per-example
+    t (B,). A scalar t builds one time-embedding row shared by the batch, so
+    each example's velocity is bit-identical to its own B = 1 call.
     """
     x = zt if isinstance(zt, Tensor) else Tensor(np.asarray(zt, dtype=np.float64))
     single = x.ndim == 2
@@ -292,15 +294,18 @@ def velocity_forward(net, zt, t, cond):
         raise NumericError(f"condition batch {c.shape[0]} != latent batch {b}")
     if d_model != net.d_model:
         raise NumericError(f"latent dim {d_model} != network dim {net.d_model}")
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (b,)).copy()
+    t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise NumericError("flow time t must lie in [0, 1]")
+    # one row for a scalar t: (B, k) @ (k, d) runs as a gemm and (1, k) @
+    # (k, d) as a gemv, which round differently in the last bit
+    t_arr = t_arr.reshape(1) if t_arr.ndim == 0 else np.broadcast_to(t_arr, (b,))
 
     temb = matmul(Tensor(sinusoidal_time_embedding(t_arr, net.time_w.shape[0])),
-                  net.time_w) + net.time_b                       # (B, d_G)
+                  net.time_w) + net.time_b                       # (B or 1, d_G)
     pe_x = Tensor(temporal_position_embedding(l, d_model))
     pe_c = Tensor(temporal_position_embedding(c.shape[-2], net.d_cond))
-    tokens = x + net.p + temb.reshape(b, 1, d_model) + pe_x
+    tokens = x + net.p + temb.reshape(temb.shape[0], 1, d_model) + pe_x
     if c.shape[-2] == l:
         # frame-aligned conditions get a direct per-step residual so timing
         # cues reach the matching motion frame without relying on attention

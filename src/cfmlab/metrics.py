@@ -15,8 +15,11 @@ import numpy as np
 from scipy.signal import find_peaks
 from scipy.spatial.distance import pdist
 
-from .alignment import composite_latent
-from .codec import PART_ORDER, encode_part
+from .alignment import composite_batch
+from .codec import PART_ORDER, encode_part_batch
+# unused here since features are batched, but perfbench's traced runs wrap
+# this name on this module (perfbench/layers.py), so it must resolve
+from .codec import encode_part  # noqa: F401
 from .numerics import NumericError, no_grad
 
 __all__ = [
@@ -216,17 +219,17 @@ def diversity(samples):
 
 def motion_features(clips, codecs, scale=2.0, provenance="real"):
     """Frozen stage-1 feature space: encode each part, build the composite
-    latent, mean-pool over time; one d_G row per clip."""
-    rows = []
-    with no_grad():
-        for item in clips:
-            parts_map = item.parts if hasattr(item, "parts") else item
-            missing = [p for p in PART_ORDER if p not in parts_map]
-            if missing:
-                raise NumericError(f"clip missing parts for feature extraction: {missing}")
-            latents = {p: encode_part(parts_map[p], codecs[p]) for p in PART_ORDER}
-            comp = composite_latent(latents, scale)
-            rows.append(comp.sequence.mean(axis=0))
-    if not rows:
+    latent, mean-pool over time; one d_G row per clip. All clips run as one
+    batch, so they must share a frame count."""
+    if not clips:
         raise NumericError("no clips given to motion_features")
-    return FeatureSet(np.asarray(rows), provenance=provenance)
+    maps = [item.parts if hasattr(item, "parts") else item for item in clips]
+    for parts_map in maps:
+        missing = [p for p in PART_ORDER if p not in parts_map]
+        if missing:
+            raise NumericError(f"clip missing parts for feature extraction: {missing}")
+    with no_grad():
+        latents = {p: encode_part_batch(np.stack([m[p].frames for m in maps]), codecs[p])
+                   for p in PART_ORDER}
+        comp = composite_batch(latents, scale).data
+    return FeatureSet(comp.mean(axis=1), provenance=provenance)

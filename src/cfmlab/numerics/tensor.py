@@ -31,8 +31,10 @@ class NumericError(RuntimeError):
 
 
 def _check_finite(data, op):
-    # sum() is non-finite iff the array holds NaN/Inf (overflow aside)
-    if _FINITE_CHECKS and not np.isfinite(np.sum(data)):
+    # a finite sum proves every entry finite; a non-finite one may be overflow
+    # of finite entries, so only then is the elementwise test run
+    if (_FINITE_CHECKS and not np.isfinite(np.sum(data))
+            and not np.isfinite(data).all()):
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -353,7 +355,7 @@ def getitem(a, key):
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        full[key] += g
+        np.add.at(full, key, g)  # repeated indices accumulate; += keeps one
         return (full,)
 
     return _from_op(a.data[key], (a,), vjp, "getitem")

@@ -5,6 +5,11 @@ velocity field from t=0 to t=1 with a fixed-step explicit scheme, projects the
 result toward the quantizer's input manifold, splits it back into per-part
 latents (inverting the composite concatenation), quantizes each region with
 its codebook stack, and decodes the dequantized latents to motion frames.
+
+`generate_batch` runs the chain once for B (condition, OdeConfig) pairs, each
+z0 drawn from its own config's seed. A fixed-step solve has no per-sample
+control flow and every op works row by row, so a draw is bit-identical
+whether it is made alone (`generate`, B = 1) or in a batch.
 """
 
 from __future__ import annotations
@@ -20,11 +25,17 @@ import numpy as np
 from .alignment import CompositeLatent
 from .codec import (
     PART_ORDER,
+    CodeSequence,
+    MotionClip,
     PartLatent,
-    decode_part,
-    rvq_dequantize,
+    decode_part_batch,
+    rvq_dequantize_batch,
     rvq_quantize,
+    rvq_quantize_batch,
 )
+# unused here since sampling is batched, but perfbench's traced runs wrap
+# these names on this module (perfbench/layers.py), so they must resolve
+from .codec import decode_part, rvq_dequantize  # noqa: F401
 from .flow import VelocityNet, velocity_forward
 from .numerics import NumericError, Tensor, matmul, no_grad
 
@@ -39,6 +50,7 @@ __all__ = [
     "split_regions",
     "quantize_regions",
     "generate",
+    "generate_batch",
     "write_motion_csv",
     "write_sidecar",
 ]
@@ -201,38 +213,56 @@ def quantize_regions(parts, stacks):
     return out
 
 
+def generate_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0,
+                   fps=15.0, config_hash=None):
+    """Full sampling chain for a batch of (condition, OdeConfig) pairs: z0
+    from each config's seed -> one integration over (B, L, d_G) -> project
+    -> split -> quantize -> dequantize -> decode, once per part. Returns one
+    GeneratedMotion per pair, bit-identical to drawing that pair alone."""
+    if len({(c.n, c.scheme) for c in configs}) != 1:
+        raise NumericError("need at least one ODE config, all with one step count and scheme")
+    seqs = [_cond_sequence(c) for c in conds]
+    widths = [decoders[p].d_g for p in PART_ORDER]
+    d_model = net.d_model if isinstance(net, VelocityNet) else sum(widths)
+    if sum(widths) != d_model:
+        raise NumericError(f"latent dim {d_model} != sum of part dims {sum(widths)}")
+    length = seqs[0].shape[0]
+    z0 = np.stack([np.random.default_rng(c.seed).standard_normal((length, d_model))
+                   for c in configs])
+
+    z1 = integrate_ode(net, z0, np.stack(seqs), configs[0])
+    codes, frames, offset = {}, {}, 0
+    with no_grad():
+        if proj is not None:
+            z1 = project_to_codebook_manifold(z1, proj).data
+        for part, width in zip(PART_ORDER, widths):
+            stages = stacks[part].stages
+            if any(book.shape[-1] != width for book in stages):
+                raise NumericError(f"codebooks of part {part!r} do not match d_g {width}")
+            _, codes[part], _ = rvq_quantize_batch(
+                z1[..., offset:offset + width] * scale, stages)
+            frames[part] = decode_part_batch(rvq_dequantize_batch(codes[part], stages),
+                                             decoders[part]).data
+            offset += width
+    return [GeneratedMotion(
+        parts={p: MotionClip(p, frames[p][i], fps=fps) for p in PART_ORDER},
+        latent=z1[i], codes={p: CodeSequence(p, codes[p][i]) for p in PART_ORDER},
+        seed=c.seed, config_hash=config_hash or c.hash()) for i, c in enumerate(configs)]
+
+
 def generate(net, stacks, decoders, cond, config, proj=None, scale=2.0,
              fps=15.0, config_hash=None):
-    """Full sampling chain: seeded z0 -> integrate -> project -> split ->
-    quantize -> dequantize -> decode each part. Deterministic given seed."""
-    d_model = net.d_model if isinstance(net, VelocityNet) else sum(
-        decoders[p].d_g for p in PART_ORDER)
-    length = _cond_length(cond)
-    rng = np.random.default_rng(config.seed)
-    z0 = rng.standard_normal((length, d_model))
-
-    z1 = integrate_ode(net, z0, cond, config)
-    if proj is not None:
-        with no_grad():
-            z1 = project_to_codebook_manifold(z1, proj).data
-    dims = {p: decoders[p].d_g for p in PART_ORDER}
-    regions = split_regions(z1, dims, scale=scale)
-    codes = quantize_regions(regions, stacks)
-    parts = {}
-    with no_grad():
-        for part in PART_ORDER:
-            dequantized = rvq_dequantize(codes[part], stacks[part])
-            parts[part] = decode_part(dequantized, decoders[part], fps=fps)
-    return GeneratedMotion(parts=parts, latent=z1, codes=codes, seed=config.seed,
-                           config_hash=config_hash or config.hash())
+    """One draw: the B = 1 call of `generate_batch`. Deterministic given seed."""
+    return generate_batch(net, stacks, decoders, [cond], [config], proj=proj,
+                          scale=scale, fps=fps, config_hash=config_hash)[0]
 
 
-def _cond_length(cond):
+def _cond_sequence(cond):
     seq = getattr(cond, "sequence", cond)
-    seq = seq.data if isinstance(seq, Tensor) else np.asarray(seq)
+    seq = np.asarray(seq.data if isinstance(seq, Tensor) else seq, dtype=np.float64)
     if seq.ndim != 2:
         raise NumericError(f"condition must be (L, d_O), got shape {seq.shape}")
-    return seq.shape[0]
+    return seq
 
 
 # ------------------------------------------------------------------ output io

@@ -99,3 +99,48 @@ def test_rejects_non_finite_on_load(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
+
+
+def _single_tensor_file(name, shape, payload=b""):
+    nb = name.encode("utf-8")
+    return (MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(nb)) + nb
+            + struct.pack("<I", len(shape))
+            + b"".join(struct.pack("<Q", d) for d in shape) + payload)
+
+
+@pytest.mark.parametrize("shape", [(2**40, 2**40), (2**63, 2**63, 2), (3, 2**62),
+                                   (0, 2**63), (0, 2**62, 2**62)])
+def test_rejects_oversized_shape(tmp_path, shape):
+    p = tmp_path / "ck.bin"
+    p.write_bytes(_single_tensor_file("x", shape, struct.pack("<4d", 1, 2, 3, 4)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(p)
+
+
+def test_zero_size_tensor_at_end_of_file_loads(tmp_path):
+    p = tmp_path / "ck.bin"
+    p.write_bytes(_single_tensor_file("x", (1000, 0, 7)))
+    assert load_checkpoint(p)["x"].shape == (1000, 0, 7)
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    p = tmp_path / "ck.bin"
+    save_checkpoint(p, {"x": np.ones(3)})
+    before = p.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr("cfmlab.checkpoint.os.replace", broken_replace)
+    with pytest.raises(OSError, match="disk went away"):
+        save_checkpoint(p, {"x": np.zeros(5)})
+    assert p.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.bin"]
+
+
+def test_save_replaces_existing_file(tmp_path):
+    p = tmp_path / "ck.bin"
+    save_checkpoint(p, {"x": np.ones(3)})
+    save_checkpoint(str(p), {"y": np.zeros(2)})
+    assert set(load_checkpoint(p)) == {"y"}
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.bin"]

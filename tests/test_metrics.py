@@ -338,17 +338,21 @@ def test_diversity_needs_two_samples():
 # ------------------------------------------------------------ feature extractor
 
 def test_motion_features_match_manual_pipeline():
+    # per clip: encode_part + composite_latent + time mean, the single-clip
+    # pipeline the batched extractor must reproduce bit for bit
     rng = np.random.default_rng(8)
-    codecs = {p: init_part_codec(rng, p, downsample=4, d_g=3) for p in PART_ORDER}
+    codecs = {p: init_part_codec(rng, p, downsample=4, d_g=3, in_scale=1.7)
+              for p in PART_ORDER}
     clips = []
-    for _ in range(3):
+    for _ in range(6):
         clips.append({p: MotionClip(p, rng.standard_normal((16, PART_JOINTS[p])))
                       for p in PART_ORDER})
     feats = motion_features(clips, codecs, scale=2.0)
-    assert feats.features.shape == (3, 12)
-    latents = {p: encode_part(clips[0][p], codecs[p]) for p in PART_ORDER}
-    manual = composite_latent(latents, 2.0).sequence.mean(axis=0)
-    assert np.allclose(feats.features[0], manual, atol=1e-12)
+    assert feats.features.shape == (6, 12)
+    for row, clip in zip(feats.features, clips):
+        latents = {p: encode_part(clip[p], codecs[p]) for p in PART_ORDER}
+        manual = composite_latent(latents, 2.0).sequence.mean(axis=0)
+        assert row.tobytes() == manual.tobytes()
 
 
 def test_motion_features_deterministic_and_tagged():

@@ -156,6 +156,7 @@ OP_CASES = {
     "swap_last": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 3))): sum_(swap_last(x) * c), r.standard_normal((2, 3, 4))),
     "concat": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 8))): sum_(concat([x, x * Tensor(2.0)], axis=1) * c), r.standard_normal((3, 4))),
     "getitem": lambda r: (lambda x: sum_(x[1:, :2] * x[:2, 2:]), r.standard_normal((3, 4))),
+    "getitem_repeated": lambda r: (lambda x, c=Tensor(r.standard_normal((5, 4))): sum_(x[[0, 2, 0, 2, 2]] * c), r.standard_normal((3, 4))),
     "sum_axis": lambda r: (lambda x, c=Tensor(r.standard_normal(4)): sum_(sum_(x, axis=0) * c), r.standard_normal((3, 4))),
     "sum_keepdims": lambda r: (lambda x: sum_(x * sum_(x, axis=1, keepdims=True)), r.standard_normal((3, 4))),
     "mean_axis": lambda r: (lambda x, c=Tensor(r.standard_normal(3)): sum_(mean(x, axis=1) * c), r.standard_normal((3, 4))),
@@ -209,6 +210,19 @@ def test_finite_check_raises_on_nan():
 def test_finite_check_raises_on_inf():
     with pytest.raises(NumericError):
         Tensor(1.0) / Tensor(0.0)
+
+
+def test_getitem_repeated_indices_accumulate():
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    g = grad(sum_(x[[0, 0, 1]]), [x])
+    assert np.array_equal(g[x].data, [2.0, 1.0, 0.0])
+
+
+def test_finite_check_allows_overflowing_sum_of_finite_values():
+    y = Tensor(np.array([1e308, 1e308])) * Tensor(1.0)
+    assert np.array_equal(y.data, [1e308, 1e308])
+    with pytest.raises(NumericError):
+        Tensor(np.array([1e308, 1e308, np.nan])) * Tensor(1.0)
 
 
 def test_finite_checks_can_be_disabled():

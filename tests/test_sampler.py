@@ -1,24 +1,32 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cfmlab.alignment import composite_latent
+from cfmlab.cli import main
 from cfmlab.codec import (
     PART_JOINTS,
     PART_ORDER,
     PartLatent,
+    decode_part,
     init_codebook_stack,
     init_part_codec,
+    rvq_dequantize,
     rvq_quantize,
 )
-from cfmlab.flow import build_condition, init_velocity_net
+from cfmlab import evaluate
+from cfmlab.config import config_from_dict, config_hash
+from cfmlab.evaluate import condition_for_clip, generate_split
+from cfmlab.flow import build_condition, init_velocity_net, velocity_forward
 from cfmlab.numerics import NumericError, Tensor
 from cfmlab.sampler import (
     GeneratedMotion,
     ManifoldProjection,
     OdeConfig,
     generate,
+    generate_batch,
     init_manifold_projection,
     integrate_ode,
     project_to_codebook_manifold,
@@ -26,6 +34,13 @@ from cfmlab.sampler import (
     split_regions,
     write_motion_csv,
     write_sidecar,
+)
+from cfmlab.synthdata import build_dataset
+from cfmlab.training import (
+    init_stage2,
+    load_stage1_checkpoint,
+    load_stage2_checkpoint,
+    train_codec,
 )
 
 
@@ -335,3 +350,147 @@ def test_sidecar_contents(tmp_path):
     payload = json.loads(path.read_text())
     assert payload == {"seed": 9, "config_hash": cfg.hash(),
                        "condition_id": "clip-07"}
+
+
+# ------------------------------------------------------------- batched chain
+
+def _generate_alone(net, stacks, decoders, cond, config, proj, scale, fps):
+    """The per-clip chain the batched core replaced, built from the
+    single-sequence helpers: (L, d_G) integration, split, quantize,
+    dequantize and decode one clip at a time. The reference a batch must
+    match bit for bit."""
+    z0 = np.random.default_rng(config.seed).standard_normal(
+        (cond.sequence.shape[0], net.d_model))
+    z1 = project_to_codebook_manifold(integrate_ode(net, z0, cond, config), proj).data
+    regions = split_regions(z1, {p: decoders[p].d_g for p in PART_ORDER}, scale=scale)
+    codes = quantize_regions(regions, stacks)
+    frames = {p: decode_part(rvq_dequantize(codes[p], stacks[p]), decoders[p],
+                             fps=fps).frames for p in PART_ORDER}
+    return z1, codes, frames
+
+
+def _split_setup(scheme):
+    """A 6-clip test split and an untrained model whose zero-initialised
+    weights (attention output, aligned residual, projection) are randomised
+    so every branch of the chain moves the result."""
+    cfg = config_from_dict({
+        "seed": 5, "sampler": {"scheme": scheme, "steps": 3},
+        "dataset": {"n_classes": 3, "n_clips": 12, "n_frames": 32, "d_audio": 8,
+                    "d_text": 8, "n_onsets": 3, "ratios": [0.5, 0.0, 0.5]},
+        "codec": {"epochs": 0, "n_codes": 16}})
+    ds = build_dataset(cfg.dataset)
+    codecs, stacks, _ = train_codec(cfg, ds)
+    net, heads, proj = init_stage2(cfg)
+    rng = np.random.default_rng(0)
+    for t in (net.tcam_o, net.align_w, net.out_b):
+        t.data = 0.3 * rng.standard_normal(t.shape)
+    proj.weight.data = proj.weight.data + 0.1 * rng.standard_normal(proj.weight.shape)
+    return cfg, ds.splits["test"], codecs, stacks, net, heads, proj
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+def test_generate_split_equals_per_clip_draws_bitwise(scheme):
+    cfg, clips, codecs, stacks, net, heads, proj = _split_setup(scheme)
+    assert len(clips) == 6
+    batch = generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
+    assert len({m.seed for m in batch}) == len(clips)
+    for u, m in zip(clips, batch):
+        cond = condition_for_clip(u.audio, u.text, net, heads)
+        ode = OdeConfig(n=cfg.sampler.steps, scheme=scheme, seed=m.seed)
+        alone = generate(net, stacks, codecs, cond, ode, proj=proj,
+                         scale=cfg.sacm.scale, fps=cfg.dataset.fps,
+                         config_hash=config_hash(cfg))
+        z1, codes, frames = _generate_alone(net, stacks, codecs, cond, ode, proj,
+                                            cfg.sacm.scale, cfg.dataset.fps)
+        assert m.latent.tobytes() == alone.latent.tobytes() == z1.tobytes()
+        for p in PART_ORDER:
+            assert (m.codes[p].codes.tobytes() == alone.codes[p].codes.tobytes()
+                    == codes[p].codes.tobytes())
+            assert (m.parts[p].frames.tobytes() == alone.parts[p].frames.tobytes()
+                    == frames[p].tobytes())
+        assert m.config_hash == alone.config_hash == config_hash(cfg)
+
+
+def test_generate_split_chunks_do_not_change_draws(monkeypatch):
+    cfg, clips, codecs, stacks, net, heads, proj = _split_setup("midpoint")
+    rows = len(clips[0].audio)
+    sizes = []
+
+    def counted(net, stacks, decoders, conds, configs, **kwargs):
+        sizes.append(len(conds))
+        return generate_batch(net, stacks, decoders, conds, configs, **kwargs)
+
+    monkeypatch.setattr(evaluate, "generate_batch", counted)
+    splits = []
+    for budget, expected in ((len(clips) * rows, [6]), (4 * rows + rows // 2, [4, 2]),
+                             (rows - 1, [1] * 6)):
+        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+        sizes.clear()
+        splits.append(generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj))
+        assert sizes == expected
+    whole = splits[0]
+    for chunked in splits[1:]:
+        for a, b in zip(whole, chunked):
+            assert a.seed == b.seed
+            assert a.latent.tobytes() == b.latent.tobytes()
+            for p in PART_ORDER:
+                assert a.codes[p].codes.tobytes() == b.codes[p].codes.tobytes()
+                assert a.parts[p].frames.tobytes() == b.parts[p].frames.tobytes()
+
+
+def test_velocity_forward_scalar_t_batch_equals_single_calls_bitwise():
+    net, _, _, _ = _small_setup()
+    for t in (net.tcam_o, net.align_w):
+        t.data = np.random.default_rng(1).standard_normal(t.shape)
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((5, 6, net.d_model))
+    cond = rng.standard_normal((5, 6, net.d_cond))
+    batch = velocity_forward(net, z, 0.3, cond).data
+    for i in range(5):
+        one = velocity_forward(net, z[i:i + 1], 0.3, cond[i:i + 1]).data
+        single = velocity_forward(net, z[i], 0.3, cond[i]).data
+        assert batch[i].tobytes() == one[0].tobytes() == single.tobytes()
+
+
+def test_generate_batch_rejects_mixed_ode_configs():
+    net, decoders, stacks, cond = _small_setup(length=8)
+    with pytest.raises(NumericError, match="step count and scheme"):
+        generate_batch(net, stacks, decoders, [cond, cond],
+                       [OdeConfig(n=2), OdeConfig(n=3)])
+    with pytest.raises(NumericError, match="step count and scheme"):
+        generate_batch(net, stacks, decoders, [cond, cond],
+                       [OdeConfig(n=2), OdeConfig(n=2, scheme="midpoint")])
+    with pytest.raises(NumericError, match="at least one ODE config"):
+        generate_batch(net, stacks, decoders, [], [])
+
+
+TINY_RUN = {"seed": 2, "dataset": {"n_classes": 3, "n_clips": 20, "n_frames": 32,
+                                   "n_onsets": 3, "ratios": [0.6, 0.0, 0.4]},
+            "codec": {"epochs": 1, "batch": 8, "n_codes": 16},
+            "flow": {"epochs": 1, "batch": 8}, "sampler": {"steps": 3}}
+
+
+def test_cli_generate_count_matches_single_draws(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_RUN))
+    common = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    ck1, ck2 = tmp_path / "codec.bin", tmp_path / "generator.bin"
+    assert main(["train-codec", *common]) == 0
+    assert main(["train-generator", *common, "--checkpoint", str(ck1)]) == 0
+    assert main(["generate", *common, "--checkpoint", str(ck1), "--checkpoint",
+                 str(ck2), "--clip-id", "1", "--count", "3"]) == 0
+    capsys.readouterr()
+
+    cfg = config_from_dict(TINY_RUN)
+    codecs, stacks = load_stage1_checkpoint(ck1)
+    net, heads, proj = load_stage2_checkpoint(ck2)
+    u = build_dataset(cfg.dataset).splits["test"][1]
+    cond = condition_for_clip(u.audio, u.text, net, heads)
+    for i in range(3):
+        seed = json.loads((tmp_path / f"gen_{i:03d}.json").read_text())["seed"]
+        single = generate(net, stacks, codecs, cond,
+                          OdeConfig(n=3, scheme=cfg.sampler.scheme, seed=seed),
+                          proj=proj, scale=cfg.sacm.scale, fps=cfg.dataset.fps,
+                          config_hash=config_hash(cfg))
+        path = write_motion_csv(single, tmp_path / f"single_{i}.csv")
+        assert path.read_bytes() == (tmp_path / f"gen_{i:03d}.csv").read_bytes()

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from cfmlab.cli import main
 from cfmlab.codec import PART_ORDER
 from cfmlab.config import ConfigError, config_from_dict
 from cfmlab.numerics import NumericError, Tensor
@@ -268,3 +271,19 @@ def test_stage2_checkpoint_roundtrip(tmp_path, small_run):
     for name, t in heads.named_tensors().items():
         assert np.array_equal(t.data, heads2.named_tensors()[name].data)
     assert np.array_equal(proj.weight.data, proj2.weight.data)
+
+
+def test_training_twice_writes_identical_checkpoint_bytes(tmp_path, capsys):
+    # the CLI promises every command is deterministic given (config, seed)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL))
+    blobs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        common = ["--config", str(cfg_path), "--out", str(out)]
+        assert main(["train-codec", *common]) == 0
+        assert main(["train-generator", *common, "--checkpoint",
+                     str(out / "codec.bin")]) == 0
+        blobs.append([(out / n).read_bytes() for n in ("codec.bin", "generator.bin")])
+    capsys.readouterr()
+    assert blobs[0] == blobs[1]
