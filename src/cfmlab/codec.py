@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import NumericError, Tensor, concat, gelu, matmul, mse, reshape, \
-    uniform_init, zeros_init
+    shift, uniform_init, zeros_init
 
 PART_ORDER = ("hand", "upper", "lower", "face")
 PART_JOINTS = {"hand": 24, "upper": 12, "lower": 8, "face": 16}
@@ -209,28 +209,19 @@ def encode_part_batch(frames, params):
     return matmul(h, params.enc_w2) + params.enc_b2
 
 
-def _neighbor_shift(length, step):
-    """(L, L) selection matrix picking row i+step, clamped at the edges."""
-    sel = np.zeros((length, length))
-    rows = np.arange(length)
-    sel[rows, np.clip(rows + step, 0, length - 1)] = 1.0
-    return sel
-
-
 def decode_part_batch(latent, params):
     """(B, L, d_g) latents -> (B, T, J) reconstruction.
 
     A decoder whose first layer takes 3 * d_g inputs sees each window's
-    latent flanked by its neighbours (edges replicate); otherwise the window
-    decodes alone.
+    latent flanked by its neighbours, read by `shift` (edges replicate);
+    otherwise the window decodes alone.
     """
     z = latent if isinstance(latent, Tensor) else Tensor(latent)
     b, l, d_g = z.shape
     factor = params.downsample
     j = PART_JOINTS[params.part]
     if params.dec_w1.shape[0] == 3 * d_g:
-        z = concat([matmul(Tensor(_neighbor_shift(l, -1)), z), z,
-                    matmul(Tensor(_neighbor_shift(l, +1)), z)], axis=-1)
+        z = concat([shift(z, -1), z, shift(z, +1)], axis=-1)
     h = gelu(matmul(z, params.dec_w1) + params.dec_b1)
     flat = matmul(h, params.dec_w2) + params.dec_b2
     if params.in_scale != 1.0:

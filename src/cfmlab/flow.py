@@ -5,10 +5,10 @@ pairs a straight-line interpolant (constant target velocity z1 - z0) with a
 repulsion term against the velocity toward a mismatched latent, built by
 deranging the batch. The network is a single TCAM block (motion tokens query
 the fused audio/text condition) followed by two residual neighbour-context
-MLP blocks (each step mixes with its two temporal neighbours — gesture
-strokes live at that scale) and a linear head; the attention output
-projection starts at zero so the block is an exact residual passthrough at
-init.
+MLP blocks (each step mixes with its two temporal neighbours, read by the
+edge-clamped `shift` op — gesture strokes live at that scale) and a
+linear head; the attention output projection starts at zero so the block
+is an exact residual passthrough at init.
 
 Motion tokens and condition both receive parameter-free sinusoidal temporal
 position embeddings before cross-attention: attention is otherwise a
@@ -31,6 +31,7 @@ from .numerics import (
     matmul,
     mean,
     mse,
+    shift,
     softmax,
     uniform_init,
     zeros_init,
@@ -249,14 +250,6 @@ def _attention(q, k, v, out_w, d_s):
     return q + matmul(matmul(attn, v), out_w), attn
 
 
-def _neighbor_shift(length, step):
-    """(L, L) selection matrix picking row i+step, clamped at the edges."""
-    sel = np.zeros((length, length))
-    rows = np.arange(length)
-    sel[rows, np.clip(rows + step, 0, length - 1)] = 1.0
-    return sel
-
-
 def tcam_fuse(x, cond, net, return_attn=False):
     """Cross-attention: motion tokens (…, L, d_G) query the condition
     (…, L_c, d_O); residual on the projected query path."""
@@ -312,10 +305,8 @@ def velocity_forward(net, zt, t, cond):
         # to discover the diagonal; unaligned conditions use attention alone
         tokens = tokens + matmul(c, net.align_w)
     h = tcam_fuse(tokens, c + pe_c, net)
-    prev_sel = Tensor(_neighbor_shift(l, -1))
-    next_sel = Tensor(_neighbor_shift(l, +1))
     for w, bias in ((net.conv1_w, net.conv1_b), (net.conv2_w, net.conv2_b)):
-        ctx = concat([matmul(prev_sel, h), h, matmul(next_sel, h)], axis=-1)
+        ctx = concat([shift(h, -1), h, shift(h, +1)], axis=-1)
         h = h + gelu(matmul(ctx, w) + bias)
     out = matmul(h, net.out_w) + net.out_b
     if single:

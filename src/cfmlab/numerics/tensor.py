@@ -3,8 +3,9 @@
 Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
 the primitive set is deliberately small -- matmul, elementwise arithmetic,
-exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose plus
-the stabilized softmax/logsumexp/l2-normalize composites built on top.
+exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose, the
+clamped neighbour-row `shift`, plus the stabilized softmax/logsumexp/
+l2-normalize composites built on top.
 """
 
 from __future__ import annotations
@@ -175,10 +176,13 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _needs(t):
+    """Binary VJPs skip parents that are neither parameters nor op outputs."""
+    return t.requires_grad or t._vjp is not None
+
+
 def _tracked(parents):
-    if not _GRAD_ENABLED:
-        return False
-    return any(p.requires_grad or p._vjp is not None for p in parents)
+    return _GRAD_ENABLED and any(_needs(p) for p in parents)
 
 
 def _from_op(data, parents, vjp, op):
@@ -208,7 +212,8 @@ def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _from_op(
         a.data + b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
+        lambda g: (_unbroadcast(g, a.data.shape) if _needs(a) else None,
+                   _unbroadcast(g, b.data.shape) if _needs(b) else None),
         "add")
 
 
@@ -216,7 +221,8 @@ def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _from_op(
         a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
+        lambda g: (_unbroadcast(g, a.data.shape) if _needs(a) else None,
+                   _unbroadcast(-g, b.data.shape) if _needs(b) else None),
         "sub")
 
 
@@ -224,8 +230,8 @@ def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _from_op(
         a.data * b.data, (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                   _unbroadcast(g * a.data, b.data.shape)),
+        lambda g: (_unbroadcast(g * b.data, a.data.shape) if _needs(a) else None,
+                   _unbroadcast(g * a.data, b.data.shape) if _needs(b) else None),
         "mul")
 
 
@@ -235,8 +241,9 @@ def div(a, b):
         out = a.data / b.data
     return _from_op(
         out, (a, b),
-        lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                   _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
+        lambda g: (_unbroadcast(g / b.data, a.data.shape) if _needs(a) else None,
+                   _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                   if _needs(b) else None),
         "div")
 
 
@@ -304,8 +311,10 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) \
+            if _needs(a) else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) \
+            if _needs(b) else None
         return (ga, gb)
 
     return _from_op(out, (a, b), vjp, "matmul")
@@ -322,11 +331,9 @@ def transpose(a, axes=None):
     a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _from_op(
-        np.transpose(a.data, axes), (a,),
-        lambda g: (np.transpose(g, inv),), "transpose")
+    out = np.transpose(a.data, axes)  # rejects bad axes before they wrap
+    inv = tuple(np.argsort([ax % a.data.ndim for ax in axes]))
+    return _from_op(out, (a,), lambda g: (np.transpose(g, inv),), "transpose")
 
 
 def swap_last(a):
@@ -334,6 +341,34 @@ def swap_last(a):
     return _from_op(
         np.swapaxes(a.data, -1, -2), (a,),
         lambda g: (np.swapaxes(g, -1, -2),), "swap_last")
+
+
+def shift(a, step):
+    """Row i along axis -2 becomes row clip(i + step, 0, L - 1), so edge rows
+    replicate. Both passes copy slices, O(L); the backward sums the rows that
+    met at the clamped edge into the edge row."""
+    a = as_tensor(a)
+    if a.data.ndim < 2:
+        raise NumericError("shift requires ndim >= 2")
+    l, step = a.data.shape[-2], int(step)
+    k = min(abs(step), l - 1)
+
+    def vjp(g):
+        ga = np.zeros(a.data.shape)
+        if step > 0:
+            ga[..., k:, :] = g[..., :l - k, :]
+            ga[..., -1, :] += g[..., l - k:, :].sum(axis=-2)
+        else:
+            ga[..., :l - k, :] = g[..., k:, :]
+            ga[..., 0, :] += g[..., :k, :].sum(axis=-2)
+        return (ga,)
+
+    x = a.data
+    if step > 0:
+        out = np.concatenate([x[..., k:, :]] + [x[..., -1:, :]] * k, axis=-2)
+    else:
+        out = np.concatenate([x[..., :1, :]] * k + [x[..., :l - k, :]], axis=-2)
+    return _from_op(out, (a,), vjp, "shift")
 
 
 def concat(tensors, axis=-1):
@@ -419,9 +454,7 @@ def logsumexp(a, axis=-1, keepdims=False):
     lse = log(sum_(exp(a - m), axis=axis, keepdims=True)) + m
     if keepdims:
         return lse
-    ax = axis % a.data.ndim
-    squeezed = tuple(s for i, s in enumerate(lse.data.shape) if i != ax)
-    return reshape(lse, squeezed)
+    return reshape(lse, np.squeeze(m.data, axis=axis).shape)
 
 
 def softmax(a, axis=-1):
@@ -466,8 +499,16 @@ class Tape:
         return cls(nodes)
 
     def replay_backward(self, out, seed_grad):
-        """One reverse sweep; visits every recorded node exactly once."""
+        """One reverse sweep; visits every recorded node exactly once.
+
+        Constants get no entry (binary VJPs return None for them). A first
+        gradient is kept uncopied if the VJP allocated it or it is
+        C-contiguous; other views are copied, as their layout would move
+        BLAS rounding. A second one allocates `acc + pg` in acc's layout and
+        later ones add into it in place, so entries may be shared views.
+        """
         grads = {id(out): np.asarray(seed_grad, dtype=np.float64)}
+        summed = set()  # ids whose entry was allocated here, safe to add into
         for t in reversed(self.nodes):
             if t._vjp is None:
                 continue  # leaf: keep its accumulated grad for the caller
@@ -481,22 +522,26 @@ class Tape:
             for p, pg in zip(t._parents, parent_grads):
                 if pg is None:
                     continue
-                # numpy 0-d results come back as immutable scalars; views and
-                # broadcast results must not be accumulated into in place
+                # numpy 0-d results come back as scalars; out= keeps them arrays
                 pg = np.asarray(pg, dtype=np.float64)
                 acc = grads.get(id(p))
                 if acc is None:
-                    owned = pg.base is None and pg.flags.writeable
-                    grads[id(p)] = pg if owned else pg.copy()
-                else:
+                    keep = pg.base is None or pg.flags.c_contiguous
+                    grads[id(p)] = pg if keep else pg.copy()
+                elif id(p) in summed:
                     acc += pg
+                else:
+                    grads[id(p)] = np.add(acc, pg, out=np.empty_like(acc))
+                    summed.add(id(p))
         return grads
 
 
 def grad(loss, params):
     """Reverse-mode gradients of a scalar loss w.r.t. `params`.
 
-    Params that never touched the tape get zero gradients.
+    Params that never touched the tape, and tensors without requires_grad,
+    get zero gradients. Every returned array is writable and owns its
+    memory: the replay's entries that are views are copied here.
     """
     loss = as_tensor(loss)
     if loss.data.size != 1:
@@ -504,7 +549,12 @@ def grad(loss, params):
             f"grad() needs a scalar loss, got shape {loss.data.shape}")
     tape = Tape.from_output(loss)
     grads = tape.replay_backward(loss, np.ones_like(loss.data))
-    return {p: Tensor(grads.get(id(p), np.zeros_like(p.data))) for p in params}
+    out = {}
+    for p in params:
+        g = grads.get(id(p)) if p.requires_grad else None
+        g = np.zeros_like(p.data) if g is None else g
+        out[p] = Tensor(g if g.base is None else g.copy())
+    return out
 
 
 # -- parameter initialization ---------------------------------------------------

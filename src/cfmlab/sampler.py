@@ -14,7 +14,6 @@ whether it is made alone (`generate`, B = 1) or in a batch.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -269,16 +268,16 @@ def _cond_sequence(cond):
 
 def write_motion_csv(motion, path):
     """One row per (part, frame, channel), parts in fixed order; float values
-    use shortest round-trip repr so identical runs produce identical bytes."""
+    use shortest round-trip repr so identical runs produce identical bytes.
+    The lines are the ones `csv.writer` would write: no field needs quoting,
+    and rows end in CRLF."""
     path = Path(path)
+    lines = ["part,frame,channel,value\r\n"]
+    for part in PART_ORDER:
+        for f, row in enumerate(motion.parts[part].frames.tolist()):
+            lines.extend(f"{part},{f},{c},{v!r}\r\n" for c, v in enumerate(row))
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["part", "frame", "channel", "value"])
-        for part in PART_ORDER:
-            frames = motion.parts[part].frames
-            for f in range(frames.shape[0]):
-                for c in range(frames.shape[1]):
-                    writer.writerow([part, f, c, repr(float(frames[f, c]))])
+        fh.write("".join(lines))
     return path
 
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from cfmlab.cli import main
 from cfmlab.numerics import (
     Adam,
     AdamState,
     NumericError,
+    Tape,
     Tensor,
     adam_step,
     check_gradients,
@@ -27,6 +29,7 @@ from cfmlab.numerics import (
     mse,
     no_grad,
     reshape,
+    shift,
     softmax,
     sqrt,
     sum_,
@@ -153,6 +156,7 @@ OP_CASES = {
     "matmul_batched": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 3, 4))): sum_(matmul(c, x)), r.standard_normal((4, 2))),
     "reshape": lambda r: (lambda x, c=Tensor(r.standard_normal((4, 3))): sum_(reshape(x, (4, 3)) * c), r.standard_normal((3, 4))),
     "transpose": lambda r: (lambda x, c=Tensor(r.standard_normal((4, 3))): sum_(transpose(x, (1, 0)) * c), r.standard_normal((3, 4))),
+    "transpose_negative_axes": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 3))): sum_(transpose(x, (0, -1, -2)) * c), r.standard_normal((2, 3, 4))),
     "swap_last": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 3))): sum_(swap_last(x) * c), r.standard_normal((2, 3, 4))),
     "concat": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 8))): sum_(concat([x, x * Tensor(2.0)], axis=1) * c), r.standard_normal((3, 4))),
     "getitem": lambda r: (lambda x: sum_(x[1:, :2] * x[:2, 2:]), r.standard_normal((3, 4))),
@@ -162,6 +166,7 @@ OP_CASES = {
     "mean_axis": lambda r: (lambda x, c=Tensor(r.standard_normal(3)): sum_(mean(x, axis=1) * c), r.standard_normal((3, 4))),
     "max": lambda r: (lambda x: sum_(max_(x, axis=1)), r.standard_normal((3, 4))),
     "logsumexp": lambda r: (lambda x: sum_(logsumexp(x, axis=-1)), r.standard_normal((3, 4))),
+    "logsumexp_tuple_axes": lambda r: (lambda x, c=Tensor(r.standard_normal(2)): sum_(logsumexp(x, axis=(1, 2)) * c), r.standard_normal((2, 3, 4))),
     "softmax": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): sum_(softmax(x, axis=-1) * c), r.standard_normal((3, 4))),
     "l2_normalize": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): sum_(l2_normalize(x, axis=-1) * c), r.standard_normal((3, 4))),
     "mse": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): mse(x, c), r.standard_normal((3, 4))),
@@ -189,7 +194,145 @@ def test_softmax_stable_at_large_inputs():
     assert np.all(np.isfinite(g[x].data))
 
 
+def test_logsumexp_tuple_axes_value():
+    x = np.random.default_rng(0).standard_normal((2, 3, 4))
+    out = logsumexp(Tensor(x), axis=(1, 2))
+    assert out.shape == (2,)
+    np.testing.assert_allclose(out.data, np.log(np.exp(x).sum(axis=(1, 2))),
+                               rtol=1e-13)
+    assert logsumexp(Tensor(x), axis=(0, -1), keepdims=True).shape == (1, 3, 1)
+
+
+def test_transpose_rejects_bad_axes():
+    with pytest.raises(np.exceptions.AxisError):
+        transpose(Tensor(np.ones((2, 3))), (0, 2))
+
+
+# ------------------------------------------------------------------- shift
+
+def _selector_shift(x, step):
+    """The dense (L, L) selector matmul that `shift` replaces; kept here as
+    its bitwise reference."""
+    length = x.shape[-2]
+    sel = np.zeros((length, length))
+    rows = np.arange(length)
+    sel[rows, np.clip(rows + step, 0, length - 1)] = 1.0
+    return matmul(Tensor(sel), x)
+
+
+SHIFT_SHAPES = [(1, 3), (2, 3), (5, 3), (2, 1, 3), (2, 2, 3), (2, 5, 3)]
+
+
+@pytest.mark.parametrize("shape", SHIFT_SHAPES)
+@pytest.mark.parametrize("step", [-1, 1])
+def test_shift_gradients_match_fd(step, shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-2])
+    c = Tensor(rng.standard_normal(shape))
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    def f(t):
+        return sum_(tanh(shift(t, step)) * c)
+
+    g = grad(f(x), [x])
+    assert max_rel_err(g[x], finite_difference_gradient(f, x, 1e-6)) < 1e-8
+
+
+@pytest.mark.parametrize("shape", SHIFT_SHAPES + [(3, 64, 8)])
+@pytest.mark.parametrize("step", [-1, 1])
+def test_shift_bitwise_equals_selector_matmul(step, shape):
+    rng = np.random.default_rng(shape[-2])
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    c = Tensor(rng.standard_normal(shape))
+    fast, ref = shift(x, step), _selector_shift(x, step)
+    assert fast.data.tobytes() == ref.data.tobytes()
+    g_fast = grad(sum_(fast * c), [x])[x].data
+    g_ref = grad(sum_(ref * c), [x])[x].data
+    assert g_fast.tobytes() == g_ref.tobytes()
+
+
+def test_shift_rejects_vectors():
+    with pytest.raises(NumericError):
+        shift(Tensor(np.ones(3)), 1)
+
+
 # -------------------------------------------------------------- tape semantics
+
+BINARY_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "matmul": matmul,
+}
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
+def test_constant_operand_gets_no_gradient_entry(op):
+    rng = np.random.default_rng(1)
+    w = Tensor(rng.uniform(0.5, 1.5, (3, 3)), requires_grad=True)
+    c = Tensor(rng.uniform(0.5, 1.5, (3, 3)))
+    for out in (sum_(BINARY_OPS[op](c, w)), sum_(BINARY_OPS[op](w, c))):
+        grads = Tape.from_output(out).replay_backward(out, np.ones(()))
+        assert id(w) in grads and id(c) not in grads
+
+
+def test_grad_without_requires_grad_is_zero():
+    rng = np.random.default_rng(2)
+    w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    c = Tensor(rng.standard_normal((2, 3)))
+    # concat hands every input a gradient slice, constants included
+    loss = sum_(concat([c, w], axis=0) * Tensor(rng.standard_normal((4, 3))))
+    loss = loss + sum_(matmul(c, w.mT))
+    g = grad(loss, [c, w])
+    assert np.array_equal(g[c].data, np.zeros((2, 3)))
+    assert np.any(g[w].data != 0.0)
+
+
+def test_grads_are_writable_and_own_their_memory():
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    r = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    s = Tensor(rng.standard_normal(()), requires_grad=True)
+    # add hands a and b views of one array; concat hands them split views;
+    # reshape hands a and r C-contiguous views (r's is its only gradient,
+    # stored uncopied by the replay); the scalar arrives as a 0-d sum
+    loss = (sum_(a + b) + sum_(concat([a, b], axis=-1) * Tensor(np.ones((3, 8))))
+            + sum_(reshape(a, (12,))) + sum_(reshape(r, (12,))) + s * s)
+    g = grad(loss, [a, b, r, s])
+    for p in (a, b, r, s):
+        assert g[p].data.flags.writeable and g[p].data.base is None
+    g[a].data += 1.0
+    assert np.array_equal(g[b].data, np.full((3, 4), 2.0))
+    assert np.array_equal(g[a].data, np.full((3, 4), 4.0))
+    assert float(g[s].data) == 2.0 * float(s.data)
+
+
+def test_concat_split_views_accumulate_exact_sum():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    c = rng.standard_normal((3, 12))
+    g = grad(sum_(concat([x, x, x], axis=-1) * Tensor(c)), [x])[x].data
+    assert g.tobytes() == ((c[:, :4] + c[:, 4:8]) + c[:, 8:]).tobytes()
+    # a single split view is copied: its layout would move BLAS rounding
+    out = sum_(concat([x, Tensor(np.ones((3, 1)))], axis=-1) * Tensor(c[:, :5]))
+    grads = Tape.from_output(out).replay_backward(out, np.ones(()))
+    assert grads[id(x)].flags.c_contiguous
+
+
+def test_shared_gradient_views_are_not_added_into():
+    rng = np.random.default_rng(5)
+    z = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    c2, c3 = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+    # add gives z and w views of the same array first; each then gets a
+    # second term, which must not land in the other's gradient
+    loss = sum_(z * Tensor(c2)) + sum_(w * Tensor(c3)) + sum_(z + w)
+    g = grad(loss, [z, w])
+    assert np.array_equal(g[z].data, c2 + 1.0)
+    assert np.array_equal(g[w].data, c3 + 1.0)
+
+
 
 def test_tape_replay_deterministic_bitwise():
     def run():
@@ -249,6 +392,25 @@ def test_fault_injection_is_detected():
     with inject_backward_fault("matmul"):
         broken = check_gradients(f, {"w": w})
     assert broken["w"] > 1e-2
+
+
+def test_fault_injection_detects_shift():
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 3)))
+    c = Tensor(rng.standard_normal((2, 4, 3)))
+
+    def f():
+        return sum_(tanh(shift(matmul(x, w), 1)) * c)
+
+    assert check_gradients(f, {"w": w})["w"] < 1e-6
+    with inject_backward_fault("shift"):
+        assert check_gradients(f, {"w": w})["w"] > 1e-2
+
+
+def test_cli_gradcheck_detects_injected_shift_fault(capsys):
+    assert main(["gradcheck", "--inject-fault", "shift"]) == 3
+    assert "FAIL" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------------ Adam

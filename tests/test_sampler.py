@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -9,6 +10,7 @@ from cfmlab.cli import main
 from cfmlab.codec import (
     PART_JOINTS,
     PART_ORDER,
+    MotionClip,
     PartLatent,
     decode_part,
     init_codebook_stack,
@@ -338,6 +340,30 @@ def test_csv_layout_roundtrips_values(tmp_path):
     part, frame, channel, value = lines[1].split(",")
     assert part == "hand" and frame == "0" and channel == "0"
     assert float(value) == out.parts["hand"].frames[0, 0]
+
+
+def test_csv_bytes_match_csv_module_writer(tmp_path):
+    # the row-per-call csv.writer layout the file format was defined by
+    rng = np.random.default_rng(3)
+    parts = {}
+    for part in PART_ORDER:
+        frames = rng.standard_normal((3, PART_JOINTS[part])) * 10.0 ** rng.integers(-5, 5)
+        parts[part] = MotionClip(part, frames)
+    parts["hand"].frames[0, :6] = [-0.0, 1e-300, 3.0, -1e-300, 1e300, 0.1]
+    motion = GeneratedMotion(parts=parts, latent=np.zeros((1, 1)), codes={},
+                             seed=0, config_hash="x")
+    ref = tmp_path / "ref.csv"
+    with ref.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["part", "frame", "channel", "value"])
+        for part in PART_ORDER:
+            frames = parts[part].frames
+            for f in range(frames.shape[0]):
+                for c in range(frames.shape[1]):
+                    writer.writerow([part, f, c, repr(float(frames[f, c]))])
+    out = write_motion_csv(motion, tmp_path / "m.csv")
+    assert out.read_bytes() == ref.read_bytes()
+    assert b"hand,0,0,-0.0\r\nhand,0,1,1e-300\r\nhand,0,2,3.0\r\n" in out.read_bytes()
 
 
 def test_sidecar_contents(tmp_path):
