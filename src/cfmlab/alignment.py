@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import CheckpointError
 from .codec import PART_ORDER
 from .numerics import (
     NumericError,
@@ -134,7 +135,8 @@ class ProjectionHeads:
                 motion=Tensor(np.array(tensors["sacm/motion/weight"]), requires_grad=True),
             )
         except KeyError as exc:
-            raise NumericError(f"missing projection head in checkpoint: {exc}") from exc
+            raise CheckpointError(
+                f"missing projection head in checkpoint: {exc}") from exc
 
 
 def init_projection_heads(rng, d_text, d_audio, d_motion, d=16):

@@ -74,8 +74,12 @@ def _element_count(shape, limit, path):
 
 def load_checkpoint(path):
     """Read a checkpoint back as {name: float64 ndarray}."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     raw, off = _take(buf, 0, len(MAGIC), path)
     if raw != MAGIC:
         raise CheckpointError(f"bad magic in {path}: {raw!r}")

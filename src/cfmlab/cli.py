@@ -50,9 +50,9 @@ from .codec import (
 )
 from .config import (
     ConfigError,
-    config_from_dict,
     config_hash,
     config_to_dict,
+    load_config,
     validate_config,
 )
 from .evaluate import condition_for_clip, evaluate_run
@@ -90,24 +90,16 @@ __all__ = ["main"]
 
 
 def _load_cfg(args):
-    payload = {}
-    if getattr(args, "config", None):
-        try:
-            payload = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise ConfigError("config root must be an object")
-    if getattr(args, "seed", None) is not None:
-        payload = {**payload, "seed": args.seed}
-    return config_from_dict(payload)
+    return load_config(getattr(args, "config", None), getattr(args, "seed", None))
 
 
 def _out_dir(args):
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or on the way to it
+        raise ConfigError(
+            f"cannot use --out {out} as a directory: {exc.strerror or exc}")
     return out
 
 

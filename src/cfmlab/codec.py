@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import CheckpointError
 from .numerics import NumericError, Tensor, concat, gelu, matmul, mse, reshape, \
     shift, uniform_init, zeros_init
 
@@ -113,7 +114,7 @@ class CodebookStack:
         while f"codebook/{part}/{len(stages)}" in tensors:
             stages.append(np.array(tensors[f"codebook/{part}/{len(stages)}"]))
         if not stages:
-            raise NumericError(f"no codebooks for part {part!r} in checkpoint")
+            raise CheckpointError(f"no codebooks for part {part!r} in checkpoint")
         return cls(
             part=part,
             stages=stages,
@@ -166,7 +167,8 @@ class PartCodecParams:
             vals = [Tensor(np.array(tensors[f"codec/{part}/{n}"]), requires_grad=True)
                     for n in names]
         except KeyError as exc:
-            raise NumericError(f"missing codec tensor for part {part!r}: {exc}") from exc
+            raise CheckpointError(
+                f"missing codec tensor for part {part!r}: {exc}") from exc
         scale = tensors.get(f"codec/{part}/in_scale", 1.0)
         scale = float(np.asarray(scale.data if isinstance(scale, Tensor) else scale))
         return cls(part, *vals, in_scale=scale)

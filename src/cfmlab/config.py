@@ -218,13 +218,27 @@ def config_from_dict(payload):
     return validate_config(RunConfig(seed=seed, **sections))
 
 
-def load_config(path):
-    try:
-        payload = json.loads(open(path).read())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+def load_config(path=None, seed=None):
+    """The config in the JSON file at `path` (defaults when None), with the
+    global seed replaced by `seed` when given. An unreadable, non-UTF-8 or
+    malformed file is a ConfigError."""
+    payload = {}
+    if path:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.loads(fh.read())
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8 text")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        if not isinstance(payload, dict):
+            raise ConfigError("config root must be an object")
+    if seed is not None:
+        payload = {**payload, "seed": seed}
     return config_from_dict(payload)
 
 

@@ -10,6 +10,13 @@ edge-clamped `shift` op — gesture strokes live at that scale) and a
 linear head; the attention output projection starts at zero so the block
 is an exact residual passthrough at init.
 
+`velocity_forward` has a condition part and a step part. The condition
+part (`prepare_condition`) builds the terms that depend only on the
+condition and the latent length: both position embeddings, the TCAM keys
+and values, and the frame-aligned residual. An ODE solve builds them once
+and reuses them at every step; training passes a raw condition, which is
+prepared inside the call, so both take one code path with the same bits.
+
 Motion tokens and condition both receive parameter-free sinusoidal temporal
 position embeddings before cross-attention: attention is otherwise a
 set operation over frames, and beat-locked motion needs the network to know
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import CheckpointError
 from .numerics import (
     NumericError,
     Tensor,
@@ -51,6 +59,8 @@ __all__ = [
     "negative_velocity",
     "sinusoidal_time_embedding",
     "temporal_position_embedding",
+    "PreparedCondition",
+    "prepare_condition",
     "tcam_fuse",
     "velocity_forward",
     "sample_derangement",
@@ -140,7 +150,7 @@ class VelocityNet:
             vals = [Tensor(np.array(tensors[f"flow/{n}"]), requires_grad=True)
                     for n in cls._FIELD_NAMES]
         except KeyError as exc:
-            raise NumericError(f"missing flow tensor in checkpoint: {exc}") from exc
+            raise CheckpointError(f"missing flow tensor in checkpoint: {exc}") from exc
         return cls(*vals)
 
 
@@ -250,18 +260,51 @@ def _attention(q, k, v, out_w, d_s):
     return q + matmul(matmul(attn, v), out_w), attn
 
 
+@dataclass
+class PreparedCondition:
+    """The terms of `velocity_forward` that depend only on the condition and
+    the latent length, so one ODE solve builds them once for all its steps."""
+    pe_x: Tensor      # (L, d_G) motion position embedding
+    keys: Tensor      # (B, L_c, d_s) TCAM keys of c + pe_c
+    values: Tensor    # (B, L_c, d_s) TCAM values of c + pe_c
+    aligned: Tensor | None  # (B, L, d_G) c @ align_w when L_c == L, else None
+
+
+def _as_condition(cond):
+    c = cond.sequence if isinstance(cond, ConditionSeq) else cond
+    return c if isinstance(c, Tensor) else Tensor(np.asarray(c, dtype=np.float64))
+
+
+def prepare_condition(net, cond, length):
+    """Condition terms of `velocity_forward` for latents of `length` frames:
+    cond is (L_c, d_O) or (B, L_c, d_O), raw or a ConditionSeq."""
+    c = _as_condition(cond)
+    if c.ndim == 2:
+        c = c.reshape(1, *c.shape)
+    # frame-aligned conditions get a direct per-step residual so timing
+    # cues reach the matching motion frame without relying on attention
+    # to discover the diagonal; unaligned conditions use attention alone
+    aligned = matmul(c, net.align_w) if c.shape[-2] == length else None
+    ct = c + Tensor(temporal_position_embedding(c.shape[-2], net.d_cond))
+    return PreparedCondition(
+        pe_x=Tensor(temporal_position_embedding(length, net.d_model)),
+        keys=matmul(ct, net.tcam_k), values=matmul(ct, net.tcam_v),
+        aligned=aligned)
+
+
 def tcam_fuse(x, cond, net, return_attn=False):
     """Cross-attention: motion tokens (…, L, d_G) query the condition
-    (…, L_c, d_O); residual on the projected query path."""
+    (…, L_c, d_O), or the keys and values of a PreparedCondition; residual
+    on the projected query path."""
     xt = x if isinstance(x, Tensor) else Tensor(x)
-    ct = cond.sequence if isinstance(cond, ConditionSeq) else cond
-    ct = ct if isinstance(ct, Tensor) else Tensor(ct)
-    if xt.shape[:-2] != ct.shape[:-2]:
-        raise NumericError(f"tcam batch shape mismatch {xt.shape} vs {ct.shape}")
-    q = matmul(xt, net.tcam_q)
-    k = matmul(ct, net.tcam_k)
-    v = matmul(ct, net.tcam_v)
-    out, attn = _attention(q, k, v, net.tcam_o, net.d_s)
+    if isinstance(cond, PreparedCondition):
+        k, v = cond.keys, cond.values
+    else:
+        ct = _as_condition(cond)
+        k, v = matmul(ct, net.tcam_k), matmul(ct, net.tcam_v)
+    if xt.shape[:-2] != k.shape[:-2]:
+        raise NumericError(f"tcam batch shape mismatch {xt.shape} vs {k.shape}")
+    out, attn = _attention(matmul(xt, net.tcam_q), k, v, net.tcam_o, net.d_s)
     if return_attn:
         return out, attn
     return out
@@ -272,21 +315,24 @@ def velocity_forward(net, zt, t, cond):
 
     Accepts (L, d_G) or batched (B, L, d_G) with a scalar t or a per-example
     t (B,). A scalar t builds one time-embedding row shared by the batch, so
-    each example's velocity is bit-identical to its own B = 1 call.
+    each example's velocity is bit-identical to its own B = 1 call. `cond`
+    is a raw condition, prepared here, or a PreparedCondition built by
+    `prepare_condition` for this latent length; both give the same bits.
     """
     x = zt if isinstance(zt, Tensor) else Tensor(np.asarray(zt, dtype=np.float64))
     single = x.ndim == 2
     if single:
         x = x.reshape(1, *x.shape)
-    c = cond.sequence if isinstance(cond, ConditionSeq) else cond
-    c = c if isinstance(c, Tensor) else Tensor(np.asarray(c, dtype=np.float64))
-    if c.ndim == 2:
-        c = c.reshape(1, *c.shape)
     b, l, d_model = x.shape
-    if c.shape[0] != b:
-        raise NumericError(f"condition batch {c.shape[0]} != latent batch {b}")
     if d_model != net.d_model:
         raise NumericError(f"latent dim {d_model} != network dim {net.d_model}")
+    prep = (cond if isinstance(cond, PreparedCondition)
+            else prepare_condition(net, cond, l))
+    if prep.keys.shape[0] != b:
+        raise NumericError(f"condition batch {prep.keys.shape[0]} != latent batch {b}")
+    if prep.pe_x.shape[0] != l:
+        raise NumericError(
+            f"condition prepared for {prep.pe_x.shape[0]} frames, latent has {l}")
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise NumericError("flow time t must lie in [0, 1]")
@@ -296,15 +342,10 @@ def velocity_forward(net, zt, t, cond):
 
     temb = matmul(Tensor(sinusoidal_time_embedding(t_arr, net.time_w.shape[0])),
                   net.time_w) + net.time_b                       # (B or 1, d_G)
-    pe_x = Tensor(temporal_position_embedding(l, d_model))
-    pe_c = Tensor(temporal_position_embedding(c.shape[-2], net.d_cond))
-    tokens = x + net.p + temb.reshape(temb.shape[0], 1, d_model) + pe_x
-    if c.shape[-2] == l:
-        # frame-aligned conditions get a direct per-step residual so timing
-        # cues reach the matching motion frame without relying on attention
-        # to discover the diagonal; unaligned conditions use attention alone
-        tokens = tokens + matmul(c, net.align_w)
-    h = tcam_fuse(tokens, c + pe_c, net)
+    tokens = x + net.p + temb.reshape(temb.shape[0], 1, d_model) + prep.pe_x
+    if prep.aligned is not None:
+        tokens = tokens + prep.aligned
+    h = tcam_fuse(tokens, prep, net)
     for w, bias in ((net.conv1_w, net.conv1_b), (net.conv2_w, net.conv2_b)):
         ctx = concat([shift(h, -1), h, shift(h, +1)], axis=-1)
         h = h + gelu(matmul(ctx, w) + bias)

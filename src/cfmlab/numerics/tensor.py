@@ -33,8 +33,9 @@ class NumericError(RuntimeError):
 
 def _check_finite(data, op):
     # a finite sum proves every entry finite; a non-finite one may be overflow
-    # of finite entries, so only then is the elementwise test run
-    if (_FINITE_CHECKS and not np.isfinite(np.sum(data))
+    # of finite entries, so only then is the elementwise test run. The ufunc
+    # reduce is np.sum without its Python-level dispatch, which runs per op.
+    if (_FINITE_CHECKS and not math.isfinite(np.add.reduce(data, axis=None))
             and not np.isfinite(data).all()):
         raise NumericError(f"non-finite values produced by op '{op}'")
 

@@ -6,6 +6,10 @@ result toward the quantizer's input manifold, splits it back into per-part
 latents (inverting the composite concatenation), quantizes each region with
 its codebook stack, and decodes the dequantized latents to motion frames.
 
+The condition is the same at every ODE step, so `integrate_ode` builds its
+terms (position embeddings, TCAM keys and values, the frame-aligned
+residual) once per solve, and each step evaluates only the latent side.
+
 `generate_batch` runs the chain once for B (condition, OdeConfig) pairs, each
 z0 drawn from its own config's seed. A fixed-step solve has no per-sample
 control flow and every op works row by row, so a draw is bit-identical
@@ -22,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import CompositeLatent
+from .checkpoint import CheckpointError
 from .codec import (
     PART_ORDER,
     CodeSequence,
@@ -35,7 +40,7 @@ from .codec import (
 # unused here since sampling is batched, but perfbench's traced runs wrap
 # these names on this module (perfbench/layers.py), so they must resolve
 from .codec import decode_part, rvq_dequantize  # noqa: F401
-from .flow import VelocityNet, velocity_forward
+from .flow import VelocityNet, prepare_condition, velocity_forward
 from .numerics import NumericError, Tensor, matmul, no_grad
 
 __all__ = [
@@ -113,7 +118,8 @@ class ManifoldProjection:
         try:
             return cls(weight=Tensor(np.array(tensors["proj/weight"]), requires_grad=True))
         except KeyError as exc:
-            raise NumericError(f"missing projection tensor in checkpoint: {exc}") from exc
+            raise CheckpointError(
+                f"missing projection tensor in checkpoint: {exc}") from exc
 
 
 def init_manifold_projection(d_model=32):
@@ -137,11 +143,16 @@ def integrate_ode(net, z0, cond, config):
     """Fixed-step explicit integration of dz/dt = v(z, t, cond) from 0 to 1.
 
     `net` is a VelocityNet or any callable (z, t, cond) -> dz/dt with the
-    same shape as z. Straight (constant-velocity) paths are integrated
-    exactly by both schemes for any step count.
+    same shape as z. A VelocityNet's condition terms are built once, before
+    the first step, and every field evaluation reuses them. Straight
+    (constant-velocity) paths are integrated exactly by both schemes for any
+    step count.
     """
     field = _as_field(net)
     z = np.array(z0, dtype=np.float64)
+    if isinstance(net, VelocityNet):
+        with no_grad():  # the condition terms are the same at every step
+            cond = prepare_condition(net, cond, z.shape[-2])
     h = 1.0 / config.n
     for k in range(config.n):
         t = k * h

@@ -1,23 +1,35 @@
-"""The names perfbench reaches into cfmlab by. A traced run wraps each
-(module, attribute) of perfbench/layers.py WRAPS with getattr, and the
-workloads call further names directly, so renaming or removing any of them
-breaks the benchmark without failing another test."""
+"""The names perfbench reaches into cfmlab by, and the calls its spans
+count. A traced run wraps each (module, attribute) of perfbench/layers.py
+WRAPS with getattr, and the workloads call further names directly, so
+renaming or removing any of them, or routing a call around them, breaks the
+benchmark without failing another test."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from cfmlab import evaluate, sampler
+from cfmlab.config import config_from_dict
+from cfmlab.numerics import Tape
+from cfmlab.synthdata import build_dataset
+from cfmlab.training import init_stage2, train_codec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _wraps():
-    spec = importlib.util.spec_from_file_location("perfbench_layers",
-                                                  PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers.WRAPS
+    return _perfbench("layers").WRAPS
 
 
 # called directly by perfbench/workloads.py and perfbench/run.py
@@ -47,3 +59,54 @@ DIRECT = (
 def test_bench_names_resolve(module, attr):
     mod = importlib.import_module(f"cfmlab.{module}")
     assert callable(getattr(mod, attr, None)), f"cfmlab.{module}.{attr}"
+
+
+# ------------------------------------------------------- span call counts
+# A traced run reads a layer's calls from the spans its wraps record, so a
+# call that moves to a name perfbench does not wrap reads 0 without failing.
+
+def _span_calls(fn):
+    """Run fn under perfbench's own wraps; span name -> calls."""
+    layers, spans = _perfbench("layers"), _perfbench("spans")
+    tracer = spans.Tracer()
+    modules = {m: importlib.import_module(f"cfmlab.{m}") for m, _, _ in layers.WRAPS}
+    probe = layers.LayerProbe(tracer, modules, Tape)
+    probe.install()
+    try:
+        fn()
+    finally:
+        probe.restore()
+    return {name: row["calls"] for name, row in spans.summarize(tracer.spans).items()}
+
+
+def _tiny_model():
+    cfg = config_from_dict({
+        "seed": 3, "sampler": {"steps": 3},
+        "dataset": {"n_classes": 2, "n_clips": 10, "n_frames": 32,
+                    "n_onsets": 2, "ratios": [0.5, 0.0, 0.5]},
+        "codec": {"epochs": 0, "n_codes": 8}})
+    ds = build_dataset(cfg.dataset)
+    codecs, stacks, _ = train_codec(cfg, ds)
+    return cfg, ds.splits["test"], codecs, stacks, *init_stage2(cfg)
+
+
+@pytest.mark.parametrize("scheme, evals_per_step", [("euler", 1), ("midpoint", 2)])
+def test_one_solve_spans_one_field_eval_and_tcam_per_evaluation(scheme, evals_per_step):
+    _, _, codecs, stacks, net, _, proj = _tiny_model()
+    rng = np.random.default_rng(0)
+    conds = [rng.standard_normal((8, net.d_cond)) for _ in range(3)]
+    configs = [sampler.OdeConfig(n=5, scheme=scheme, seed=s) for s in range(3)]
+    calls = _span_calls(lambda: sampler.generate_batch(net, stacks, codecs, conds,
+                                                       configs, proj=proj))
+    assert calls["sampler.integrate_ode"] == 1
+    assert calls["flow.field_eval"] == calls["flow.tcam_fuse"] == 5 * evals_per_step
+
+
+def test_generate_split_spans_one_condition_per_clip():
+    # perfbench runs its calibration kernel on condition_for_clip calls
+    cfg, clips, codecs, stacks, net, heads, proj = _tiny_model()
+    assert len(clips) == 5
+    calls = _span_calls(lambda: evaluate.generate_split(cfg, clips, net, heads, stacks,
+                                                        codecs, proj=proj))
+    assert calls["flow.condition"] == len(clips)
+    assert calls["flow.field_eval"] == calls["sampler.integrate_ode"] * cfg.sampler.steps

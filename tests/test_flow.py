@@ -17,6 +17,7 @@ from cfmlab.flow import (
     interpolate_batch,
     make_incongruent_batch,
     negative_velocity,
+    prepare_condition,
     sample_derangement,
     sinusoidal_time_embedding,
     target_velocity,
@@ -193,6 +194,10 @@ def test_velocity_forward_rejects_bad_time_and_dims():
         velocity_forward(net, zt, 1.2, cond)
     with pytest.raises(NumericError):
         velocity_forward(net, rng.standard_normal((4, 5)), 0.5, cond)
+    with pytest.raises(NumericError, match="prepared for 5 frames"):
+        velocity_forward(net, zt, 0.5, prepare_condition(net, cond, 5))
+    with pytest.raises(NumericError, match="condition batch 2"):
+        velocity_forward(net, zt, 0.5, prepare_condition(net, np.stack([cond] * 2), 4))
 
 
 def test_velocity_forward_finite_on_wide_inputs():

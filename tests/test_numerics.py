@@ -368,6 +368,21 @@ def test_finite_check_allows_overflowing_sum_of_finite_values():
         Tensor(np.array([1e308, 1e308, np.nan])) * Tensor(1.0)
 
 
+@pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 2.0], [3.0, -np.inf],
+                                    [np.inf, -np.inf]])
+def test_finite_check_rejects_each_non_finite_kind(values):
+    # [inf, -inf] sums to nan, not to an infinity
+    with pytest.raises(NumericError, match="'mul'"):
+        Tensor(np.array(values)) * Tensor(1.0)
+
+
+def test_finite_check_rejects_zero_dim_output():
+    with pytest.raises(NumericError, match="'log'"):
+        log(Tensor(0.0))
+    with pytest.raises(NumericError, match="'sum'"):
+        sum_(Tensor(np.array([1e308, 1e308])))
+
+
 def test_finite_checks_can_be_disabled():
     with finite_checks(False):
         y = log(Tensor(-1.0))

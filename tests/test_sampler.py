@@ -18,11 +18,11 @@ from cfmlab.codec import (
     rvq_dequantize,
     rvq_quantize,
 )
-from cfmlab import evaluate
+from cfmlab import evaluate, flow
 from cfmlab.config import config_from_dict, config_hash
 from cfmlab.evaluate import condition_for_clip, generate_split
 from cfmlab.flow import build_condition, init_velocity_net, velocity_forward
-from cfmlab.numerics import NumericError, Tensor
+from cfmlab.numerics import NumericError, Tensor, matmul, no_grad
 from cfmlab.sampler import (
     GeneratedMotion,
     ManifoldProjection,
@@ -148,6 +148,49 @@ def test_integrate_with_velocity_net_is_deterministic_and_finite():
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
     assert a.shape == z0.shape
+
+
+def _solve_step_by_step(net, z0, cond, config):
+    """integrate_ode written out as one `velocity_forward` call on the raw
+    condition per field evaluation: the reference a solve that prepares the
+    condition once must match bit for bit."""
+    def v(z, t):
+        with no_grad():
+            return velocity_forward(net, Tensor(z), t, cond).data
+
+    z, h = np.array(z0, dtype=np.float64), 1.0 / config.n
+    for k in range(config.n):
+        if config.scheme == "euler":
+            z = z + h * v(z, k * h)
+        else:
+            zmid = z + 0.5 * h * v(z, k * h)
+            z = z + h * v(zmid, k * h + 0.5 * h)
+    return z
+
+
+@pytest.mark.parametrize("scheme", ["euler", "midpoint"])
+@pytest.mark.parametrize("cond_len", [6, 4], ids=["aligned", "unaligned"])
+def test_integrate_ode_prepares_condition_once_per_solve(monkeypatch, scheme,
+                                                        cond_len):
+    net, _, _, _ = _small_setup()
+    rng = np.random.default_rng(4)
+    for t in (net.tcam_o, net.align_w):
+        t.data = rng.standard_normal(t.shape)
+    z0 = rng.standard_normal((3, 6, net.d_model))
+    cond = rng.standard_normal((3, cond_len, net.d_cond))
+    config = OdeConfig(n=4, scheme=scheme)
+    expected = _solve_step_by_step(net, z0, cond, config)
+
+    projections = []
+
+    def counted(a, b):
+        if b is net.tcam_k or b is net.tcam_v:
+            projections.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(flow, "matmul", counted)
+    assert integrate_ode(net, z0, cond, config).tobytes() == expected.tobytes()
+    assert len(projections) == 2  # one key and one value projection per solve
 
 
 def test_integrate_rejects_non_field():
