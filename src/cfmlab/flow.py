@@ -25,6 +25,7 @@ which condition frame belongs to which motion frame.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -229,14 +230,21 @@ def negative_velocity(z0, z1_mismatched):
 
 # ------------------------------------------------------------------ network
 
+@functools.cache
+def _time_frequencies(half):
+    """The (half,) frequencies 1..1000 of the time embedding, built once per
+    size; read-only, since every caller shares the cached array."""
+    freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
+    freqs.flags.writeable = False
+    return freqs
+
+
 def sinusoidal_time_embedding(t, dim=16):
     """Scalar flow time -> (…, dim) sin/cos features, frequencies 1..1000."""
     if dim % 2 != 0:
         raise NumericError("time embedding dim must be even")
     t = np.asarray(t, dtype=np.float64)
-    half = dim // 2
-    freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
-    ang = t[..., None] * freqs
+    ang = t[..., None] * _time_frequencies(dim // 2)
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 

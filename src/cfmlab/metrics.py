@@ -4,15 +4,20 @@ Features for the distributional metrics live in the frozen stage-1 space:
 each clip's parts are encoded, concatenated into the composite latent, and
 mean-pooled over time, so real and generated motion are compared in the same
 space the generator is trained to hit.
+
+Kinematic peaks come from a small numpy peak finder with the semantics of
+`scipy.signal.find_peaks(x, height=h, distance=d)`: plateau midpoints, a
+height floor, then distance pruning from the highest peak down. It spares
+every process that imports this module the cost of importing `scipy.signal`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 from scipy.spatial.distance import pdist
 
 from .alignment import composite_batch
@@ -167,13 +172,56 @@ def fgd(real, gen):
 
 # ------------------------------------------------------------- kinematic peaks
 
+def _find_peaks(x, height, distance):
+    """Indices of the local maxima of 1-D `x` that reach `height` and lie at
+    least ceil(`distance`) >= 1 samples apart, as `scipy.signal.find_peaks`
+    returns them: a flat plateau reports its midpoint (left + right) // 2,
+    and among peaks too close together the highest stays, visiting peaks in
+    `np.argsort(x[peaks])` order from the end."""
+    n = x.shape[0]
+    if n < 3:
+        return np.empty(0, dtype=np.intp)
+    mid = x[1:-1]
+    if (x[1:] != x[:-1]).all():
+        peaks = np.flatnonzero((x[:-2] < mid) & (mid > x[2:])) + 1
+    else:
+        # runs of equal samples; a run is a peak when the samples on both
+        # sides of it are lower
+        starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+        ends = np.append(starts[1:], n) - 1
+        inner = (starts > 0) & (ends < n - 1)
+        starts, ends = starts[inner], ends[inner]
+        up = (x[starts - 1] < x[starts]) & (x[ends + 1] < x[ends])
+        peaks = (starts[up] + ends[up]) // 2
+    peaks = peaks[height <= x[peaks]]
+    gap = math.ceil(distance)
+    if peaks.size < 2 or np.diff(peaks).min() >= gap:
+        return peaks
+    keep = np.ones(peaks.size, dtype=bool)
+    pos = peaks.tolist()
+    for j in np.argsort(x[peaks])[::-1].tolist():
+        if not keep[j]:
+            continue
+        k = j - 1
+        while k >= 0 and pos[j] - pos[k] < gap:
+            keep[k] = False
+            k -= 1
+        k = j + 1
+        while k < len(pos) and pos[k] - pos[j] < gap:
+            keep[k] = False
+            k += 1
+    return peaks[keep]
+
+
 def extract_kinematic_peaks(motion, threshold_std=0.5, min_separation=3):
     """Local maxima of the per-frame joint-speed norm summed over parts.
 
     Speed index i is the transition frame i -> i+1 and is reported as time
     i / fps; peaks must clear mean + threshold_std * std and sit at least
-    min_separation speed samples apart.
+    min_separation speed samples apart (rounded up, and at least 1).
     """
+    if not min_separation >= 1:
+        raise NumericError(f"min_separation must be at least 1, got {min_separation}")
     clips = motion.parts if hasattr(motion, "parts") else motion
     if not clips:
         raise NumericError("no motion clips to extract peaks from")
@@ -188,7 +236,7 @@ def extract_kinematic_peaks(motion, threshold_std=0.5, min_separation=3):
     for clip in clips.values():
         speed += np.linalg.norm(np.diff(clip.frames, axis=0), axis=1)
     height = speed.mean() + threshold_std * speed.std()
-    idx, _ = find_peaks(speed, height=height, distance=min_separation)
+    idx = _find_peaks(speed, height, min_separation)
     return OnsetTrack(times=idx / fps, duration=n_frames / fps)
 
 

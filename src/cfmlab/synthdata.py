@@ -6,6 +6,11 @@ at planted onset times, with a class-specific part-amplitude signature (class
 0 hand-dominant, class 1 upper-dominant, ...), so cross-part structure
 carries the class identity. Audio features mark every onset with a pulse on
 their last channel, which is what ties generated motion back to the beat.
+
+A dataset is built in one batched pass (`generate_utterances`): each clip
+draws its random numbers from its own seeded stream, so it is the same clip
+whichever batch builds it, and the physics (sway, strokes, the leaky
+integration to positions, audio pulses) is vectorised across clips.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "DatasetConfig",
     "Dataset",
     "make_gesture_classes",
+    "generate_utterances",
     "generate_utterance",
     "build_dataset",
     "save_dataset",
@@ -176,56 +182,95 @@ def _plant_onsets(rng, n_frames, n_onsets):
     return frames
 
 
-def generate_utterance(seed, gclass, noise, n_frames=64, fps=15.0,
-                       downsample=4, n_onsets=4):
-    """Deterministic (seed, class, noise) -> one congruent triple.
+def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
+                        downsample=4, n_onsets=4):
+    """Deterministic (seed, class, noise) -> one congruent triple per seed.
 
+    Clip b draws every random number from its own `default_rng(seeds[b])`, in
+    a fixed order: onsets, then per part its first pose row and its noise,
+    then audio noise, then text noise. So a clip does not depend on the
+    batch it is built in. The physics then runs across all clips at once.
     Strokes are planted in velocity space so the summed joint-speed apex
     lands exactly on each onset frame; audio features carry a pulse on their
     last channel at the matching latent step.
     """
     if noise < 0:
         raise NumericError(f"noise level must be non-negative, got {noise}")
-    rng = np.random.default_rng(seed)
-    onset_frames = _plant_onsets(rng, n_frames, n_onsets)
-    times = np.arange(n_frames - 1, dtype=np.float64) / fps
-
-    motion = {}
-    for part in PART_ORDER:
-        j = PART_JOINTS[part]
-        sway = (BASE_SWAY_AMPLITUDE / math.sqrt(j)) * np.sin(
-            2.0 * math.pi * gclass.freqs[part] * times[:, None]
-            + gclass.phases[part][None, :])
-        vel = sway.copy()
-        # every stroke of a class pushes along that class's signature
-        # direction, so repeated beats read as the same gesture
-        direction = gclass.stroke_dirs[part]
-        for f in onset_frames:
-            for k in range(-STROKE_HALF_WIDTH, STROKE_HALF_WIDTH + 1):
-                if 0 <= f + k < n_frames - 1:
-                    bump = 0.5 * (1.0 + math.cos(math.pi * k / STROKE_HALF_WIDTH))
-                    vel[f + k] += (STROKE_AMPLITUDE * gclass.part_weights[part]
-                                   * bump * direction)
-        frames = np.zeros((n_frames, j))
-        frames[0] = 0.2 * rng.standard_normal(j)
-        # leaky integration: joints relax toward rest between strokes instead
-        # of drifting without bound
-        for t in range(1, n_frames):
-            frames[t] = POSITION_DECAY * frames[t - 1] + vel[t - 1]
-        frames += noise * rng.standard_normal((n_frames, j))
-        motion[part] = MotionClip(part, frames, fps=fps)
-
+    if len(seeds) != len(gclasses):
+        raise NumericError(f"got {len(seeds)} seeds for {len(gclasses)} classes")
+    n = len(seeds)
+    if n == 0:
+        return []
+    bounds = np.cumsum([0] + [PART_JOINTS[p] for p in PART_ORDER])
+    cols = {p: slice(bounds[i], bounds[i + 1]) for i, p in enumerate(PART_ORDER)}
     n_latent = n_frames // downsample
-    audio = np.tile(gclass.audio_anchor, (n_latent, 1))
-    text = np.tile(gclass.text_anchor, (n_latent, 1))
-    audio += noise * rng.standard_normal(audio.shape)
-    text += noise * rng.standard_normal(text.shape)
-    for f in onset_frames:
-        audio[f // downsample, -1] += PULSE_AMPLITUDE
 
-    return SyntheticUtterance(
-        class_id=gclass.id, audio=audio, text=text, motion=motion,
-        onsets=onset_frames / fps, seed=int(seed))
+    onsets = np.empty((n, n_onsets), dtype=np.int64)
+    # frames[:, t + 1] holds the velocity of step t until the leaky
+    # integration below turns it into a position
+    frames = np.empty((n, n_frames, bounds[-1]))
+    motion = {p: np.empty((n, n_frames, PART_JOINTS[p])) for p in PART_ORDER}
+    audio = np.empty((n, n_latent, gclasses[0].audio_anchor.shape[0]))
+    text = np.empty((n, n_latent, gclasses[0].text_anchor.shape[0]))
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        onsets[b] = _plant_onsets(rng, n_frames, n_onsets)
+        for part in PART_ORDER:
+            frames[b, 0, cols[part]] = 0.2 * rng.standard_normal(PART_JOINTS[part])
+            motion[part][b] = rng.standard_normal((n_frames, PART_JOINTS[part]))
+        audio[b] = rng.standard_normal((n_latent, audio.shape[2]))
+        text[b] = rng.standard_normal((n_latent, text.shape[2]))
+
+    unique = list({id(g): g for g in gclasses}.values())
+    index = {id(g): c for c, g in enumerate(unique)}
+    cls = np.array([index[id(g)] for g in gclasses], dtype=np.intp)
+    times = np.arange(n_frames - 1, dtype=np.float64) / fps
+    offsets = range(-STROKE_HALF_WIDTH, STROKE_HALF_WIDTH + 1)
+    bumps = [0.5 * (1.0 + math.cos(math.pi * k / STROKE_HALF_WIDTH)) for k in offsets]
+    strokes = np.empty((len(unique), len(bumps), bounds[-1]))
+    for c, g in enumerate(unique):
+        mine = cls == c
+        for part in PART_ORDER:
+            j = PART_JOINTS[part]
+            frames[mine, 1:, cols[part]] = (BASE_SWAY_AMPLITUDE / math.sqrt(j)) * np.sin(
+                2.0 * math.pi * g.freqs[part] * times[:, None] + g.phases[part][None, :])
+            # every stroke of a class pushes along that class's signature
+            # direction, so repeated beats read as the same gesture
+            for i, bump in enumerate(bumps):
+                strokes[c, i, cols[part]] = (STROKE_AMPLITUDE * g.part_weights[part]
+                                             * bump * g.stroke_dirs[part])
+    # (onset, offset) order keeps the sums of overlapping strokes in the
+    # order of a per-clip loop; _plant_onsets keeps every stroke in the clip
+    rows = np.arange(n)
+    for o in range(n_onsets):
+        for i, k in enumerate(offsets):
+            frames[rows, onsets[:, o] + k + 1] += strokes[cls, i]
+    # leaky integration: joints relax toward rest between strokes instead
+    # of drifting without bound
+    for t in range(1, n_frames):
+        frames[:, t] += POSITION_DECAY * frames[:, t - 1]
+    for part in PART_ORDER:
+        motion[part] *= noise
+        motion[part] += frames[:, :, cols[part]]
+
+    audio *= noise
+    audio += np.stack([g.audio_anchor for g in unique])[cls][:, None, :]
+    text *= noise
+    text += np.stack([g.text_anchor for g in unique])[cls][:, None, :]
+    for o in range(n_onsets):
+        audio[rows, onsets[:, o] // downsample, -1] += PULSE_AMPLITUDE
+    times_s = onsets / fps
+    return [SyntheticUtterance(
+        class_id=g.id, audio=audio[b], text=text[b],
+        motion={p: MotionClip(p, motion[p][b], fps=fps) for p in PART_ORDER},
+        onsets=times_s[b], seed=int(seeds[b])) for b, g in enumerate(gclasses)]
+
+
+def generate_utterance(seed, gclass, noise, n_frames=64, fps=15.0,
+                       downsample=4, n_onsets=4):
+    """One clip of `generate_utterances`."""
+    return generate_utterances([seed], [gclass], noise, n_frames=n_frames, fps=fps,
+                               downsample=downsample, n_onsets=n_onsets)[0]
 
 
 # -------------------------------------------------------------------- dataset
@@ -246,13 +291,11 @@ def build_dataset(config):
     classes = make_gesture_classes(rng, config.n_classes, config.d_text,
                                    config.d_audio)
     clip_seeds = rng.integers(0, 2**32, size=config.n_clips)
-    clips = [
-        generate_utterance(int(clip_seeds[i]), classes[i % config.n_classes],
-                           config.noise, n_frames=config.n_frames,
-                           fps=config.fps, downsample=config.downsample,
-                           n_onsets=config.n_onsets)
-        for i in range(config.n_clips)
-    ]
+    clips = generate_utterances(
+        [int(seed) for seed in clip_seeds],
+        [classes[i % config.n_classes] for i in range(config.n_clips)],
+        config.noise, n_frames=config.n_frames, fps=config.fps,
+        downsample=config.downsample, n_onsets=config.n_onsets)
     sizes = _split_sizes(config.n_clips, config.ratios)
     splits, start = {}, 0
     for split in SPLITS:

@@ -4,13 +4,18 @@ WRAPS with getattr, and the workloads call further names directly, so
 renaming or removing any of them, or routing a call around them, breaks the
 benchmark without failing another test."""
 
+import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfmlab
 from cfmlab import evaluate, sampler
 from cfmlab.config import config_from_dict
 from cfmlab.numerics import Tape
@@ -110,3 +115,26 @@ def test_generate_split_spans_one_condition_per_clip():
                                                         codecs, proj=proj))
     assert calls["flow.condition"] == len(clips)
     assert calls["flow.field_eval"] == calls["sampler.integrate_ode"] * cfg.sampler.steps
+
+
+def _import_probe():
+    """perfbench's IMPORT_PROBE, read without running perfbench/workloads.py
+    (it imports perfbench's sibling modules by bare name)."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "IMPORT_PROBE" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py defines no IMPORT_PROBE")
+
+
+def test_import_probe_does_not_load_scipy_signal():
+    # importing scipy.signal (and with it scipy.stats and scipy.optimize)
+    # took about 1 s of every fresh cfmlab process
+    code = _import_probe() + "\nimport sys\nprint(sorted(m for m in sys.modules " \
+        "if m == 'scipy.signal' or m.startswith('scipy.signal.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cfmlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,12 @@
 """Velocity network, negative pairing, and the contrastive flow-matching loss."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from cfmlab import flow
 from cfmlab.checkpoint import load_checkpoint, save_checkpoint
 from cfmlab.flow import (
     ConditionSeq,
@@ -245,6 +247,19 @@ def test_position_embeddings_shapes():
     t_emb = sinusoidal_time_embedding(np.array([0.0, 0.5, 1.0]), 16)
     assert t_emb.shape == (3, 16)
     assert np.allclose(t_emb[0, :8], 0.0) and np.allclose(t_emb[0, 8:], 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16, 30])
+def test_time_embedding_matches_uncached_formula(dim):
+    t = np.array([[0.0, 0.3], [0.7, 1.0]])
+    ang = t[..., None] * np.exp(np.linspace(0.0, math.log(1000.0), dim // 2))
+    expected = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+    for _ in range(2):  # the second call reads the cached table
+        got = sinusoidal_time_embedding(t, dim)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert got.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        flow._time_frequencies(dim // 2)[0] = 2.0
 
 
 # ----------------------------------------------------------------- negatives

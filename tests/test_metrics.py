@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from cfmlab.alignment import composite_latent
 from cfmlab.codec import (
@@ -16,6 +17,7 @@ from cfmlab.metrics import (
     FeatureSet,
     MetricReport,
     OnsetTrack,
+    _find_peaks,
     _psd_sqrt,
     beat_consistency,
     diversity,
@@ -24,6 +26,7 @@ from cfmlab.metrics import (
     motion_features,
 )
 from cfmlab.numerics import NumericError
+from cfmlab.synthdata import generate_utterance, make_gesture_classes
 
 
 # ----------------------------------------------------------------------- types
@@ -234,6 +237,73 @@ def test_min_separation_suppresses_adjacent_peaks():
     speed = np.array([0, 0, 3, 0, 4, 0, 0, 0], dtype=float)
     track = extract_kinematic_peaks(_clip_from_speed(speed), min_separation=3)
     assert track.times == pytest.approx([4 / 15.0])
+
+
+DISTANCES = (1, 2, 3, 4, 5, 2.5)
+
+
+def _assert_finder_matches_scipy(x, height, distance):
+    expected = find_peaks(x, height=height, distance=distance)[0]
+    got = _find_peaks(x, height, distance)
+    assert got.tolist() == expected.tolist(), (x.tolist(), height, distance)
+
+
+def test_peak_finder_matches_scipy_on_random_signals():
+    rng = np.random.default_rng(12)
+    for case in range(1200):
+        n = int(rng.integers(0, 70))
+        kind = case % 4
+        if kind == 0:
+            x = rng.standard_normal(n)
+        elif kind == 1:  # plateaus and tied heights
+            x = rng.integers(0, 4, n).astype(np.float64)
+        elif kind == 2:
+            x = np.full(n, 0.7)
+        else:  # mostly short rises into long plateaus
+            x = np.repeat(rng.integers(0, 3, n).astype(np.float64), rng.integers(1, 5, n))
+        floors = [-np.inf, float(x.mean() + 0.5 * x.std()) if x.size else 0.0]
+        if kind == 1 and x.size:
+            floors.append(float(rng.choice(x)))  # a floor equal to some peaks
+        for height in floors:
+            _assert_finder_matches_scipy(x, height, DISTANCES[case % len(DISTANCES)])
+
+
+@pytest.mark.parametrize("distance", DISTANCES)
+def test_peak_finder_matches_scipy_on_short_and_flat_signals(distance):
+    for x in ([], [1.0], [1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [0.0, 1.0, 0.0],
+              [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 2.0, 2.0, 2.0, 2.0, 0.0],
+              [0.0, 2.0, 2.0, 3.0, 0.0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+              [3.0] * 9):
+        for height in (-np.inf, 1.0, 2.5):
+            _assert_finder_matches_scipy(np.asarray(x, dtype=np.float64), height, distance)
+
+
+def test_peak_finder_matches_scipy_on_generated_speed():
+    classes = make_gesture_classes(np.random.default_rng(13), 3)
+    for seed in range(24):
+        u = generate_utterance(seed, classes[seed % 3], noise=(0.0, 0.05, 0.3)[seed % 3])
+        speed = np.zeros(63)
+        for clip in u.motion.values():
+            speed += np.linalg.norm(np.diff(clip.frames, axis=0), axis=1)
+        for height in (speed.mean() + 0.5 * speed.std(), -np.inf):
+            for distance in DISTANCES:
+                _assert_finder_matches_scipy(speed, height, distance)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 0.5, float("nan")])
+def test_min_separation_below_one_rejected(bad):
+    speed = np.array([0, 0, 3, 0, 4, 0, 0, 0], dtype=float)
+    with pytest.raises(NumericError, match="min_separation"):
+        extract_kinematic_peaks(_clip_from_speed(speed), min_separation=bad)
+
+
+def test_fractional_min_separation_rounds_up():
+    speed = np.array([0, 3, 0, 4, 0, 0, 0, 0], dtype=float)
+    clip = _clip_from_speed(speed)
+    assert extract_kinematic_peaks(clip, threshold_std=0.0, min_separation=2).times == \
+        pytest.approx([1 / 15.0, 3 / 15.0])
+    assert extract_kinematic_peaks(clip, threshold_std=0.0, min_separation=2.5).times == \
+        pytest.approx([3 / 15.0])
 
 
 def test_too_short_clip_rejected():

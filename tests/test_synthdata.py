@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from cfmlab.codec import PART_JOINTS, PART_ORDER, init_part_codec
+from cfmlab import synthdata
+from cfmlab.codec import PART_JOINTS, PART_ORDER, MotionClip, init_part_codec
 from cfmlab.flow import NegativePairing, init_velocity_net
 from cfmlab.metrics import OnsetTrack, beat_consistency, extract_kinematic_peaks, fgd, motion_features
 from cfmlab.numerics import NumericError
@@ -9,7 +12,9 @@ from cfmlab.synthdata import (
     DatasetConfig,
     GestureClass,
     build_dataset,
+    SyntheticUtterance,
     generate_utterance,
+    generate_utterances,
     load_dataset,
     make_gesture_classes,
     mismatch_pairing,
@@ -124,6 +129,124 @@ def test_negative_noise_rejected():
 def test_clip_too_short_for_onsets_rejected():
     with pytest.raises(NumericError, match="too short"):
         generate_utterance(0, _one_class(), noise=0.0, n_frames=16, n_onsets=5)
+
+
+# ------------------------------------------------------ batched generation
+
+def _reference_utterance(seed, gclass, noise, n_frames=64, fps=15.0,
+                         downsample=4, n_onsets=4):
+    """The per-clip loop that `generate_utterances` batches: every frame,
+    stroke and part in turn."""
+    rng = np.random.default_rng(seed)
+    onset_frames = synthdata._plant_onsets(rng, n_frames, n_onsets)
+    times = np.arange(n_frames - 1, dtype=np.float64) / fps
+    half = synthdata.STROKE_HALF_WIDTH
+    motion = {}
+    for part in PART_ORDER:
+        j = PART_JOINTS[part]
+        sway = (synthdata.BASE_SWAY_AMPLITUDE / math.sqrt(j)) * np.sin(
+            2.0 * math.pi * gclass.freqs[part] * times[:, None]
+            + gclass.phases[part][None, :])
+        vel = sway.copy()
+        direction = gclass.stroke_dirs[part]
+        for f in onset_frames:
+            for k in range(-half, half + 1):
+                if 0 <= f + k < n_frames - 1:
+                    bump = 0.5 * (1.0 + math.cos(math.pi * k / half))
+                    vel[f + k] += (synthdata.STROKE_AMPLITUDE * gclass.part_weights[part]
+                                   * bump * direction)
+        frames = np.zeros((n_frames, j))
+        frames[0] = 0.2 * rng.standard_normal(j)
+        for t in range(1, n_frames):
+            frames[t] = synthdata.POSITION_DECAY * frames[t - 1] + vel[t - 1]
+        frames += noise * rng.standard_normal((n_frames, j))
+        motion[part] = MotionClip(part, frames, fps=fps)
+    n_latent = n_frames // downsample
+    audio = np.tile(gclass.audio_anchor, (n_latent, 1))
+    text = np.tile(gclass.text_anchor, (n_latent, 1))
+    audio += noise * rng.standard_normal(audio.shape)
+    text += noise * rng.standard_normal(text.shape)
+    for f in onset_frames:
+        audio[f // downsample, -1] += synthdata.PULSE_AMPLITUDE
+    return SyntheticUtterance(class_id=gclass.id, audio=audio, text=text, motion=motion,
+                              onsets=onset_frames / fps, seed=int(seed))
+
+
+def _assert_same_utterance(a, b):
+    assert a.class_id == b.class_id and a.seed == b.seed
+    for name in ("audio", "text", "onsets"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    for p in PART_ORDER:
+        x, y = a.motion[p].frames, b.motion[p].frames
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), p
+        assert a.motion[p].fps == b.motion[p].fps
+
+
+@pytest.mark.parametrize("noise, dims", [
+    (0.05, {}),
+    (0.0, {}),
+    (0.1, {"n_frames": 512, "n_onsets": 32}),
+    (0.05, {"n_frames": 48, "fps": 30.0, "downsample": 2, "n_onsets": 3}),
+])
+def test_batched_utterances_match_reference_loop(noise, dims):
+    classes = make_gesture_classes(np.random.default_rng(7), 3)
+    seeds = [3, 2**32 - 1, 17, 0, 99, 12345]
+    picked = [classes[i] for i in (0, 2, 2, 1, 0, 1)]  # classes mixed in a batch
+    batch = generate_utterances(seeds, picked, noise, **dims)
+    assert len(batch) == len(seeds)
+    for seed, gclass, got in zip(seeds, picked, batch):
+        _assert_same_utterance(got, _reference_utterance(seed, gclass, noise, **dims))
+
+
+@pytest.mark.parametrize("n_frames, n_onsets", [(64, 16), (512, 128)])
+def test_batched_utterances_overlapping_strokes(n_frames, n_onsets):
+    # onsets 3-4 frames apart make the 7-frame strokes overlap, so their sums
+    # must keep the per-clip order
+    c = _one_class(1)
+    u = generate_utterance(8, c, 0.0, n_frames=n_frames, n_onsets=n_onsets)
+    frames = (u.onsets * 15.0).round().astype(int)
+    assert np.diff(frames).min() < 2 * synthdata.STROKE_HALF_WIDTH + 1
+    _assert_same_utterance(
+        u, _reference_utterance(8, c, 0.0, n_frames=n_frames, n_onsets=n_onsets))
+
+
+def test_single_utterance_is_its_row_of_a_batch():
+    classes = make_gesture_classes(np.random.default_rng(8), 2)
+    seeds, picked = [5, 6, 7], [classes[1], classes[0], classes[1]]
+    batch = generate_utterances(seeds, picked, 0.05)
+    for seed, gclass, got in zip(seeds, picked, batch):
+        _assert_same_utterance(generate_utterance(seed, gclass, 0.05), got)
+
+
+def test_batched_utterances_validate_inputs():
+    c = _one_class()
+    assert generate_utterances([], [], 0.05) == []
+    with pytest.raises(NumericError, match="noise"):
+        generate_utterances([0, 1], [c, c], noise=-0.1)
+    with pytest.raises(NumericError, match="2 seeds for 1 classes"):
+        generate_utterances([0, 1], [c], noise=0.0)
+    with pytest.raises(NumericError, match="too short"):
+        generate_utterances([0, 1], [c, c], noise=0.0, n_frames=16, n_onsets=5)
+
+
+def test_saved_dataset_matches_reference_loop(tmp_path):
+    cfg = DatasetConfig(n_clips=30, seed=11)
+    ds = build_dataset(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    classes = make_gesture_classes(rng, cfg.n_classes, cfg.d_text, cfg.d_audio)
+    seeds = rng.integers(0, 2**32, size=cfg.n_clips)
+    clips = [_reference_utterance(int(seeds[i]), classes[i % cfg.n_classes], cfg.noise)
+             for i in range(cfg.n_clips)]
+    sizes = [len(ds.splits[s]) for s in synthdata.SPLITS]
+    bounds = np.cumsum([0] + sizes)
+    reference = synthdata.Dataset(config=cfg, classes=classes, splits={
+        s: clips[bounds[i]:bounds[i + 1]] for i, s in enumerate(synthdata.SPLITS)})
+    save_dataset(ds, tmp_path / "batched")
+    save_dataset(reference, tmp_path / "reference")
+    for name in ("manifest.json", "classes.bin", "train.bin", "val.bin", "test.bin"):
+        assert (tmp_path / "batched" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes()
 
 
 # --------------------------------------------------------------------- dataset
