@@ -5,8 +5,8 @@ space with row-wise L2 normalization; congruence is scored two ways: a
 frame-level cosine loss against the fused audio/text target, and a
 clip-level symmetric InfoNCE over temporally pooled embeddings.
 
-Batched cores operate on Tensors of shape (B, L, d) and are differentiable;
-thin wrappers expose the single-sequence dataclass API.
+The transforms and losses are batched cores: they take Tensors or arrays
+of shape (..., L, d) and are differentiable.
 """
 
 from __future__ import annotations
@@ -30,84 +30,18 @@ from .numerics import (
     uniform_init,
 )
 
-MODALITIES = ("text", "audio", "motion", "fused")
-
 __all__ = [
-    "CompositeLatent",
-    "ModalityEmbedding",
-    "PooledEmbedding",
-    "AlignmentWeights",
     "ProjectionHeads",
     "init_projection_heads",
-    "composite_latent",
     "composite_batch",
-    "project_and_normalize",
     "project_and_normalize_batch",
-    "fused_target",
     "fused_target_batch",
-    "cosine_alignment_loss",
     "cosine_alignment_loss_batch",
-    "temporal_pool",
     "temporal_pool_batch",
     "infonce_oneway",
     "infonce_symmetric",
     "clip_loss",
-    "sem_loss",
 ]
-
-
-@dataclass
-class CompositeLatent:
-    sequence: np.ndarray  # (L, d_G)
-    scale: float
-
-    def __post_init__(self):
-        self.sequence = np.asarray(self.sequence, dtype=np.float64)
-        if self.sequence.ndim != 2:
-            raise NumericError(f"composite latent must be (L, d_G), got {self.sequence.shape}")
-
-
-@dataclass
-class ModalityEmbedding:
-    modality: str
-    sequence: np.ndarray  # (L, d), unit rows
-
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise NumericError(f"unknown modality {self.modality!r}")
-        self.sequence = np.asarray(self.sequence, dtype=np.float64)
-        norms = np.linalg.norm(self.sequence, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise NumericError(f"{self.modality} embedding rows must be unit norm")
-
-
-@dataclass
-class PooledEmbedding:
-    modality: str
-    vector: np.ndarray  # (d,)
-
-    def __post_init__(self):
-        if self.modality not in MODALITIES:
-            raise NumericError(f"unknown modality {self.modality!r}")
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if abs(float(np.linalg.norm(self.vector)) - 1.0) > 1e-9:
-            raise NumericError(f"pooled {self.modality} embedding must be unit norm")
-
-
-@dataclass
-class AlignmentWeights:
-    alpha: float = 0.5
-    tau: float = 0.1
-    lambda_cos: float = 1.0
-    lambda_clp: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise NumericError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.tau > 0.0:
-            raise NumericError(f"tau must be positive, got {self.tau}")
-        if self.lambda_cos < 0.0 or self.lambda_clp < 0.0:
-            raise NumericError("loss weights must be non-negative")
 
 
 @dataclass
@@ -164,13 +98,6 @@ def composite_batch(parts, scale):
     return concat(seqs, axis=-1) * Tensor(1.0 / scale)
 
 
-def composite_latent(parts, scale):
-    """{part: PartLatent} -> CompositeLatent (single sequence)."""
-    arrays = {name: np.asarray(pl.sequence)[None] for name, pl in parts.items()}
-    out = composite_batch(arrays, scale)
-    return CompositeLatent(out.data[0], scale)
-
-
 # ---------------------------------------------------------------- projection
 
 def project_and_normalize_batch(raw, weight):
@@ -183,11 +110,6 @@ def project_and_normalize_batch(raw, weight):
     return l2_normalize(z, axis=-1)
 
 
-def project_and_normalize(raw, weight, modality):
-    out = project_and_normalize_batch(np.asarray(raw, dtype=np.float64), weight)
-    return ModalityEmbedding(modality, out.data)
-
-
 # -------------------------------------------------------------------- fusion
 
 def fused_target_batch(text, audio, alpha):
@@ -197,17 +119,12 @@ def fused_target_batch(text, audio, alpha):
     t = text if isinstance(text, Tensor) else Tensor(text)
     a = audio if isinstance(audio, Tensor) else Tensor(audio)
     if t.shape != a.shape:
-        raise NumericError(f"fused_target shape mismatch {t.shape} vs {a.shape}")
+        raise NumericError(f"fused_target_batch shape mismatch {t.shape} vs {a.shape}")
     blend = t * Tensor(alpha) + a * Tensor(1.0 - alpha)
     norms = np.linalg.norm(blend.data, axis=-1)
     if np.any(norms < 1e-12):
         raise NumericError("fused target row collapsed (antipodal inputs)")
     return l2_normalize(blend, axis=-1)
-
-
-def fused_target(text, audio, alpha):
-    out = fused_target_batch(text.sequence, audio.sequence, alpha)
-    return ModalityEmbedding("fused", out.data)
 
 
 # -------------------------------------------------------------------- losses
@@ -221,10 +138,6 @@ def cosine_alignment_loss_batch(target, motion):
     return Tensor(1.0) - mean(sum_(t * m, axis=-1))
 
 
-def cosine_alignment_loss(target, motion):
-    return float(cosine_alignment_loss_batch(target.sequence, motion.sequence).item())
-
-
 def temporal_pool_batch(seq):
     """(..., L, d) -> (..., d): mean over time, then re-normalize."""
     s = seq if isinstance(seq, Tensor) else Tensor(seq)
@@ -235,17 +148,8 @@ def temporal_pool_batch(seq):
     return l2_normalize(pooled, axis=-1)
 
 
-def temporal_pool(seq):
-    out = temporal_pool_batch(seq.sequence[None])
-    return PooledEmbedding(seq.modality, out.data[0])
-
-
 def _as_pooled_batch(p):
-    if isinstance(p, Tensor):
-        return p
-    if isinstance(p, (list, tuple)) and p and isinstance(p[0], PooledEmbedding):
-        return Tensor(np.stack([e.vector for e in p]))
-    return Tensor(np.asarray(p, dtype=np.float64))
+    return p if isinstance(p, Tensor) else Tensor(np.asarray(p, dtype=np.float64))
 
 
 def infonce_oneway(p, q, tau):
@@ -270,15 +174,3 @@ def clip_loss(motion, audio, text, tau):
     """0.5 * (sym(motion, audio) + sym(motion, text)) on pooled batches."""
     return (infonce_symmetric(motion, audio, tau)
             + infonce_symmetric(motion, text, tau)) * Tensor(0.5)
-
-
-def sem_loss(weights, fused, motion_seq, motion_pooled, audio_pooled, text_pooled):
-    """lambda_cos * cosine loss + lambda_clp * clip loss (either may be 0)."""
-    total = Tensor(0.0)
-    if weights.lambda_cos != 0.0:
-        total = total + Tensor(weights.lambda_cos) * cosine_alignment_loss_batch(
-            fused, motion_seq)
-    if weights.lambda_clp != 0.0:
-        total = total + Tensor(weights.lambda_clp) * clip_loss(
-            motion_pooled, audio_pooled, text_pooled, weights.tau)
-    return total

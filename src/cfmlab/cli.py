@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import (
-    ProjectionHeads,
     clip_loss,
     cosine_alignment_loss_batch,
     fused_target_batch,
@@ -38,9 +37,6 @@ from .alignment import (
 )
 from .checkpoint import CheckpointError, load_checkpoint
 from .codec import (
-    PART_ORDER,
-    CodebookStack,
-    PartCodecParams,
     commitment_loss,
     decode_part_batch,
     encode_part_batch,
@@ -58,7 +54,6 @@ from .config import (
 from .evaluate import condition_for_clip, evaluate_run
 from .flow import (
     NEGATIVE_MODES,
-    VelocityNet,
     build_condition_batch,
     cfm_loss,
     init_velocity_net,
@@ -69,7 +64,6 @@ from .numerics import NumericError, Tensor, mse, no_grad
 from .numerics.gradcheck import check_gradients
 from .numerics.tensor import inject_backward_fault
 from .sampler import (
-    ManifoldProjection,
     OdeConfig,
     generate_batch,
     init_manifold_projection,
@@ -82,6 +76,8 @@ from .training import (
     check_codec_dims,
     save_stage1_checkpoint,
     save_stage2_checkpoint,
+    stage1_from_tensors,
+    stage2_from_tensors,
     train_codec,
     train_generator,
 )
@@ -119,12 +115,6 @@ def _merged_checkpoints(paths):
     return merged
 
 
-def _stage1_from(merged):
-    codecs = {p: PartCodecParams.from_named_tensors(merged, p) for p in PART_ORDER}
-    stacks = {p: CodebookStack.from_named_tensors(merged, p) for p in PART_ORDER}
-    return codecs, stacks
-
-
 # ------------------------------------------------------------------- commands
 
 def cmd_make_data(args):
@@ -156,7 +146,7 @@ def cmd_train_generator(args):
     if args.mode is not None:
         cfg.flow.mode = args.mode
     validate_config(cfg)
-    codecs, stacks = _stage1_from(_merged_checkpoints(args.checkpoint))
+    codecs, stacks = stage1_from_tensors(_merged_checkpoints(args.checkpoint))
     check_codec_dims(cfg, codecs, stacks)
     out = _out_dir(args)
     ds = build_dataset(cfg.dataset)
@@ -196,11 +186,9 @@ def _condition_for(args, cfg, ds):
 def cmd_generate(args):
     cfg = _load_cfg(args)
     merged = _merged_checkpoints(args.checkpoint)
-    codecs, stacks = _stage1_from(merged)
+    codecs, stacks = stage1_from_tensors(merged)
     check_codec_dims(cfg, codecs, stacks)
-    net = VelocityNet.from_named_tensors(merged)
-    heads = ProjectionHeads.from_named_tensors(merged)
-    proj = ManifoldProjection.from_named_tensors(merged)
+    net, heads, proj = stage2_from_tensors(merged)
     out = _out_dir(args)
     ds = build_dataset(cfg.dataset)
     u, condition_id = _condition_for(args, cfg, ds)
@@ -223,13 +211,11 @@ def cmd_generate(args):
 def cmd_evaluate(args):
     cfg = _load_cfg(args)
     merged = _merged_checkpoints(args.checkpoint)
-    codecs, stacks = _stage1_from(merged)
+    codecs, stacks = stage1_from_tensors(merged)
     check_codec_dims(cfg, codecs, stacks)
     net = heads = proj = None
     if not args.self_eval:
-        net = VelocityNet.from_named_tensors(merged)
-        heads = ProjectionHeads.from_named_tensors(merged)
-        proj = ManifoldProjection.from_named_tensors(merged)
+        net, heads, proj = stage2_from_tensors(merged)
     ds = build_dataset(cfg.dataset)
     if len(ds.splits["test"]) < 2:
         raise ConfigError(

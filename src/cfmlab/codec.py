@@ -42,7 +42,6 @@ __all__ = [
     "straight_through",
     "commitment_loss",
     "ema_codebook_update",
-    "stage1_loss",
 ]
 
 
@@ -67,6 +66,7 @@ class MotionClip:
             raise NumericError(f"non-finite frames in {self.part} clip")
 
 
+# stays as the type of the per-clip names perfbench wraps (perfbench/layers.py)
 @dataclass
 class PartLatent:
     part: str
@@ -231,6 +231,7 @@ def decode_part_batch(latent, params):
     return reshape(flat, (b, l * factor, j))
 
 
+# stays only for perfbench, which wraps it on metrics (perfbench/layers.py)
 def encode_part(clip, params):
     if clip.part != params.part:
         raise NumericError(f"clip part {clip.part!r} != codec part {params.part!r}")
@@ -238,6 +239,7 @@ def encode_part(clip, params):
     return PartLatent(clip.part, out.data[0])
 
 
+# stays only for perfbench, which wraps it on sampler (perfbench/layers.py)
 def decode_part(quantized, params, fps=15.0):
     if quantized.part != params.part:
         raise NumericError(f"latent part {quantized.part!r} != codec part {params.part!r}")
@@ -247,6 +249,7 @@ def decode_part(quantized, params, fps=15.0):
 
 # ---------------------------------------------------------------- quantization
 
+# stays with rvq_quantize, its only caller
 def _check_stack(stack, d):
     if stack.depth == 0:
         raise NumericError(f"empty codebook stack for part {stack.part!r}")
@@ -286,6 +289,7 @@ def rvq_quantize_batch(z, stages, return_stage_inputs=False):
     return quantized, codes, norms
 
 
+# stays only for sampler.quantize_regions, which perfbench wraps
 def rvq_quantize(latent, stack):
     _check_stack(stack, latent.sequence.shape[1])
     q, codes, norms = rvq_quantize_batch(latent.sequence, stack.stages)
@@ -304,6 +308,7 @@ def rvq_dequantize_batch(codes, stages):
     return out
 
 
+# stays only for perfbench, which wraps it on sampler (perfbench/layers.py)
 def rvq_dequantize(codes, stack):
     if stack.depth == 0:
         raise NumericError(f"empty codebook stack for part {stack.part!r}")
@@ -325,10 +330,8 @@ def straight_through(latent, quantized):
 def commitment_loss(latent, quantized):
     """MSE between latent and stop-gradient(quantized); pulls the encoder
     toward its selected codes without moving the codebook."""
-    z = latent if isinstance(latent, Tensor) else Tensor(np.asarray(latent.sequence))
-    q = np.asarray(quantized.data if isinstance(quantized, Tensor)
-                   else quantized.sequence if isinstance(quantized, PartLatent)
-                   else quantized)
+    z = latent if isinstance(latent, Tensor) else Tensor(latent)
+    q = np.asarray(quantized.data if isinstance(quantized, Tensor) else quantized)
     if q.shape != z.shape:
         raise NumericError(f"commitment_loss shape mismatch {q.shape} vs {z.shape}")
     return mse(z, Tensor(q))
@@ -347,8 +350,6 @@ def ema_codebook_update(stack, codes, stage_inputs, decay=0.99, rng=None,
     if rng is None:
         rng = np.random.default_rng(0)
     codes = np.asarray(codes, dtype=np.int64)
-    if isinstance(stage_inputs, np.ndarray):
-        stage_inputs = [stage_inputs]
     for s in range(stack.depth):
         book = stack.stages[s]
         k, d = book.shape
@@ -407,17 +408,3 @@ def init_codebook_stack(rng, part, n_codes=64, depth=2, d_g=8, init_data=None):
         ema_vectors=[b.copy() for b in stages],
         null_code=True,
     )
-
-
-def stage1_loss(clip, reconstruction, latent, quantized, beta=0.25):
-    """Reconstruction MSE plus beta * commitment loss."""
-    target = np.asarray(clip.frames if isinstance(clip, MotionClip) else clip)
-    rec = reconstruction if isinstance(reconstruction, Tensor) else Tensor(
-        np.asarray(reconstruction.frames if isinstance(reconstruction, MotionClip)
-                   else reconstruction))
-    if rec.shape != target.shape:
-        raise NumericError(f"stage1_loss shape mismatch {rec.shape} vs {target.shape}")
-    loss = mse(rec, Tensor(target))
-    if beta != 0.0:
-        loss = loss + Tensor(beta) * commitment_loss(latent, quantized)
-    return loss

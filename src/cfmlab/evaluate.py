@@ -17,9 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import project_and_normalize_batch
-from .codec import PART_ORDER
 from .config import config_hash
-from .flow import build_condition
+from .flow import build_condition_batch
 from .metrics import (
     MetricReport,
     OnsetTrack,
@@ -53,13 +52,13 @@ def _clip_seeds(seed, n):
 def condition_for_clip(audio, text, net, heads):
     """Project raw per-frame features through the trained alignment heads,
     then fuse into the conditioning sequence — the same path the generator
-    saw during training."""
+    saw during training. Returns the (L, d_O) condition array."""
     with no_grad():
         a = project_and_normalize_batch(np.asarray(audio, dtype=np.float64),
-                                        heads.audio).data
+                                        heads.audio)
         t = project_and_normalize_batch(np.asarray(text, dtype=np.float64),
-                                        heads.text).data
-    return build_condition(a, t, net)
+                                        heads.text)
+        return build_condition_batch(a, t, net).data
 
 
 def generate_split(cfg, clips, net, heads, stacks, codecs, proj=None):

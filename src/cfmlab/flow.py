@@ -38,7 +38,6 @@ from .numerics import (
     concat,
     gelu,
     matmul,
-    mean,
     mse,
     shift,
     softmax,
@@ -47,17 +46,11 @@ from .numerics import (
 )
 
 __all__ = [
-    "ConditionSeq",
-    "FlowSample",
     "VelocityNet",
     "NegativePairing",
     "init_velocity_net",
-    "build_condition",
     "build_condition_batch",
-    "interpolate",
     "interpolate_batch",
-    "target_velocity",
-    "negative_velocity",
     "sinusoidal_time_embedding",
     "temporal_position_embedding",
     "PreparedCondition",
@@ -70,26 +63,6 @@ __all__ = [
 ]
 
 NEGATIVE_MODES = ("permute-pair", "permute-text", "permute-audio")
-
-
-@dataclass
-class ConditionSeq:
-    sequence: np.ndarray  # (L, d_O)
-
-    def __post_init__(self):
-        self.sequence = np.asarray(self.sequence, dtype=np.float64)
-        if self.sequence.ndim != 2:
-            raise NumericError(f"condition must be (L, d_O), got {self.sequence.shape}")
-        if not np.all(np.isfinite(self.sequence)):
-            raise NumericError("non-finite condition sequence")
-
-
-@dataclass
-class FlowSample:
-    z0: np.ndarray
-    z1: np.ndarray
-    t: float
-    zt: np.ndarray
 
 
 @dataclass
@@ -188,12 +161,6 @@ def build_condition_batch(audio, text, net):
     return matmul(concat([a, t], axis=-1), net.cond_w) + net.cond_b
 
 
-def build_condition(audio, text, net):
-    out = build_condition_batch(np.asarray(audio, dtype=np.float64),
-                                np.asarray(text, dtype=np.float64), net)
-    return ConditionSeq(out.data)
-
-
 # --------------------------------------------------------------- interpolant
 
 def interpolate_batch(z0, z1, t):
@@ -201,31 +168,12 @@ def interpolate_batch(z0, z1, t):
     z0 = np.asarray(z0, dtype=np.float64)
     z1 = np.asarray(z1, dtype=np.float64)
     if z0.shape != z1.shape:
-        raise NumericError(f"interpolate shape mismatch {z0.shape} vs {z1.shape}")
+        raise NumericError(f"interpolate_batch shape mismatch {z0.shape} vs {z1.shape}")
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise NumericError("interpolation time t must lie in [0, 1]")
     tb = t.reshape(t.shape + (1,) * (z0.ndim - t.ndim))
     return (1.0 - tb) * z0 + tb * z1
-
-
-def interpolate(z0, z1, t):
-    t = float(t)
-    return FlowSample(z0=np.asarray(z0, dtype=np.float64),
-                      z1=np.asarray(z1, dtype=np.float64),
-                      t=t, zt=interpolate_batch(z0, z1, t))
-
-
-def target_velocity(z0, z1):
-    z0 = np.asarray(z0, dtype=np.float64)
-    z1 = np.asarray(z1, dtype=np.float64)
-    if z0.shape != z1.shape:
-        raise NumericError(f"target_velocity shape mismatch {z0.shape} vs {z1.shape}")
-    return z1 - z0
-
-
-def negative_velocity(z0, z1_mismatched):
-    return target_velocity(z0, z1_mismatched)
 
 
 # ------------------------------------------------------------------ network
@@ -279,13 +227,12 @@ class PreparedCondition:
 
 
 def _as_condition(cond):
-    c = cond.sequence if isinstance(cond, ConditionSeq) else cond
-    return c if isinstance(c, Tensor) else Tensor(np.asarray(c, dtype=np.float64))
+    return cond if isinstance(cond, Tensor) else Tensor(np.asarray(cond, dtype=np.float64))
 
 
 def prepare_condition(net, cond, length):
     """Condition terms of `velocity_forward` for latents of `length` frames:
-    cond is (L_c, d_O) or (B, L_c, d_O), raw or a ConditionSeq."""
+    cond is (L_c, d_O) or (B, L_c, d_O)."""
     c = _as_condition(cond)
     if c.ndim == 2:
         c = c.reshape(1, *c.shape)

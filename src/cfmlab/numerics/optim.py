@@ -13,7 +13,7 @@ import numpy as np
 
 from .tensor import NumericError, Tensor
 
-__all__ = ["AdamState", "adam_step", "Adam"]
+__all__ = ["AdamState", "adam_step"]
 
 
 @dataclass
@@ -57,14 +57,3 @@ def adam_step(params, grads, state):
         vhat = v / bc2
         p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
     return params, state
-
-
-class Adam:
-    """Convenience wrapper owning the parameter list and moment state."""
-
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-    def step(self, grads):
-        adam_step(self.params, grads, self.state)

@@ -2,9 +2,10 @@
 
 Sampling draws z0 from a seeded standard normal, integrates the learned
 velocity field from t=0 to t=1 with a fixed-step explicit scheme, projects the
-result toward the quantizer's input manifold, splits it back into per-part
-latents (inverting the composite concatenation), quantizes each region with
-its codebook stack, and decodes the dequantized latents to motion frames.
+result toward the quantizer's input manifold, and then, per part, slices that
+part's channels out of the composite and undoes its scale, quantizes them
+with the part's codebook stack, and decodes the dequantized latents to
+motion frames.
 
 The condition is the same at every ODE step, so `integrate_ode` builds its
 terms (position embeddings, TCAM keys and values, the frame-aligned
@@ -25,13 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import CompositeLatent
 from .checkpoint import CheckpointError
 from .codec import (
     PART_ORDER,
     CodeSequence,
     MotionClip,
-    PartLatent,
     decode_part_batch,
     rvq_dequantize_batch,
     rvq_quantize,
@@ -51,7 +50,6 @@ __all__ = [
     "init_manifold_projection",
     "integrate_ode",
     "project_to_codebook_manifold",
-    "split_regions",
     "quantize_regions",
     "generate",
     "generate_batch",
@@ -181,35 +179,7 @@ def project_to_codebook_manifold(latent, proj):
 
 # ------------------------------------------------------------- decoding chain
 
-def split_regions(latent, dims, scale=1.0):
-    """Invert the composite: slice channels in the fixed part order and
-    multiply by the scale the composite divided by.
-
-    `dims` maps part -> d_g; `latent` may be a CompositeLatent (which carries
-    its own scale) or a plain (L, d_G) array.
-    """
-    if isinstance(latent, CompositeLatent):
-        scale = latent.scale
-        seq = latent.sequence
-    else:
-        seq = np.asarray(latent.data if isinstance(latent, Tensor) else latent,
-                         dtype=np.float64)
-    if seq.ndim != 2:
-        raise NumericError(f"holistic latent must be (L, d_G), got {seq.shape}")
-    missing = [p for p in PART_ORDER if p not in dims]
-    if missing:
-        raise NumericError(f"missing part dims for split: {missing}")
-    widths = [int(dims[p]) for p in PART_ORDER]
-    if seq.shape[1] != sum(widths):
-        raise NumericError(
-            f"latent dim {seq.shape[1]} != sum of part dims {sum(widths)}")
-    out, offset = {}, 0
-    for part, width in zip(PART_ORDER, widths):
-        out[part] = PartLatent(part, seq[:, offset:offset + width] * scale)
-        offset += width
-    return out
-
-
+# stays only for perfbench, which wraps it (perfbench/layers.py)
 def quantize_regions(parts, stacks):
     """Quantize each region's latent against its own codebook stack."""
     out = {}
@@ -227,8 +197,9 @@ def generate_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0,
                    fps=15.0, config_hash=None):
     """Full sampling chain for a batch of (condition, OdeConfig) pairs: z0
     from each config's seed -> one integration over (B, L, d_G) -> project
-    -> split -> quantize -> dequantize -> decode, once per part. Returns one
-    GeneratedMotion per pair, bit-identical to drawing that pair alone."""
+    -> per part: slice and rescale -> quantize -> dequantize -> decode.
+    Returns one GeneratedMotion per pair, bit-identical to drawing that
+    pair alone."""
     if len({(c.n, c.scheme) for c in configs}) != 1:
         raise NumericError("need at least one ODE config, all with one step count and scheme")
     seqs = [_cond_sequence(c) for c in conds]
@@ -268,8 +239,7 @@ def generate(net, stacks, decoders, cond, config, proj=None, scale=2.0,
 
 
 def _cond_sequence(cond):
-    seq = getattr(cond, "sequence", cond)
-    seq = np.asarray(seq.data if isinstance(seq, Tensor) else seq, dtype=np.float64)
+    seq = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=np.float64)
     if seq.ndim != 2:
         raise NumericError(f"condition must be (L, d_O), got shape {seq.shape}")
     return seq

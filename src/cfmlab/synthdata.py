@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,18 +109,22 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.ratios) != 3 or not all(isinstance(r, numbers.Real)
+                                            for r in self.ratios):
+            raise NumericError(f"ratios: split ratios must be 3 numbers, got {self.ratios!r}")
         self.ratios = tuple(float(r) for r in self.ratios)
         if self.n_classes < 1:
             raise NumericError(f"n_classes: need at least one class, got {self.n_classes}")
         if self.n_clips < self.n_classes:
             raise NumericError(
                 f"n_clips: must be >= n_classes, got {self.n_clips} < {self.n_classes}")
-        if len(self.ratios) != 3 or any(r < 0 for r in self.ratios) \
-                or abs(sum(self.ratios) - 1.0) > 1e-9:
+        if any(r < 0 for r in self.ratios) or abs(sum(self.ratios) - 1.0) > 1e-9:
             raise NumericError(f"ratios: split ratios must be 3 non-negatives "
                                f"summing to 1, got {self.ratios}")
         if self.noise < 0:
             raise NumericError(f"noise: level must be non-negative, got {self.noise}")
+        if self.downsample < 1:
+            raise NumericError(f"downsample: must be >= 1, got {self.downsample}")
         if self.n_frames % self.downsample != 0:
             raise NumericError(
                 f"n_frames: {self.n_frames} not divisible by downsample {self.downsample}")

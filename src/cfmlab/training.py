@@ -61,8 +61,10 @@ __all__ = [
     "train_generator",
     "prepare_stage2_data",
     "save_stage1_checkpoint",
+    "stage1_from_tensors",
     "load_stage1_checkpoint",
     "save_stage2_checkpoint",
+    "stage2_from_tensors",
     "load_stage2_checkpoint",
 ]
 
@@ -341,11 +343,15 @@ def save_stage1_checkpoint(path, codecs, stacks):
     return Path(path)
 
 
-def load_stage1_checkpoint(path):
-    tensors = load_checkpoint(path)
+def stage1_from_tensors(tensors):
+    """(codecs, stacks) from named checkpoint tensors."""
     codecs = {p: PartCodecParams.from_named_tensors(tensors, p) for p in PART_ORDER}
     stacks = {p: CodebookStack.from_named_tensors(tensors, p) for p in PART_ORDER}
     return codecs, stacks
+
+
+def load_stage1_checkpoint(path):
+    return stage1_from_tensors(load_checkpoint(path))
 
 
 def save_stage2_checkpoint(path, net, heads, proj):
@@ -357,11 +363,15 @@ def save_stage2_checkpoint(path, net, heads, proj):
     return Path(path)
 
 
-def load_stage2_checkpoint(path):
-    tensors = load_checkpoint(path)
+def stage2_from_tensors(tensors):
+    """(net, heads, proj) from named checkpoint tensors."""
     return (VelocityNet.from_named_tensors(tensors),
             ProjectionHeads.from_named_tensors(tensors),
             ManifoldProjection.from_named_tensors(tensors))
+
+
+def load_stage2_checkpoint(path):
+    return stage2_from_tensors(load_checkpoint(path))
 
 
 def check_codec_dims(cfg, codecs, stacks):

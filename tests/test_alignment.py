@@ -4,26 +4,21 @@ import numpy as np
 import pytest
 
 from cfmlab.alignment import (
-    AlignmentWeights,
-    ModalityEmbedding,
     clip_loss,
     composite_batch,
-    composite_latent,
-    cosine_alignment_loss,
     cosine_alignment_loss_batch,
-    fused_target,
     fused_target_batch,
     infonce_oneway,
     infonce_symmetric,
     init_projection_heads,
-    project_and_normalize,
     project_and_normalize_batch,
-    sem_loss,
-    temporal_pool,
     temporal_pool_batch,
 )
 from cfmlab.checkpoint import load_checkpoint, save_checkpoint
-from cfmlab.codec import PartLatent
+from cfmlab.codec import PART_ORDER
+from cfmlab.config import ConfigError, config_from_dict
+from cfmlab.synthdata import build_dataset
+from cfmlab.training import train_codec, train_generator
 from cfmlab.numerics import (
     NumericError,
     Tensor,
@@ -42,37 +37,33 @@ def _unit_rows(rng, shape):
 
 def test_composite_concatenates_and_scales():
     rng = np.random.default_rng(0)
-    parts = {p: PartLatent(p, rng.standard_normal((5, 8)))
-             for p in ("hand", "upper", "lower", "face")}
-    out = composite_latent(parts, scale=2.0)
-    assert out.sequence.shape == (5, 32)
-    stacked = np.concatenate([parts[p].sequence for p in ("hand", "upper", "lower", "face")], axis=1)
-    assert np.allclose(out.sequence, stacked / 2.0, atol=1e-15)
+    parts = {p: rng.standard_normal((2, 5, 8)) for p in PART_ORDER}
+    out = composite_batch(parts, scale=2.0).data
+    assert out.shape == (2, 5, 32)
+    stacked = np.concatenate([parts[p] for p in PART_ORDER], axis=-1)
+    assert np.allclose(out, stacked / 2.0, atol=1e-15)
 
 
 def test_composite_scale_one_is_concatenation():
     rng = np.random.default_rng(1)
-    parts = {p: PartLatent(p, rng.standard_normal((3, 8)))
-             for p in ("hand", "upper", "lower", "face")}
-    out = composite_latent(parts, scale=1.0)
-    stacked = np.concatenate([parts[p].sequence for p in ("hand", "upper", "lower", "face")], axis=1)
-    assert np.array_equal(out.sequence, stacked)
+    parts = {p: rng.standard_normal((1, 3, 8)) for p in PART_ORDER}
+    out = composite_batch(parts, scale=1.0).data
+    assert np.array_equal(out, np.concatenate([parts[p] for p in PART_ORDER], axis=-1))
 
 
 def test_composite_rejects_missing_part():
     rng = np.random.default_rng(2)
-    parts = {p: PartLatent(p, rng.standard_normal((3, 8))) for p in ("hand", "upper")}
-    with pytest.raises(NumericError):
-        composite_latent(parts, scale=2.0)
+    parts = {p: rng.standard_normal((1, 3, 8)) for p in ("hand", "upper")}
+    with pytest.raises(NumericError, match="missing parts"):
+        composite_batch(parts, scale=2.0)
 
 
 def test_composite_rejects_length_mismatch():
     rng = np.random.default_rng(3)
-    parts = {p: PartLatent(p, rng.standard_normal((3, 8)))
-             for p in ("hand", "upper", "lower")}
-    parts["face"] = PartLatent("face", rng.standard_normal((4, 8)))
-    with pytest.raises(NumericError):
-        composite_latent(parts, scale=2.0)
+    parts = {p: rng.standard_normal((1, 3, 8)) for p in ("hand", "upper", "lower")}
+    parts["face"] = rng.standard_normal((1, 4, 8))
+    with pytest.raises(NumericError, match="disagree on length"):
+        composite_batch(parts, scale=2.0)
 
 
 # --------------------------------------------------------------- projection
@@ -80,21 +71,21 @@ def test_composite_rejects_length_mismatch():
 def test_projection_identity_head_keeps_unit_input():
     rng = np.random.default_rng(4)
     raw = _unit_rows(rng, (6, 5))
-    out = project_and_normalize(raw, np.eye(5), "text")
-    assert np.allclose(out.sequence, raw, atol=1e-12)
+    out = project_and_normalize_batch(raw, np.eye(5))
+    assert np.allclose(out.data, raw, atol=1e-12)
 
 
 def test_projection_rows_are_unit():
     rng = np.random.default_rng(5)
     raw = 3.0 * rng.standard_normal((7, 9))
     w = rng.standard_normal((9, 4))
-    out = project_and_normalize(raw, w, "audio")
-    assert np.allclose(np.linalg.norm(out.sequence, axis=1), 1.0, atol=1e-12)
+    out = project_and_normalize_batch(raw, w)
+    assert np.allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
 
 
 def test_projection_rejects_degenerate_row():
     with pytest.raises(NumericError):
-        project_and_normalize(np.zeros((3, 5)), np.eye(5), "motion")
+        project_and_normalize_batch(np.zeros((3, 5)), np.eye(5))
 
 
 def test_projection_scale_invariance_exact():
@@ -124,27 +115,24 @@ def test_projection_gradient_matches_fd():
 
 def test_fused_target_alpha_extremes():
     rng = np.random.default_rng(8)
-    t = ModalityEmbedding("text", _unit_rows(rng, (5, 4)))
-    a = ModalityEmbedding("audio", _unit_rows(rng, (5, 4)))
-    assert np.allclose(fused_target(t, a, 1.0).sequence, t.sequence, atol=1e-12)
-    assert np.allclose(fused_target(t, a, 0.0).sequence, a.sequence, atol=1e-12)
+    t = _unit_rows(rng, (5, 4))
+    a = _unit_rows(rng, (5, 4))
+    assert np.allclose(fused_target_batch(t, a, 1.0).data, t, atol=1e-12)
+    assert np.allclose(fused_target_batch(t, a, 0.0).data, a, atol=1e-12)
 
 
 def test_fused_target_fixed_point():
     rng = np.random.default_rng(9)
     rows = _unit_rows(rng, (5, 4))
-    t = ModalityEmbedding("text", rows)
-    a = ModalityEmbedding("audio", rows.copy())
     for alpha in (0.2, 0.5, 0.9):
-        assert np.allclose(fused_target(t, a, alpha).sequence, rows, atol=1e-12)
+        assert np.allclose(fused_target_batch(rows, rows.copy(), alpha).data, rows,
+                           atol=1e-12)
 
 
 def test_fused_target_rejects_antipodal():
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    t = ModalityEmbedding("text", rows)
-    a = ModalityEmbedding("audio", -rows)
-    with pytest.raises(NumericError):
-        fused_target(t, a, 0.5)
+    with pytest.raises(NumericError, match="collapsed"):
+        fused_target_batch(rows, -rows, 0.5)
 
 
 # -------------------------------------------------------------- cosine loss
@@ -152,23 +140,20 @@ def test_fused_target_rejects_antipodal():
 def test_cosine_loss_identical_is_zero():
     rng = np.random.default_rng(10)
     rows = _unit_rows(rng, (6, 4))
-    e = ModalityEmbedding("motion", rows)
-    f = ModalityEmbedding("fused", rows.copy())
-    assert cosine_alignment_loss(f, e) == pytest.approx(0.0, abs=1e-12)
+    assert cosine_alignment_loss_batch(rows.copy(), rows).item() == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_cosine_loss_antipodal_is_two():
     rng = np.random.default_rng(11)
     rows = _unit_rows(rng, (6, 4))
-    a = ModalityEmbedding("motion", rows)
-    b = ModalityEmbedding("fused", -rows)
-    assert cosine_alignment_loss(b, a) == pytest.approx(2.0, abs=1e-12)
+    assert cosine_alignment_loss_batch(-rows, rows).item() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cosine_loss_orthogonal_is_one():
-    a = ModalityEmbedding("motion", np.array([[1.0, 0.0], [0.0, 1.0]]))
-    b = ModalityEmbedding("fused", np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert cosine_alignment_loss(b, a) == pytest.approx(1.0, abs=1e-15)
+    a = np.array([[1.0, 0.0], [0.0, 1.0]])
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert cosine_alignment_loss_batch(b, a).item() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cosine_loss_range_and_shape_check():
@@ -187,21 +172,22 @@ def test_cosine_loss_range_and_shape_check():
 def test_pool_single_row_identity():
     rng = np.random.default_rng(13)
     rows = _unit_rows(rng, (1, 5))
-    out = temporal_pool(ModalityEmbedding("text", rows))
-    assert np.allclose(out.vector, rows[0], atol=1e-12)
+    out = temporal_pool_batch(rows)
+    assert np.allclose(out.data, rows[0], atol=1e-12)
 
 
 def test_pool_constant_sequence():
     rng = np.random.default_rng(14)
     row = _unit_rows(rng, (1, 5))[0]
-    out = temporal_pool(ModalityEmbedding("audio", np.tile(row, (6, 1))))
-    assert np.allclose(out.vector, row, atol=1e-12)
+    out = temporal_pool_batch(np.tile(row, (2, 6, 1)))
+    assert out.shape == (2, 5)
+    assert np.allclose(out.data, row, atol=1e-12)
 
 
 def test_pool_two_orthonormal_rows():
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = temporal_pool(ModalityEmbedding("motion", rows))
-    assert np.allclose(out.vector, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-15)
+    out = temporal_pool_batch(rows)
+    assert np.allclose(out.data, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-15)
 
 
 def test_pool_rejects_collapsed_mean():
@@ -301,45 +287,47 @@ def test_clip_loss_composition():
     assert got == pytest.approx(expect, rel=1e-14)
 
 
-def _sem_inputs(rng, b=4, l=5, d=6):
-    fused = _unit_rows(rng, (b, l, d))
-    motion = _unit_rows(rng, (b, l, d))
-    mp, ap, tp = (_unit_rows(rng, (b, d)) for _ in range(3))
-    return fused, motion, mp, ap, tp
+def _stage2_curves(**sacm):
+    """Loss curves of a tiny stage-2 run: training sums the alignment terms
+    inline as lambda_cos * cos + lambda_clp * clp."""
+    cfg = config_from_dict({
+        "seed": 1, "sacm": sacm,
+        "dataset": {"n_classes": 2, "n_clips": 12, "n_frames": 32, "n_onsets": 2,
+                    "ratios": [0.75, 0.0, 0.25]},
+        "codec": {"epochs": 0, "n_codes": 8}, "flow": {"epochs": 2, "batch": 4}})
+    ds = build_dataset(cfg.dataset)
+    codecs, stacks, _ = train_codec(cfg, ds)
+    return train_generator(cfg, ds, codecs, stacks)[3].curves
 
 
 def test_sem_loss_zero_weights():
-    rng = np.random.default_rng(21)
-    w = AlignmentWeights(lambda_cos=0.0, lambda_clp=0.0)
-    assert sem_loss(w, *_sem_inputs(rng)).item() == 0.0
+    curves = _stage2_curves(lambda_cos=0.0, lambda_clp=0.0)
+    assert curves["sem"] == curves["cos"] == curves["clp"] == [0.0, 0.0]
 
 
 def test_sem_loss_cos_only():
-    rng = np.random.default_rng(22)
-    fused, motion, mp, ap, tp = _sem_inputs(rng)
-    w = AlignmentWeights(lambda_cos=1.5, lambda_clp=0.0)
-    got = sem_loss(w, fused, motion, mp, ap, tp).item()
-    assert got == pytest.approx(
-        1.5 * cosine_alignment_loss_batch(fused, motion).item(), rel=1e-14)
+    curves = _stage2_curves(lambda_cos=1.5, lambda_clp=0.0)
+    assert curves["clp"] == [0.0, 0.0]
+    assert all(c > 0.0 for c in curves["cos"])
+    assert curves["sem"] == pytest.approx([1.5 * c for c in curves["cos"]], rel=1e-12)
 
 
 def test_sem_loss_weighted_sum():
-    rng = np.random.default_rng(23)
-    fused, motion, mp, ap, tp = _sem_inputs(rng)
-    w = AlignmentWeights()
-    got = sem_loss(w, fused, motion, mp, ap, tp).item()
-    expect = (w.lambda_cos * cosine_alignment_loss_batch(fused, motion).item()
-              + w.lambda_clp * clip_loss(mp, ap, tp, w.tau).item())
-    assert got == pytest.approx(expect, rel=1e-13)
+    curves = _stage2_curves(lambda_cos=1.0, lambda_clp=0.1)
+    assert all(c > 0.0 for c in curves["cos"] + curves["clp"])
+    expect = [c + 0.1 * k for c, k in zip(curves["cos"], curves["clp"])]
+    assert curves["sem"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_alignment_weights_validation():
-    with pytest.raises(NumericError):
-        AlignmentWeights(alpha=1.5)
-    with pytest.raises(NumericError):
-        AlignmentWeights(tau=0.0)
-    with pytest.raises(NumericError):
-        AlignmentWeights(lambda_cos=-0.1)
+    for key, value in (("alpha", 1.5), ("tau", 0.0), ("lambda_cos", -0.1),
+                       ("lambda_clp", -0.1)):
+        with pytest.raises(ConfigError, match=f"sacm.{key}"):
+            config_from_dict({"sacm": {key: value}})
+    with pytest.raises(NumericError, match="alpha"):
+        fused_target_batch(np.ones((1, 2)), np.ones((1, 2)), 1.5)
+    with pytest.raises(NumericError, match="tau"):
+        clip_loss(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), tau=0.0)
 
 
 # ----------------------------------------------------------------- gradients
@@ -351,17 +339,15 @@ def test_all_alignment_losses_match_fd_through_heads():
     raw_t = Tensor(rng.standard_normal((b, l, 6)))
     raw_a = Tensor(rng.standard_normal((b, l, 7)))
     raw_m = Tensor(rng.standard_normal((b, l, 8)))
-    weights = AlignmentWeights()
 
     def f():
         zt = project_and_normalize_batch(raw_t, heads.text)
         za = project_and_normalize_batch(raw_a, heads.audio)
         zm = project_and_normalize_batch(raw_m, heads.motion)
-        fused = fused_target_batch(zt, za, weights.alpha)
-        return sem_loss(weights, fused, zm,
-                        temporal_pool_batch(zm),
-                        temporal_pool_batch(za),
-                        temporal_pool_batch(zt))
+        l_cos = cosine_alignment_loss_batch(fused_target_batch(zt, za, 0.5), zm)
+        l_clp = clip_loss(temporal_pool_batch(zm), temporal_pool_batch(za),
+                          temporal_pool_batch(zt), 0.1)
+        return l_cos + Tensor(0.1) * l_clp
 
     params = {"text": heads.text, "audio": heads.audio, "motion": heads.motion}
     g = grad(f(), list(params.values()))

@@ -1,10 +1,14 @@
 """CLI exit codes for malformed inputs: 2 for usage, config and checkpoint
-errors, with an `error:` line instead of a traceback."""
+errors, with an `error:` line instead of a traceback; and the package's
+exported names."""
 
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import cfmlab
 from cfmlab.alignment import ProjectionHeads
 from cfmlab.checkpoint import CheckpointError
 from cfmlab.cli import main
@@ -51,6 +55,17 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
              capsys, "not UTF-8")
 
 
+@pytest.mark.parametrize("dataset, field", [
+    ({"downsample": 0}, "dataset.downsample: must be >= 1"),
+    ({"ratios": "abc"}, "dataset.ratios: split ratios must be 3 numbers"),
+], ids=["downsample", "ratios"])
+def test_bad_dataset_field_exits_2_naming_it(tmp_path, capsys, dataset, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": dataset}))
+    _exits_2(["make-data", "--config", str(cfg), "--out", str(tmp_path / "o")],
+             capsys, field)
+
+
 def test_out_path_is_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
@@ -74,3 +89,11 @@ def test_stage1_checkpoint_alone_exits_2(stage1, tmp_path, capsys, command):
 def test_missing_model_tensor_is_a_checkpoint_error(load):
     with pytest.raises(CheckpointError):
         load({})
+
+
+@pytest.mark.parametrize("name", ["cfmlab"] + sorted(
+    m.name for m in pkgutil.walk_packages(cfmlab.__path__, "cfmlab.")))
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"

@@ -24,9 +24,11 @@ from cfmlab.codec import (
     rvq_dequantize_batch,
     rvq_quantize,
     rvq_quantize_batch,
-    stage1_loss,
     straight_through,
 )
+from cfmlab.config import config_from_dict
+from cfmlab.synthdata import build_dataset
+from cfmlab.training import train_codec
 from cfmlab.numerics import (
     NumericError,
     Tensor,
@@ -34,6 +36,7 @@ from cfmlab.numerics import (
     grad,
     max_rel_err,
     mean,
+    mse,
     sum_,
 )
 
@@ -208,9 +211,9 @@ def test_dequantize_rejects_out_of_range():
 # ------------------------------------------------------------------- losses
 
 def test_commitment_zero_when_equal():
-    z = PartLatent("hand", np.ones((4, 2)))
-    q = PartLatent("hand", np.ones((4, 2)))
-    assert commitment_loss(z, q).item() == 0.0
+    z = np.ones((2, 4, 2))
+    assert commitment_loss(z, np.ones((2, 4, 2))).item() == 0.0
+    assert commitment_loss(Tensor(z), Tensor(z.copy())).item() == 0.0
 
 
 def test_commitment_two_element_example():
@@ -235,37 +238,41 @@ def test_commitment_gradients():
 
 def test_commitment_rejects_shape_mismatch():
     with pytest.raises(NumericError):
-        commitment_loss(PartLatent("hand", np.zeros((4, 2))),
-                        PartLatent("hand", np.zeros((3, 2))))
+        commitment_loss(Tensor(np.zeros((4, 2))), np.zeros((3, 2)))
+
+
+def _stage1_curves(beta):
+    """Loss curves of a tiny stage-1 run: training sums the objective inline
+    as mean rec + beta * mean com over the four parts."""
+    cfg = config_from_dict({
+        "seed": 2, "dataset": {"n_classes": 2, "n_clips": 8, "n_frames": 32,
+                               "n_onsets": 2, "ratios": [0.75, 0.0, 0.25]},
+        "codec": {"epochs": 2, "batch": 4, "n_codes": 8, "beta": beta}})
+    return train_codec(cfg, build_dataset(cfg.dataset))[2].curves
 
 
 def test_stage1_loss_zero_at_perfect_fit():
-    clip = MotionClip("upper", np.ones((8, 12)))
-    rec = Tensor(np.ones((8, 12)))
-    z = PartLatent("upper", np.zeros((2, 4)))
-    assert stage1_loss(clip, rec, z, z).item() == 0.0
+    # a reconstruction equal to the clip and a latent equal to its code
+    # leave both terms of the stage-1 objective at exactly zero
+    rng = np.random.default_rng(13)
+    params = init_part_codec(rng, "upper", downsample=4, d_g=4)
+    frames = rng.standard_normal((2, 8, 12))
+    z = encode_part_batch(frames, params)
+    rec = mse(Tensor(frames.copy()), Tensor(frames))
+    assert (rec + Tensor(0.25) * commitment_loss(z, z.data)).item() == 0.0
 
 
 def test_stage1_loss_beta_zero_is_mse():
-    rng = np.random.default_rng(13)
-    clip = MotionClip("upper", rng.standard_normal((8, 12)))
-    rec = Tensor(rng.standard_normal((8, 12)))
-    z = PartLatent("upper", rng.standard_normal((2, 4)))
-    q = PartLatent("upper", rng.standard_normal((2, 4)))
-    got = stage1_loss(clip, rec, z, q, beta=0.0).item()
-    assert got == pytest.approx(float(np.mean((rec.data - clip.frames) ** 2)), abs=1e-15)
+    curves = _stage1_curves(beta=0.0)
+    assert all(c > 0.0 for c in curves["com"])
+    assert curves["total"] == curves["rec"]
 
 
 def test_stage1_loss_is_sum_of_terms():
-    rng = np.random.default_rng(14)
-    clip = MotionClip("upper", rng.standard_normal((8, 12)))
-    rec = Tensor(rng.standard_normal((8, 12)))
-    z = PartLatent("upper", rng.standard_normal((2, 4)))
-    q = PartLatent("upper", rng.standard_normal((2, 4)))
-    whole = stage1_loss(clip, rec, z, q, beta=0.25).item()
-    parts = (float(np.mean((rec.data - clip.frames) ** 2))
-             + 0.25 * commitment_loss(z, q).item())
-    assert whole == pytest.approx(parts, rel=1e-14)
+    curves = _stage1_curves(beta=0.25)
+    assert all(c > 0.0 for c in curves["com"])
+    expect = [r + 0.25 * c for r, c in zip(curves["rec"], curves["com"])]
+    assert curves["total"] == pytest.approx(expect, rel=1e-14)
 
 
 def test_straight_through_end_to_end_gradient():
@@ -282,7 +289,8 @@ def test_straight_through_end_to_end_gradient():
         z = encode_part_batch(frames, params)
         dec_in = z + Tensor(delta)
         rec = decode_part_batch(dec_in, params)
-        return stage1_loss(frames, rec, z, Tensor(z.data + delta), beta=0.25)
+        return mse(rec, Tensor(frames)) + Tensor(0.25) * commitment_loss(
+            z, Tensor(z.data + delta))
 
     params_named = {f"p{i}": p for i, p in enumerate(params.parameters())}
     g = grad(f(), list(params_named.values()))

@@ -9,27 +9,23 @@ import pytest
 from cfmlab import flow
 from cfmlab.checkpoint import load_checkpoint, save_checkpoint
 from cfmlab.flow import (
-    ConditionSeq,
     VelocityNet,
-    build_condition,
     build_condition_batch,
     cfm_loss,
     init_velocity_net,
-    interpolate,
     interpolate_batch,
     make_incongruent_batch,
-    negative_velocity,
     prepare_condition,
     sample_derangement,
     sinusoidal_time_embedding,
-    target_velocity,
     tcam_fuse,
     temporal_position_embedding,
     velocity_forward,
 )
 from cfmlab.numerics import (
-    Adam,
+    AdamState,
     NumericError,
+    adam_step,
     Tensor,
     finite_difference_gradient,
     grad,
@@ -55,20 +51,23 @@ def test_build_condition_identity_block_passthrough():
     net.cond_b.data[...] = 0.0
     audio = rng.standard_normal((5, 16))
     text = rng.standard_normal((5, 16))
-    out = build_condition(audio, text, net)
-    assert np.array_equal(out.sequence, np.concatenate([audio, text], axis=1))
+    out = build_condition_batch(audio, text, net)
+    assert np.array_equal(out.data, np.concatenate([audio, text], axis=1))
 
 
 def test_build_condition_zero_inputs():
     net = _small_net()
-    out = build_condition(np.zeros((4, 3)), np.zeros((4, 3)), net)
-    assert np.all(out.sequence == 0.0)
+    out = build_condition_batch(np.zeros((2, 4, 3)), np.zeros((2, 4, 3)), net)
+    assert out.shape == (2, 4, 6)
+    assert np.all(out.data == 0.0)
 
 
 def test_build_condition_rejects_length_mismatch():
     net = _small_net()
     with pytest.raises(NumericError):
-        build_condition(np.zeros((4, 3)), np.zeros((5, 3)), net)
+        build_condition_batch(np.zeros((4, 3)), np.zeros((5, 3)), net)
+    with pytest.raises(NumericError):
+        build_condition_batch(np.zeros((2, 4, 3)), np.zeros((3, 4, 3)), net)
 
 
 def test_build_condition_gradient():
@@ -92,34 +91,45 @@ def test_build_condition_gradient():
 def test_interpolate_endpoints():
     rng = np.random.default_rng(3)
     z0, z1 = rng.standard_normal((2, 4, 3))
-    assert np.array_equal(interpolate(z0, z1, 0.0).zt, z0)
-    assert np.array_equal(interpolate(z0, z1, 1.0).zt, z1)
+    assert np.array_equal(interpolate_batch(z0, z1, 0.0), z0)
+    assert np.array_equal(interpolate_batch(z0, z1, 1.0), z1)
+    # per-example t: each row takes its own endpoint
+    z0b, z1b = np.stack([z0, z0]), np.stack([z1, z1])
+    assert np.array_equal(interpolate_batch(z0b, z1b, np.array([0.0, 1.0])),
+                          np.stack([z0, z1]))
 
 
 def test_interpolate_midpoint():
-    s = interpolate(np.zeros(2), np.array([2.0, 4.0]), 0.5)
-    assert np.array_equal(s.zt, [1.0, 2.0])
-    assert np.array_equal(s.zt, (1 - s.t) * s.z0 + s.t * s.z1)
+    z0, z1 = np.zeros(2), np.array([2.0, 4.0])
+    zt = interpolate_batch(z0, z1, 0.5)
+    assert np.array_equal(zt, [1.0, 2.0])
+    assert np.array_equal(zt, (1 - 0.5) * z0 + 0.5 * z1)
 
 
 def test_interpolate_rejects_bad_t():
     with pytest.raises(NumericError):
-        interpolate(np.zeros(2), np.ones(2), 1.5)
+        interpolate_batch(np.zeros(2), np.ones(2), 1.5)
     with pytest.raises(NumericError):
-        interpolate(np.zeros(2), np.ones(2), -0.1)
+        interpolate_batch(np.zeros((2, 3)), np.ones((2, 3)), np.array([0.5, -0.1]))
+    with pytest.raises(NumericError, match="shape mismatch"):
+        interpolate_batch(np.zeros(2), np.ones(3), 0.5)
 
 
 def test_target_velocity_cases():
+    # training's flow target is z1 - z0: cfm_loss is zero when the prediction
+    # equals it and rejects a target of another shape
     rng = np.random.default_rng(4)
-    z = rng.standard_normal((5, 3))
-    assert np.all(target_velocity(z, z) == 0.0)
-    assert np.array_equal(target_velocity(np.zeros_like(z), z), z)
+    z0, z1 = rng.standard_normal((2, 5, 3))
+    assert cfm_loss(Tensor(z1 - z0), z1 - z0, None, 0.0).item() == 0.0
+    assert cfm_loss(Tensor(np.zeros_like(z1)), z1 - z1, None, 0.0).item() == 0.0
+    with pytest.raises(NumericError, match="shape mismatch"):
+        cfm_loss(Tensor(z1 - z0), (z1 - z0)[:4], None, 0.0)
 
 
 def test_target_velocity_is_interpolant_derivative():
     rng = np.random.default_rng(5)
     z0, z1 = rng.standard_normal((2, 4, 3))
-    v = target_velocity(z0, z1)
+    v = z1 - z0
     h = 1e-6
     for t in (0.2, 0.5, 0.9):
         fd = (interpolate_batch(z0, z1, t + h) - interpolate_batch(z0, z1, t - h)) / (2 * h)
@@ -127,11 +137,18 @@ def test_target_velocity_is_interpolant_derivative():
 
 
 def test_negative_velocity_is_same_formula():
+    # the repulsion target is the straight-path velocity toward the deranged
+    # latent, pairing.latents - z0, as training builds it
     rng = np.random.default_rng(6)
-    z0, z1, zm = rng.standard_normal((3, 4, 3))
-    assert np.array_equal(negative_velocity(z0, z1), target_velocity(z0, z1))
-    assert np.all(negative_velocity(z0, z0) == 0.0)
-    assert np.array_equal(negative_velocity(z0, zm), zm - z0)
+    z0, z1 = rng.standard_normal((2, 4, 3, 2))
+    vp = Tensor(rng.standard_normal((4, 3, 2)))
+    pairing = make_incongruent_batch(z1, rng.standard_normal((4, 3, 5)),
+                                     np.random.default_rng(1))
+    v_neg = pairing.latents - z0
+    assert np.array_equal(v_neg, z1[pairing.permutation] - z0)
+    got = cfm_loss(vp, z1 - z0, v_neg, 0.3).item()
+    expect = mse(vp, Tensor(z1 - z0)).item() - 0.3 * mse(vp, Tensor(v_neg)).item()
+    assert got == pytest.approx(expect, rel=1e-14)
 
 
 # ------------------------------------------------------------------- network
@@ -168,9 +185,9 @@ def test_velocity_forward_shape_and_determinism():
     net = _small_net(13)
     rng = np.random.default_rng(14)
     zt = rng.standard_normal((4, 6))
-    cond = ConditionSeq(rng.standard_normal((4, 6)))
+    cond = rng.standard_normal((4, 6))
     a = velocity_forward(net, zt, 0.3, cond)
-    b = velocity_forward(net, zt.copy(), 0.3, ConditionSeq(cond.sequence.copy()))
+    b = velocity_forward(net, zt.copy(), 0.3, cond.copy())
     assert a.shape == (4, 6)
     assert np.array_equal(a.data, b.data)
 
@@ -183,7 +200,7 @@ def test_velocity_forward_batched_matches_single():
     ts = np.array([0.1, 0.5, 0.9])
     batched = velocity_forward(net, zt, ts, cond).data
     for i in range(3):
-        single = velocity_forward(net, zt[i], ts[i], ConditionSeq(cond[i])).data
+        single = velocity_forward(net, zt[i], ts[i], cond[i]).data
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
@@ -401,9 +418,9 @@ def test_cfm_minimizer_closed_form_via_descent():
     v_neg = np.array([0.5, 3.0])
     lam = 0.3
     v = Tensor(np.zeros(2), requires_grad=True)
-    opt = Adam([v], lr=0.05)
+    state = AdamState(lr=0.05)
     for _ in range(2000):
-        opt.step(grad(cfm_loss(v, v_pos, v_neg, lam), [v]))
+        adam_step([v], grad(cfm_loss(v, v_pos, v_neg, lam), [v]), state)
     expect = (v_pos - lam * v_neg) / (1.0 - lam)
     assert np.max(np.abs(v.data - expect)) < 1e-6
 

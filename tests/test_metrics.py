@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from cfmlab.alignment import composite_latent
 from cfmlab.codec import (
     PART_JOINTS,
     PART_ORDER,
@@ -408,8 +407,9 @@ def test_diversity_needs_two_samples():
 # ------------------------------------------------------------ feature extractor
 
 def test_motion_features_match_manual_pipeline():
-    # per clip: encode_part + composite_latent + time mean, the single-clip
-    # pipeline the batched extractor must reproduce bit for bit
+    # per clip: encode_part, the composite (part latents concatenated in
+    # PART_ORDER, times 1 / scale) and a time mean, the single-clip pipeline
+    # the batched extractor must reproduce bit for bit
     rng = np.random.default_rng(8)
     codecs = {p: init_part_codec(rng, p, downsample=4, d_g=3, in_scale=1.7)
               for p in PART_ORDER}
@@ -420,8 +420,8 @@ def test_motion_features_match_manual_pipeline():
     feats = motion_features(clips, codecs, scale=2.0)
     assert feats.features.shape == (6, 12)
     for row, clip in zip(feats.features, clips):
-        latents = {p: encode_part(clip[p], codecs[p]) for p in PART_ORDER}
-        manual = composite_latent(latents, 2.0).sequence.mean(axis=0)
+        latents = [encode_part(clip[p], codecs[p]).sequence for p in PART_ORDER]
+        manual = (np.concatenate(latents, axis=1) * (1.0 / 2.0)).mean(axis=0)
         assert row.tobytes() == manual.tobytes()
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cfmlab.alignment import composite_latent
+from cfmlab.alignment import composite_batch, project_and_normalize_batch
 from cfmlab.cli import main
 from cfmlab.codec import (
     PART_JOINTS,
@@ -17,11 +17,12 @@ from cfmlab.codec import (
     init_part_codec,
     rvq_dequantize,
     rvq_quantize,
+    rvq_quantize_batch,
 )
 from cfmlab import evaluate, flow
 from cfmlab.config import config_from_dict, config_hash
 from cfmlab.evaluate import condition_for_clip, generate_split
-from cfmlab.flow import build_condition, init_velocity_net, velocity_forward
+from cfmlab.flow import build_condition_batch, init_velocity_net, velocity_forward
 from cfmlab.numerics import NumericError, Tensor, matmul, no_grad
 from cfmlab.sampler import (
     GeneratedMotion,
@@ -33,7 +34,6 @@ from cfmlab.sampler import (
     integrate_ode,
     project_to_codebook_manifold,
     quantize_regions,
-    split_regions,
     write_motion_csv,
     write_sidecar,
 )
@@ -53,8 +53,8 @@ def _small_setup(seed=0, d_g=2, n_codes=8, depth=2, length=4):
     decoders = {p: init_part_codec(rng, p, downsample=4, d_g=d_g) for p in PART_ORDER}
     stacks = {p: init_codebook_stack(rng, p, n_codes=n_codes, depth=depth, d_g=d_g)
               for p in PART_ORDER}
-    cond = build_condition(rng.standard_normal((length, 3)),
-                           rng.standard_normal((length, 3)), net)
+    cond = build_condition_batch(rng.standard_normal((length, 3)),
+                                 rng.standard_normal((length, 3)), net).data
     return net, decoders, stacks, cond
 
 
@@ -229,50 +229,86 @@ def test_projection_checkpoint_names_roundtrip():
     assert np.array_equal(again.weight.data, proj.weight.data)
 
 
-# -------------------------------------------------------------- split_regions
+# ------------------------------------------------------------ split regions
+
+def _split_regions(latent, dims, scale):
+    """Per-clip inverse of `composite_batch`: each part's channels, sliced
+    in PART_ORDER and multiplied by the scale the composite divided by."""
+    out, offset = {}, 0
+    for p in PART_ORDER:
+        out[p] = PartLatent(p, latent[..., offset:offset + dims[p]] * scale)
+        offset += dims[p]
+    return out
+
+
+def _draw_per_part(widths, scale, seed=0, length=8):
+    """One generate_batch draw with per-part latent widths, and the stacks
+    it quantized with."""
+    rng = np.random.default_rng(seed)
+    net = init_velocity_net(rng, d_model=sum(widths.values()), d_cond=8, d_audio=3,
+                            d_text=3, d_s=8, time_dim=4)
+    decoders = {p: init_part_codec(rng, p, downsample=4, d_g=widths[p]) for p in PART_ORDER}
+    stacks = {p: init_codebook_stack(rng, p, n_codes=8, depth=2, d_g=widths[p])
+              for p in PART_ORDER}
+    cond = rng.standard_normal((length, net.d_cond))
+    motion = generate_batch(net, stacks, decoders, [cond], [OdeConfig(n=2, seed=seed)],
+                            scale=scale)[0]
+    return motion, stacks
+
 
 def test_split_inverts_composite_exactly():
     rng = np.random.default_rng(5)
-    parts = {p: PartLatent(p, rng.standard_normal((6, 3))) for p in PART_ORDER}
-    comp = composite_latent(parts, scale=2.0)
-    back = split_regions(comp, {p: 3 for p in PART_ORDER})
+    parts = {p: rng.standard_normal((6, 3)) for p in PART_ORDER}
+    comp = composite_batch({p: parts[p][None] for p in PART_ORDER}, scale=2.0).data[0]
+    back = _split_regions(comp, {p: 3 for p in PART_ORDER}, 2.0)
     for p in PART_ORDER:
-        assert np.array_equal(back[p].sequence, parts[p].sequence)
+        assert np.array_equal(back[p].sequence, parts[p])
 
 
 def test_split_then_composite_roundtrip():
     rng = np.random.default_rng(6)
     latent = rng.standard_normal((4, 12))
-    parts = split_regions(latent, {p: 3 for p in PART_ORDER}, scale=2.0)
-    comp = composite_latent(parts, scale=2.0)
-    assert np.array_equal(comp.sequence, latent)
+    parts = _split_regions(latent, {p: 3 for p in PART_ORDER}, 2.0)
+    comp = composite_batch({p: parts[p].sequence[None] for p in PART_ORDER}, scale=2.0)
+    assert np.array_equal(comp.data[0], latent)
 
 
 def test_split_unit_scale_is_plain_slicing():
-    latent = np.arange(8.0).reshape(1, 8)
-    parts = split_regions(latent, {p: 2 for p in PART_ORDER}, scale=1.0)
-    assert np.array_equal(parts["hand"].sequence, [[0.0, 1.0]])
-    assert np.array_equal(parts["upper"].sequence, [[2.0, 3.0]])
-    assert np.array_equal(parts["lower"].sequence, [[4.0, 5.0]])
-    assert np.array_equal(parts["face"].sequence, [[6.0, 7.0]])
+    # at scale 1, generate_batch quantizes each part's channel slice as is
+    motion, stacks = _draw_per_part({p: 2 for p in PART_ORDER}, scale=1.0)
+    for k, p in enumerate(PART_ORDER):
+        _, codes, _ = rvq_quantize_batch(motion.latent[:, 2 * k:2 * k + 2], stacks[p].stages)
+        assert np.array_equal(motion.codes[p].codes, codes)
 
 
 def test_split_respects_per_part_widths():
-    latent = np.ones((2, 10))
     dims = {"hand": 4, "upper": 3, "lower": 2, "face": 1}
-    parts = split_regions(latent, dims, scale=1.0)
-    for p, w in dims.items():
-        assert parts[p].sequence.shape == (2, w)
+    motion, stacks = _draw_per_part(dims, scale=2.0)
+    assert motion.latent.shape == (8, 10)
+    regions = _split_regions(motion.latent, dims, 2.0)
+    for p in PART_ORDER:
+        _, codes, _ = rvq_quantize_batch(regions[p].sequence, stacks[p].stages)
+        assert np.array_equal(motion.codes[p].codes, codes)
+        assert motion.parts[p].frames.shape == (32, PART_JOINTS[p])
 
 
 def test_split_dimension_mismatch_rejected():
+    net, decoders, stacks, cond = _small_setup(length=8)
+    decoders["face"] = init_part_codec(np.random.default_rng(1), "face", downsample=4,
+                                       d_g=3)
     with pytest.raises(NumericError, match="sum of part dims"):
-        split_regions(np.zeros((2, 9)), {p: 2 for p in PART_ORDER})
+        generate(net, stacks, decoders, cond, OdeConfig(n=1))
 
 
 def test_split_missing_part_dim_rejected():
-    with pytest.raises(NumericError, match="missing part dims"):
-        split_regions(np.zeros((2, 8)), {"hand": 2, "upper": 2, "lower": 2})
+    # both directions of the composite name a missing part
+    rng = np.random.default_rng(7)
+    parts = {p: rng.standard_normal((1, 2, 2)) for p in ("hand", "upper", "lower")}
+    with pytest.raises(NumericError, match="missing parts"):
+        composite_batch(parts, scale=2.0)
+    stacks = {p: init_codebook_stack(rng, p, n_codes=4, depth=1, d_g=2) for p in PART_ORDER}
+    with pytest.raises(NumericError, match="missing part 'face'"):
+        quantize_regions({p: PartLatent(p, parts[p][0]) for p in parts}, stacks)
 
 
 # ----------------------------------------------------------- quantize_regions
@@ -429,9 +465,9 @@ def _generate_alone(net, stacks, decoders, cond, config, proj, scale, fps):
     dequantize and decode one clip at a time. The reference a batch must
     match bit for bit."""
     z0 = np.random.default_rng(config.seed).standard_normal(
-        (cond.sequence.shape[0], net.d_model))
+        (cond.shape[0], net.d_model))
     z1 = project_to_codebook_manifold(integrate_ode(net, z0, cond, config), proj).data
-    regions = split_regions(z1, {p: decoders[p].d_g for p in PART_ORDER}, scale=scale)
+    regions = _split_regions(z1, {p: decoders[p].d_g for p in PART_ORDER}, scale)
     codes = quantize_regions(regions, stacks)
     frames = {p: decode_part(rvq_dequantize(codes[p], stacks[p]), decoders[p],
                              fps=fps).frames for p in PART_ORDER}
@@ -478,6 +514,27 @@ def test_generate_split_equals_per_clip_draws_bitwise(scheme):
             assert (m.parts[p].frames.tobytes() == alone.parts[p].frames.tobytes()
                     == frames[p].tobytes())
         assert m.config_hash == alone.config_hash == config_hash(cfg)
+
+
+def test_condition_for_clip_is_the_batched_condition():
+    _, clips, _, _, net, heads, _ = _split_setup("euler")
+    u = clips[0]
+    cond = condition_for_clip(u.audio, u.text, net, heads)
+    with no_grad():
+        expected = build_condition_batch(
+            project_and_normalize_batch(u.audio, heads.audio),
+            project_and_normalize_batch(u.text, heads.text), net).data
+    assert type(cond) is np.ndarray
+    assert cond.shape == (len(u.audio), net.d_cond)
+    assert cond.tobytes() == expected.tobytes()
+
+
+def test_generate_rejects_non_finite_condition():
+    net, decoders, stacks, cond = _small_setup(length=8)
+    cond = cond.copy()
+    cond[3, 1] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        generate(net, stacks, decoders, cond, OdeConfig(n=2))
 
 
 def test_generate_split_chunks_do_not_change_draws(monkeypatch):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import PART_ORDER
 from cfmlab.config import ConfigError, config_from_dict
@@ -17,6 +18,8 @@ from cfmlab.training import (
     prepare_stage2_data,
     save_stage1_checkpoint,
     save_stage2_checkpoint,
+    stage1_from_tensors,
+    stage2_from_tensors,
     train_codec,
     train_generator,
 )
@@ -287,3 +290,24 @@ def test_training_twice_writes_identical_checkpoint_bytes(tmp_path, capsys):
         blobs.append([(out / n).read_bytes() for n in ("codec.bin", "generator.bin")])
     capsys.readouterr()
     assert blobs[0] == blobs[1]
+
+
+def test_models_from_merged_checkpoint_tensors(tmp_path, small_run):
+    # the CLI merges every --checkpoint file into one tensor map and builds
+    # both stages from it, as the per-file loaders build each
+    cfg, ds, codecs, stacks, _ = small_run
+    net, heads, proj = init_stage2(cfg)
+    ck1 = save_stage1_checkpoint(tmp_path / "codec.bin", codecs, stacks)
+    ck2 = save_stage2_checkpoint(tmp_path / "generator.bin", net, heads, proj)
+    merged = {**load_checkpoint(ck1), **load_checkpoint(ck2)}
+    codecs2, stacks2 = stage1_from_tensors(merged)
+    codecs3, stacks3 = load_stage1_checkpoint(ck1)
+    for p in PART_ORDER:
+        assert codecs2[p].named_tensors().keys() == codecs3[p].named_tensors().keys()
+        for name, t in codecs2[p].named_tensors().items():
+            assert t.data.tobytes() == codecs3[p].named_tensors()[name].data.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(stacks2[p].stages, stacks3[p].stages))
+    for built, loaded in zip(stage2_from_tensors(merged), load_stage2_checkpoint(ck2)):
+        for name, t in built.named_tensors().items():
+            assert t.data.tobytes() == loaded.named_tensors()[name].data.tobytes()
