@@ -206,7 +206,7 @@ def encode_part_batch(frames, params):
         raise NumericError(f"clip length {t} not divisible by downsample factor {factor}")
     stacked = reshape(x, (b, t // factor, factor * j))
     if params.in_scale != 1.0:
-        stacked = stacked * Tensor(1.0 / params.in_scale)
+        stacked = stacked * (1.0 / params.in_scale)
     h = gelu(matmul(stacked, params.enc_w1) + params.enc_b1)
     return matmul(h, params.enc_w2) + params.enc_b2
 
@@ -227,7 +227,7 @@ def decode_part_batch(latent, params):
     h = gelu(matmul(z, params.dec_w1) + params.dec_b1)
     flat = matmul(h, params.dec_w2) + params.dec_b2
     if params.in_scale != 1.0:
-        flat = flat * Tensor(params.in_scale)
+        flat = flat * params.in_scale
     return reshape(flat, (b, l * factor, j))
 
 

@@ -170,7 +170,7 @@ def interpolate_batch(z0, z1, t):
     if z0.shape != z1.shape:
         raise NumericError(f"interpolate_batch shape mismatch {z0.shape} vs {z1.shape}")
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails both tests
         raise NumericError("interpolation time t must lie in [0, 1]")
     tb = t.reshape(t.shape + (1,) * (z0.ndim - t.ndim))
     return (1.0 - tb) * z0 + tb * z1
@@ -185,6 +185,15 @@ def _time_frequencies(half):
     freqs = np.exp(np.linspace(0.0, math.log(1000.0), half))
     freqs.flags.writeable = False
     return freqs
+
+
+@functools.lru_cache(maxsize=256)
+def _scalar_time_row(t, dim):
+    """The (1, dim) embedding of one scalar t, read-only: an ODE solve asks
+    for the same few step times in every solve."""
+    row = sinusoidal_time_embedding(np.array([t]), dim)
+    row.flags.writeable = False
+    return row
 
 
 def sinusoidal_time_embedding(t, dim=16):
@@ -211,7 +220,7 @@ def temporal_position_embedding(length, dim):
 
 
 def _attention(q, k, v, out_w, d_s):
-    scores = matmul(q, k.mT) * Tensor(1.0 / math.sqrt(d_s))
+    scores = matmul(q, k.mT) * (1.0 / math.sqrt(d_s))
     attn = softmax(scores, axis=-1)
     return q + matmul(matmul(attn, v), out_w), attn
 
@@ -288,15 +297,21 @@ def velocity_forward(net, zt, t, cond):
     if prep.pe_x.shape[0] != l:
         raise NumericError(
             f"condition prepared for {prep.pe_x.shape[0]} frames, latent has {l}")
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
-        raise NumericError("flow time t must lie in [0, 1]")
     # one row for a scalar t: (B, k) @ (k, d) runs as a gemm and (1, k) @
-    # (k, d) as a gemv, which round differently in the last bit
-    t_arr = t_arr.reshape(1) if t_arr.ndim == 0 else np.broadcast_to(t_arr, (b,))
+    # (k, d) as a gemv, which round differently in the last bit. The range
+    # tests are written so that NaN fails them.
+    if isinstance(t, float):
+        if not 0.0 <= t <= 1.0:
+            raise NumericError("flow time t must lie in [0, 1]")
+        temb = _scalar_time_row(t, net.time_w.shape[0])
+    else:
+        t_arr = np.asarray(t, dtype=np.float64)
+        if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
+            raise NumericError("flow time t must lie in [0, 1]")
+        t_arr = t_arr.reshape(1) if t_arr.ndim == 0 else np.broadcast_to(t_arr, (b,))
+        temb = sinusoidal_time_embedding(t_arr, net.time_w.shape[0])
 
-    temb = matmul(Tensor(sinusoidal_time_embedding(t_arr, net.time_w.shape[0])),
-                  net.time_w) + net.time_b                       # (B or 1, d_G)
+    temb = matmul(Tensor(temb), net.time_w) + net.time_b        # (B or 1, d_G)
     tokens = x + net.p + temb.reshape(temb.shape[0], 1, d_model) + prep.pe_x
     if prep.aligned is not None:
         tokens = tokens + prep.aligned

@@ -7,6 +7,7 @@ are keyed by parameter identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,18 +29,29 @@ class AdamState:
 
 
 def adam_step(params, grads, state):
-    """One Adam update. `grads` maps each param Tensor to its gradient."""
-    state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
-    for p in params:
+    """One Adam update. `grads` maps each param Tensor to its gradient.
+
+    Every gradient is checked before any moment or parameter changes, so a
+    non-finite one raises with the parameters and the state untouched.
+    """
+    gs = []
+    for i, p in enumerate(params):
         g = grads[p]
         g = g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise NumericError(
                 "adam_step: gradient shape %s != parameter shape %s" % (g.shape, p.data.shape)
             )
+        # a finite sum proves every entry finite, as in the op-level check
+        if not math.isfinite(np.add.reduce(g, axis=None)) and not np.isfinite(g).all():
+            raise NumericError(
+                f"adam_step: non-finite gradient for parameter {i} of shape {p.data.shape}")
+        gs.append(g)
+    state.step += 1
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** state.step
+    bc2 = 1.0 - b2 ** state.step
+    for p, g in zip(params, gs):
         key = id(p)
         m = state.m.get(key)
         if m is None:

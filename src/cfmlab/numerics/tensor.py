@@ -4,14 +4,20 @@ Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
 the primitive set is deliberately small -- matmul, elementwise arithmetic,
 exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose, the
-clamped neighbour-row `shift`, plus the stabilized softmax/logsumexp/
-l2-normalize composites built on top.
+clamped neighbour-row `shift`, and the stabilized `softmax`, one primitive
+whose forward and gradient keep the bits of exp(x - logsumexp(x)); the
+logsumexp/l2-normalize composites are built on top.
+
+Under `no_grad` a primitive runs only its numpy forward and its finite
+check: its output is untracked, with no VJP closure and no parents, so it
+is a constant wherever it is used later, also in a tracked graph.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -177,19 +183,35 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _arr(x):
+    """An operand's array for an untracked forward; wraps nothing."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
 def _needs(t):
     """Binary VJPs skip parents that are neither parameters nor op outputs."""
     return t.requires_grad or t._vjp is not None
 
 
-def _tracked(parents):
-    return _GRAD_ENABLED and any(_needs(p) for p in parents)
+def _untracked(data, op):
+    """An op's output while recording is off: checked, with no graph edges.
+    Float64 operands give a float64 result, so the constructor's dtype
+    conversion is skipped."""
+    _check_finite(data, op)
+    out = object.__new__(Tensor)
+    out.data = np.asarray(data)
+    out.requires_grad = False
+    out._op = "leaf"
+    out._parents = ()
+    out._vjp = None
+    out._uid = next(_UID)
+    return out
 
 
 def _from_op(data, parents, vjp, op):
     _check_finite(data, op)
     out = Tensor(data)
-    if _tracked(parents):
+    if any(_needs(p) for p in parents):
         out._op = op
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -207,9 +229,22 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _quiet(f, *args):
+    """f(*args) without numpy's float warnings: a non-finite result is the
+    finite check's to report, as an error."""
+    with np.errstate(all="ignore"):
+        return f(*args)
+
+
 # -- elementwise primitives ------------------------------------------------
+#
+# Every primitive opens with the same test: with recording off it runs only
+# its numpy forward and returns `_untracked`; otherwise it wraps its operands
+# and records the VJP closure through `_from_op`.
 
 def add(a, b):
+    if not _GRAD_ENABLED:
+        return _untracked(_arr(a) + _arr(b), "add")
     a, b = as_tensor(a), as_tensor(b)
     return _from_op(
         a.data + b.data, (a, b),
@@ -219,6 +254,8 @@ def add(a, b):
 
 
 def sub(a, b):
+    if not _GRAD_ENABLED:
+        return _untracked(_arr(a) - _arr(b), "sub")
     a, b = as_tensor(a), as_tensor(b)
     return _from_op(
         a.data - b.data, (a, b),
@@ -228,6 +265,8 @@ def sub(a, b):
 
 
 def mul(a, b):
+    if not _GRAD_ENABLED:
+        return _untracked(_arr(a) * _arr(b), "mul")
     a, b = as_tensor(a), as_tensor(b)
     return _from_op(
         a.data * b.data, (a, b),
@@ -237,11 +276,11 @@ def mul(a, b):
 
 
 def div(a, b):
+    if not _GRAD_ENABLED:
+        return _untracked(_quiet(np.divide, _arr(a), _arr(b)), "div")
     a, b = as_tensor(a), as_tensor(b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = a.data / b.data
     return _from_op(
-        out, (a, b),
+        _quiet(np.divide, a.data, b.data), (a, b),
         lambda g: (_unbroadcast(g / b.data, a.data.shape) if _needs(a) else None,
                    _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
                    if _needs(b) else None),
@@ -249,67 +288,86 @@ def div(a, b):
 
 
 def neg(a):
+    if not _GRAD_ENABLED:
+        return _untracked(-_arr(a), "neg")
     a = as_tensor(a)
     return _from_op(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def pow_scalar(a, exponent):
-    a = as_tensor(a)
     c = float(exponent)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = a.data ** c
+    if not _GRAD_ENABLED:
+        return _untracked(_quiet(operator.pow, _arr(a), c), "pow")
+    a = as_tensor(a)
     return _from_op(
-        out, (a,), lambda g: (g * c * a.data ** (c - 1.0),), "pow")
+        _quiet(operator.pow, a.data, c), (a,),
+        lambda g: (g * c * a.data ** (c - 1.0),), "pow")
 
 
 def exp(a):
+    if not _GRAD_ENABLED:
+        return _untracked(_quiet(np.exp, _arr(a)), "exp")
     a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
+    out = _quiet(np.exp, a.data)
     return _from_op(out, (a,), lambda g: (g * out,), "exp")
 
 
 def log(a):
+    if not _GRAD_ENABLED:
+        return _untracked(_quiet(np.log, _arr(a)), "log")
     a = as_tensor(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return _from_op(out, (a,), lambda g: (g / a.data,), "log")
+    return _from_op(_quiet(np.log, a.data), (a,), lambda g: (g / a.data,), "log")
 
 
 def sqrt(a):
+    if not _GRAD_ENABLED:
+        return _untracked(_quiet(np.sqrt, _arr(a)), "sqrt")
     a = as_tensor(a)
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)
+    out = _quiet(np.sqrt, a.data)
     return _from_op(out, (a,), lambda g: (g * 0.5 / out,), "sqrt")
 
 
 def tanh(a):
+    if not _GRAD_ENABLED:
+        return _untracked(np.tanh(_arr(a)), "tanh")
     a = as_tensor(a)
     out = np.tanh(a.data)
     return _from_op(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
+def _gelu_cdf(x):
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+
 def gelu(a):
     """Exact (erf-based) GELU."""
+    if not _GRAD_ENABLED:
+        x = _arr(a)
+        return _untracked(x * _gelu_cdf(x), "gelu")
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+    cdf = _gelu_cdf(x)
 
     def vjp(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
         return (g * (cdf + x * pdf),)
 
-    return _from_op(out, (a,), vjp, "gelu")
+    return _from_op(x * cdf, (a,), vjp, "gelu")
 
 
 # -- matmul and shape ops ----------------------------------------------------
 
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
+def _matmul(x, y):
+    if x.ndim < 2 or y.ndim < 2:
         raise NumericError("matmul requires operands with ndim >= 2")
-    out = a.data @ b.data
+    return x @ y
+
+
+def matmul(a, b):
+    if not _GRAD_ENABLED:
+        return _untracked(_matmul(_arr(a), _arr(b)), "matmul")
+    a, b = as_tensor(a), as_tensor(b)
+    out = _matmul(a.data, b.data)
 
     def vjp(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) \
@@ -322,6 +380,8 @@ def matmul(a, b):
 
 
 def reshape(a, shape):
+    if not _GRAD_ENABLED:
+        return _untracked(_arr(a).reshape(shape), "reshape")
     a = as_tensor(a)
     return _from_op(
         a.data.reshape(shape), (a,),
@@ -329,6 +389,8 @@ def reshape(a, shape):
 
 
 def transpose(a, axes=None):
+    if not _GRAD_ENABLED:
+        return _untracked(np.transpose(_arr(a), axes), "transpose")
     a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.data.ndim)))
@@ -338,21 +400,35 @@ def transpose(a, axes=None):
 
 
 def swap_last(a):
+    if not _GRAD_ENABLED:
+        return _untracked(np.swapaxes(_arr(a), -1, -2), "swap_last")
     a = as_tensor(a)
     return _from_op(
         np.swapaxes(a.data, -1, -2), (a,),
         lambda g: (np.swapaxes(g, -1, -2),), "swap_last")
 
 
+def _shift(x, step):
+    """The forward of `shift` and its clamped offset k."""
+    if x.ndim < 2:
+        raise NumericError("shift requires ndim >= 2")
+    l = x.shape[-2]
+    k = min(abs(step), l - 1)
+    if step > 0:
+        return np.concatenate([x[..., k:, :]] + [x[..., -1:, :]] * k, axis=-2), k
+    return np.concatenate([x[..., :1, :]] * k + [x[..., :l - k, :]], axis=-2), k
+
+
 def shift(a, step):
     """Row i along axis -2 becomes row clip(i + step, 0, L - 1), so edge rows
     replicate. Both passes copy slices, O(L); the backward sums the rows that
     met at the clamped edge into the edge row."""
+    step = int(step)
+    if not _GRAD_ENABLED:
+        return _untracked(_shift(_arr(a), step)[0], "shift")
     a = as_tensor(a)
-    if a.data.ndim < 2:
-        raise NumericError("shift requires ndim >= 2")
-    l, step = a.data.shape[-2], int(step)
-    k = min(abs(step), l - 1)
+    out, k = _shift(a.data, step)
+    l = a.data.shape[-2]
 
     def vjp(g):
         ga = np.zeros(a.data.shape)
@@ -364,29 +440,31 @@ def shift(a, step):
             ga[..., 0, :] += g[..., :k, :].sum(axis=-2)
         return (ga,)
 
-    x = a.data
-    if step > 0:
-        out = np.concatenate([x[..., k:, :]] + [x[..., -1:, :]] * k, axis=-2)
-    else:
-        out = np.concatenate([x[..., :1, :]] * k + [x[..., :l - k, :]], axis=-2)
     return _from_op(out, (a,), vjp, "shift")
 
 
-def concat(tensors, axis=-1):
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
+def _concat(datas, axis):
+    if not datas:
         raise NumericError("concat of zero tensors")
+    return np.concatenate(datas, axis=axis)
+
+
+def concat(tensors, axis=-1):
+    if not _GRAD_ENABLED:
+        return _untracked(_concat([_arr(t) for t in tensors], axis), "concat")
+    tensors = [as_tensor(t) for t in tensors]
     datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum(sizes)[:-1]
 
     def vjp(g):
+        offsets = np.cumsum([d.shape[axis] for d in datas])[:-1]
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _from_op(np.concatenate(datas, axis=axis), tensors, vjp, "concat")
+    return _from_op(_concat(datas, axis), tensors, vjp, "concat")
 
 
 def getitem(a, key):
+    if not _GRAD_ENABLED:
+        return _untracked(_arr(a)[key], "getitem")
     a = as_tensor(a)
 
     def vjp(g):
@@ -411,6 +489,8 @@ def _expand_reduced(g, in_shape, axis, keepdims):
 
 
 def sum_(a, axis=None, keepdims=False):
+    if not _GRAD_ENABLED:
+        return _untracked(np.sum(_arr(a), axis=axis, keepdims=keepdims), "sum")
     a = as_tensor(a)
     return _from_op(
         np.sum(a.data, axis=axis, keepdims=keepdims), (a,),
@@ -419,6 +499,8 @@ def sum_(a, axis=None, keepdims=False):
 
 
 def mean(a, axis=None, keepdims=False):
+    if not _GRAD_ENABLED:
+        return _untracked(np.mean(_arr(a), axis=axis, keepdims=keepdims), "mean")
     a = as_tensor(a)
     out = np.mean(a.data, axis=axis, keepdims=keepdims)
     count = a.data.size if out.size == 0 else a.data.size // max(out.size, 1)
@@ -430,6 +512,8 @@ def mean(a, axis=None, keepdims=False):
 
 
 def max_(a, axis=None, keepdims=False):
+    if not _GRAD_ENABLED:
+        return _untracked(np.max(_arr(a), axis=axis, keepdims=keepdims), "max")
     a = as_tensor(a)
     out = np.max(a.data, axis=axis, keepdims=keepdims)
 
@@ -446,6 +530,36 @@ def detach(a):
     return as_tensor(a).detach()
 
 
+# -- softmax -------------------------------------------------------------------
+
+def _softmax(x, axis):
+    """exp(x - logsumexp(x)) by the numpy steps of the `logsumexp`
+    composite, in its order; returns the output, exp(x - max) and its sum.
+    Only the output is checked: a finite x whose range overflows float64
+    makes x - max infinite, yet exp takes it to 0 and the output is right."""
+    m = np.max(x, axis=axis, keepdims=True)
+    with np.errstate(all="ignore"):
+        e = np.exp(x - m)
+        s = np.sum(e, axis=axis, keepdims=True)
+        return np.exp(x - (np.log(s) + m)), e, s
+
+
+def softmax(a, axis=-1):
+    """One primitive with the bits of `exp(a - logsumexp(a))`, its forward
+    and, when `a` has no other consumer, its gradient: the VJP sums the
+    composite's two paths to `a` in the order the tape replays them."""
+    if not _GRAD_ENABLED:
+        return _untracked(_softmax(_arr(a), axis)[0], "softmax")
+    a = as_tensor(a)
+    out, e, s = _softmax(a.data, axis)
+
+    def vjp(g):
+        t = g * out
+        return (t + _unbroadcast(-t, s.shape) / s * e,)
+
+    return _from_op(out, (a,), vjp, "softmax")
+
+
 # -- stabilized composites -----------------------------------------------------
 
 def logsumexp(a, axis=-1, keepdims=False):
@@ -456,10 +570,6 @@ def logsumexp(a, axis=-1, keepdims=False):
     if keepdims:
         return lse
     return reshape(lse, np.squeeze(m.data, axis=axis).shape)
-
-
-def softmax(a, axis=-1):
-    return exp(as_tensor(a) - logsumexp(a, axis=axis, keepdims=True))
 
 
 def l2_normalize(a, axis=-1):

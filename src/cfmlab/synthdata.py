@@ -309,17 +309,22 @@ def build_dataset(config):
     return Dataset(config=config, classes=classes, splits=splits)
 
 
-def _stack_split(split, clips):
+def _stack_split(split, clips, cfg):
+    n_latent = cfg.n_frames // cfg.downsample
+
+    def stack(rows, shape):  # an empty split keeps the trailing shape
+        return np.stack(rows) if rows else np.zeros((0,) + shape)
+
     tensors = {
         f"data/{split}/class": np.array([u.class_id for u in clips], dtype=np.float64),
         f"data/{split}/seed": np.array([u.seed for u in clips], dtype=np.float64),
-        f"data/{split}/audio": np.stack([u.audio for u in clips]),
-        f"data/{split}/text": np.stack([u.text for u in clips]),
-        f"data/{split}/onsets": np.stack([u.onsets for u in clips]),
+        f"data/{split}/audio": stack([u.audio for u in clips], (n_latent, cfg.d_audio)),
+        f"data/{split}/text": stack([u.text for u in clips], (n_latent, cfg.d_text)),
+        f"data/{split}/onsets": stack([u.onsets for u in clips], (cfg.n_onsets,)),
     }
     for part in PART_ORDER:
-        tensors[f"data/{split}/motion/{part}"] = np.stack(
-            [u.motion[part].frames for u in clips])
+        tensors[f"data/{split}/motion/{part}"] = stack(
+            [u.motion[part].frames for u in clips], (cfg.n_frames, PART_JOINTS[part]))
     return tensors
 
 
@@ -358,7 +363,7 @@ def save_dataset(dataset, out_dir):
 
     for split in SPLITS:
         save_checkpoint(out_dir / f"{split}.bin",
-                        _stack_split(split, dataset.splits[split]))
+                        _stack_split(split, dataset.splits[split], cfg))
     return out_dir
 
 

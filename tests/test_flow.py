@@ -441,3 +441,28 @@ def test_velocity_net_checkpoint_roundtrip(tmp_path):
     cond = rng.standard_normal((4, 6))
     assert np.array_equal(velocity_forward(back, zt, 0.4, cond).data,
                           velocity_forward(net, zt, 0.4, cond).data)
+
+
+@pytest.mark.parametrize("t", [float("nan"), np.float64("nan"), np.array(float("nan")),
+                               np.array([0.5, float("nan")])])
+def test_nan_flow_time_is_rejected_as_out_of_range(t):
+    # NaN passes `t < 0` and `t > 1`; both range checks must still catch it
+    net = _small_net(21)
+    rng = np.random.default_rng(22)
+    zt = rng.standard_normal((2, 4, 6))
+    cond = rng.standard_normal((2, 4, 6))
+    with pytest.raises(NumericError, match=r"flow time t must lie in \[0, 1\]"):
+        velocity_forward(net, zt, t, cond)
+    with pytest.raises(NumericError, match=r"interpolation time t must lie in \[0, 1\]"):
+        interpolate_batch(zt, zt + 1.0, t)
+
+
+def test_scalar_time_row_matches_per_example_time():
+    # a float t takes the cached time-embedding row; an array t builds it
+    net = _small_net(23)
+    rng = np.random.default_rng(24)
+    zt = rng.standard_normal((1, 4, 6))
+    cond = rng.standard_normal((1, 4, 6))
+    for t in (0.0, 0.3, 0.3, 1.0):
+        assert (velocity_forward(net, zt, t, cond).data.tobytes()
+                == velocity_forward(net, zt, np.array([t]), cond).data.tobytes())

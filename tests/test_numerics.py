@@ -10,12 +10,14 @@ from cfmlab.numerics import (
     Tape,
     Tensor,
     adam_step,
+    as_tensor,
     check_gradients,
     concat,
     exp,
     finite_checks,
     finite_difference_gradient,
     gelu,
+    getitem,
     grad,
     inject_backward_fault,
     l2_normalize,
@@ -37,6 +39,7 @@ from cfmlab.numerics import (
     transpose,
     uniform_init,
 )
+from cfmlab.numerics.tensor import add, div, mul, neg, pow_scalar, sub
 
 
 # ---------------------------------------------------------------- grad() basics
@@ -422,9 +425,142 @@ def test_fault_injection_detects_shift():
         assert check_gradients(f, {"w": w})["w"] > 1e-2
 
 
+def test_fault_injection_detects_softmax():
+    # softmax is one tape node, so a fault in its VJP is a fault of 'softmax'
+    rng = np.random.default_rng(1)
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 3)))
+    c = Tensor(rng.standard_normal((2, 4, 3)))
+
+    def f():
+        return sum_(softmax(matmul(x, w)) * c)
+
+    assert check_gradients(f, {"w": w})["w"] < 1e-6
+    with inject_backward_fault("softmax"):
+        assert check_gradients(f, {"w": w})["w"] > 1e-2
+
+
 def test_cli_gradcheck_detects_injected_shift_fault(capsys):
     assert main(["gradcheck", "--inject-fault", "shift"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+# ------------------------------------------------------- untracked fast path
+
+# Each case: (op name in errors, function, operand shapes). Operands are
+# positive; the NaN test puts a NaN at the first and the last entry of the
+# first operand, and every case keeps one of them.
+PRIMITIVES = {
+    "add": ("add", add, [(3, 4), (4,)]),
+    "sub": ("sub", sub, [(3, 4), (3, 1)]),
+    "mul": ("mul", mul, [(2, 3, 4), (3, 4)]),
+    "div": ("div", div, [(3, 4), (3, 4)]),
+    "neg": ("neg", neg, [(3, 4)]),
+    "pow": ("pow", lambda x: pow_scalar(x, 3.0), [(3, 4)]),
+    "exp": ("exp", exp, [(3, 4)]),
+    "log": ("log", log, [(3, 4)]),
+    "sqrt": ("sqrt", sqrt, [(3, 4)]),
+    "tanh": ("tanh", tanh, [(3, 4)]),
+    "gelu": ("gelu", gelu, [(3, 4)]),
+    "matmul": ("matmul", matmul, [(2, 3, 4), (4, 5)]),
+    "reshape": ("reshape", lambda x: reshape(x, (4, 3)), [(3, 4)]),
+    "transpose": ("transpose", lambda x: transpose(x, (2, 0, 1)), [(2, 3, 4)]),
+    "transpose_default": ("transpose", transpose, [(2, 3, 4)]),
+    "swap_last": ("swap_last", swap_last, [(2, 3, 4)]),
+    "shift_next": ("shift", lambda x: shift(x, 1), [(2, 5, 3)]),
+    "shift_back_2": ("shift", lambda x: shift(x, -2), [(2, 5, 3)]),
+    "concat": ("concat", lambda x, y: concat([x, y, x], axis=-2), [(3, 4), (2, 4)]),
+    "getitem": ("getitem", lambda x: getitem(x, [0, 2, 0]), [(3, 4)]),
+    "sum": ("sum", lambda x: sum_(x, axis=1), [(3, 4)]),
+    "sum_all": ("sum", sum_, [(3, 4)]),
+    "mean": ("mean", lambda x: mean(x, axis=0, keepdims=True), [(3, 4)]),
+    "max": ("max", lambda x: max_(x, axis=-1), [(3, 4)]),
+    "softmax": ("softmax", softmax, [(2, 3, 4)]),
+    "softmax_axis0": ("softmax", lambda x: softmax(x, axis=0), [(2, 3, 4)]),
+}
+
+
+def _operands(shapes, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(0.5, 1.5, size=s) for s in shapes]
+
+
+@pytest.mark.parametrize("case", sorted(PRIMITIVES))
+def test_untracked_output_matches_tracked_and_has_no_edges(case):
+    _, fn, shapes = PRIMITIVES[case]
+    arrays = _operands(shapes, len(case))
+    tracked = fn(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert tracked._vjp is not None
+    with no_grad():
+        for operands in ([Tensor(a, requires_grad=True) for a in arrays], arrays):
+            fast = fn(*operands)
+            assert fast.data.tobytes() == tracked.data.tobytes()
+            assert fast.shape == tracked.shape and fast.data.dtype == np.float64
+            assert fast._vjp is None and fast._parents == () and fast._op == "leaf"
+            assert not fast.requires_grad
+
+
+@pytest.mark.parametrize("case", sorted(PRIMITIVES))
+def test_untracked_op_rejects_nan_naming_the_op(case):
+    op, fn, shapes = PRIMITIVES[case]
+    arrays = _operands(shapes, 0)
+    arrays[0].flat[0] = arrays[0].flat[-1] = np.nan
+    with no_grad():
+        with pytest.raises(NumericError, match=f"non-finite values produced by op '{op}'"):
+            fn(*[Tensor(a) for a in arrays])
+
+
+def _composite_softmax(a, axis=-1):
+    """The softmax composite that the primitive replaced, kept as its
+    bitwise reference."""
+    return exp(as_tensor(a) - logsumexp(a, axis=axis, keepdims=True))
+
+
+@pytest.mark.parametrize("shape, axis", [
+    ((3, 4), -1), ((3, 4), 0), ((5,), 0), ((2, 3, 4), 1), ((2, 3, 4), (1, 2)),
+    ((2, 1, 4), (1, 2)), ((2, 3, 1), -1), ((2, 16, 16), -1)])
+def test_softmax_primitive_matches_composite_bitwise(shape, axis):
+    rng = np.random.default_rng(sum(shape))
+    x = Tensor(3.0 * rng.standard_normal(shape), requires_grad=True)
+    c = Tensor(rng.standard_normal(shape))
+    fast, ref = softmax(x, axis=axis), _composite_softmax(x, axis=axis)
+    assert fast.data.tobytes() == ref.data.tobytes()
+    assert len(Tape.from_output(fast).nodes) == 2  # x and the softmax node
+    g_fast = grad(sum_(fast * c), [x])[x].data
+    g_ref = grad(sum_(ref * c), [x])[x].data
+    assert g_fast.tobytes() == g_ref.tobytes()
+
+
+def test_softmax_accepts_a_range_wider_than_float64():
+    # x - max overflows to -inf here; the composite raised at 'sub', though
+    # exp takes that entry to 0 and the softmax itself is exact
+    x = np.array([[-1e308, 0.0, 1e308]])
+    with pytest.raises(NumericError, match="'sub'"), np.errstate(over="ignore"):
+        _composite_softmax(Tensor(x))
+    xt = Tensor(x, requires_grad=True)
+    s = softmax(xt)
+    assert np.array_equal(s.data, [[0.0, 0.0, 1.0]])
+    g = grad(sum_(s * Tensor(np.array([[1.0, 2.0, 3.0]]))), [xt])[xt].data
+    assert np.all(np.isfinite(g))
+
+
+def test_untracked_tensor_is_a_constant_in_a_tracked_graph():
+    rng = np.random.default_rng(7)
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    k = Tensor(rng.standard_normal((2, 3, 4)))
+    with no_grad():
+        c = gelu(matmul(x, w)) + x
+    assert c._parents == ()
+
+    def loss(const):
+        h = softmax(matmul(const, w) * 0.5) * k
+        return sum_(h + tanh(w[0] * const))
+
+    from_untracked = grad(loss(c), [w])[w].data
+    from_array = grad(loss(c.data.copy()), [w])[w].data
+    assert from_untracked.tobytes() == from_array.tobytes()
+    assert np.any(from_untracked != 0.0)
 
 
 # ------------------------------------------------------------------------ Adam
@@ -470,6 +606,27 @@ def test_adam_step_counter_increases():
     for k in range(1, 4):
         adam_step([p], {p: Tensor(np.ones(2))}, state)
         assert state.step == k
+
+
+def test_adam_rejects_non_finite_gradient_before_any_update():
+    # sqrt's backward at 0 is inf; the step must leave everything as it was
+    y = Tensor(np.array([2.0, -1.0, 0.5]), requires_grad=True)
+    x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+    state = AdamState(lr=1e-2)
+    adam_step([y, x], {y: Tensor(np.ones(3)), x: Tensor(np.zeros(2))}, state)
+    snapshot = (y.data.copy(), x.data.copy(), state.step,
+                {k: v.copy() for k, v in state.m.items()},
+                {k: v.copy() for k, v in state.v.items()})
+    with np.errstate(divide="ignore"):
+        g = grad(sum_(sqrt(x)) + sum_(y * y), [y, x])
+    assert np.isinf(g[x].data[0]) and g[x].data[1] == 0.5
+    with pytest.raises(NumericError, match=r"parameter 1 of shape \(2,\)"):
+        adam_step([y, x], g, state)
+    assert np.array_equal(y.data, snapshot[0]) and np.array_equal(x.data, snapshot[1])
+    assert state.step == snapshot[2]
+    for now, before in ((state.m, snapshot[3]), (state.v, snapshot[4])):
+        assert now.keys() == before.keys()
+        assert all(np.array_equal(now[k], before[k]) for k in now)
 
 
 # ----------------------------------------------------------------------- misc

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cfmlab import synthdata
+from cfmlab.checkpoint import load_checkpoint
+from cfmlab.cli import main
 from cfmlab.codec import PART_JOINTS, PART_ORDER, MotionClip, init_part_codec
 from cfmlab.flow import NegativePairing, init_velocity_net
 from cfmlab.metrics import OnsetTrack, beat_consistency, extract_kinematic_peaks, fgd, motion_features
@@ -290,6 +293,21 @@ def test_dataset_files_byte_identical(tmp_path):
     save_dataset(build_dataset(cfg), tmp_path / "b")
     for name in ("manifest.json", "classes.bin", "train.bin", "val.bin", "test.bin"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_make_data_with_an_empty_split_roundtrips(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"n_clips": 20, "ratios": [0.5, 0.0, 0.5]}}))
+    assert main(["make-data", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    tensors = load_checkpoint(tmp_path / "d" / "val.bin")
+    assert tensors["data/val/audio"].shape == (0, 16, 16)
+    assert tensors["data/val/motion/hand"].shape == (0, 64, PART_JOINTS["hand"])
+    ds = load_dataset(tmp_path / "d")
+    assert ds.splits["val"] == []
+    assert [len(ds.splits[s]) for s in ("train", "test")] == [10, 10]
+    built = build_dataset(ds.config)
+    for ua, ub in zip(built.splits["test"], ds.splits["test"]):
+        assert ua.seed == ub.seed and np.array_equal(ua.audio, ub.audio)
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
