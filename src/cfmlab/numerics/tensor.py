@@ -4,9 +4,13 @@ Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
 the primitive set is deliberately small -- matmul, elementwise arithmetic,
 exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose, the
-clamped neighbour-row `shift`, and the stabilized `softmax`, one primitive
-whose forward and gradient keep the bits of exp(x - logsumexp(x)); the
+clamped neighbour-row `shift`, and `softmax`, one primitive in closed form:
+exp(x - max) / sum, with the gradient t - out * sum(t), t = g * out. The
 logsumexp/l2-normalize composites are built on top.
+
+When the right operand of `matmul` is a 2-d weight, each of its gradients
+is one gemm over the batch rows folded into one axis, not one product per
+batch slice: the weight gradient is never held as a (B, k, n) stack.
 
 Under `no_grad` a primitive runs only its numpy forward and its finite
 check: its output is untracked, with no VJP closure and no parents, so it
@@ -127,6 +131,10 @@ class Tensor:
     # identity-based hashing: tensors are graph nodes, not values
     __hash__ = object.__hash__
 
+    # numpy defers to the reflected operators below, so `ndarray op Tensor`
+    # runs the op (and its finite check) instead of building an object array
+    __array_ufunc__ = None
+
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
         return add(self, other)
@@ -155,6 +163,9 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def __pow__(self, exponent):
         return pow_scalar(self, exponent)
@@ -299,9 +310,13 @@ def pow_scalar(a, exponent):
     if not _GRAD_ENABLED:
         return _untracked(_quiet(operator.pow, _arr(a), c), "pow")
     a = as_tensor(a)
-    return _from_op(
-        _quiet(operator.pow, a.data, c), (a,),
-        lambda g: (g * c * a.data ** (c - 1.0),), "pow")
+
+    def vjp(g):
+        ga = _quiet(lambda: g * c * a.data ** (c - 1.0))
+        _check_finite(ga, "pow backward")  # e.g. x ** 0.5 at x = 0
+        return (ga,)
+
+    return _from_op(_quiet(operator.pow, a.data, c), (a,), vjp, "pow")
 
 
 def exp(a):
@@ -324,7 +339,13 @@ def sqrt(a):
         return _untracked(_quiet(np.sqrt, _arr(a)), "sqrt")
     a = as_tensor(a)
     out = _quiet(np.sqrt, a.data)
-    return _from_op(out, (a,), lambda g: (g * 0.5 / out,), "sqrt")
+
+    def vjp(g):
+        ga = _quiet(lambda: g * 0.5 / out)
+        _check_finite(ga, "sqrt backward")  # infinite slope at x = 0
+        return (ga,)
+
+    return _from_op(out, (a,), vjp, "sqrt")
 
 
 def tanh(a):
@@ -364,12 +385,19 @@ def _matmul(x, y):
 
 
 def matmul(a, b):
+    """a @ b; a 2-d `b` takes both gradients over a's folded batch rows."""
     if not _GRAD_ENABLED:
         return _untracked(_matmul(_arr(a), _arr(b)), "matmul")
     a, b = as_tensor(a), as_tensor(b)
     out = _matmul(a.data, b.data)
 
     def vjp(g):
+        if b.data.ndim == 2:  # (..., k) @ (k, n): one gemm per gradient
+            k, n = b.data.shape
+            g2 = g.reshape(-1, n)
+            ga = (g2 @ b.data.T).reshape(a.data.shape) if _needs(a) else None
+            gb = a.data.reshape(-1, k).T @ g2 if _needs(b) else None
+            return (ga, gb)
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) \
             if _needs(a) else None
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) \
@@ -533,29 +561,25 @@ def detach(a):
 # -- softmax -------------------------------------------------------------------
 
 def _softmax(x, axis):
-    """exp(x - logsumexp(x)) by the numpy steps of the `logsumexp`
-    composite, in its order; returns the output, exp(x - max) and its sum.
-    Only the output is checked: a finite x whose range overflows float64
-    makes x - max infinite, yet exp takes it to 0 and the output is right."""
-    m = np.max(x, axis=axis, keepdims=True)
+    """exp(x - max) / sum in closed form; no log of the sum is added back to
+    a large max, where it would round away. Only the output is checked: a
+    finite x whose range overflows float64 makes x - max infinite, yet exp
+    takes it to 0 and the output is right."""
     with np.errstate(all="ignore"):
-        e = np.exp(x - m)
-        s = np.sum(e, axis=axis, keepdims=True)
-        return np.exp(x - (np.log(s) + m)), e, s
+        e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+        return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def softmax(a, axis=-1):
-    """One primitive with the bits of `exp(a - logsumexp(a))`, its forward
-    and, when `a` has no other consumer, its gradient: the VJP sums the
-    composite's two paths to `a` in the order the tape replays them."""
+    """Softmax along `axis` as one primitive, in closed form both ways."""
     if not _GRAD_ENABLED:
-        return _untracked(_softmax(_arr(a), axis)[0], "softmax")
+        return _untracked(_softmax(_arr(a), axis), "softmax")
     a = as_tensor(a)
-    out, e, s = _softmax(a.data, axis)
+    out = _softmax(a.data, axis)
 
     def vjp(g):
         t = g * out
-        return (t + _unbroadcast(-t, s.shape) / s * e,)
+        return (t - out * np.sum(t, axis=axis, keepdims=True),)
 
     return _from_op(out, (a,), vjp, "softmax")
 

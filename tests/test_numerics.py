@@ -1,5 +1,8 @@
 """Autodiff engine: finite-difference agreement, tape semantics, Adam."""
 
+import operator
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,8 @@ OP_CASES = {
     "gelu": lambda r: (lambda x: sum_(gelu(x)), r.standard_normal((3, 4))),
     "matmul": lambda r: (lambda x, c=Tensor(r.standard_normal((4, 2))): sum_(matmul(x, c)), r.standard_normal((3, 4))),
     "matmul_batched": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 3, 4))): sum_(matmul(c, x)), r.standard_normal((4, 2))),
+    "matmul_4d_weight": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 3, 4, 4))): sum_(matmul(x, x[1, 2]) * c), r.standard_normal((2, 3, 4, 4))),
+    "matmul_strided_input": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 2))): sum_(matmul(swap_last(x), x[0, :, :2]) * c), r.standard_normal((2, 3, 4))),
     "reshape": lambda r: (lambda x, c=Tensor(r.standard_normal((4, 3))): sum_(reshape(x, (4, 3)) * c), r.standard_normal((3, 4))),
     "transpose": lambda r: (lambda x, c=Tensor(r.standard_normal((4, 3))): sum_(transpose(x, (1, 0)) * c), r.standard_normal((3, 4))),
     "transpose_negative_axes": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 3))): sum_(transpose(x, (0, -1, -2)) * c), r.standard_normal((2, 3, 4))),
@@ -194,6 +199,17 @@ def test_softmax_stable_at_large_inputs():
     assert np.all(np.isfinite(s.data))
     g = grad(sum_(s * Tensor(np.array([[1.0, 2.0, 3.0]]))), [x])
     assert np.all(np.isfinite(g[x].data))
+
+
+@pytest.mark.parametrize("big", [1e15, 1e17])
+def test_softmax_of_a_tie_at_a_large_value_is_exact(big):
+    x = Tensor(np.array([big, big]), requires_grad=True)
+    s = softmax(x)
+    assert s.data.tolist() == [0.5, 0.5]
+    g = grad(sum_(s * Tensor(np.array([1.0, 2.0]))), [x])[x]
+    assert g.data.tolist() == [-0.25, 0.25]
+    with no_grad():
+        assert softmax(x).data.tolist() == [0.5, 0.5]
 
 
 def test_logsumexp_tuple_axes_value():
@@ -396,6 +412,100 @@ def test_matmul_rejects_vectors():
         matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
+@pytest.mark.parametrize("op, fn", [("sqrt", sqrt), ("pow", lambda x: pow_scalar(x, 0.5))])
+def test_backward_at_a_domain_edge_raises_naming_the_op(op, fn):
+    # the slope of sqrt at 0 is infinite; the forward there is finite
+    x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
+    y = sum_(fn(x))
+    assert y.item() == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        with pytest.raises(NumericError, match=f"produced by op '{op} backward'"):
+            grad(y, [x])
+
+
+# ------------------------------------------------ matmul weight-gradient fold
+
+def _per_slice_matmul_grads(a, b, g):
+    """The matmul VJP before the fold, kept as the reference: one product
+    per batch slice for each gradient, and the weight gradient summed from
+    its stack of per-slice products."""
+    ga = g @ np.swapaxes(b, -1, -2)
+    ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim))).reshape(a.shape)
+    gb = np.swapaxes(a, -1, -2) @ g
+    gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim))).reshape(b.shape)
+    return ga, gb
+
+
+# (a's shape, b's shape, whether a is a swap_last view); a 2-d b is folded
+FOLD_CASES = {
+    "conv_block": ((128, 16, 192), (192, 64), False),
+    "4d": ((2, 3, 5, 4), (4, 6), False),
+    "strided": ((3, 7, 5), (7, 4), True),
+    "2d": ((5, 4), (4, 3), False),
+    "attention": ((2, 5, 4), (2, 4, 5), False),
+    "2d_at_3d": ((5, 4), (2, 4, 3), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_matmul_gradients_match_the_per_slice_formula(case):
+    a_shape, b_shape, strided = FOLD_CASES[case]
+    rng = np.random.default_rng(len(a_shape) + sum(b_shape))
+    a = Tensor(rng.standard_normal(a_shape), requires_grad=True)
+    b = Tensor(rng.standard_normal(b_shape), requires_grad=True)
+    lhs = swap_last(a) if strided else a
+    out = matmul(lhs, b)
+    c = rng.standard_normal(out.shape)
+    g = grad(sum_(out * Tensor(c)), [a, b])
+    ga, gb = _per_slice_matmul_grads(lhs.data, b.data, c)
+    if strided:
+        ga = np.swapaxes(ga, -1, -2)
+    for got, ref in ((g[a].data, ga), (g[b].data, gb)):
+        assert got.shape == ref.shape
+        if len(b_shape) == 2:  # folded: the sum runs in another order
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_matmul_zero_row_batch_gives_zero_weight_gradient():
+    a = Tensor(np.zeros((0, 4, 3)), requires_grad=True)
+    w = Tensor(np.ones((3, 2)), requires_grad=True)
+    g = grad(sum_(matmul(a, w)), [a, w])
+    assert g[w].shape == (3, 2) and not np.any(g[w].data)
+    assert g[a].shape == (0, 4, 3)
+
+
+# ------------------------------------------------- ndarray on the left of a Tensor
+
+LEFT_ARRAY_OPS = {
+    "add": (operator.add, add),
+    "sub": (operator.sub, sub),
+    "mul": (operator.mul, mul),
+    "div": (operator.truediv, div),
+    "matmul": (operator.matmul, matmul),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_ARRAY_OPS))
+def test_ndarray_on_the_left_runs_the_tensor_op(name):
+    sugar, op = LEFT_ARRAY_OPS[name]
+    rng = np.random.default_rng(3)
+    arr = rng.uniform(0.5, 1.5, size=(2, 3, 3))
+    x = Tensor(rng.uniform(0.5, 1.5, size=(3, 3)), requires_grad=True)
+    out = sugar(arr, x)
+    assert isinstance(out, Tensor)
+    ref = op(arr, x)
+    assert out.data.tobytes() == ref.data.tobytes()
+    g = grad(sum_(out), [x])[x].data
+    assert g.tobytes() == grad(sum_(ref), [x])[x].data.tobytes()
+    assert np.any(g != 0.0)
+    arr[0, 0, 0] = np.nan
+    with pytest.raises(NumericError, match=f"produced by op '{name}'"):
+        sugar(arr, x)
+
+
 def test_fault_injection_is_detected():
     rng = np.random.default_rng(0)
     w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -512,7 +622,7 @@ def test_untracked_op_rejects_nan_naming_the_op(case):
 
 def _composite_softmax(a, axis=-1):
     """The softmax composite that the primitive replaced, kept as its
-    bitwise reference."""
+    reference to within 1e-14 relative."""
     return exp(as_tensor(a) - logsumexp(a, axis=axis, keepdims=True))
 
 
@@ -524,11 +634,13 @@ def test_softmax_primitive_matches_composite_bitwise(shape, axis):
     x = Tensor(3.0 * rng.standard_normal(shape), requires_grad=True)
     c = Tensor(rng.standard_normal(shape))
     fast, ref = softmax(x, axis=axis), _composite_softmax(x, axis=axis)
-    assert fast.data.tobytes() == ref.data.tobytes()
+    np.testing.assert_allclose(fast.data, ref.data, rtol=1e-14, atol=0.0)
     assert len(Tape.from_output(fast).nodes) == 2  # x and the softmax node
     g_fast = grad(sum_(fast * c), [x])[x].data
     g_ref = grad(sum_(ref * c), [x])[x].data
-    assert g_fast.tobytes() == g_ref.tobytes()
+    # entries of t - out * sum(t) can cancel, so the gradient's tolerance is
+    # relative to its largest entry
+    assert np.max(np.abs(g_fast - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
 
 
 def test_softmax_accepts_a_range_wider_than_float64():
@@ -609,7 +721,8 @@ def test_adam_step_counter_increases():
 
 
 def test_adam_rejects_non_finite_gradient_before_any_update():
-    # sqrt's backward at 0 is inf; the step must leave everything as it was
+    # sqrt's backward at 0 is inf (it raises unless the finite checks are
+    # off); the step must leave everything as it was
     y = Tensor(np.array([2.0, -1.0, 0.5]), requires_grad=True)
     x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
     state = AdamState(lr=1e-2)
@@ -617,7 +730,7 @@ def test_adam_rejects_non_finite_gradient_before_any_update():
     snapshot = (y.data.copy(), x.data.copy(), state.step,
                 {k: v.copy() for k, v in state.m.items()},
                 {k: v.copy() for k, v in state.v.items()})
-    with np.errstate(divide="ignore"):
+    with finite_checks(False):
         g = grad(sum_(sqrt(x)) + sum_(y * y), [y, x])
     assert np.isinf(g[x].data[0]) and g[x].data[1] == 0.5
     with pytest.raises(NumericError, match=r"parameter 1 of shape \(2,\)"):
