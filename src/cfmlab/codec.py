@@ -115,6 +115,10 @@ class CodebookStack:
             stages.append(np.array(tensors[f"codebook/{part}/{len(stages)}"]))
         if not stages:
             raise CheckpointError(f"no codebooks for part {part!r} in checkpoint")
+        for s, book in enumerate(stages):  # stage1_from_tensors matches widths to d_g
+            if book.ndim != 2 or book.shape[0] < 2:
+                raise CheckpointError(f"codebook/{part}/{s}: shape {book.shape} "
+                                      f"is not (K >= 2 codes, d_g)")
         return cls(
             part=part,
             stages=stages,
@@ -169,9 +173,39 @@ class PartCodecParams:
         except KeyError as exc:
             raise CheckpointError(
                 f"missing codec tensor for part {part!r}: {exc}") from exc
+        _check_codec_shapes(part, {n: v.data for n, v in zip(names, vals)})
         scale = tensors.get(f"codec/{part}/in_scale", 1.0)
-        scale = float(np.asarray(scale.data if isinstance(scale, Tensor) else scale))
-        return cls(part, *vals, in_scale=scale)
+        scale = np.asarray(scale.data if isinstance(scale, Tensor) else scale,
+                           dtype=np.float64)
+        if scale.size != 1 or not 0.0 < scale.item() < np.inf:
+            raise CheckpointError(
+                f"codec/{part}/in_scale: must be one finite number > 0, got {scale}")
+        return cls(part, *vals, in_scale=scale.item())
+
+
+def _check_codec_shapes(part, arrays):
+    """Refuse codec weights whose shapes do not chain: window -> hidden ->
+    d_g through the encoder, (d_g or 3 d_g) -> hidden -> window back."""
+    def refuse(name, want):
+        raise CheckpointError(
+            f"codec/{part}/{name}: shape {arrays[name].shape}, expected {want}")
+
+    for name in ("enc_w1", "enc_w2", "dec_w1"):
+        if arrays[name].ndim != 2 or 0 in arrays[name].shape:
+            refuse(name, "a non-empty 2-d weight")
+    window, hidden = arrays["enc_w1"].shape
+    if window % PART_JOINTS[part]:
+        refuse("enc_w1", f"rows a multiple of the {PART_JOINTS[part]} joints")
+    d_g = arrays["enc_w2"].shape[1]
+    if arrays["dec_w1"].shape[0] not in (d_g, 3 * d_g):
+        refuse("dec_w1", f"{d_g} or {3 * d_g} rows (d_g or 3 d_g)")
+    dec_hidden = arrays["dec_w1"].shape[1]
+    want = {"enc_b1": (hidden,), "enc_w2": (hidden, d_g), "enc_b2": (d_g,),
+            "dec_b1": (dec_hidden,), "dec_w2": (dec_hidden, window),
+            "dec_b2": (window,)}
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            refuse(name, shape)
 
 
 def init_part_codec(rng, part, downsample=4, d_g=8, hidden=HIDDEN, in_scale=1.0):
@@ -276,8 +310,11 @@ def rvq_quantize_batch(z, stages, return_stage_inputs=False):
     for s, book in enumerate(stages):
         if return_stage_inputs:
             stage_inputs.append(residual.copy())
-        # argmin_k ||r - c_k||^2 = argmin_k (||c_k||^2 - 2 r.c_k)
-        scores = np.sum(book * book, axis=1) - 2.0 * (residual @ book.T)
+        # argmin_k ||r - c_k||^2 = argmin_k (||c_k||^2 - 2 r.c_k), built in
+        # place: ||c||^2 + (-2 r.c) is the same float as ||c||^2 - 2 r.c
+        scores = residual @ book.T
+        scores *= -2.0
+        scores += np.sum(book * book, axis=1)
         idx = np.argmin(scores, axis=-1)
         chosen = book[idx]
         quantized += chosen
@@ -356,8 +393,10 @@ def ema_codebook_update(stack, codes, stage_inputs, decay=0.99, rng=None,
         idx = codes[..., s].reshape(-1)
         vecs = np.asarray(stage_inputs[s], dtype=np.float64).reshape(-1, d)
         counts = np.bincount(idx, minlength=k).astype(np.float64)
-        sums = np.zeros((k, d))
-        np.add.at(sums, idx, vecs)
+        # per column, bincount adds each bin's weights in input order, as
+        # np.add.at does, at a fraction of its cost
+        sums = np.stack([np.bincount(idx, weights=vecs[:, j], minlength=k)
+                         for j in range(d)], axis=1)
         stack.ema_counts[s] = decay * stack.ema_counts[s] + (1.0 - decay) * counts
         stack.ema_vectors[s] = decay * stack.ema_vectors[s] + (1.0 - decay) * sums
         rows = stack.ema_vectors[s] / np.maximum(stack.ema_counts[s], 1e-8)[:, None]

@@ -10,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
+import typing
 from dataclasses import dataclass, field
 
 from .flow import NEGATIVE_MODES
@@ -182,11 +185,26 @@ def validate_config(cfg):
     return cfg
 
 
+# what a field annotated with the key accepts: a bool is not a number, a
+# float is not an int, and a float field takes an int but no inf or NaN
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral)),
+    float: ("a finite number", lambda v: isinstance(v, numbers.Real) and abs(v) < math.inf),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def _build_section(cls, payload, path):
     names = {fld.name for fld in dataclasses.fields(cls)}
     unknown = sorted(set(payload) - names)
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown config key")
+    for name, kind in typing.get_type_hints(cls).items():
+        if name in payload and kind in _FIELD_TYPES:
+            what, accepts = _FIELD_TYPES[kind]
+            value = payload[name]
+            if isinstance(value, bool) or not accepts(value):
+                raise ConfigError(f"{path}.{name}: must be {what}, got {value!r}")
     kwargs = dict(payload)
     if "ratios" in kwargs:
         kwargs["ratios"] = tuple(kwargs["ratios"])

@@ -4,9 +4,15 @@ Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
 the primitive set is deliberately small -- matmul, elementwise arithmetic,
 exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose, the
-clamped neighbour-row `shift`, and `softmax`, one primitive in closed form:
-exp(x - max) / sum, with the gradient t - out * sum(t), t = g * out. The
+clamped neighbour-row `shift`, `softmax`, one primitive in closed form:
+exp(x - max) / sum, with the gradient t - out * sum(t), t = g * out, and
+`mse`, one node for mean((a - b)^2) instead of sub, mul and mean. The
 logsumexp/l2-normalize composites are built on top.
+
+GELU's forward and VJP each run their elementwise passes in place in one
+buffer, in the operation order of the plain expressions, so the bits are
+those of `x * cdf`, cdf = 0.5 * (1 + erf(x * _INV_SQRT2)), and of
+`g * (cdf + x * pdf)`, pdf = exp(-0.5 * x * x) * _INV_SQRT2PI.
 
 When the right operand of `matmul` is a 2-d weight, each of its gradients
 is one gemm over the batch rows folded into one axis, not one product per
@@ -357,7 +363,13 @@ def tanh(a):
 
 
 def _gelu_cdf(x):
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    """0.5 * (1 + erf(x / sqrt 2)), each pass in place in one buffer laid
+    out like x (a 0-d x still gets an array, which erf can write into)."""
+    c = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    erf(c, out=c)
+    c += 1.0
+    c *= 0.5
+    return c
 
 
 def gelu(a):
@@ -370,8 +382,16 @@ def gelu(a):
     cdf = _gelu_cdf(x)
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * exp(-x^2 / 2) / sqrt(2 pi)), one operation at a time
+        # in that order, in one buffer
+        p = np.multiply(x, -0.5, out=np.empty_like(x))
+        p *= x
+        np.exp(p, out=p)
+        p *= _INV_SQRT2PI
+        p *= x
+        p += cdf
+        p *= g
+        return (p,)
 
     return _from_op(x * cdf, (a,), vjp, "gelu")
 
@@ -584,6 +604,34 @@ def softmax(a, axis=-1):
     return _from_op(out, (a,), vjp, "softmax")
 
 
+# -- mean squared error ---------------------------------------------------------
+
+def _mse(x, y):
+    """d = x - y and mean(d * d). Only the output is checked: squares cannot
+    cancel, so a non-finite d or d * d leaves a non-finite mean."""
+    d = x - y
+    if d.size == 0:
+        raise NumericError("op 'mse' needs non-empty operands")
+    return d, np.mean(d * d)
+
+
+def mse(a, b):
+    """mean((a - b)^2) over every entry of the broadcast difference, as one
+    primitive; the gradient is 2 (g / n) d, built as t + t, t = d * (g / n)."""
+    if not _GRAD_ENABLED:
+        return _untracked(_mse(_arr(a), _arr(b))[1], "mse")
+    a, b = as_tensor(a), as_tensor(b)
+    d, out = _mse(a.data, b.data)
+
+    def vjp(g):
+        t = d * (g / d.size)
+        t += t
+        return (_unbroadcast(t, a.data.shape) if _needs(a) else None,
+                _unbroadcast(-t, b.data.shape) if _needs(b) else None)
+
+    return _from_op(out, (a, b), vjp, "mse")
+
+
 # -- stabilized composites -----------------------------------------------------
 
 def logsumexp(a, axis=-1, keepdims=False):
@@ -599,11 +647,6 @@ def logsumexp(a, axis=-1, keepdims=False):
 def l2_normalize(a, axis=-1):
     a = as_tensor(a)
     return a / sqrt(sum_(a * a, axis=axis, keepdims=True))
-
-
-def mse(a, b):
-    d = as_tensor(a) - as_tensor(b)
-    return mean(d * d)
 
 
 # -- tape view ----------------------------------------------------------------

@@ -32,7 +32,7 @@ from .alignment import (
     ProjectionHeads,
     temporal_pool_batch,
 )
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .codec import (
     PART_ORDER,
     CodebookStack,
@@ -344,9 +344,15 @@ def save_stage1_checkpoint(path, codecs, stacks):
 
 
 def stage1_from_tensors(tensors):
-    """(codecs, stacks) from named checkpoint tensors."""
+    """(codecs, stacks) from named checkpoint tensors, whose shapes must fit
+    together: a codebook's width is its part's d_g."""
     codecs = {p: PartCodecParams.from_named_tensors(tensors, p) for p in PART_ORDER}
     stacks = {p: CodebookStack.from_named_tensors(tensors, p) for p in PART_ORDER}
+    for p in PART_ORDER:
+        for s, book in enumerate(stacks[p].stages):
+            if book.shape[1] != codecs[p].d_g:
+                raise CheckpointError(f"codebook/{p}/{s}: width {book.shape[1]} "
+                                      f"!= codec d_g {codecs[p].d_g}")
     return codecs, stacks
 
 

@@ -10,6 +10,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 import cfmlab
 from cfmlab import evaluate, sampler
+from cfmlab.codec import PART_ORDER
 from cfmlab.config import config_from_dict
 from cfmlab.numerics import Tape
 from cfmlab.synthdata import build_dataset
@@ -70,18 +72,28 @@ def test_bench_names_resolve(module, attr):
 # A traced run reads a layer's calls from the spans its wraps record, so a
 # call that moves to a name perfbench does not wrap reads 0 without failing.
 
-def _span_calls(fn):
-    """Run fn under perfbench's own wraps; span name -> calls."""
+@contextmanager
+def _probed():
+    """perfbench's own wraps installed: (tracer, probe, span name -> calls)."""
     layers, spans = _perfbench("layers"), _perfbench("spans")
     tracer = spans.Tracer()
     modules = {m: importlib.import_module(f"cfmlab.{m}") for m, _, _ in layers.WRAPS}
     probe = layers.LayerProbe(tracer, modules, Tape)
     probe.install()
+    calls = {}
     try:
-        fn()
+        yield tracer, probe, calls
     finally:
         probe.restore()
-    return {name: row["calls"] for name, row in spans.summarize(tracer.spans).items()}
+    calls.update((name, row["calls"])
+                 for name, row in spans.summarize(tracer.spans).items())
+
+
+def _span_calls(fn):
+    """Run fn under perfbench's own wraps; span name -> calls."""
+    with _probed() as (_, _, calls):
+        fn()
+    return calls
 
 
 def _tiny_model():
@@ -115,6 +127,34 @@ def test_generate_split_spans_one_condition_per_clip():
                                                         codecs, proj=proj))
     assert calls["flow.condition"] == len(clips)
     assert calls["flow.field_eval"] == calls["sampler.integrate_ode"] * cfg.sampler.steps
+
+
+def test_one_stage1_step_spans_each_codec_layer_once_per_part():
+    # codec.code_usage and the stage-1 spans read what these hooks and wraps
+    # see; a step that went around them would read 0 and fail nothing else
+    cfg = config_from_dict({
+        "seed": 4,
+        "dataset": {"n_classes": 2, "n_clips": 10, "n_frames": 32,
+                    "n_onsets": 2, "ratios": [0.5, 0.0, 0.5]},
+        "codec": {"epochs": 1, "batch": 8, "n_codes": 8}})
+    ds = build_dataset(cfg.dataset)
+    parts, stage1 = len(PART_ORDER), _perfbench("layers").STAGE1
+    with _probed() as (tracer, probe, calls):
+        with tracer.span(stage1):
+            train_codec(cfg, ds)
+    assert calls["numerics.grad"] == 1  # 5 training clips, one batch
+    # init_stage1 encodes each part once more, to seed its codebooks
+    assert calls["codec.encode"] == 2 * parts
+    for name in ("codec.rvq_quantize", "codec.decode", "codec.ema_update"):
+        assert calls[name] == parts, name
+    kept = list(probe.stage1_codes.values())
+    assert len(kept) == parts and all(len(k) == 1 for k in kept)
+    for (codes,) in kept:
+        assert codes.dtype == np.int64
+        assert codes.shape == (5, 32 // cfg.codec.downsample, cfg.codec.depth)
+    assert probe.code_usage(cfg.codec.epochs, cfg.codec.n_codes) > 0.0
+    # each part's reconstruction and commitment mse is one node of the 137
+    assert probe.tape[stage1] == [(137, 16)]
 
 
 def _import_probe():

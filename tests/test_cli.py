@@ -4,17 +4,21 @@ exported names."""
 
 import importlib
 import json
+import math
 import pkgutil
+import re
 
+import numpy as np
 import pytest
 
 import cfmlab
 from cfmlab.alignment import ProjectionHeads
-from cfmlab.checkpoint import CheckpointError
+from cfmlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import CodebookStack, PartCodecParams
 from cfmlab.flow import VelocityNet
 from cfmlab.sampler import ManifoldProjection
+from cfmlab.training import stage1_from_tensors
 
 TINY = {"seed": 2, "dataset": {"n_classes": 3, "n_clips": 20, "n_frames": 32,
                                "n_onsets": 3, "ratios": [0.6, 0.0, 0.4]},
@@ -36,6 +40,7 @@ def _exits_2(argv, capsys, match):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and match in err, err
+    assert err.count("\n") == 1, err  # one line, no traceback
 
 
 def test_missing_checkpoint_file_exits_2(tmp_path, capsys):
@@ -66,6 +71,18 @@ def test_bad_dataset_field_exits_2_naming_it(tmp_path, capsys, dataset, field):
              capsys, field)
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"codec": {"epochs": "ten"}}, "codec.epochs: must be an integer, got 'ten'"),
+    ({"codec": {"epochs": 2.5}}, "codec.epochs: must be an integer, got 2.5"),
+    ({"dataset": {"noise": math.inf}}, "dataset.noise: must be a finite number"),
+], ids=["str_for_int", "float_for_int", "inf_for_float"])
+def test_wrong_field_type_exits_2_naming_it(tmp_path, capsys, payload, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))  # inf is written as Infinity
+    _exits_2(["make-data", "--config", str(cfg), "--out", str(tmp_path / "o")],
+             capsys, field)
+
+
 def test_out_path_is_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
@@ -77,6 +94,51 @@ def test_stage1_checkpoint_alone_exits_2(stage1, tmp_path, capsys, command):
     cfg, ckpt = stage1
     _exits_2([command, "--config", str(cfg), "--out", str(tmp_path),
               "--checkpoint", str(ckpt)], capsys, "missing flow tensor")
+
+
+# (tensor, how it is altered, what the error says after the tensor's name);
+# TINY trains d_g = 8, hidden = 64, 16 codes
+MISFIT_STAGE1 = {
+    "codebook_width": ("codebook/hand/1", lambda a: a[:, :4], "width 4 != codec d_g 8"),
+    "codebook_one_code": ("codebook/lower/0", lambda a: a[:1], "is not (K >= 2"),
+    "codebook_vector": ("codebook/face/0", lambda a: a[0], "is not (K >= 2"),
+    "in_scale_zero": ("codec/face/in_scale", lambda a: a * 0.0, "finite number > 0"),
+    "in_scale_negative": ("codec/hand/in_scale", lambda a: -a, "finite number > 0"),
+    "in_scale_vector": ("codec/hand/in_scale", lambda a: np.ones(2), "finite number > 0"),
+    "dec_w1_rows": ("codec/face/dec_w1", lambda a: a[:20], "8 or 24 rows"),
+    "enc_w1_3d": ("codec/hand/enc_w1", lambda a: a[None], "2-d weight"),
+    "enc_w1_window": ("codec/upper/enc_w1", lambda a: a[:-1], "multiple of the 12 joints"),
+    "enc_b1": ("codec/upper/enc_b1", lambda a: a[:-1], "expected (64,)"),
+    "enc_w2": ("codec/lower/enc_w2", lambda a: a[:-1], "expected (64, 8)"),
+    "enc_b2": ("codec/lower/enc_b2", lambda a: a[:-1], "expected (8,)"),
+    "dec_b1": ("codec/hand/dec_b1", lambda a: a[:-1], "expected (64,)"),
+    "dec_w2": ("codec/face/dec_w2", lambda a: a[:, :-1], "expected (64, 64)"),
+    "dec_b2": ("codec/face/dec_b2", lambda a: a[:-1], "expected (64,)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_STAGE1))
+def test_stage1_tensors_that_do_not_fit_exit_2_naming_the_tensor(stage1, tmp_path,
+                                                                 capsys, case):
+    name, alter, why = MISFIT_STAGE1[case]
+    cfg, ckpt = stage1
+    tensors = load_checkpoint(ckpt)
+    tensors[name] = alter(tensors[name])
+    save_checkpoint(tmp_path / "bad.bin", tensors)
+    _exits_2(["train-generator", "--config", str(cfg), "--out", str(tmp_path),
+              "--checkpoint", str(tmp_path / "bad.bin")], capsys, f"{name}: ")
+    assert not (tmp_path / "generator.bin").exists()
+    with pytest.raises(CheckpointError, match=re.escape(why)):
+        stage1_from_tensors(tensors)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_non_finite_in_scale_is_a_checkpoint_error(stage1, scale):
+    # a file cannot hold one (save and load refuse it); tensors in memory can
+    tensors = load_checkpoint(stage1[1])
+    tensors["codec/upper/in_scale"] = np.float64(scale)
+    with pytest.raises(CheckpointError, match="codec/upper/in_scale: "):
+        stage1_from_tensors(tensors)
 
 
 @pytest.mark.parametrize("load", [

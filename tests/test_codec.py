@@ -166,6 +166,58 @@ def test_rvq_residual_norms_non_increasing():
     assert np.all(np.diff(norms, axis=-1) <= 1e-12)
 
 
+def _old_rvq(z, stages):
+    """rvq_quantize_batch before it built its scores in place, kept as the
+    reference: (quantized, codes, norms, stage inputs, scores per stage)."""
+    residual = z.copy()
+    quantized = np.zeros_like(z)
+    codes, norms, inputs, scores = [], [], [], []
+    for book in stages:
+        inputs.append(residual.copy())
+        scores.append(np.sum(book * book, axis=1) - 2.0 * (residual @ book.T))
+        idx = np.argmin(scores[-1], axis=-1)
+        quantized += book[idx]
+        residual -= book[idx]
+        codes.append(idx)
+        norms.append(np.linalg.norm(residual, axis=-1))
+    return quantized, np.stack(codes, -1), np.stack(norms, -1), inputs, scores
+
+
+def _tie_case(rng):
+    # every code but the first scores exactly 1, so argmin must take code 1
+    book = np.array([[3.0, 3.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    return np.array([[0.0, 0.5], [0.0, -2.0]]), [book, book]
+
+
+RVQ_CASES = {
+    "batched": lambda r: (r.standard_normal((4, 32, 8)),
+                          [r.standard_normal((64, 8)) * 0.5 ** s for s in range(3)]),
+    "single_vector": lambda r: (r.standard_normal(6), [r.standard_normal((16, 6))]),
+    "tie": _tie_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(RVQ_CASES))
+def test_rvq_scores_and_codes_match_the_old_expression_bitwise(case, monkeypatch):
+    z, stages = RVQ_CASES[case](np.random.default_rng(len(case)))
+    seen = []  # the score matrix each stage hands to argmin
+    argmin = np.argmin
+    monkeypatch.setattr(np, "argmin", lambda a, axis=None: seen.append(a.copy()) or argmin(a, axis=axis))
+    got = rvq_quantize_batch(z, stages, return_stage_inputs=True)
+    monkeypatch.undo()
+    ref = _old_rvq(z, stages)
+    assert got[1].dtype == np.int64
+    for g, r in zip(got[:3], ref[:3]):
+        assert g.shape == r.shape and g.tobytes() == r.tobytes()
+    for g, r in zip(got[3], ref[3]):
+        assert g.tobytes() == r.tobytes()
+    assert len(seen) == len(stages)
+    for g, r in zip(seen, ref[4]):
+        assert g.tobytes() == r.tobytes()
+    if case == "tie":  # the first of the tied codes wins
+        assert got[1][0, 0] == 1
+
+
 def test_rvq_rejects_empty_stack():
     with pytest.raises(NumericError):
         rvq_quantize(PartLatent("hand", np.zeros((4, 2))), CodebookStack("hand"))
@@ -357,6 +409,42 @@ def test_ema_reseeds_dead_codes():
     reseeded = stack.stages[0][2]
     assert any(np.allclose(reseeded, v) for v in z)
     assert stack.ema_counts[0][2] == 1.0
+
+
+def _add_at_sums(codes, vecs, k):
+    """The per-code sums of ema_codebook_update before it used bincount."""
+    sums = np.zeros((k, vecs.shape[-1]))
+    np.add.at(sums, codes, vecs)
+    return sums
+
+
+# name -> (codes of one stage, that stage's inputs, k)
+EMA_CASES = {
+    "many_rows": lambda r: (r.integers(0, 64, size=4096), r.standard_normal((4096, 8)), 64),
+    "unused_codes": lambda r: (np.array([0, 3, 3, 9]), r.standard_normal((4, 3)), 16),
+    "one_code": lambda r: (np.full(300, 5), r.standard_normal((300, 4)) * 1e3, 8),
+    "zero_rows": lambda r: (np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 8),
+}
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.9])
+@pytest.mark.parametrize("case", sorted(EMA_CASES))
+def test_ema_sums_match_add_at_bitwise(case, decay):
+    rng = np.random.default_rng(len(case))
+    codes, vecs, k = EMA_CASES[case](rng)
+    book = rng.standard_normal((k, vecs.shape[1]))
+    stack = _stack("hand", [book])
+    ema_before = stack.ema_vectors[0].copy()
+    counts_before = stack.ema_counts[0].copy()
+    # a zero threshold reseeds nothing, so the EMA rows are the recurrence
+    ema_codebook_update(stack, codes[:, None], [vecs], decay=decay,
+                        rng=np.random.default_rng(0), reseed_threshold=0.0)
+    counts = np.bincount(codes, minlength=k).astype(np.float64)
+    sums = _add_at_sums(codes, vecs, k)
+    want = decay * ema_before + (1.0 - decay) * sums
+    assert stack.ema_vectors[0].tobytes() == want.tobytes()
+    want = decay * counts_before + (1.0 - decay) * counts
+    assert stack.ema_counts[0].tobytes() == want.tobytes()
 
 
 def test_ema_rejects_bad_decay():

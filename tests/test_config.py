@@ -1,8 +1,11 @@
 import json
+import math
+import typing
 
 import pytest
 
 from cfmlab.config import (
+    _SECTION_TYPES,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -88,6 +91,39 @@ def test_seed_must_be_plain_int(seed):
 def test_out_of_range_fields_name_their_path(payload, path):
     with pytest.raises(ConfigError, match=path):
         config_from_dict(payload)
+
+
+# wrong values for a field of each annotated type, and the words naming it
+BAD_TYPED_VALUES = {
+    int: ("an integer", [True, 2.5, 3.0, "3", None, [1]]),
+    float: ("a finite number", [False, "0.1", math.nan, math.inf, -math.inf, None]),
+    str: ("a string", [3, True, None, ["euler"]]),
+}
+
+
+def _typed_fields():
+    for section, cls in _SECTION_TYPES.items():
+        for name, kind in typing.get_type_hints(cls).items():
+            if kind in BAD_TYPED_VALUES:
+                yield section, name, kind
+
+
+@pytest.mark.parametrize("section, name, kind", list(_typed_fields()))
+def test_wrong_field_type_names_the_field(section, name, kind):
+    what, values = BAD_TYPED_VALUES[kind]
+    for value in values:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{name}: must be {what}, got "):
+            config_from_dict({section: {name: value}})
+
+
+def test_typed_fields_cover_every_section():
+    assert {s for s, _, _ in _typed_fields()} == set(_SECTION_TYPES)
+
+
+def test_float_field_takes_an_int_unchanged():
+    cfg = config_from_dict({"codec": {"lr": 1}, "dataset": {"fps": 30}})
+    assert cfg.codec.lr == 1 and type(cfg.codec.lr) is int
+    assert cfg.dataset.fps == 30
 
 
 def test_dataset_inherits_global_seed():

@@ -1,10 +1,12 @@
 """Autodiff engine: finite-difference agreement, tape semantics, Adam."""
 
+import math
 import operator
 import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from cfmlab.cli import main
 from cfmlab.numerics import (
@@ -177,6 +179,8 @@ OP_CASES = {
     "softmax": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): sum_(softmax(x, axis=-1) * c), r.standard_normal((3, 4))),
     "l2_normalize": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): sum_(l2_normalize(x, axis=-1) * c), r.standard_normal((3, 4))),
     "mse": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): mse(x, c), r.standard_normal((3, 4))),
+    "mse_broadcast_a": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 3, 4))): mse(x, c), r.standard_normal(4)),
+    "mse_broadcast_b": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 3, 4))): mse(c, x), r.standard_normal((3, 1))),
 }
 
 
@@ -555,6 +559,26 @@ def test_cli_gradcheck_detects_injected_shift_fault(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_fault_injection_detects_mse():
+    # mse is one tape node, so a fault in its VJP is a fault of 'mse'
+    rng = np.random.default_rng(2)
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((2, 4, 3)))
+    c = Tensor(rng.standard_normal((2, 4, 3)))
+
+    def f():
+        return mse(tanh(matmul(x, w)), c)
+
+    assert check_gradients(f, {"w": w})["w"] < 1e-6
+    with inject_backward_fault("mse"):
+        assert check_gradients(f, {"w": w})["w"] > 1e-2
+
+
+def test_cli_gradcheck_detects_injected_mse_fault(capsys):
+    assert main(["gradcheck", "--inject-fault", "mse"]) == 3
+    assert "FAIL" in capsys.readouterr().out
+
+
 # ------------------------------------------------------- untracked fast path
 
 # Each case: (op name in errors, function, operand shapes). Operands are
@@ -587,6 +611,7 @@ PRIMITIVES = {
     "max": ("max", lambda x: max_(x, axis=-1), [(3, 4)]),
     "softmax": ("softmax", softmax, [(2, 3, 4)]),
     "softmax_axis0": ("softmax", lambda x: softmax(x, axis=0), [(2, 3, 4)]),
+    "mse": ("mse", mse, [(2, 3, 4), (4,)]),
 }
 
 
@@ -673,6 +698,113 @@ def test_untracked_tensor_is_a_constant_in_a_tracked_graph():
     from_array = grad(loss(c.data.copy()), [w])[w].data
     assert from_untracked.tobytes() == from_array.tobytes()
     assert np.any(from_untracked != 0.0)
+
+
+# ------------------------------------------- gelu and mse against their old forms
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _old_gelu(x):
+    """The gelu forward before it worked in one buffer: (output, cdf)."""
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _old_gelu_grad(x, g):
+    """The gelu VJP before it worked in one buffer."""
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+    return g * (_old_gelu(x)[1] + x * pdf)
+
+
+@pytest.mark.parametrize("shape, layout", [
+    ((64, 128, 64), "plain"), ((3, 4), "plain"), ((), "plain"),
+    ((5, 7), "transposed"), ((4, 6, 5), "broadcast_g")])
+def test_gelu_matches_its_old_expression_bitwise(shape, layout):
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    x = 3.0 * rng.standard_normal(shape)
+    if layout == "transposed":  # a non-contiguous input
+        x = x.T
+    g = rng.standard_normal(x.shape)
+    if layout == "broadcast_g":  # a read-only view with zero strides
+        g = np.broadcast_to(rng.standard_normal(x.shape[-1]), x.shape)
+    out = gelu(Tensor(x, requires_grad=True))
+    ref = _old_gelu(x)[0]
+    assert out.data.shape == ref.shape
+    assert out.data.tobytes() == ref.tobytes()
+    with no_grad():
+        assert gelu(x).data.tobytes() == ref.tobytes()
+    (gx,) = out._vjp(g)
+    assert gx.shape == x.shape
+    assert gx.tobytes() == np.asarray(_old_gelu_grad(x, g)).tobytes()
+
+
+def _old_mse(a, b):
+    """The mse composite before it was one primitive: sub, mul, mean."""
+    d = sub(a, b)
+    return mean(mul(d, d))
+
+
+# name -> (a, b) factories; requires_grad operands get their gradient compared
+MSE_CASES = {
+    "equal_shapes": lambda r: (Tensor(r.standard_normal((6, 32, 24)), requires_grad=True),
+                               Tensor(r.standard_normal((6, 32, 24)), requires_grad=True)),
+    "broadcast_b": lambda r: (Tensor(r.standard_normal((2, 3, 4)), requires_grad=True),
+                              Tensor(r.standard_normal(4), requires_grad=True)),
+    "constant_b": lambda r: (Tensor(r.standard_normal((5, 8)), requires_grad=True),
+                             Tensor(r.standard_normal((5, 8)))),
+    "array_b": lambda r: (Tensor(r.standard_normal((5, 8)), requires_grad=True),
+                          r.standard_normal((5, 8))),
+    "scalars": lambda r: (Tensor(r.standard_normal(()), requires_grad=True),
+                          Tensor(r.standard_normal(()), requires_grad=True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MSE_CASES) + ["same_tensor", "shared_input"])
+def test_mse_matches_the_composite_bitwise(case):
+    rng = np.random.default_rng(len(case))
+    if case == "same_tensor":
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        a, b = x, x
+    elif case == "shared_input":  # a feeds a second consumer after the mse
+        a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal((4, 5)))
+    else:
+        a, b = MSE_CASES[case](rng)
+
+    def loss(fn):
+        out = fn(a, b)
+        return out + sum_(a * a) * 0.5 if case == "shared_input" else out
+
+    params = [t for t in (a, b) if isinstance(t, Tensor) and t.requires_grad]
+    new, old = loss(mse), loss(_old_mse)
+    assert new.data.tobytes() == old.data.tobytes()
+    with no_grad():
+        assert mse(a, b).data.tobytes() == _old_mse(a, b).data.tobytes()
+    g_new, g_old = grad(new, params), grad(old, params)
+    for p in params:
+        assert g_new[p].data.tobytes() == g_old[p].data.tobytes()
+        assert g_new[p].shape == p.shape
+
+
+def test_mse_is_one_tape_node():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    nodes = Tape.from_output(mse(a, Tensor(np.zeros(3)))).nodes
+    assert [t._op for t in nodes] == ["leaf", "leaf", "mse"]
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_mse_of_empty_operands_raises_naming_mse(recording):
+    a = Tensor(np.zeros((0, 3)), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="'mse'"):
+            if recording:
+                mse(a, np.zeros(3))
+            else:
+                with no_grad():
+                    mse(a, np.zeros(3))
 
 
 # ------------------------------------------------------------------------ Adam
