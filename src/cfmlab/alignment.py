@@ -20,6 +20,7 @@ from .codec import PART_ORDER
 from .numerics import (
     NumericError,
     Tensor,
+    as_tensor,
     concat,
     getitem,
     l2_normalize,
@@ -90,8 +91,7 @@ def composite_batch(parts, scale):
     missing = [p for p in PART_ORDER if p not in parts]
     if missing:
         raise NumericError(f"missing parts for composite latent: {missing}")
-    seqs = [parts[p] if isinstance(parts[p], Tensor) else Tensor(parts[p])
-            for p in PART_ORDER]
+    seqs = [as_tensor(parts[p]) for p in PART_ORDER]
     lengths = {s.shape[-2] for s in seqs}
     if len(lengths) != 1:
         raise NumericError(f"part latents disagree on length: {sorted(lengths)}")
@@ -102,8 +102,8 @@ def composite_batch(parts, scale):
 
 def project_and_normalize_batch(raw, weight):
     """(..., L, d_x) @ (d_x, d) then row-wise L2 normalization."""
-    x = raw if isinstance(raw, Tensor) else Tensor(raw)
-    z = matmul(x, weight if isinstance(weight, Tensor) else Tensor(weight))
+    x = as_tensor(raw)
+    z = matmul(x, as_tensor(weight))
     norms = np.linalg.norm(z.data, axis=-1)
     if np.any(norms < 1e-12):
         raise NumericError("projection produced a degenerate (near-zero) row")
@@ -116,8 +116,8 @@ def fused_target_batch(text, audio, alpha):
     """Row-wise normalize(alpha * text + (1 - alpha) * audio)."""
     if not 0.0 <= alpha <= 1.0:
         raise NumericError(f"alpha must be in [0, 1], got {alpha}")
-    t = text if isinstance(text, Tensor) else Tensor(text)
-    a = audio if isinstance(audio, Tensor) else Tensor(audio)
+    t = as_tensor(text)
+    a = as_tensor(audio)
     if t.shape != a.shape:
         raise NumericError(f"fused_target_batch shape mismatch {t.shape} vs {a.shape}")
     blend = t * Tensor(alpha) + a * Tensor(1.0 - alpha)
@@ -131,8 +131,8 @@ def fused_target_batch(text, audio, alpha):
 
 def cosine_alignment_loss_batch(target, motion):
     """1 - mean over batch and time of row dot products."""
-    t = target if isinstance(target, Tensor) else Tensor(target)
-    m = motion if isinstance(motion, Tensor) else Tensor(motion)
+    t = as_tensor(target)
+    m = as_tensor(motion)
     if t.shape != m.shape:
         raise NumericError(f"cosine loss shape mismatch {t.shape} vs {m.shape}")
     return Tensor(1.0) - mean(sum_(t * m, axis=-1))
@@ -140,7 +140,7 @@ def cosine_alignment_loss_batch(target, motion):
 
 def temporal_pool_batch(seq):
     """(..., L, d) -> (..., d): mean over time, then re-normalize."""
-    s = seq if isinstance(seq, Tensor) else Tensor(seq)
+    s = as_tensor(seq)
     pooled = mean(s, axis=-2)
     norms = np.linalg.norm(pooled.data, axis=-1)
     if np.any(norms < 1e-12):
@@ -148,15 +148,11 @@ def temporal_pool_batch(seq):
     return l2_normalize(pooled, axis=-1)
 
 
-def _as_pooled_batch(p):
-    return p if isinstance(p, Tensor) else Tensor(np.asarray(p, dtype=np.float64))
-
-
 def infonce_oneway(p, q, tau):
     """-(1/B) sum_b log softmax_l(p_b . q_l / tau) at l = b."""
     if not tau > 0:
         raise NumericError(f"tau must be positive, got {tau}")
-    pt, qt = _as_pooled_batch(p), _as_pooled_batch(q)
+    pt, qt = as_tensor(p), as_tensor(q)
     b = pt.shape[0]
     if b == 0 or qt.shape[0] != b:
         raise NumericError(f"infonce needs equal non-empty batches, got {pt.shape} vs {qt.shape}")

@@ -217,9 +217,6 @@ def cmd_evaluate(args):
     if not args.self_eval:
         net, heads, proj = stage2_from_tensors(merged)
     ds = build_dataset(cfg.dataset)
-    if len(ds.splits["test"]) < 2:
-        raise ConfigError(
-            f"dataset.ratios: test split has {len(ds.splits['test'])} clips, need >= 2")
     report, details = evaluate_run(cfg, ds, codecs, stacks, net=net,
                                    heads=heads, proj=proj,
                                    self_eval=args.self_eval)

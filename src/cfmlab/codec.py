@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import CheckpointError
-from .numerics import NumericError, Tensor, concat, gelu, matmul, mse, reshape, \
-    shift, uniform_init, zeros_init
+from .numerics import NumericError, Tensor, as_tensor, concat, gelu, matmul, mse, \
+    reshape, shift, uniform_init, zeros_init
 
 PART_ORDER = ("hand", "upper", "lower", "face")
 PART_JOINTS = {"hand": 24, "upper": 12, "lower": 8, "face": 16}
@@ -233,7 +233,7 @@ def init_part_codec(rng, part, downsample=4, d_g=8, hidden=HIDDEN, in_scale=1.0)
 
 def encode_part_batch(frames, params):
     """(B, T, J) frames -> (B, L, d_g) latents through the window MLP."""
-    x = frames if isinstance(frames, Tensor) else Tensor(frames)
+    x = as_tensor(frames)
     b, t, j = x.shape
     factor = params.downsample
     if t % factor != 0:
@@ -252,7 +252,7 @@ def decode_part_batch(latent, params):
     latent flanked by its neighbours, read by `shift` (edges replicate);
     otherwise the window decodes alone.
     """
-    z = latent if isinstance(latent, Tensor) else Tensor(latent)
+    z = as_tensor(latent)
     b, l, d_g = z.shape
     factor = params.downsample
     j = PART_JOINTS[params.part]
@@ -367,7 +367,7 @@ def straight_through(latent, quantized):
 def commitment_loss(latent, quantized):
     """MSE between latent and stop-gradient(quantized); pulls the encoder
     toward its selected codes without moving the codebook."""
-    z = latent if isinstance(latent, Tensor) else Tensor(latent)
+    z = as_tensor(latent)
     q = np.asarray(quantized.data if isinstance(quantized, Tensor) else quantized)
     if q.shape != z.shape:
         raise NumericError(f"commitment_loss shape mismatch {q.shape} vs {z.shape}")

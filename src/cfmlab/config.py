@@ -1,32 +1,40 @@
-"""Run configuration: sections, range validation, canonical hashing.
+"""Run configuration: one schema, its validation, canonical hashing.
 
-Every field is validated before any work starts; error messages carry the
-dotted field path (e.g. "flow.lam") so misconfigured runs fail fast with an
-actionable message and exit code 2 at the CLI boundary.
+Each section field states its own rule: its type by its annotation (a bool
+is not a number, a float is not an int, and a float field takes an int but
+no inf or NaN), its bound or choices by its metadata, e.g. `_field(0.05,
+ge=0, lt=1)`. The rules that join fields sit in `_RULES`. `validate_config`
+checks all of it and raises ConfigError naming the first failing field by
+its dotted path (e.g. "flow.lam"), which the CLI maps to exit code 2. A
+section or RunConfig runs it when built, so a parsed, a hand-built and a
+manifest's config are checked alike; after an in-place change, run it again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-import math
 import numbers
+import operator
+import sys
 import typing
 from dataclasses import dataclass, field
 
 from .flow import NEGATIVE_MODES
 from .sampler import SCHEMES
-from .synthdata import DatasetConfig
 
 __all__ = [
     "ConfigError",
+    "DatasetConfig",
     "CodecSection",
     "SacmSection",
     "FlowSection",
     "SamplerSection",
     "MetricsSection",
     "RunConfig",
+    "validate_config",
     "load_config",
     "config_to_dict",
     "config_from_dict",
@@ -38,202 +46,198 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2 at the CLI."""
 
 
-@dataclass
-class CodecSection:
-    d_g: int = 8
-    downsample: int = 4
-    hidden: int = 64
-    n_codes: int = 64
-    depth: int = 2
-    beta: float = 0.25
-    ema_decay: float = 0.9
-    epochs: int = 200
-    batch: int = 64
-    lr: float = 1e-3
+# a bound's metadata key -> (holds(value, bound), how a message states it)
+_BOUNDS = {
+    "ge": (operator.ge, ">="),
+    "gt": (operator.gt, ">"),
+    "le": (operator.le, "<="),
+    "lt": (operator.lt, "<"),
+}
+
+
+def _field(default, choices=None, **bounds):
+    """A field whose value must be one of `choices` and meet every bound."""
+    return field(default=default, metadata={"choices": choices, "bounds": bounds})
+
+
+def _finite_number(v):
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+# what a field annotated with the key accepts
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a finite number", _finite_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+class _Schema:
+    """Base of the config dataclasses: an instance checks itself when built."""
+
+    def __post_init__(self):
+        validate_config(self, _SECTION_PATHS.get(type(self), ""))
 
 
 @dataclass
-class SacmSection:
-    alpha: float = 0.5
-    tau: float = 0.1
-    lambda_cos: float = 1.0
-    lambda_clp: float = 0.1
-    d: int = 16
-    scale: float = 2.0  # composite concat divides by this; split multiplies
+class DatasetConfig(_Schema):
+    n_classes: int = _field(3, ge=1)
+    n_clips: int = 512
+    n_frames: int = _field(64, ge=8)
+    fps: float = _field(15.0, gt=0)
+    d_audio: int = 16
+    d_text: int = 16
+    downsample: int = _field(4, ge=1)
+    noise: float = _field(0.05, ge=0)
+    n_onsets: int = _field(4, ge=1)
+    ratios: tuple = (0.8, 0.1, 0.1)   # train/val/test
+    seed: int = _field(0, ge=0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.ratios = tuple(float(r) for r in self.ratios)  # one form to hash
 
 
 @dataclass
-class FlowSection:
-    d_s: int = 64
-    d_cond: int = 32
-    time_dim: int = 16
-    lam: float = 0.05          # contrastive repulsion weight
-    mode: str = "permute-pair"
-    epochs: int = 300
-    batch: int = 128
-    lr: float = 1e-3
-    lambda_cfm: float = 1.0
-    lambda_sem: float = 0.1
+class CodecSection(_Schema):
+    d_g: int = _field(8, ge=1)
+    downsample: int = _field(4, ge=1)
+    hidden: int = _field(64, ge=1)
+    n_codes: int = _field(64, ge=2)
+    depth: int = _field(2, ge=1)
+    beta: float = _field(0.25, ge=0)
+    ema_decay: float = _field(0.9, ge=0, le=1)
+    epochs: int = _field(200, ge=0)
+    batch: int = _field(64, ge=1)
+    lr: float = _field(1e-3, gt=0)
 
 
 @dataclass
-class SamplerSection:
-    scheme: str = "euler"
-    steps: int = 10
+class SacmSection(_Schema):
+    alpha: float = _field(0.5, ge=0, le=1)
+    tau: float = _field(0.1, gt=0)
+    lambda_cos: float = _field(1.0, ge=0)
+    lambda_clp: float = _field(0.1, ge=0)
+    d: int = _field(16, ge=1)
+    scale: float = _field(2.0, gt=0)  # composite concat divides by this; split multiplies
 
 
 @dataclass
-class MetricsSection:
-    sigma: float = 0.1
-    pooling: str = "mean"
+class FlowSection(_Schema):
+    d_s: int = _field(64, ge=1)
+    d_cond: int = _field(32, ge=1)
+    time_dim: int = _field(16, ge=2)
+    lam: float = _field(0.05, ge=0, lt=1)  # contrastive repulsion weight
+    mode: str = _field("permute-pair", choices=NEGATIVE_MODES)
+    epochs: int = _field(300, ge=0)
+    batch: int = _field(128, ge=2)  # negatives need a derangement
+    lr: float = _field(1e-3, gt=0)
+    lambda_cfm: float = _field(1.0, ge=0)
+    lambda_sem: float = _field(0.1, ge=0)
 
 
 @dataclass
-class RunConfig:
+class SamplerSection(_Schema):
+    scheme: str = _field("euler", choices=SCHEMES)
+    steps: int = _field(10, ge=1)
+
+
+@dataclass
+class MetricsSection(_Schema):
+    sigma: float = _field(0.1, gt=0)
+    pooling: str = _field("mean", choices=("mean",))
+
+
+@dataclass
+class RunConfig(_Schema):
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     codec: CodecSection = field(default_factory=CodecSection)
     sacm: SacmSection = field(default_factory=SacmSection)
     flow: FlowSection = field(default_factory=FlowSection)
     sampler: SamplerSection = field(default_factory=SamplerSection)
     metrics: MetricsSection = field(default_factory=MetricsSection)
-    seed: int = 0
+    seed: int = _field(0, ge=0)
 
 
-_SECTION_TYPES = {
-    "dataset": DatasetConfig,
-    "codec": CodecSection,
-    "sacm": SacmSection,
-    "flow": FlowSection,
-    "sampler": SamplerSection,
-    "metrics": MetricsSection,
-}
+_type_hints = functools.cache(typing.get_type_hints)  # one entry per config class
+_SECTION_TYPES = {name: kind for name, kind in _type_hints(RunConfig).items()
+                  if dataclasses.is_dataclass(kind)}
+_SECTION_PATHS = {kind: name + "." for name, kind in _SECTION_TYPES.items()}
 
 
-def _check(cond, path, message):
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
+# the rules that join fields: (class, field path in it, holds(instance),
+# message formatted with the instance's fields)
+_RULES = (
+    (DatasetConfig, "n_clips", lambda d: d.n_clips >= d.n_classes,
+     "must be >= n_classes, got {n_clips} < {n_classes}"),
+    (DatasetConfig, "n_frames", lambda d: d.n_frames % d.downsample == 0,
+     "{n_frames} not divisible by downsample {downsample}"),
+    (DatasetConfig, "d_audio", lambda d: d.d_audio >= d.n_classes,
+     "must fit {n_classes} orthogonal anchors, got {d_audio}"),
+    (DatasetConfig, "d_text", lambda d: d.d_text >= d.n_classes,
+     "must fit {n_classes} orthogonal anchors, got {d_text}"),
+    (DatasetConfig, "ratios", lambda d: isinstance(d.ratios, (list, tuple))
+     and len(d.ratios) == 3 and all(map(_finite_number, d.ratios)),
+     "split ratios must be 3 numbers, got {ratios!r}"),
+    (DatasetConfig, "ratios", lambda d: min(d.ratios) >= 0 and abs(sum(d.ratios) - 1.0) <= 1e-9,
+     "split ratios must be 3 non-negatives summing to 1, got {ratios}"),
+    (FlowSection, "time_dim", lambda f: f.time_dim % 2 == 0, "must be even, got {time_dim}"),
+    (RunConfig, "codec.downsample", lambda r: r.codec.downsample == r.dataset.downsample,
+     "must match dataset.downsample, got {codec.downsample} vs {dataset.downsample}"),
+)
 
 
-def validate_config(cfg):
-    d, c, s, f, sp, m = (cfg.dataset, cfg.codec, cfg.sacm, cfg.flow,
-                         cfg.sampler, cfg.metrics)
-    _check(cfg.seed >= 0, "seed", f"must be non-negative, got {cfg.seed}")
-
-    _check(d.n_classes >= 1, "dataset.n_classes", f"must be >= 1, got {d.n_classes}")
-    _check(d.n_clips >= d.n_classes, "dataset.n_clips",
-           f"must be >= n_classes, got {d.n_clips} < {d.n_classes}")
-    _check(d.n_frames >= 8, "dataset.n_frames", f"must be >= 8, got {d.n_frames}")
-    _check(d.downsample >= 1, "dataset.downsample", f"must be >= 1, got {d.downsample}")
-    _check(d.n_frames % d.downsample == 0, "dataset.n_frames",
-           f"{d.n_frames} not divisible by downsample {d.downsample}")
-    _check(d.fps > 0, "dataset.fps", f"must be positive, got {d.fps}")
-    _check(d.d_audio >= d.n_classes, "dataset.d_audio",
-           f"must fit {d.n_classes} orthogonal anchors, got {d.d_audio}")
-    _check(d.d_text >= d.n_classes, "dataset.d_text",
-           f"must fit {d.n_classes} orthogonal anchors, got {d.d_text}")
-    _check(d.noise >= 0, "dataset.noise", f"must be non-negative, got {d.noise}")
-    _check(d.n_onsets >= 1, "dataset.n_onsets", f"must be >= 1, got {d.n_onsets}")
-    _check(len(d.ratios) == 3 and all(r >= 0 for r in d.ratios)
-           and abs(sum(d.ratios) - 1.0) <= 1e-9, "dataset.ratios",
-           f"must be 3 non-negatives summing to 1, got {d.ratios}")
-    _check(d.seed >= 0, "dataset.seed", f"must be non-negative, got {d.seed}")
-
-    _check(c.d_g >= 1, "codec.d_g", f"must be >= 1, got {c.d_g}")
-    _check(c.downsample >= 1, "codec.downsample", f"must be >= 1, got {c.downsample}")
-    _check(c.downsample == d.downsample, "codec.downsample",
-           f"must match dataset.downsample, got {c.downsample} vs {d.downsample}")
-    _check(c.hidden >= 1, "codec.hidden", f"must be >= 1, got {c.hidden}")
-    _check(c.n_codes >= 2, "codec.n_codes", f"must be >= 2, got {c.n_codes}")
-    _check(c.depth >= 1, "codec.depth", f"must be >= 1, got {c.depth}")
-    _check(c.beta >= 0, "codec.beta", f"must be non-negative, got {c.beta}")
-    _check(0.0 <= c.ema_decay <= 1.0, "codec.ema_decay",
-           f"must be in [0, 1], got {c.ema_decay}")
-    _check(c.epochs >= 0, "codec.epochs", f"must be >= 0, got {c.epochs}")
-    _check(c.batch >= 1, "codec.batch", f"must be >= 1, got {c.batch}")
-    _check(c.lr > 0, "codec.lr", f"must be positive, got {c.lr}")
-
-    _check(0.0 <= s.alpha <= 1.0, "sacm.alpha", f"must be in [0, 1], got {s.alpha}")
-    _check(s.tau > 0, "sacm.tau", f"must be positive, got {s.tau}")
-    _check(s.lambda_cos >= 0, "sacm.lambda_cos", f"must be non-negative, got {s.lambda_cos}")
-    _check(s.lambda_clp >= 0, "sacm.lambda_clp", f"must be non-negative, got {s.lambda_clp}")
-    _check(s.d >= 1, "sacm.d", f"must be >= 1, got {s.d}")
-    _check(s.scale > 0, "sacm.scale", f"must be positive, got {s.scale}")
-
-    _check(f.d_s >= 1, "flow.d_s", f"must be >= 1, got {f.d_s}")
-    _check(f.d_cond >= 1, "flow.d_cond", f"must be >= 1, got {f.d_cond}")
-    _check(f.time_dim >= 2 and f.time_dim % 2 == 0, "flow.time_dim",
-           f"must be even and >= 2, got {f.time_dim}")
-    _check(0.0 <= f.lam < 1.0, "flow.lam", f"must satisfy 0 <= lam < 1, got {f.lam}")
-    _check(f.mode in NEGATIVE_MODES, "flow.mode",
-           f"must be one of {NEGATIVE_MODES}, got {f.mode!r}")
-    _check(f.epochs >= 0, "flow.epochs", f"must be >= 0, got {f.epochs}")
-    _check(f.batch >= 2, "flow.batch",
-           f"must be >= 2 (negatives need a derangement), got {f.batch}")
-    _check(f.lr > 0, "flow.lr", f"must be positive, got {f.lr}")
-    _check(f.lambda_cfm >= 0, "flow.lambda_cfm",
-           f"must be non-negative, got {f.lambda_cfm}")
-    _check(f.lambda_sem >= 0, "flow.lambda_sem",
-           f"must be non-negative, got {f.lambda_sem}")
-
-    _check(sp.scheme in SCHEMES, "sampler.scheme",
-           f"must be one of {SCHEMES}, got {sp.scheme!r}")
-    _check(sp.steps >= 1, "sampler.steps", f"must be >= 1, got {sp.steps}")
-
-    _check(m.sigma > 0, "metrics.sigma", f"must be positive, got {m.sigma}")
-    _check(m.pooling == "mean", "metrics.pooling",
-           f"only 'mean' pooling is supported, got {m.pooling!r}")
+def validate_config(cfg, prefix=""):
+    """Check `cfg`, a RunConfig or a section whose path is `prefix`, against
+    the schema and return it. Every field (a section's, recursively) comes
+    before _RULES, so a rule reads only fields that passed."""
+    hints = _type_hints(type(cfg))
+    for fld in dataclasses.fields(cfg):
+        kind, value, path = hints[fld.name], getattr(cfg, fld.name), prefix + fld.name
+        if dataclasses.is_dataclass(kind):
+            validate_config(value, path + ".")
+            continue
+        if kind in _FIELD_TYPES:
+            what, accepts = _FIELD_TYPES[kind]
+            if not accepts(value):
+                raise ConfigError(f"{path}: must be {what}, got {value!r}")
+        choices, bounds = fld.metadata.get("choices"), fld.metadata.get("bounds", {})
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{path}: must be one of {choices}, got {value!r}")
+        if not all(_BOUNDS[k][0](value, b) for k, b in bounds.items()):
+            stated = " and ".join(f"{_BOUNDS[k][1]} {b}" for k, b in bounds.items())
+            raise ConfigError(f"{path}: must be {stated}, got {value!r}")
+    for cls, name, holds, message in _RULES:
+        if type(cfg) is cls and not holds(cfg):
+            raise ConfigError(f"{prefix}{name}: " + message.format_map(vars(cfg)))
     return cfg
 
 
-# what a field annotated with the key accepts: a bool is not a number, a
-# float is not an int, and a float field takes an int but no inf or NaN
-_FIELD_TYPES = {
-    int: ("an integer", lambda v: isinstance(v, numbers.Integral)),
-    float: ("a finite number", lambda v: isinstance(v, numbers.Real) and abs(v) < math.inf),
-    str: ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def _build_section(cls, payload, path):
-    names = {fld.name for fld in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - names)
+def _refuse_unknown(cls, payload, prefix):
+    unknown = sorted(set(payload) - {fld.name for fld in dataclasses.fields(cls)})
     if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown config key")
-    for name, kind in typing.get_type_hints(cls).items():
-        if name in payload and kind in _FIELD_TYPES:
-            what, accepts = _FIELD_TYPES[kind]
-            value = payload[name]
-            if isinstance(value, bool) or not accepts(value):
-                raise ConfigError(f"{path}.{name}: must be {what}, got {value!r}")
-    kwargs = dict(payload)
-    if "ratios" in kwargs:
-        kwargs["ratios"] = tuple(kwargs["ratios"])
-    try:
-        return cls(**kwargs)
-    except Exception as exc:  # dataclass-level validation (e.g. DatasetConfig)
-        # those messages already lead with the offending field name
-        raise ConfigError(f"{path}.{exc}") from exc
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown config key")
 
 
 def config_from_dict(payload):
+    """The RunConfig a JSON object describes. A missing field takes its
+    default, and the dataset's seed defaults to the global seed."""
     if not isinstance(payload, dict):
         raise ConfigError(f"config root must be an object, got {type(payload).__name__}")
-    known = set(_SECTION_TYPES) | {"seed"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ConfigError(f"{unknown[0]}: unknown config key")
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed: must be an integer, got {seed!r}")
+    _refuse_unknown(RunConfig, payload, "")
+    # built first, so a bad global seed is named as itself, not as dataset.seed
+    root = RunConfig(seed=payload.get("seed", 0))
     sections = {}
     for name, cls in _SECTION_TYPES.items():
         body = payload.get(name, {})
         if not isinstance(body, dict):
             raise ConfigError(f"{name}: section must be an object")
-        if name == "dataset" and "seed" not in body:
-            body = {**body, "seed": seed}
-        sections[name] = _build_section(cls, body, name)
-    return validate_config(RunConfig(seed=seed, **sections))
+        _refuse_unknown(cls, body, name + ".")
+        if name == "dataset":
+            body = {"seed": root.seed, **body}
+        sections[name] = cls(**body)
+    return dataclasses.replace(root, **sections)
 
 
 def load_config(path=None, seed=None):
@@ -253,9 +257,7 @@ def load_config(path=None, seed=None):
             raise ConfigError(f"config file {path} is not UTF-8 text")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        if not isinstance(payload, dict):
-            raise ConfigError("config root must be an object")
-    if seed is not None:
+    if seed is not None and isinstance(payload, dict):  # other roots are refused below
         payload = {**payload, "seed": seed}
     return config_from_dict(payload)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import project_and_normalize_batch
-from .config import config_hash
+from .config import ConfigError, config_hash
 from .flow import build_condition_batch
 from .metrics import (
     MetricReport,
@@ -98,8 +98,10 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
     relational checks compare.
     """
     clips = dataset.splits[split]
-    if len(clips) < 4:
-        raise NumericError(f"split {split!r} too small to evaluate ({len(clips)} clips)")
+    groups = _by_class(clips)
+    if len(clips) < 4 or min(map(len, groups.values())) < 2:  # per-class FGD needs 2
+        raise ConfigError(f"dataset.ratios: {split} split has {len(clips)} clips, "
+                          f"need >= 4 and >= 2 of each class to evaluate")
     if self_eval:
         gen_motions = [u.motion for u in clips]
     else:
@@ -116,7 +118,6 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
     gen_all = motion_features(gen_motions, codecs, scale=scale,
                               provenance="generated")
 
-    groups = _by_class(clips)
     real_cls = {c: real_all.features[idx] for c, idx in groups.items()}
     gen_cls = {c: gen_all.features[idx] for c, idx in groups.items()}
 

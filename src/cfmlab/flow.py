@@ -35,6 +35,7 @@ from .checkpoint import CheckpointError
 from .numerics import (
     NumericError,
     Tensor,
+    as_tensor,
     concat,
     gelu,
     matmul,
@@ -154,8 +155,8 @@ def init_velocity_net(rng, d_model=32, d_cond=32, d_audio=16, d_text=16, d_s=64,
 
 def build_condition_batch(audio, text, net):
     """Channel-concat audio (…, L, d_a) and text (…, L, d_t), project to d_O."""
-    a = audio if isinstance(audio, Tensor) else Tensor(audio)
-    t = text if isinstance(text, Tensor) else Tensor(text)
+    a = as_tensor(audio)
+    t = as_tensor(text)
     if a.shape[:-1] != t.shape[:-1]:
         raise NumericError(f"audio/text length mismatch: {a.shape} vs {t.shape}")
     return matmul(concat([a, t], axis=-1), net.cond_w) + net.cond_b
@@ -235,14 +236,10 @@ class PreparedCondition:
     aligned: Tensor | None  # (B, L, d_G) c @ align_w when L_c == L, else None
 
 
-def _as_condition(cond):
-    return cond if isinstance(cond, Tensor) else Tensor(np.asarray(cond, dtype=np.float64))
-
-
 def prepare_condition(net, cond, length):
     """Condition terms of `velocity_forward` for latents of `length` frames:
     cond is (L_c, d_O) or (B, L_c, d_O)."""
-    c = _as_condition(cond)
+    c = as_tensor(cond)
     if c.ndim == 2:
         c = c.reshape(1, *c.shape)
     # frame-aligned conditions get a direct per-step residual so timing
@@ -260,11 +257,11 @@ def tcam_fuse(x, cond, net, return_attn=False):
     """Cross-attention: motion tokens (…, L, d_G) query the condition
     (…, L_c, d_O), or the keys and values of a PreparedCondition; residual
     on the projected query path."""
-    xt = x if isinstance(x, Tensor) else Tensor(x)
+    xt = as_tensor(x)
     if isinstance(cond, PreparedCondition):
         k, v = cond.keys, cond.values
     else:
-        ct = _as_condition(cond)
+        ct = as_tensor(cond)
         k, v = matmul(ct, net.tcam_k), matmul(ct, net.tcam_v)
     if xt.shape[:-2] != k.shape[:-2]:
         raise NumericError(f"tcam batch shape mismatch {xt.shape} vs {k.shape}")
@@ -283,7 +280,7 @@ def velocity_forward(net, zt, t, cond):
     is a raw condition, prepared here, or a PreparedCondition built by
     `prepare_condition` for this latent length; both give the same bits.
     """
-    x = zt if isinstance(zt, Tensor) else Tensor(np.asarray(zt, dtype=np.float64))
+    x = as_tensor(zt)
     single = x.ndim == 2
     if single:
         x = x.reshape(1, *x.shape)
@@ -383,7 +380,7 @@ def cfm_loss(v_pred, v_pos, v_neg, lam):
     """
     if not 0.0 <= lam < 1.0:
         raise NumericError(f"contrast weight must satisfy 0 <= lam < 1, got {lam}")
-    vp = v_pred if isinstance(v_pred, Tensor) else Tensor(v_pred)
+    vp = as_tensor(v_pred)
     pos = v_pos.data if isinstance(v_pos, Tensor) else np.asarray(v_pos)
     if pos.shape != vp.shape:
         raise NumericError(f"cfm_loss shape mismatch {pos.shape} vs {vp.shape}")

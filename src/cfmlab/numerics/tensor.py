@@ -547,11 +547,14 @@ def sum_(a, axis=None, keepdims=False):
 
 
 def mean(a, axis=None, keepdims=False):
+    x = _arr(a)
+    if x.size == 0:  # refused before numpy warns "Mean of empty slice"
+        raise NumericError("op 'mean' needs a non-empty operand")
     if not _GRAD_ENABLED:
-        return _untracked(np.mean(_arr(a), axis=axis, keepdims=keepdims), "mean")
+        return _untracked(np.mean(x, axis=axis, keepdims=keepdims), "mean")
     a = as_tensor(a)
     out = np.mean(a.data, axis=axis, keepdims=keepdims)
-    count = a.data.size if out.size == 0 else a.data.size // max(out.size, 1)
+    count = a.data.size // out.size
 
     def vjp(g):
         return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)

@@ -40,7 +40,7 @@ from .codec import (
 # these names on this module (perfbench/layers.py), so they must resolve
 from .codec import decode_part, rvq_dequantize  # noqa: F401
 from .flow import VelocityNet, prepare_condition, velocity_forward
-from .numerics import NumericError, Tensor, matmul, no_grad
+from .numerics import NumericError, Tensor, as_tensor, matmul, no_grad
 
 __all__ = [
     "SCHEMES",
@@ -169,9 +169,9 @@ def integrate_ode(net, z0, cond, config):
 def project_to_codebook_manifold(latent, proj):
     """Linear d_G -> d_G map nudging integrated latents toward the quantizer's
     input distribution; identity-initialized, so a fresh head is a passthrough."""
-    z = latent if isinstance(latent, Tensor) else Tensor(np.asarray(latent, dtype=np.float64))
+    z = as_tensor(latent)
     w = proj.weight if isinstance(proj, ManifoldProjection) else proj
-    w = w if isinstance(w, Tensor) else Tensor(w)
+    w = as_tensor(w)
     if z.shape[-1] != w.shape[0]:
         raise NumericError(f"latent dim {z.shape[-1]} != projection dim {w.shape[0]}")
     return matmul(z, w)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +25,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import PART_JOINTS, PART_ORDER, MotionClip
-from .flow import NEGATIVE_MODES, make_incongruent_batch, sample_derangement
+from .config import DatasetConfig
+from .flow import make_incongruent_batch, sample_derangement
 from .numerics import NumericError
 
 __all__ = [
@@ -92,42 +92,6 @@ class SyntheticUtterance:
             raise NumericError(f"utterance missing motion parts: {missing}")
         if self.onsets.size and np.any(np.diff(self.onsets) <= 0):
             raise NumericError("planted onsets must be strictly increasing")
-
-
-@dataclass
-class DatasetConfig:
-    n_classes: int = 3
-    n_clips: int = 512
-    n_frames: int = 64
-    fps: float = 15.0
-    d_audio: int = 16
-    d_text: int = 16
-    downsample: int = 4
-    noise: float = 0.05
-    n_onsets: int = 4
-    ratios: tuple = (0.8, 0.1, 0.1)
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.ratios) != 3 or not all(isinstance(r, numbers.Real)
-                                            for r in self.ratios):
-            raise NumericError(f"ratios: split ratios must be 3 numbers, got {self.ratios!r}")
-        self.ratios = tuple(float(r) for r in self.ratios)
-        if self.n_classes < 1:
-            raise NumericError(f"n_classes: need at least one class, got {self.n_classes}")
-        if self.n_clips < self.n_classes:
-            raise NumericError(
-                f"n_clips: must be >= n_classes, got {self.n_clips} < {self.n_classes}")
-        if any(r < 0 for r in self.ratios) or abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise NumericError(f"ratios: split ratios must be 3 non-negatives "
-                               f"summing to 1, got {self.ratios}")
-        if self.noise < 0:
-            raise NumericError(f"noise: level must be non-negative, got {self.noise}")
-        if self.downsample < 1:
-            raise NumericError(f"downsample: must be >= 1, got {self.downsample}")
-        if self.n_frames % self.downsample != 0:
-            raise NumericError(
-                f"n_frames: {self.n_frames} not divisible by downsample {self.downsample}")
 
 
 @dataclass
@@ -368,6 +332,8 @@ def save_dataset(dataset, out_dir):
 
 
 def load_dataset(in_dir):
+    """The dataset `save_dataset` wrote to `in_dir`. Its manifest is outside
+    input, so DatasetConfig checks it against the config schema."""
     in_dir = Path(in_dir)
     manifest = json.loads((in_dir / "manifest.json").read_text())
     dims = manifest["dims"]
@@ -376,7 +342,7 @@ def load_dataset(in_dir):
         n_frames=dims["n_frames"], fps=manifest["fps"],
         d_audio=dims["d_audio"], d_text=dims["d_text"],
         downsample=dims["downsample"], noise=dims["noise"],
-        n_onsets=dims["n_onsets"], ratios=tuple(dims["ratios"]),
+        n_onsets=dims["n_onsets"], ratios=dims["ratios"],
         seed=manifest["seed"])
 
     ct = load_checkpoint(in_dir / "classes.bin")
@@ -442,9 +408,7 @@ def mismatch_pairing(z1, cond, class_ids, rng, mode="permute-pair", audio=None,
     """Class-aware incongruent batch: resample (with repair) until every
     mismatched item comes from a different class, up to max_tries draws,
     else accept the best derangement seen; then delegate to the flow-level
-    pairing."""
-    if mode not in NEGATIVE_MODES:
-        raise NumericError(f"unknown negative mode {mode!r}; expected {NEGATIVE_MODES}")
+    pairing, which checks `mode`."""
     class_ids = np.asarray(class_ids)
     n = class_ids.shape[0]
     if n < 2:

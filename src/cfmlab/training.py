@@ -384,18 +384,9 @@ def check_codec_dims(cfg, codecs, stacks):
     """Loaded stage-1 checkpoint must match the codec section before stage 2
     builds on top of it."""
     for p in PART_ORDER:
-        if codecs[p].d_g != cfg.codec.d_g:
-            raise ConfigError(
-                f"codec.d_g: checkpoint has {codecs[p].d_g}, config wants {cfg.codec.d_g}")
-        if codecs[p].downsample != cfg.codec.downsample:
-            raise ConfigError(
-                f"codec.downsample: checkpoint has {codecs[p].downsample}, "
-                f"config wants {cfg.codec.downsample}")
-        if stacks[p].depth != cfg.codec.depth:
-            raise ConfigError(
-                f"codec.depth: checkpoint has {stacks[p].depth}, "
-                f"config wants {cfg.codec.depth}")
-        if stacks[p].stages[0].shape[0] != cfg.codec.n_codes:
-            raise ConfigError(
-                f"codec.n_codes: checkpoint has {stacks[p].stages[0].shape[0]}, "
-                f"config wants {cfg.codec.n_codes}")
+        found = {"d_g": codecs[p].d_g, "downsample": codecs[p].downsample,
+                 "depth": stacks[p].depth, "n_codes": stacks[p].stages[0].shape[0]}
+        for name, have in found.items():
+            want = getattr(cfg.codec, name)
+            if have != want:
+                raise ConfigError(f"codec.{name}: checkpoint has {have}, config wants {want}")

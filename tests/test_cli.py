@@ -7,6 +7,7 @@ import json
 import math
 import pkgutil
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cfmlab.alignment import ProjectionHeads
 from cfmlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import CodebookStack, PartCodecParams
+from cfmlab.config import _SECTION_TYPES, config_from_dict, config_hash
 from cfmlab.flow import VelocityNet
 from cfmlab.sampler import ManifoldProjection
 from cfmlab.training import stage1_from_tensors
@@ -63,7 +65,10 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("dataset, field", [
     ({"downsample": 0}, "dataset.downsample: must be >= 1"),
     ({"ratios": "abc"}, "dataset.ratios: split ratios must be 3 numbers"),
-], ids=["downsample", "ratios"])
+    ({"ratios": 5}, "dataset.ratios: split ratios must be 3 numbers"),
+    ({"ratios": None}, "dataset.ratios: split ratios must be 3 numbers"),
+    ({"ratios": [True, False, False]}, "dataset.ratios: split ratios must be 3 numbers"),
+], ids=["downsample", "ratios", "ratios_int", "ratios_null", "ratios_bools"])
 def test_bad_dataset_field_exits_2_naming_it(tmp_path, capsys, dataset, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": dataset}))
@@ -83,6 +88,46 @@ def test_wrong_field_type_exits_2_naming_it(tmp_path, capsys, payload, field):
              capsys, field)
 
 
+def test_known_config_hashes_are_unchanged():
+    assert config_hash(config_from_dict({})) == (
+        "b4083562f8adf0b80a6160ee4d9d860289700f63f388af83134ada12a5d80ac9")
+    assert config_hash(config_from_dict(TINY)) == (
+        "9af0198aa194ac44027672c5d212394cb1984831bb758fe5d99cddd1c02a20b4")
+
+
+# a tiny base config, and what every field of every section is set to in turn:
+# a string, a bool, a float where an int may be wanted, NaN, +-inf, a
+# negative number and 0 (no huge sizes: a valid one would allocate)
+FUZZ_BASE = {"dataset": {"n_classes": 2, "n_clips": 8, "n_frames": 32, "n_onsets": 2}}
+FUZZ_VALUES = ["x", True, 2.5, math.nan, math.inf, -math.inf, -1, 0]
+
+
+def _schema_fields():
+    for section, cls in _SECTION_TYPES.items():
+        for name in typing.get_type_hints(cls):
+            yield section, name
+
+
+@pytest.mark.parametrize("section, name", list(_schema_fields()))
+def test_fuzzed_field_exits_0_or_2_naming_it(tmp_path, capsys, section, name):
+    for value in FUZZ_VALUES:
+        payload = {**FUZZ_BASE, section: {**FUZZ_BASE.get(section, {}), name: value}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))  # NaN and inf are written as NaN, Infinity
+        capsys.readouterr()
+        code = main(["make-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 2), (value, code, err)
+        if code == 2:
+            assert re.fullmatch(rf"error: {section}\.{name}: [^\n]*\n", err), (value, err)
+
+
+@pytest.mark.parametrize("lam", ["1", "nan"])
+def test_lambda_override_goes_through_the_schema(tmp_path, capsys, lam):
+    _exits_2(["train-generator", "--lambda", lam, "--out", str(tmp_path)], capsys,
+             "flow.lam: ")
+
+
 def test_out_path_is_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
@@ -94,6 +139,19 @@ def test_stage1_checkpoint_alone_exits_2(stage1, tmp_path, capsys, command):
     cfg, ckpt = stage1
     _exits_2([command, "--config", str(cfg), "--out", str(tmp_path),
               "--checkpoint", str(ckpt)], capsys, "missing flow tensor")
+
+
+# 2 and 3 test clips; 5 test clips of which one is the only one of its class
+@pytest.mark.parametrize("ratios, n_test", [([0.8, 0.1, 0.1], 2), ([0.7, 0.15, 0.15], 3),
+                                            ([0.75, 0.0, 0.25], 5)])
+def test_evaluate_on_a_too_small_test_split_exits_2(stage1, tmp_path, capsys, ratios,
+                                                    n_test):
+    _, ckpt = stage1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "dataset": {**TINY["dataset"], "ratios": ratios}}))
+    _exits_2(["evaluate", "--self-eval", "--config", str(cfg), "--out", str(tmp_path),
+              "--checkpoint", str(ckpt)], capsys,
+             f"dataset.ratios: test split has {n_test} clips, need >= 4 and >= 2 of each")
 
 
 # (tensor, how it is altered, what the error says after the tensor's name);

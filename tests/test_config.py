@@ -6,8 +6,12 @@ import pytest
 
 from cfmlab.config import (
     _SECTION_TYPES,
+    CodecSection,
     ConfigError,
+    DatasetConfig,
+    FlowSection,
     RunConfig,
+    SacmSection,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -188,3 +192,32 @@ def test_load_config_invalid_json(tmp_path):
 
 def test_default_dataclass_is_valid():
     validate_config(RunConfig())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FlowSection(lam=1.0), r"^flow\.lam: must be >= 0 and < 1, got 1\.0$"),
+    (lambda: FlowSection(mode="shuffle"), r"^flow\.mode: must be one of "),
+    (lambda: SacmSection(alpha=True), r"^sacm\.alpha: must be a finite number, got True$"),
+    (lambda: DatasetConfig(ratios=5), r"^dataset\.ratios: split ratios must be 3 numbers"),
+    (lambda: DatasetConfig(n_classes=0, n_clips=0), r"^dataset\.n_classes: "),
+    (lambda: RunConfig(seed=-1), r"^seed: must be >= 0, got -1$"),
+    (lambda: RunConfig(codec=CodecSection(downsample=2)), r"^codec\.downsample: must match"),
+    (lambda: config_from_dict({"seed": "7"}), r"^seed: must be an integer, got '7'$"),
+], ids=["flow_lam", "flow_mode", "sacm_alpha_bool", "dataset_ratios", "field_before_rule",
+        "run_seed", "run_rule", "global_seed_before_dataset"])
+def test_schema_names_the_field_however_the_config_is_built(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
+
+
+def test_a_field_changed_in_place_is_checked_again():
+    cfg = config_from_dict({})
+    cfg.flow.lam = math.nan
+    with pytest.raises(ConfigError, match=r"^flow\.lam: must be a finite number"):
+        validate_config(cfg)
+
+
+def test_int_ratios_are_kept_as_floats():
+    cfg = config_from_dict({"dataset": {"ratios": [1, 0, 0]}})
+    assert cfg.dataset.ratios == (1.0, 0.0, 0.0)
+    assert all(type(r) is float for r in cfg.dataset.ratios)

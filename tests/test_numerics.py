@@ -807,6 +807,20 @@ def test_mse_of_empty_operands_raises_naming_mse(recording):
                     mse(a, np.zeros(3))
 
 
+@pytest.mark.parametrize("recording", [True, False])
+@pytest.mark.parametrize("axis", [None, 0])
+def test_mean_of_empty_operand_raises_naming_mean(recording, axis):
+    a = Tensor(np.zeros((0, 3)), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "Mean of empty slice" must not escape
+        with pytest.raises(NumericError, match="'mean'"):
+            if recording:
+                mean(a, axis=axis)
+            else:
+                with no_grad():
+                    mean(a, axis=axis)
+
+
 # ------------------------------------------------------------------------ Adam
 
 def test_adam_zero_grad_is_identity():

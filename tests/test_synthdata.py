@@ -8,6 +8,7 @@ from cfmlab import synthdata
 from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import PART_JOINTS, PART_ORDER, MotionClip, init_part_codec
+from cfmlab.config import ConfigError
 from cfmlab.flow import NegativePairing, init_velocity_net
 from cfmlab.metrics import OnsetTrack, beat_consistency, extract_kinematic_peaks, fgd, motion_features
 from cfmlab.numerics import NumericError
@@ -330,15 +331,31 @@ def test_dataset_save_load_roundtrip(tmp_path):
         assert orig.freqs == loaded.freqs
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(n_clips=2), r"dataset\.n_clips: must be >= n_classes"),
+    (lambda m: m["dims"].update(ratios=5), r"dataset\.ratios: split ratios must be 3"),
+    (lambda m: m["dims"].update(noise=None), r"dataset\.noise: must be a finite number"),
+], ids=["rule", "ratios", "type"])
+def test_load_dataset_checks_its_manifest(tmp_path, edit, message):
+    save_dataset(build_dataset(DatasetConfig(n_clips=6, n_frames=32, n_onsets=2)),
+                 tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=message):
+        load_dataset(tmp_path / "d")
+
+
 def test_infeasible_ratios_rejected():
-    with pytest.raises(NumericError, match="ratios"):
+    with pytest.raises(ConfigError, match="ratios"):
         DatasetConfig(ratios=(0.8, 0.3, 0.1))
-    with pytest.raises(NumericError, match="ratios"):
+    with pytest.raises(ConfigError, match="ratios"):
         DatasetConfig(ratios=(1.2, -0.1, -0.1))
 
 
 def test_fewer_clips_than_classes_rejected():
-    with pytest.raises(NumericError, match="n_clips"):
+    with pytest.raises(ConfigError, match="n_clips"):
         DatasetConfig(n_clips=2, n_classes=3)
 
 
