@@ -27,57 +27,39 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (
-    clip_loss,
-    cosine_alignment_loss_batch,
-    fused_target_batch,
-    init_projection_heads,
-    project_and_normalize_batch,
-    temporal_pool_batch,
-)
 from .checkpoint import CheckpointError, load_checkpoint
-from .codec import (
-    commitment_loss,
-    decode_part_batch,
-    encode_part_batch,
-    init_codebook_stack,
-    init_part_codec,
-    rvq_quantize_batch,
-)
+from .codec import encode_part_batch, init_codebook_stack, init_part_codec, \
+    rvq_quantize_batch
 from .config import (
     ConfigError,
+    config_from_dict,
     config_hash,
     config_to_dict,
     load_config,
     validate_config,
 )
 from .evaluate import condition_for_clip, evaluate_run
-from .flow import (
-    NEGATIVE_MODES,
-    build_condition_batch,
-    cfm_loss,
-    init_velocity_net,
-    interpolate_batch,
-    velocity_forward,
-)
-from .numerics import NumericError, Tensor, mse, no_grad
+from .flow import NEGATIVE_MODES
+from .numerics import NumericError, Tensor, no_grad
 from .numerics.gradcheck import check_gradients
 from .numerics.tensor import inject_backward_fault
 from .sampler import (
     OdeConfig,
     generate_batch,
-    init_manifold_projection,
-    project_to_codebook_manifold,
     write_motion_csv,
     write_sidecar,
 )
 from .synthdata import build_dataset, generate_utterance, save_dataset
 from .training import (
+    Stage2Data,
     check_codec_dims,
+    init_stage2,
     save_stage1_checkpoint,
     save_stage2_checkpoint,
     stage1_from_tensors,
+    stage1_loss,
     stage2_from_tensors,
+    stage2_loss,
     train_codec,
     train_generator,
 )
@@ -232,68 +214,40 @@ def cmd_evaluate(args):
 # ------------------------------------------------------------------ gradcheck
 
 def _gradcheck_suite():
-    """Small end-to-end finite-difference checks, one per differentiable
-    subsystem; sizes are tiny so the whole sweep stays under a second."""
+    """Finite-difference checks of the two losses training minimizes, tiny.
+    Stage 1 fixes each code and its offset at the initial parameters (see
+    `stage1_loss`) and stage 2 its negatives, so both losses are smooth."""
     rng = np.random.default_rng(1234)
-    checks = []
-
     codec = init_part_codec(rng, "face", downsample=4, d_g=2, hidden=6)
     stack = init_codebook_stack(rng, "face", n_codes=4, depth=2, d_g=2)
-    frames = rng.standard_normal((2, 8, 16))
-    # straight-through gradients equal the true gradients of a surrogate in
-    # which quantization is a constant offset, so that is what we difference
+    frames = {"face": rng.standard_normal((2, 8, 16))}
     with no_grad():
-        z_init = encode_part_batch(frames, codec)
-    q0, _, _ = rvq_quantize_batch(z_init.data, stack.stages)
-    offset = q0 - z_init.data
+        z_init = encode_part_batch(frames["face"], codec).data
+    q0, _, _ = rvq_quantize_batch(z_init, stack.stages)
 
-    def codec_loss():
-        z = encode_part_batch(frames, codec)
-        recon = decode_part_batch(z + Tensor(offset), codec)
-        return mse(recon, Tensor(frames)) + Tensor(0.25) * commitment_loss(z, q0)
+    def stage1():
+        return stage1_loss(frames, {"face": codec},
+                           lambda p, z: (z + Tensor(q0 - z_init), q0), 0.25)[0]
 
-    checks.append(("stage1/reconstruction+commitment", codec_loss,
-                   codec.named_tensors(), 1e-3))
-
-    heads = init_projection_heads(rng, d_text=5, d_audio=6, d_motion=8, d=4)
-    text = rng.standard_normal((3, 4, 5))
-    audio = rng.standard_normal((3, 4, 6))
-    motion = rng.standard_normal((3, 4, 8))
-
-    def sem():
-        te = project_and_normalize_batch(text, heads.text)
-        ae = project_and_normalize_batch(audio, heads.audio)
-        me = project_and_normalize_batch(motion, heads.motion)
-        l_cos = cosine_alignment_loss_batch(fused_target_batch(te, ae, 0.5), me)
-        l_clp = clip_loss(temporal_pool_batch(me), temporal_pool_batch(ae),
-                          temporal_pool_batch(te), 0.1)
-        return l_cos + Tensor(0.1) * l_clp
-
-    checks.append(("sacm/cosine+clip", sem, heads.named_tensors(), 1e-4))
-
-    net = init_velocity_net(rng, d_model=4, d_cond=6, d_audio=3, d_text=3,
-                            d_s=6, time_dim=4)
-    proj = init_manifold_projection(4)
-    z0 = rng.standard_normal((2, 4, 4))
+    cfg = config_from_dict({"codec": {"d_g": 1}, "sacm": {"d": 3},
+                            "flow": {"d_cond": 4, "d_s": 4, "time_dim": 4},
+                            "dataset": {"d_audio": 6, "d_text": 5}})
+    models = init_stage2(cfg)
+    params = {k: t for model in models for k, t in model.named_tensors().items()}
+    # away from the init: its zero tcam_o and align_w would cut every
+    # gradient through the condition, so a fault there would go unseen
+    for w in params.values():
+        w.data += rng.uniform(-0.5, 0.5, w.data.shape)
     z1 = rng.standard_normal((2, 4, 4))
-    z1n = z1[[1, 0]]
-    a_feat = rng.standard_normal((2, 4, 3))
-    t_feat = rng.standard_normal((2, 4, 3))
-    t = rng.uniform(0.2, 0.8, size=2)
+    batch = Stage2Data(z1, rng.standard_normal(z1.shape), rng.standard_normal((2, 4, 6)),
+                       rng.standard_normal((2, 4, 5)), class_ids=None)
+    t, z0 = rng.uniform(0.2, 0.8, size=2), rng.standard_normal(z1.shape)
 
-    def flow():
-        cond = build_condition_batch(a_feat, t_feat, net)
-        zt = interpolate_batch(z0, z1, t)
-        v = velocity_forward(net, Tensor(zt), t, cond)
-        l_cfm = cfm_loss(v, z1 - z0, z1n - z0, 0.05)
-        z1_hat = Tensor(zt) + Tensor((1.0 - t)[:, None, None]) * v
-        l_proj = mse(project_to_codebook_manifold(z1_hat, proj), Tensor(z1))
-        return l_cfm + Tensor(0.1) * l_proj
+    def stage2():
+        return stage2_loss(cfg, *models, batch, t, z0, lambda *_: z1[[1, 0]])[0]
 
-    flow_params = dict(net.named_tensors())
-    flow_params.update(proj.named_tensors())
-    checks.append(("flow/cfm+projection", flow, flow_params, 1e-3))
-    return checks
+    return [("stage1/reconstruction+commitment", stage1, codec.named_tensors(), 1e-3),
+            ("stage2/cfm+projection+sem", stage2, params, 1e-3)]
 
 
 def cmd_gradcheck(args):
@@ -365,7 +319,8 @@ def _build_parser():
                    help="score the real test clips against themselves")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient self-check")
+    p = sub.add_parser("gradcheck",
+                       help="finite-difference check of training's two losses")
     p.add_argument("--inject-fault", metavar="OP",
                    help="negate OP's backward rule (harness self-test)")
     p.set_defaults(func=cmd_gradcheck)
@@ -389,10 +344,7 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
+    except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -46,6 +46,8 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2 at the CLI."""
 
 
+STROKE_HALF_WIDTH = 3   # a planted stroke's raised-cosine bump spans 6 frames
+
 # a bound's metadata key -> (holds(value, bound), how a message states it)
 _BOUNDS = {
     "ge": (operator.ge, ">="),
@@ -173,6 +175,8 @@ _RULES = (
      "must be >= n_classes, got {n_clips} < {n_classes}"),
     (DatasetConfig, "n_frames", lambda d: d.n_frames % d.downsample == 0,
      "{n_frames} not divisible by downsample {downsample}"),
+    (DatasetConfig, "n_frames", lambda d: d.n_frames - 2 * STROKE_HALF_WIDTH - 4 >= 3 * d.n_onsets,
+     "clip of {n_frames} frames too short for {n_onsets} onsets"),  # 3 frames apart, clear of ends
     (DatasetConfig, "d_audio", lambda d: d.d_audio >= d.n_classes,
      "must fit {n_classes} orthogonal anchors, got {d_audio}"),
     (DatasetConfig, "d_text", lambda d: d.d_text >= d.n_classes,

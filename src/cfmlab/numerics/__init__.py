@@ -1,12 +1,13 @@
 """Flat-tape reverse-mode autodiff over float64 numpy arrays, plus Adam."""
 
+import ctypes
+
 from .tensor import (
     NumericError,
     Tape,
     Tensor,
     as_tensor,
     concat,
-    detach,
     exp,
     finite_checks,
     gelu,
@@ -44,7 +45,6 @@ __all__ = [
     "as_tensor",
     "check_gradients",
     "concat",
-    "detach",
     "exp",
     "finite_checks",
     "finite_difference_gradient",
@@ -72,3 +72,19 @@ __all__ = [
     "uniform_init",
     "zeros_init",
 ]
+
+
+def _keep_freed_pages():
+    """Blocks under 32 MB come from glibc's heap, trimmed only past 1 GB free
+    (see cfmlab.training). Setting either turns off the dynamic mmap
+    threshold, so the trim alone faulted 542k pages where both fault 40k."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return  # no glibc mallopt: nothing to set
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD
+
+
+_keep_freed_pages()

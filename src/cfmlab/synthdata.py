@@ -25,7 +25,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import PART_JOINTS, PART_ORDER, MotionClip
-from .config import DatasetConfig
+from .config import STROKE_HALF_WIDTH, ConfigError, DatasetConfig
 from .flow import make_incongruent_batch, sample_derangement
 from .numerics import NumericError
 
@@ -47,7 +47,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
-STROKE_HALF_WIDTH = 3   # raised-cosine velocity bump spans 6 frames
 STROKE_AMPLITUDE = 2.0
 BASE_SWAY_AMPLITUDE = 0.3
 PULSE_AMPLITUDE = 1.5   # onset marker on the last audio channel
@@ -335,15 +334,23 @@ def load_dataset(in_dir):
     """The dataset `save_dataset` wrote to `in_dir`. Its manifest is outside
     input, so DatasetConfig checks it against the config schema."""
     in_dir = Path(in_dir)
-    manifest = json.loads((in_dir / "manifest.json").read_text())
-    dims = manifest["dims"]
-    config = DatasetConfig(
-        n_classes=manifest["classes"], n_clips=manifest["n_clips"],
-        n_frames=dims["n_frames"], fps=manifest["fps"],
-        d_audio=dims["d_audio"], d_text=dims["d_text"],
-        downsample=dims["downsample"], noise=dims["noise"],
-        n_onsets=dims["n_onsets"], ratios=dims["ratios"],
-        seed=manifest["seed"])
+    path = in_dir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+        dims = manifest["dims"]
+        config = DatasetConfig(  # checks types first, so raises no TypeError
+            n_classes=manifest["classes"], n_clips=manifest["n_clips"],
+            n_frames=dims["n_frames"], fps=manifest["fps"],
+            d_audio=dims["d_audio"], d_text=dims["d_text"],
+            downsample=dims["downsample"], noise=dims["noise"],
+            n_onsets=dims["n_onsets"], ratios=dims["ratios"],
+            seed=manifest["seed"])
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except TypeError:  # the manifest or its dims is not an object
+        raise ConfigError(f"{path}: must be an object with a 'dims' object") from None
 
     ct = load_checkpoint(in_dir / "classes.bin")
     classes = []

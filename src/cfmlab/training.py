@@ -11,6 +11,15 @@ where L_proj supervises the manifold projection against one-step latent
 reconstructions and L_sem carries the cosine + contrastive alignment terms.
 All randomness is keyed on (seed, stage, epoch, batch), so identical configs
 reproduce bit-identical checkpoints.
+
+`stage1_loss` and `stage2_loss` are the objectives; `cfmlab gradcheck`
+differences the same two. Each optimiser step is a function that builds
+the graph, runs the EMA updates (stage 1), takes the gradient and the Adam
+step and returns floats, so one graph is alive at a time. The freed pages
+stay in the heap (`cfmlab.numerics` sets glibc's mallopt). With glibc's
+default trim they went back to the kernel: 4 stage-1 epochs at 128 clips
+of 512 frames (one BLAS thread) took 147k minor page faults, against 77k
+with two graphs alive and 40k with the heap setting (stage 2: 98k, 21k).
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ from .synthdata import mismatch_pairing
 
 __all__ = [
     "RunRecord",
+    "stage1_loss",
+    "stage2_loss",
     "train_codec",
     "train_generator",
     "prepare_stage2_data",
@@ -105,9 +116,34 @@ def _rng(seed, *tags):
     return np.random.default_rng([int(seed)] + [int(t) for t in tags])
 
 
-def _batches(n, batch_size, order):
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _fit(cfg, stage, section, n, names, step, min_rows=1):
+    """`section.epochs` epochs over shuffled batches of the n rows, skipping
+    any of under `min_rows`; `step(idx, rng)` is one optimiser step and
+    returns floats. Returns the RunRecord of batch-weighted epoch means."""
+    curves = {name: [] for name in names}
+    started = time.perf_counter()
+    for epoch in range(section.epochs):
+        order = _rng(cfg.seed, stage, 2, epoch).permutation(n)
+        sums = np.zeros(len(names))
+        seen = 0
+        for bi, start in enumerate(range(0, n, section.batch)):
+            idx = order[start:start + section.batch]
+            if len(idx) < min_rows:
+                continue
+            seen += len(idx)
+            try:
+                values = step(idx, _rng(cfg.seed, stage, 3, epoch, bi))
+            except NumericError as exc:
+                raise NumericError(
+                    f"stage-{stage} loss at epoch {epoch + 1}: {exc}") from exc
+            sums += len(idx) * np.array([values.get(k, 0.0) for k in names])
+        epoch_means = sums / max(seen, 1)
+        if not np.all(np.isfinite(epoch_means)):
+            raise NumericError(f"non-finite stage-{stage} loss at epoch {epoch + 1}")
+        for name, value in zip(names, epoch_means):
+            curves[name].append(float(value))
+    return RunRecord(config_hash=config_hash(cfg), stage=("codec", "generator")[stage - 1],
+                     curves=curves, wall_clock_s=time.perf_counter() - started)
 
 
 # --------------------------------------------------------------------- stage 1
@@ -139,6 +175,26 @@ def init_stage1(cfg, frames):
     return codecs, stacks
 
 
+def stage1_loss(frames, codecs, quantize, beta):
+    """rec + beta * com (rec alone at beta = 0) over the parts of `frames`
+    (part -> batch), in their order: rec sums mse(decode(zq), x) and com
+    sums mse(z, q), where z is a part's encoding and `quantize(p, z)` gives
+    the decoder's input zq and the array q. Training takes q from the
+    codebooks and zq = straight_through(z, q). `cfmlab gradcheck` fixes q
+    and zq - z at the initial parameters: a smooth surrogate whose gradient
+    is the straight-through one. Returns (total, {"rec": ..., "com": ...})."""
+    loss_rec = Tensor(0.0)
+    loss_com = Tensor(0.0)
+    for p, batch in frames.items():
+        z = encode_part_batch(batch, codecs[p])
+        zq, q = quantize(p, z)
+        recon = decode_part_batch(zq, codecs[p])
+        loss_rec = loss_rec + mse(recon, Tensor(batch))
+        loss_com = loss_com + commitment_loss(z, q)
+    total = loss_rec if beta == 0.0 else loss_rec + Tensor(beta) * loss_com
+    return total, {"rec": loss_rec, "com": loss_com}
+
+
 def train_codec(cfg, dataset):
     """Stage 1: jointly reconstruct all four parts; returns trained codecs,
     codebook stacks, and the run record."""
@@ -146,44 +202,27 @@ def train_codec(cfg, dataset):
     codecs, stacks = init_stage1(cfg, frames)
     params = [t for p in PART_ORDER for t in codecs[p].parameters()]
     adam = AdamState(lr=cfg.codec.lr)
-    n = frames[PART_ORDER[0]].shape[0]
-    beta = cfg.codec.beta
-    curves = {"total": [], "rec": [], "com": []}
-    started = time.perf_counter()
-    for epoch in range(cfg.codec.epochs):
-        order = _rng(cfg.seed, STAGE1, 2, epoch).permutation(n)
-        sums = np.zeros(3)
-        for bi, idx in enumerate(_batches(n, cfg.codec.batch, order)):
-            loss_rec = Tensor(0.0)
-            loss_com = Tensor(0.0)
-            ema_rng = _rng(cfg.seed, STAGE1, 3, epoch, bi)
-            try:
-                for p in PART_ORDER:
-                    batch = frames[p][idx]
-                    z = encode_part_batch(batch, codecs[p])
-                    q, codes, _, stage_inputs = rvq_quantize_batch(
-                        z.data, stacks[p].stages, return_stage_inputs=True)
-                    recon = decode_part_batch(straight_through(z, q), codecs[p])
-                    loss_rec = loss_rec + mse(recon, Tensor(batch))
-                    loss_com = loss_com + commitment_loss(z, q)
-                    ema_codebook_update(stacks[p], codes, stage_inputs,
-                                        decay=cfg.codec.ema_decay, rng=ema_rng)
-                total = loss_rec if beta == 0.0 else loss_rec + Tensor(beta) * loss_com
-            except NumericError as exc:
-                raise NumericError(
-                    f"stage-1 loss at epoch {epoch + 1}: {exc}") from exc
-            grads = grad(total, params)
-            adam_step(params, grads, adam)
-            sums += len(idx) * np.array([float(total.data), float(loss_rec.data),
-                                         float(loss_com.data)])
-        epoch_means = sums / n
-        if not np.all(np.isfinite(epoch_means)):
-            raise NumericError(f"non-finite stage-1 loss at epoch {epoch + 1}")
-        for name, value in zip(("total", "rec", "com"), epoch_means):
-            curves[name].append(float(value))
-    record = RunRecord(config_hash=config_hash(cfg), stage="codec",
-                       curves=curves,
-                       wall_clock_s=time.perf_counter() - started)
+
+    def step(idx, ema_rng):
+        assigned = []
+
+        def quantize(p, z):
+            q, codes, _, stage_inputs = rvq_quantize_batch(
+                z.data, stacks[p].stages, return_stage_inputs=True)
+            assigned.append((p, codes, stage_inputs))
+            return straight_through(z, q), q
+
+        total, terms = stage1_loss({p: frames[p][idx] for p in PART_ORDER},
+                                   codecs, quantize, cfg.codec.beta)
+        for p, codes, stage_inputs in assigned:  # in PART_ORDER: one ema_rng
+            ema_codebook_update(stacks[p], codes, stage_inputs,
+                                decay=cfg.codec.ema_decay, rng=ema_rng)
+        adam_step(params, grad(total, params), adam)
+        return {"total": float(total.data), "rec": float(terms["rec"].data),
+                "com": float(terms["com"].data)}
+
+    record = _fit(cfg, STAGE1, cfg.codec, len(frames[PART_ORDER[0]]),
+                  ("total", "rec", "com"), step)
     return codecs, stacks, record
 
 
@@ -239,6 +278,56 @@ def init_stage2(cfg):
     return net, heads, proj
 
 
+def stage2_loss(cfg, net, heads, proj, batch, t, z0, negatives):
+    """The stage-2 objective on `batch`, a Stage2Data of the batch's rows,
+    with flow times t (B,) and noise z0. When flow.lam > 0, `negatives(cond,
+    audio_emb, text_emb)` gives the mismatched targets: training draws them
+    with `mismatch_pairing`, and `cfmlab gradcheck` fixes them. Returns
+    (total, terms): total is None when lambda_cfm and lambda_sem are both 0,
+    and terms holds those of cfm, proj, cos, clp and sem that ran."""
+    f, s = cfg.flow, cfg.sacm
+    terms = {}
+    total = None
+    # Both branches speak in the shared embedding space: the velocity net is
+    # conditioned on the projected/normalized modality embeddings, so the
+    # heads also receive gradient through the flow objective.
+    if f.lambda_cfm > 0.0 or f.lambda_sem > 0.0:
+        audio_emb = project_and_normalize_batch(batch.audio, heads.audio)
+        text_emb = project_and_normalize_batch(batch.text, heads.text)
+
+    if f.lambda_cfm > 0.0:
+        cond = build_condition_batch(audio_emb, text_emb, net)
+        v_neg = None
+        if f.lam > 0.0:
+            v_neg = negatives(cond, audio_emb, text_emb) - z0
+        zt = interpolate_batch(z0, batch.z1, t)
+        v_pred = velocity_forward(net, Tensor(zt), t, cond)
+        l_cfm = cfm_loss(v_pred, batch.z1 - z0, v_neg, f.lam)
+        remain = Tensor((1.0 - t)[:, None, None])
+        z1_hat = Tensor(zt) + remain * v_pred
+        l_proj = mse(project_to_codebook_manifold(z1_hat, proj),
+                     Tensor(batch.z1_quant))
+        total = Tensor(f.lambda_cfm) * (l_cfm + Tensor(0.1) * l_proj)
+        terms["cfm"], terms["proj"] = l_cfm, l_proj
+
+    if f.lambda_sem > 0.0:
+        motion_emb = project_and_normalize_batch(batch.z1, heads.motion)
+        l_sem = Tensor(0.0)
+        if s.lambda_cos > 0.0:
+            fused = fused_target_batch(text_emb, audio_emb, s.alpha)
+            terms["cos"] = cosine_alignment_loss_batch(fused, motion_emb)
+            l_sem = l_sem + Tensor(s.lambda_cos) * terms["cos"]
+        if s.lambda_clp > 0.0:
+            terms["clp"] = clip_loss(temporal_pool_batch(motion_emb),
+                                     temporal_pool_batch(audio_emb),
+                                     temporal_pool_batch(text_emb), s.tau)
+            l_sem = l_sem + Tensor(s.lambda_clp) * terms["clp"]
+        term = Tensor(f.lambda_sem) * l_sem
+        total = term if total is None else total + term
+        terms["sem"] = l_sem
+    return total, terms
+
+
 def train_generator(cfg, dataset, codecs, stacks):
     """Stage 2: frozen codecs; velocity net + alignment heads + projection
     trained jointly. Returns (net, heads, proj, record)."""
@@ -246,89 +335,28 @@ def train_generator(cfg, dataset, codecs, stacks):
     net, heads, proj = init_stage2(cfg)
     params = (net.parameters() + heads.parameters() + proj.parameters())
     adam = AdamState(lr=cfg.flow.lr)
-    n = data.z1.shape[0]
-    f, s = cfg.flow, cfg.sacm
-    curves = {"cfm": [], "cos": [], "clp": [], "sem": [], "proj": [], "total": []}
-    started = time.perf_counter()
-    for epoch in range(f.epochs):
-        order = _rng(cfg.seed, STAGE2, 2, epoch).permutation(n)
-        sums = np.zeros(6)
-        seen = 0
-        for bi, idx in enumerate(_batches(n, f.batch, order)):
-            if f.lam > 0.0 and len(idx) < 2:
-                continue  # a trailing singleton cannot host a derangement
-            seen += len(idx)
-            brng = _rng(cfg.seed, STAGE2, 3, epoch, bi)
-            z1_b = data.z1[idx]
-            audio_b, text_b = data.audio[idx], data.text[idx]
-            t = brng.uniform(0.0, 1.0, size=len(idx))
-            z0 = brng.standard_normal(z1_b.shape)
-            vals = dict.fromkeys(curves, 0.0)
-            total = None
 
-            try:
-                # Both branches speak in the shared embedding space: the
-                # velocity net is conditioned on the projected/normalized
-                # modality embeddings, so the heads also receive gradient
-                # through the flow objective.
-                if f.lambda_cfm > 0.0 or f.lambda_sem > 0.0:
-                    audio_emb = project_and_normalize_batch(audio_b, heads.audio)
-                    text_emb = project_and_normalize_batch(text_b, heads.text)
+    def step(idx, brng):
+        batch = Stage2Data(**{name: rows[idx] for name, rows in vars(data).items()})
+        t = brng.uniform(0.0, 1.0, size=len(idx))
+        z0 = brng.standard_normal(batch.z1.shape)
 
-                if f.lambda_cfm > 0.0:
-                    cond = build_condition_batch(audio_emb, text_emb, net)
-                    v_neg = None
-                    if f.lam > 0.0:
-                        pairing = mismatch_pairing(
-                            z1_b, cond.data, data.class_ids[idx], brng,
-                            mode=f.mode, audio=audio_emb.data,
-                            text=text_emb.data, net=net)
-                        v_neg = pairing.latents - z0
-                    zt = interpolate_batch(z0, z1_b, t)
-                    v_pred = velocity_forward(net, Tensor(zt), t, cond)
-                    l_cfm = cfm_loss(v_pred, z1_b - z0, v_neg, f.lam)
-                    remain = Tensor((1.0 - t)[:, None, None])
-                    z1_hat = Tensor(zt) + remain * v_pred
-                    l_proj = mse(project_to_codebook_manifold(z1_hat, proj),
-                                 Tensor(data.z1_quant[idx]))
-                    term = Tensor(f.lambda_cfm) * (l_cfm + Tensor(0.1) * l_proj)
-                    total = term if total is None else total + term
-                    vals["cfm"], vals["proj"] = float(l_cfm.data), float(l_proj.data)
+        def negatives(cond, audio_emb, text_emb):
+            return mismatch_pairing(batch.z1, cond.data, batch.class_ids, brng,
+                                    mode=cfg.flow.mode, audio=audio_emb.data,
+                                    text=text_emb.data, net=net).latents
 
-                if f.lambda_sem > 0.0:
-                    motion_emb = project_and_normalize_batch(z1_b, heads.motion)
-                    l_sem = Tensor(0.0)
-                    if s.lambda_cos > 0.0:
-                        fused = fused_target_batch(text_emb, audio_emb, s.alpha)
-                        l_cos = cosine_alignment_loss_batch(fused, motion_emb)
-                        l_sem = l_sem + Tensor(s.lambda_cos) * l_cos
-                        vals["cos"] = float(l_cos.data)
-                    if s.lambda_clp > 0.0:
-                        l_clp = clip_loss(temporal_pool_batch(motion_emb),
-                                          temporal_pool_batch(audio_emb),
-                                          temporal_pool_batch(text_emb), s.tau)
-                        l_sem = l_sem + Tensor(s.lambda_clp) * l_clp
-                        vals["clp"] = float(l_clp.data)
-                    term = Tensor(f.lambda_sem) * l_sem
-                    total = term if total is None else total + term
-                    vals["sem"] = float(l_sem.data)
-            except NumericError as exc:
-                raise NumericError(
-                    f"stage-2 loss at epoch {epoch + 1}: {exc}") from exc
+        total, terms = stage2_loss(cfg, net, heads, proj, batch, t, z0, negatives)
+        values = {name: float(term.data) for name, term in terms.items()}
+        if total is not None:
+            values["total"] = float(total.data)
+            adam_step(params, grad(total, params), adam)
+        return values
 
-            if total is not None:
-                vals["total"] = float(total.data)
-                grads = grad(total, params)
-                adam_step(params, grads, adam)
-            sums += len(idx) * np.array([vals[k] for k in curves])
-        epoch_means = sums / max(seen, 1)
-        if not np.all(np.isfinite(epoch_means)):
-            raise NumericError(f"non-finite stage-2 loss at epoch {epoch + 1}")
-        for name, value in zip(curves, epoch_means):
-            curves[name].append(float(value))
-    record = RunRecord(config_hash=config_hash(cfg), stage="generator",
-                       curves=curves,
-                       wall_clock_s=time.perf_counter() - started)
+    # a trailing singleton cannot host the negatives' derangement
+    record = _fit(cfg, STAGE2, cfg.flow, data.z1.shape[0],
+                  ("cfm", "cos", "clp", "sem", "proj", "total"), step,
+                  min_rows=2 if cfg.flow.lam > 0.0 else 1)
     return net, heads, proj, record
 
 
@@ -361,11 +389,8 @@ def load_stage1_checkpoint(path):
 
 
 def save_stage2_checkpoint(path, net, heads, proj):
-    tensors = {}
-    tensors.update(net.named_tensors())
-    tensors.update(heads.named_tensors())
-    tensors.update(proj.named_tensors())
-    save_checkpoint(path, tensors)
+    save_checkpoint(path, {**net.named_tensors(), **heads.named_tensors(),
+                           **proj.named_tensors()})
     return Path(path)
 
 

@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import cfmlab
+from cfmlab import training
 from cfmlab.alignment import ProjectionHeads
 from cfmlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import CodebookStack, PartCodecParams
 from cfmlab.config import _SECTION_TYPES, config_from_dict, config_hash
 from cfmlab.flow import VelocityNet
+from cfmlab.numerics import Tensor
 from cfmlab.sampler import ManifoldProjection
 from cfmlab.training import stage1_from_tensors
 
@@ -68,7 +70,10 @@ def test_config_not_utf8_exits_2(tmp_path, capsys):
     ({"ratios": 5}, "dataset.ratios: split ratios must be 3 numbers"),
     ({"ratios": None}, "dataset.ratios: split ratios must be 3 numbers"),
     ({"ratios": [True, False, False]}, "dataset.ratios: split ratios must be 3 numbers"),
-], ids=["downsample", "ratios", "ratios_int", "ratios_null", "ratios_bools"])
+    ({"n_clips": 6, "n_frames": 16},
+     "dataset.n_frames: clip of 16 frames too short for 4 onsets"),
+], ids=["downsample", "ratios", "ratios_int", "ratios_null", "ratios_bools",
+        "short_clips"])
 def test_bad_dataset_field_exits_2_naming_it(tmp_path, capsys, dataset, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": dataset}))
@@ -217,3 +222,24 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("term, row", [
+    ("commitment_loss", "stage1/reconstruction+commitment"),
+    ("cfm_loss", "stage2/cfm+projection+sem"),
+])
+def test_gradcheck_checks_the_losses_training_uses(monkeypatch, capsys, term, row):
+    # a term whose value counts twice but whose graph counts once: finite
+    # differences see the loss training would minimize, the tape does not
+    real = getattr(training, term)
+
+    def broken(*args):
+        loss = real(*args)
+        return loss + Tensor(loss.data)
+
+    monkeypatch.setattr(training, term, broken)
+    capsys.readouterr()
+    assert main(["gradcheck"]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.endswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == [row]

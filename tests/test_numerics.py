@@ -405,6 +405,19 @@ def test_finite_check_rejects_zero_dim_output():
         sum_(Tensor(np.array([1e308, 1e308])))
 
 
+def test_untracked_finite_check_is_quiet_too():
+    # untracked ops have no errstate of their own: the no_grad block holds it
+    with no_grad():
+        y = Tensor(np.array([1e308, 1e308])) * Tensor(1.0)
+        with pytest.raises(NumericError, match="'mul'"):
+            Tensor(np.array([np.inf, -np.inf])) * Tensor(1.0)
+        with pytest.raises(NumericError, match="'sum'"):
+            sum_(Tensor(np.array([1e308, 1e308])))
+        with pytest.raises(NumericError, match="'div'"):
+            Tensor(1.0) / Tensor(0.0)
+    assert np.array_equal(y.data, [1e308, 1e308])
+
+
 def test_finite_checks_can_be_disabled():
     with finite_checks(False):
         y = log(Tensor(-1.0))
@@ -900,3 +913,22 @@ def test_uniform_init_bounds():
 def test_item_rejects_non_scalar():
     with pytest.raises(NumericError):
         Tensor(np.ones(2)).item()
+
+
+def test_heap_setting_calls_mallopt_or_nothing(monkeypatch):
+    import cfmlab.numerics as numerics
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    libc = type("Libc", (), {})()
+    libc.mallopt = mallopt
+    monkeypatch.setattr(numerics.ctypes, "CDLL", lambda name: libc)
+    numerics._keep_freed_pages()
+    assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # mmap threshold, trim threshold
+    monkeypatch.setattr(numerics.ctypes, "CDLL", lambda name: object())
+    numerics._keep_freed_pages()  # no mallopt (not glibc): nothing set, no error
+    assert len(calls) == 2

@@ -335,14 +335,20 @@ def test_dataset_save_load_roundtrip(tmp_path):
     (lambda m: m.update(n_clips=2), r"dataset\.n_clips: must be >= n_classes"),
     (lambda m: m["dims"].update(ratios=5), r"dataset\.ratios: split ratios must be 3"),
     (lambda m: m["dims"].update(noise=None), r"dataset\.noise: must be a finite number"),
-], ids=["rule", "ratios", "type"])
+    (lambda m: json.dumps([m]), "manifest.json: must be an object with a 'dims' object"),
+    (lambda m: m.pop("dims") and None, "manifest.json: missing key 'dims'"),
+    (lambda m: m["dims"].pop("n_onsets") and None, "manifest.json: missing key 'n_onsets'"),
+    (lambda m: m.update(dims=[1]), "manifest.json: must be an object with a 'dims'"),
+    (lambda m: json.dumps(m)[:-2], "manifest.json: not valid JSON"),
+], ids=["rule", "ratios", "type", "not_object", "no_dims", "no_dim_key",
+        "dims_not_object", "not_json"])
 def test_load_dataset_checks_its_manifest(tmp_path, edit, message):
     save_dataset(build_dataset(DatasetConfig(n_clips=6, n_frames=32, n_onsets=2)),
                  tmp_path / "d")
     path = tmp_path / "d" / "manifest.json"
     manifest = json.loads(path.read_text())
-    edit(manifest)
-    path.write_text(json.dumps(manifest))
+    text = edit(manifest)  # a new file's text, or None after editing in place
+    path.write_text(json.dumps(manifest) if text is None else text)
     with pytest.raises(ConfigError, match=message):
         load_dataset(tmp_path / "d")
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import PART_ORDER
 from cfmlab.config import ConfigError, config_from_dict
-from cfmlab.numerics import NumericError, Tensor
+from cfmlab.numerics import NumericError, Tape, Tensor
+from cfmlab import training
 from cfmlab.synthdata import build_dataset
 from cfmlab.training import (
     RunRecord,
@@ -115,6 +118,37 @@ def test_stage1_nan_names_epoch(monkeypatch):
                         lambda a, b: Tensor(float("nan")))
     with pytest.raises(NumericError, match="stage-1 loss at epoch 1"):
         train_codec(cfg, ds)
+
+
+@pytest.mark.parametrize("stage, first_op", [
+    (1, "encode_part_batch"), (2, "project_and_normalize_batch")])
+def test_each_step_frees_the_previous_graph(small_run, monkeypatch, stage, first_op):
+    # once a step's forward starts, no op node of the last step's graph may
+    # be alive: reference counting alone frees it when the step returns
+    cfg, ds, codecs, stacks, _ = small_run
+    real_grad, real_op = training.grad, getattr(training, first_op)
+    graphs, alive = [], []
+
+    def grad(loss, params):
+        graphs.append([weakref.ref(t) for t in Tape.from_output(loss).nodes
+                       if t._vjp is not None])
+        return real_grad(loss, params)
+
+    def op(*args, **kwargs):
+        alive.append(sum(ref() is not None for refs in graphs for ref in refs))
+        return real_op(*args, **kwargs)
+
+    monkeypatch.setattr(training, "grad", grad)
+    monkeypatch.setattr(training, first_op, op)
+    gc.disable()
+    try:
+        if stage == 1:
+            train_codec(cfg, ds)
+        else:
+            train_generator(cfg, ds, codecs, stacks)
+    finally:
+        gc.enable()
+    assert len(graphs) == 6 and len(alive) > 6 and max(alive) == 0
 
 
 def test_stage1_checkpoint_roundtrip(tmp_path, small_run):
