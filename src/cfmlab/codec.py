@@ -185,7 +185,8 @@ class PartCodecParams:
 
 def _check_codec_shapes(part, arrays):
     """Refuse codec weights whose shapes do not chain: window -> hidden ->
-    d_g through the encoder, (d_g or 3 d_g) -> hidden -> window back."""
+    d_g through the encoder, 3 d_g (a latent and its two neighbours) ->
+    hidden -> window back."""
     def refuse(name, want):
         raise CheckpointError(
             f"codec/{part}/{name}: shape {arrays[name].shape}, expected {want}")
@@ -197,8 +198,8 @@ def _check_codec_shapes(part, arrays):
     if window % PART_JOINTS[part]:
         refuse("enc_w1", f"rows a multiple of the {PART_JOINTS[part]} joints")
     d_g = arrays["enc_w2"].shape[1]
-    if arrays["dec_w1"].shape[0] not in (d_g, 3 * d_g):
-        refuse("dec_w1", f"{d_g} or {3 * d_g} rows (d_g or 3 d_g)")
+    if arrays["dec_w1"].shape[0] != 3 * d_g:
+        refuse("dec_w1", f"{3 * d_g} rows (3 d_g)")
     dec_hidden = arrays["dec_w1"].shape[1]
     want = {"enc_b1": (hidden,), "enc_w2": (hidden, d_g), "enc_b2": (d_g,),
             "dec_b1": (dec_hidden,), "dec_w2": (dec_hidden, window),
@@ -246,18 +247,14 @@ def encode_part_batch(frames, params):
 
 
 def decode_part_batch(latent, params):
-    """(B, L, d_g) latents -> (B, T, J) reconstruction.
-
-    A decoder whose first layer takes 3 * d_g inputs sees each window's
-    latent flanked by its neighbours, read by `shift` (edges replicate);
-    otherwise the window decodes alone.
-    """
+    """(B, L, d_g) latents -> (B, T, J) reconstruction. Each window's
+    latent is decoded flanked by its neighbours, read by `shift` (edges
+    replicate)."""
     z = as_tensor(latent)
-    b, l, d_g = z.shape
+    b, l, _ = z.shape
     factor = params.downsample
     j = PART_JOINTS[params.part]
-    if params.dec_w1.shape[0] == 3 * d_g:
-        z = concat([shift(z, -1), z, shift(z, +1)], axis=-1)
+    z = concat([shift(z, -1), z, shift(z, +1)], axis=-1)
     h = gelu(matmul(z, params.dec_w1) + params.dec_b1)
     flat = matmul(h, params.dec_w2) + params.dec_b2
     if params.in_scale != 1.0:

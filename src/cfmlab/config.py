@@ -22,7 +22,6 @@ import sys
 import typing
 from dataclasses import dataclass, field
 
-from .flow import NEGATIVE_MODES
 from .sampler import SCHEMES
 
 __all__ = [
@@ -90,7 +89,7 @@ class DatasetConfig(_Schema):
     fps: float = _field(15.0, gt=0)
     d_audio: int = 16
     d_text: int = 16
-    downsample: int = _field(4, ge=1)
+    downsample: int = _field(4, ge=1)   # frames per latent step, the codec's window
     noise: float = _field(0.05, ge=0)
     n_onsets: int = _field(4, ge=1)
     ratios: tuple = (0.8, 0.1, 0.1)   # train/val/test
@@ -104,7 +103,6 @@ class DatasetConfig(_Schema):
 @dataclass
 class CodecSection(_Schema):
     d_g: int = _field(8, ge=1)
-    downsample: int = _field(4, ge=1)
     hidden: int = _field(64, ge=1)
     n_codes: int = _field(64, ge=2)
     depth: int = _field(2, ge=1)
@@ -131,7 +129,6 @@ class FlowSection(_Schema):
     d_cond: int = _field(32, ge=1)
     time_dim: int = _field(16, ge=2)
     lam: float = _field(0.05, ge=0, lt=1)  # contrastive repulsion weight
-    mode: str = _field("permute-pair", choices=NEGATIVE_MODES)
     epochs: int = _field(300, ge=0)
     batch: int = _field(128, ge=2)  # negatives need a derangement
     lr: float = _field(1e-3, gt=0)
@@ -148,7 +145,6 @@ class SamplerSection(_Schema):
 @dataclass
 class MetricsSection(_Schema):
     sigma: float = _field(0.1, gt=0)
-    pooling: str = _field("mean", choices=("mean",))
 
 
 @dataclass
@@ -187,8 +183,6 @@ _RULES = (
     (DatasetConfig, "ratios", lambda d: min(d.ratios) >= 0 and abs(sum(d.ratios) - 1.0) <= 1e-9,
      "split ratios must be 3 non-negatives summing to 1, got {ratios}"),
     (FlowSection, "time_dim", lambda f: f.time_dim % 2 == 0, "must be even, got {time_dim}"),
-    (RunConfig, "codec.downsample", lambda r: r.codec.downsample == r.dataset.downsample,
-     "must match dataset.downsample, got {codec.downsample} vs {dataset.downsample}"),
 )
 
 

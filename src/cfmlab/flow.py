@@ -2,8 +2,9 @@
 
 The generator learns v(z_t, t, cond) over composite motion latents. Training
 pairs a straight-line interpolant (constant target velocity z1 - z0) with a
-repulsion term against the velocity toward a mismatched latent, built by
-deranging the batch. The network is a single TCAM block (motion tokens query
+repulsion term against the velocity toward another sample's latent,
+z1[perm] - z0, under the same condition (`synthdata.mismatch_pairing` draws
+the derangement perm). The network is a single TCAM block (motion tokens query
 the fused audio/text condition) followed by two residual neighbour-context
 MLP blocks (each step mixes with its two temporal neighbours, read by the
 edge-clamped `shift` op — gesture strokes live at that scale) and a
@@ -48,7 +49,6 @@ from .numerics import (
 
 __all__ = [
     "VelocityNet",
-    "NegativePairing",
     "init_velocity_net",
     "build_condition_batch",
     "interpolate_batch",
@@ -58,19 +58,8 @@ __all__ = [
     "prepare_condition",
     "tcam_fuse",
     "velocity_forward",
-    "sample_derangement",
-    "make_incongruent_batch",
     "cfm_loss",
 ]
-
-NEGATIVE_MODES = ("permute-pair", "permute-text", "permute-audio")
-
-
-@dataclass
-class NegativePairing:
-    permutation: np.ndarray   # derangement of batch indices
-    conditions: np.ndarray    # (B, L, d_O) mismatched conditions
-    latents: np.ndarray       # (B, L, d_G) mismatched data latents
 
 
 @dataclass
@@ -320,53 +309,6 @@ def velocity_forward(net, zt, t, cond):
     if single:
         return out.reshape(l, d_model)
     return out
-
-
-# ----------------------------------------------------------------- negatives
-
-def sample_derangement(rng, n):
-    """Uniform fixed-point-free permutation by rejection sampling."""
-    if n < 2:
-        raise NumericError("derangement needs batch size >= 2")
-    while True:
-        perm = rng.permutation(n)
-        if not np.any(perm == np.arange(n)):
-            return perm
-
-
-def make_incongruent_batch(z1, cond, rng, mode="permute-pair", audio=None,
-                           text=None, net=None, perm=None):
-    """Derange the batch to build mismatched (condition, latent) negatives.
-
-    permute-pair moves whole (audio, text) pairs with their latents;
-    permute-text / permute-audio rebuild the condition with only one modality
-    deranged (the mismatched latent is the deranged example's in all modes).
-    Callers may pass a precomputed derangement via `perm`.
-    """
-    if mode not in NEGATIVE_MODES:
-        raise NumericError(f"unknown negative mode {mode!r}; expected {NEGATIVE_MODES}")
-    z1 = np.asarray(z1, dtype=np.float64)
-    cond = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=np.float64)
-    if perm is None:
-        perm = sample_derangement(rng, z1.shape[0])
-    else:
-        perm = np.asarray(perm, dtype=np.int64)
-        if perm.shape != (z1.shape[0],) or np.any(np.sort(perm) != np.arange(z1.shape[0])):
-            raise NumericError("perm must be a permutation of the batch indices")
-        if np.any(perm == np.arange(z1.shape[0])):
-            raise NumericError("perm must have no fixed points")
-    if mode == "permute-pair":
-        cond_neg = cond[perm]
-    else:
-        if audio is None or text is None or net is None:
-            raise NumericError(f"mode {mode!r} needs audio, text and net to rebuild conditions")
-        audio = np.asarray(audio, dtype=np.float64)
-        text = np.asarray(text, dtype=np.float64)
-        if mode == "permute-text":
-            cond_neg = build_condition_batch(audio, text[perm], net).data
-        else:
-            cond_neg = build_condition_batch(audio[perm], text, net).data
-    return NegativePairing(permutation=perm, conditions=cond_neg, latents=z1[perm])
 
 
 # --------------------------------------------------------------------- loss

@@ -26,7 +26,6 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import PART_JOINTS, PART_ORDER, MotionClip
 from .config import STROKE_HALF_WIDTH, ConfigError, DatasetConfig
-from .flow import make_incongruent_batch, sample_derangement
 from .numerics import NumericError
 
 __all__ = [
@@ -41,6 +40,8 @@ __all__ = [
     "build_dataset",
     "save_dataset",
     "load_dataset",
+    "NegativePairing",
+    "sample_derangement",
     "mismatch_pairing",
 ]
 
@@ -146,7 +147,9 @@ def _plant_onsets(rng, n_frames, n_onsets):
         [int(round(lo + spacing * (i + 0.5))) + int(rng.integers(-jitter, jitter + 1))
          for i in range(n_onsets)], dtype=np.int64)
     if np.any(np.diff(frames) < 3):
-        raise NumericError("planted onsets landed too close together")
+        # rounding or jitter closed a gap; the floored grid keeps every gap
+        # >= floor(spacing) >= 3 and stays in [lo, hi], with no more draws
+        frames = np.floor(lo + spacing * (np.arange(n_onsets) + 0.5)).astype(np.int64)
     return frames
 
 
@@ -386,6 +389,25 @@ def load_dataset(in_dir):
 
 # ------------------------------------------------------------------ negatives
 
+PAIRING_TRIES = 10  # repaired derangements drawn before taking the best
+
+
+@dataclass
+class NegativePairing:
+    permutation: np.ndarray   # (B,) derangement of batch indices
+    velocity: np.ndarray      # (B, L, d_G) repulsion target z1[permutation] - z0
+
+
+def sample_derangement(rng, n):
+    """Uniform fixed-point-free permutation by rejection sampling."""
+    if n < 2:
+        raise NumericError("derangement needs batch size >= 2")
+    while True:
+        perm = rng.permutation(n)
+        if not np.any(perm == np.arange(n)):
+            return perm
+
+
 def _repaired_cross_class_derangement(rng, class_ids):
     """One attempt at an all-cross-class derangement: draw a derangement,
     then swap away same-class assignments. Each swap keeps both positions
@@ -410,12 +432,12 @@ def _repaired_cross_class_derangement(rng, class_ids):
     return perm, int(np.sum(class_ids[perm] == class_ids))
 
 
-def mismatch_pairing(z1, cond, class_ids, rng, mode="permute-pair", audio=None,
-                     text=None, net=None, max_tries=10):
-    """Class-aware incongruent batch: resample (with repair) until every
-    mismatched item comes from a different class, up to max_tries draws,
-    else accept the best derangement seen; then delegate to the flow-level
-    pairing, which checks `mode`."""
+def mismatch_pairing(z1, z0, class_ids, rng):
+    """Class-aware negatives for contrastive flow matching. The derangement
+    is resampled (with repair) until every item's partner comes from another
+    class, up to PAIRING_TRIES draws, else the best seen is kept. The
+    repulsion target is the straight-path velocity toward the partner's
+    latent, z1[perm] - z0; the condition stays the item's own."""
     class_ids = np.asarray(class_ids)
     n = class_ids.shape[0]
     if n < 2:
@@ -425,11 +447,10 @@ def mismatch_pairing(z1, cond, class_ids, rng, mode="permute-pair", audio=None,
         perm = sample_derangement(rng, n)
     else:
         perm, violations = _repaired_cross_class_derangement(rng, class_ids)
-        for _ in range(max_tries - 1):
+        for _ in range(PAIRING_TRIES - 1):
             if violations == 0:
                 break
             candidate, v = _repaired_cross_class_derangement(rng, class_ids)
             if v < violations:
                 perm, violations = candidate, v
-    return make_incongruent_batch(z1, cond, rng, mode=mode, audio=audio,
-                                  text=text, net=net, perm=perm)
+    return NegativePairing(permutation=perm, velocity=np.asarray(z1)[perm] - z0)

@@ -9,6 +9,9 @@ codecs, targets the quantized composite latents, and minimizes
 
 where L_proj supervises the manifold projection against one-step latent
 reconstructions and L_sem carries the cosine + contrastive alignment terms.
+L_CFM's repulsion target for each clip is the velocity z1[perm] - z0
+toward another clip, of another class where the batch allows
+(`mismatch_pairing`), under the clip's own condition.
 All randomness is keyed on (seed, stage, epoch, batch), so identical configs
 reproduce bit-identical checkpoints.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +164,7 @@ def init_stage1(cfg, frames):
     codebooks seeded from the initial encoder's residual distribution over
     (a slice of) the train split."""
     rng = _rng(cfg.seed, STAGE1, 0)
-    codecs = {p: init_part_codec(rng, p, downsample=cfg.codec.downsample,
+    codecs = {p: init_part_codec(rng, p, downsample=cfg.dataset.downsample,
                                  d_g=cfg.codec.d_g, hidden=cfg.codec.hidden,
                                  in_scale=max(float(frames[p][:64].std()), 1e-6))
               for p in PART_ORDER}
@@ -278,13 +282,13 @@ def init_stage2(cfg):
     return net, heads, proj
 
 
-def stage2_loss(cfg, net, heads, proj, batch, t, z0, negatives):
+def stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg):
     """The stage-2 objective on `batch`, a Stage2Data of the batch's rows,
-    with flow times t (B,) and noise z0. When flow.lam > 0, `negatives(cond,
-    audio_emb, text_emb)` gives the mismatched targets: training draws them
-    with `mismatch_pairing`, and `cfmlab gradcheck` fixes them. Returns
-    (total, terms): total is None when lambda_cfm and lambda_sem are both 0,
-    and terms holds those of cfm, proj, cos, clp and sem that ran."""
+    with flow times t (B,), noise z0 and the repulsion targets v_neg, read
+    only when flow.lam > 0: training draws them with `mismatch_pairing`,
+    and `cfmlab gradcheck` fixes them. Returns (total, terms): total is
+    None when lambda_cfm and lambda_sem are both 0, and terms holds those
+    of cfm, proj, cos, clp and sem that ran."""
     f, s = cfg.flow, cfg.sacm
     terms = {}
     total = None
@@ -297,9 +301,6 @@ def stage2_loss(cfg, net, heads, proj, batch, t, z0, negatives):
 
     if f.lambda_cfm > 0.0:
         cond = build_condition_batch(audio_emb, text_emb, net)
-        v_neg = None
-        if f.lam > 0.0:
-            v_neg = negatives(cond, audio_emb, text_emb) - z0
         zt = interpolate_batch(z0, batch.z1, t)
         v_pred = velocity_forward(net, Tensor(zt), t, cond)
         l_cfm = cfm_loss(v_pred, batch.z1 - z0, v_neg, f.lam)
@@ -340,13 +341,10 @@ def train_generator(cfg, dataset, codecs, stacks):
         batch = Stage2Data(**{name: rows[idx] for name, rows in vars(data).items()})
         t = brng.uniform(0.0, 1.0, size=len(idx))
         z0 = brng.standard_normal(batch.z1.shape)
-
-        def negatives(cond, audio_emb, text_emb):
-            return mismatch_pairing(batch.z1, cond.data, batch.class_ids, brng,
-                                    mode=cfg.flow.mode, audio=audio_emb.data,
-                                    text=text_emb.data, net=net).latents
-
-        total, terms = stage2_loss(cfg, net, heads, proj, batch, t, z0, negatives)
+        v_neg = None
+        if cfg.flow.lambda_cfm > 0.0 and cfg.flow.lam > 0.0:
+            v_neg = mismatch_pairing(batch.z1, z0, batch.class_ids, brng).velocity
+        total, terms = stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg)
         values = {name: float(term.data) for name, term in terms.items()}
         if total is not None:
             values["total"] = float(total.data)
@@ -406,12 +404,13 @@ def load_stage2_checkpoint(path):
 
 
 def check_codec_dims(cfg, codecs, stacks):
-    """Loaded stage-1 checkpoint must match the codec section before stage 2
+    """Loaded stage-1 checkpoint must match the config before stage 2
     builds on top of it."""
     for p in PART_ORDER:
-        found = {"d_g": codecs[p].d_g, "downsample": codecs[p].downsample,
-                 "depth": stacks[p].depth, "n_codes": stacks[p].stages[0].shape[0]}
-        for name, have in found.items():
-            want = getattr(cfg.codec, name)
+        found = {"codec.d_g": codecs[p].d_g, "dataset.downsample": codecs[p].downsample,
+                 "codec.depth": stacks[p].depth,
+                 "codec.n_codes": stacks[p].stages[0].shape[0]}
+        for path, have in found.items():
+            want = attrgetter(path)(cfg)
             if have != want:
-                raise ConfigError(f"codec.{name}: checkpoint has {have}, config wants {want}")
+                raise ConfigError(f"{path}: checkpoint has {have}, config wants {want}")

@@ -151,7 +151,7 @@ def test_one_stage1_step_spans_each_codec_layer_once_per_part():
     assert len(kept) == parts and all(len(k) == 1 for k in kept)
     for (codes,) in kept:
         assert codes.dtype == np.int64
-        assert codes.shape == (5, 32 // cfg.codec.downsample, cfg.codec.depth)
+        assert codes.shape == (5, 32 // cfg.dataset.downsample, cfg.codec.depth)
     assert probe.code_usage(cfg.codec.epochs, cfg.codec.n_codes) > 0.0
     # each part's reconstruction and commitment mse is one node of the 137
     assert probe.tape[stage1] == [(137, 16)]

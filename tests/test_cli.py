@@ -85,7 +85,12 @@ def test_bad_dataset_field_exits_2_naming_it(tmp_path, capsys, dataset, field):
     ({"codec": {"epochs": "ten"}}, "codec.epochs: must be an integer, got 'ten'"),
     ({"codec": {"epochs": 2.5}}, "codec.epochs: must be an integer, got 2.5"),
     ({"dataset": {"noise": math.inf}}, "dataset.noise: must be a finite number"),
-], ids=["str_for_int", "float_for_int", "inf_for_float"])
+    # removed fields, refused even at their old defaults
+    ({"flow": {"mode": "permute-pair"}}, "flow.mode: unknown config key"),
+    ({"metrics": {"pooling": "mean"}}, "metrics.pooling: unknown config key"),
+    ({"codec": {"downsample": 4}}, "codec.downsample: unknown config key"),
+], ids=["str_for_int", "float_for_int", "inf_for_float", "removed_flow_mode",
+        "removed_metrics_pooling", "removed_codec_downsample"])
 def test_wrong_field_type_exits_2_naming_it(tmp_path, capsys, payload, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))  # inf is written as Infinity
@@ -95,9 +100,9 @@ def test_wrong_field_type_exits_2_naming_it(tmp_path, capsys, payload, field):
 
 def test_known_config_hashes_are_unchanged():
     assert config_hash(config_from_dict({})) == (
-        "b4083562f8adf0b80a6160ee4d9d860289700f63f388af83134ada12a5d80ac9")
+        "98698f2a40dc2f747f2f902d04552115a0e8f98b6cb0af37c0f238d3ac9bd12b")
     assert config_hash(config_from_dict(TINY)) == (
-        "9af0198aa194ac44027672c5d212394cb1984831bb758fe5d99cddd1c02a20b4")
+        "da7da25b6d9507c8d9a50702aa96d751b05f84aab678464a7e11cfb7c75d1c97")
 
 
 # a tiny base config, and what every field of every section is set to in turn:
@@ -131,6 +136,13 @@ def test_fuzzed_field_exits_0_or_2_naming_it(tmp_path, capsys, section, name):
 def test_lambda_override_goes_through_the_schema(tmp_path, capsys, lam):
     _exits_2(["train-generator", "--lambda", lam, "--out", str(tmp_path)], capsys,
              "flow.lam: ")
+
+
+def test_mode_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train-generator", "--mode", "permute-pair", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 def test_out_path_is_a_file_exits_2(tmp_path, capsys):
@@ -168,7 +180,8 @@ MISFIT_STAGE1 = {
     "in_scale_zero": ("codec/face/in_scale", lambda a: a * 0.0, "finite number > 0"),
     "in_scale_negative": ("codec/hand/in_scale", lambda a: -a, "finite number > 0"),
     "in_scale_vector": ("codec/hand/in_scale", lambda a: np.ones(2), "finite number > 0"),
-    "dec_w1_rows": ("codec/face/dec_w1", lambda a: a[:20], "8 or 24 rows"),
+    "dec_w1_rows": ("codec/face/dec_w1", lambda a: a[:20], "expected 24 rows"),
+    "dec_w1_d_g_rows": ("codec/face/dec_w1", lambda a: a[:8], "expected 24 rows"),
     "enc_w1_3d": ("codec/hand/enc_w1", lambda a: a[None], "2-d weight"),
     "enc_w1_window": ("codec/upper/enc_w1", lambda a: a[:-1], "multiple of the 12 joints"),
     "enc_b1": ("codec/upper/enc_b1", lambda a: a[:-1], "expected (64,)"),

@@ -6,7 +6,6 @@ import pytest
 
 from cfmlab.config import (
     _SECTION_TYPES,
-    CodecSection,
     ConfigError,
     DatasetConfig,
     FlowSection,
@@ -35,10 +34,16 @@ def test_unknown_root_key_rejected():
 
 
 def test_unknown_section_key_rejected_with_path():
-    with pytest.raises(ConfigError, match=r"codec\.bogus: unknown config key"):
-        config_from_dict({"codec": {"bogus": 1}})
-    with pytest.raises(ConfigError, match=r"flow\.learning_rate"):
-        config_from_dict({"flow": {"learning_rate": 0.1}})
+    for section, key, value in [
+        ("codec", "bogus", 1),
+        ("flow", "learning_rate", 0.1),
+        # removed fields, refused even at their old defaults
+        ("flow", "mode", "permute-pair"),
+        ("metrics", "pooling", "mean"),
+        ("codec", "downsample", 4),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown config key$"):
+            config_from_dict({section: {key: value}})
 
 
 def test_root_must_be_object():
@@ -69,7 +74,7 @@ def test_seed_must_be_plain_int(seed):
     ({"dataset": {"n_onsets": 0}}, r"dataset\.n_onsets"),
     ({"dataset": {"ratios": [0.5, 0.5, 0.5]}}, r"dataset\.ratios"),
     ({"codec": {"d_g": 0}}, r"codec\.d_g"),
-    ({"codec": {"downsample": 8}}, r"codec\.downsample"),    # != dataset.downsample
+    ({"codec": {"downsample": 4}}, r"codec\.downsample"),    # removed: unknown key
     ({"codec": {"n_codes": 1}}, r"codec\.n_codes"),
     ({"codec": {"depth": 0}}, r"codec\.depth"),
     ({"codec": {"beta": -1.0}}, r"codec\.beta"),
@@ -83,14 +88,14 @@ def test_seed_must_be_plain_int(seed):
     ({"flow": {"time_dim": 15}}, r"flow\.time_dim"),
     ({"flow": {"lam": 1.0}}, r"flow\.lam"),
     ({"flow": {"lam": -0.1}}, r"flow\.lam"),
-    ({"flow": {"mode": "shuffle"}}, r"flow\.mode"),
+    ({"flow": {"mode": "permute-pair"}}, r"flow\.mode"),    # removed: unknown key
     ({"flow": {"batch": 1}}, r"flow\.batch"),
     ({"flow": {"lambda_cfm": -1.0}}, r"flow\.lambda_cfm"),
     ({"flow": {"lambda_sem": -1.0}}, r"flow\.lambda_sem"),
     ({"sampler": {"scheme": "rk4"}}, r"sampler\.scheme"),
     ({"sampler": {"steps": 0}}, r"sampler\.steps"),
     ({"metrics": {"sigma": 0.0}}, r"metrics\.sigma"),
-    ({"metrics": {"pooling": "max"}}, r"metrics\.pooling"),
+    ({"metrics": {"pooling": "mean"}}, r"metrics\.pooling"),  # removed: unknown key
 ])
 def test_out_of_range_fields_name_their_path(payload, path):
     with pytest.raises(ConfigError, match=path):
@@ -196,15 +201,15 @@ def test_default_dataclass_is_valid():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: FlowSection(lam=1.0), r"^flow\.lam: must be >= 0 and < 1, got 1\.0$"),
-    (lambda: FlowSection(mode="shuffle"), r"^flow\.mode: must be one of "),
+    (lambda: config_from_dict({"flow": {"mode": "permute-pair"}}),
+     r"^flow\.mode: unknown config key$"),
     (lambda: SacmSection(alpha=True), r"^sacm\.alpha: must be a finite number, got True$"),
     (lambda: DatasetConfig(ratios=5), r"^dataset\.ratios: split ratios must be 3 numbers"),
     (lambda: DatasetConfig(n_classes=0, n_clips=0), r"^dataset\.n_classes: "),
     (lambda: RunConfig(seed=-1), r"^seed: must be >= 0, got -1$"),
-    (lambda: RunConfig(codec=CodecSection(downsample=2)), r"^codec\.downsample: must match"),
     (lambda: config_from_dict({"seed": "7"}), r"^seed: must be an integer, got '7'$"),
 ], ids=["flow_lam", "flow_mode", "sacm_alpha_bool", "dataset_ratios", "field_before_rule",
-        "run_seed", "run_rule", "global_seed_before_dataset"])
+        "run_seed", "global_seed_before_dataset"])
 def test_schema_names_the_field_however_the_config_is_built(build, message):
     with pytest.raises(ConfigError, match=message):
         build()

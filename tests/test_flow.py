@@ -14,9 +14,7 @@ from cfmlab.flow import (
     cfm_loss,
     init_velocity_net,
     interpolate_batch,
-    make_incongruent_batch,
     prepare_condition,
-    sample_derangement,
     sinusoidal_time_embedding,
     tcam_fuse,
     temporal_position_embedding,
@@ -33,6 +31,7 @@ from cfmlab.numerics import (
     max_rel_err,
     mse,
 )
+from cfmlab.synthdata import mismatch_pairing, sample_derangement
 
 
 def _small_net(seed=0, **kw):
@@ -138,13 +137,12 @@ def test_target_velocity_is_interpolant_derivative():
 
 def test_negative_velocity_is_same_formula():
     # the repulsion target is the straight-path velocity toward the deranged
-    # latent, pairing.latents - z0, as training builds it
+    # latent from the item's own noise, as training passes it to cfm_loss
     rng = np.random.default_rng(6)
     z0, z1 = rng.standard_normal((2, 4, 3, 2))
     vp = Tensor(rng.standard_normal((4, 3, 2)))
-    pairing = make_incongruent_batch(z1, rng.standard_normal((4, 3, 5)),
-                                     np.random.default_rng(1))
-    v_neg = pairing.latents - z0
+    pairing = mismatch_pairing(z1, z0, [0, 1, 2, 0], np.random.default_rng(1))
+    v_neg = pairing.velocity
     assert np.array_equal(v_neg, z1[pairing.permutation] - z0)
     got = cfm_loss(vp, z1 - z0, v_neg, 0.3).item()
     expect = mse(vp, Tensor(z1 - z0)).item() - 0.3 * mse(vp, Tensor(v_neg)).item()
@@ -300,13 +298,16 @@ def test_derangement_rejects_singleton():
 
 
 def test_derangement_uniform_over_s4():
+    # four classes: every derangement is all cross-class, so the pairing
+    # keeps its first draw
     all_derangements = [p for p in itertools.permutations(range(4))
                         if all(p[i] != i for i in range(4))]
     assert len(all_derangements) == 9
     rng = np.random.default_rng(26)
+    z = np.zeros((4, 1, 1))
     counts = {p: 0 for p in all_derangements}
     for _ in range(1000):
-        counts[tuple(sample_derangement(rng, 4))] += 1
+        counts[tuple(mismatch_pairing(z, z, [0, 1, 2, 3], rng).permutation)] += 1
     assert all(c > 0 for c in counts.values())
     expected = 1000 / 9
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -315,51 +316,23 @@ def test_derangement_uniform_over_s4():
 
 def test_incongruent_batch_permute_pair():
     rng = np.random.default_rng(27)
-    z1 = rng.standard_normal((5, 4, 3))
-    cond = rng.standard_normal((5, 4, 6))
-    neg = make_incongruent_batch(z1, cond, np.random.default_rng(1), mode="permute-pair")
+    z1, z0 = rng.standard_normal((2, 5, 4, 3))
+    neg = mismatch_pairing(z1, z0, [0, 1, 2, 0, 1], np.random.default_rng(1))
     perm = neg.permutation
     assert not np.any(perm == np.arange(5))
-    assert np.array_equal(neg.latents, z1[perm])
-    assert np.array_equal(neg.conditions, cond[perm])
+    assert np.array_equal(neg.velocity, z1[perm] - z0)
     # distinct items: negatives never equal positives at the same index
-    assert not np.any(np.all(neg.latents == z1, axis=(1, 2)))
+    assert not np.any(np.all(neg.velocity == z1 - z0, axis=(1, 2)))
 
 
 def test_incongruent_batch_reproducible():
     rng = np.random.default_rng(28)
-    z1 = rng.standard_normal((6, 4, 3))
-    cond = rng.standard_normal((6, 4, 6))
-    a = make_incongruent_batch(z1, cond, np.random.default_rng(7))
-    b = make_incongruent_batch(z1, cond, np.random.default_rng(7))
+    z1, z0 = rng.standard_normal((2, 6, 4, 3))
+    class_ids = [0, 0, 1, 1, 2, 2]
+    a = mismatch_pairing(z1, z0, class_ids, np.random.default_rng(7))
+    b = mismatch_pairing(z1, z0, class_ids, np.random.default_rng(7))
     assert np.array_equal(a.permutation, b.permutation)
-
-
-def test_incongruent_batch_single_modality_modes():
-    net = _small_net(29)
-    rng = np.random.default_rng(30)
-    z1 = rng.standard_normal((4, 5, 6))
-    audio = rng.standard_normal((4, 5, 3))
-    text = rng.standard_normal((4, 5, 3))
-    cond = build_condition_batch(audio, text, net).data
-    for mode, builder in (
-        ("permute-text", lambda p: build_condition_batch(audio, text[p], net).data),
-        ("permute-audio", lambda p: build_condition_batch(audio[p], text, net).data),
-    ):
-        neg = make_incongruent_batch(z1, cond, np.random.default_rng(3), mode=mode,
-                                     audio=audio, text=text, net=net)
-        assert np.array_equal(neg.conditions, builder(neg.permutation))
-        assert np.array_equal(neg.latents, z1[neg.permutation])
-
-
-def test_incongruent_batch_mode_errors():
-    rng = np.random.default_rng(31)
-    z1 = rng.standard_normal((3, 2, 2))
-    cond = rng.standard_normal((3, 2, 2))
-    with pytest.raises(NumericError):
-        make_incongruent_batch(z1, cond, np.random.default_rng(0), mode="shuffle")
-    with pytest.raises(NumericError):
-        make_incongruent_batch(z1, cond, np.random.default_rng(0), mode="permute-text")
+    assert a.velocity.tobytes() == b.velocity.tobytes()
 
 
 # --------------------------------------------------------------------- loss

@@ -9,7 +9,6 @@ from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import PART_JOINTS, PART_ORDER, MotionClip, init_part_codec
 from cfmlab.config import ConfigError
-from cfmlab.flow import NegativePairing, init_velocity_net
 from cfmlab.metrics import OnsetTrack, beat_consistency, extract_kinematic_peaks, fgd, motion_features
 from cfmlab.numerics import NumericError
 from cfmlab.synthdata import (
@@ -21,6 +20,7 @@ from cfmlab.synthdata import (
     generate_utterances,
     load_dataset,
     make_gesture_classes,
+    NegativePairing,
     mismatch_pairing,
     save_dataset,
 )
@@ -133,6 +133,34 @@ def test_negative_noise_rejected():
 def test_clip_too_short_for_onsets_rejected():
     with pytest.raises(NumericError, match="too short"):
         generate_utterance(0, _one_class(), noise=0.0, n_frames=16, n_onsets=5)
+
+
+def test_every_schema_valid_clip_plants_its_onsets():
+    # every (n_frames, n_onsets) the schema takes up to 160 frames, each
+    # planted from several rng states: onsets 3 or more frames apart, clear
+    # of the clip ends
+    valid = []
+    for n_frames in range(8, 161):
+        n_onsets = 1
+        while True:
+            try:
+                DatasetConfig(n_frames=n_frames, n_onsets=n_onsets, downsample=1)
+            except ConfigError:
+                break
+            valid.append((n_frames, n_onsets))
+            n_onsets += 1
+    assert len(valid) == 3725
+    half = synthdata.STROKE_HALF_WIDTH
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for n_frames, n_onsets in valid:
+            frames = synthdata._plant_onsets(rng, n_frames, n_onsets)
+            assert frames.shape == (n_onsets,), (n_frames, n_onsets)
+            assert np.all(np.diff(frames) >= 3), (seed, n_frames, n_onsets, frames)
+            assert half + 1 <= frames[0] and frames[-1] <= n_frames - half - 3
+    # rounding alone put neighbours 2 apart here
+    ds = build_dataset(DatasetConfig(n_clips=6, n_frames=40, n_onsets=6))
+    assert all(np.diff(u.onsets * 15.0).min() > 2.5 for u in ds.splits["train"])
 
 
 # ------------------------------------------------------ batched generation
@@ -382,28 +410,25 @@ def test_within_class_fgd_below_cross_class():
 def _mismatch_inputs(class_ids, seed=0):
     rng = np.random.default_rng(seed)
     n = len(class_ids)
-    z1 = rng.standard_normal((n, 4, 6))
-    cond = rng.standard_normal((n, 4, 5))
-    return z1, cond
+    return rng.standard_normal((2, n, 4, 6))  # z1, z0
 
 
 def test_mismatch_two_items_is_a_swap():
-    z1, cond = _mismatch_inputs([0, 1])
-    out = mismatch_pairing(z1, cond, [0, 1], np.random.default_rng(0))
+    z1, z0 = _mismatch_inputs([0, 1])
+    out = mismatch_pairing(z1, z0, [0, 1], np.random.default_rng(0))
     assert isinstance(out, NegativePairing)
     assert list(out.permutation) == [1, 0]
-    assert np.array_equal(out.latents, z1[[1, 0]])
-    assert np.array_equal(out.conditions, cond[[1, 0]])
+    assert np.array_equal(out.velocity, z1[[1, 0]] - z0)
 
 
 def test_mismatch_prefers_cross_class():
     class_ids = np.array([0, 0, 1, 1, 2, 2, 3, 3] * 2)
-    z1, cond = _mismatch_inputs(class_ids, seed=1)
+    z1, z0 = _mismatch_inputs(class_ids, seed=1)
     rng = np.random.default_rng(2)
     cross = 0
     total = 0
     for _ in range(1000):
-        out = mismatch_pairing(z1, cond, class_ids, rng)
+        out = mismatch_pairing(z1, z0, class_ids, rng)
         cross += int(np.sum(class_ids[out.permutation] != class_ids))
         total += len(class_ids)
     assert cross / total > 0.95
@@ -411,9 +436,9 @@ def test_mismatch_prefers_cross_class():
 
 def test_mismatch_all_same_class_warns_and_falls_back(caplog):
     class_ids = [1, 1, 1, 1]
-    z1, cond = _mismatch_inputs(class_ids, seed=3)
+    z1, z0 = _mismatch_inputs(class_ids, seed=3)
     with caplog.at_level("WARNING", logger="cfmlab.synthdata"):
-        out = mismatch_pairing(z1, cond, class_ids, np.random.default_rng(4))
+        out = mismatch_pairing(z1, z0, class_ids, np.random.default_rng(4))
     assert "plain derangement" in caplog.text
     assert np.all(out.permutation != np.arange(4))
 
@@ -422,29 +447,14 @@ def test_mismatch_majority_class_still_valid_derangement():
     # five of six items share a class, so an all-cross assignment is
     # impossible; the result must still be a derangement
     class_ids = [0, 0, 0, 0, 0, 1]
-    z1, cond = _mismatch_inputs(class_ids, seed=9)
-    out = mismatch_pairing(z1, cond, class_ids, np.random.default_rng(10))
+    z1, z0 = _mismatch_inputs(class_ids, seed=9)
+    out = mismatch_pairing(z1, z0, class_ids, np.random.default_rng(10))
     assert np.all(out.permutation != np.arange(6))
     assert sorted(out.permutation) == list(range(6))
+    assert np.array_equal(out.velocity, z1[out.permutation] - z0)
 
 
 def test_mismatch_singleton_batch_rejected():
-    z1, cond = _mismatch_inputs([0])
+    z1, z0 = _mismatch_inputs([0])
     with pytest.raises(NumericError, match=">= 2"):
-        mismatch_pairing(z1, cond, [0], np.random.default_rng(5))
-
-
-def test_mismatch_modal_modes_rebuild_condition():
-    rng = np.random.default_rng(6)
-    net = init_velocity_net(rng, d_model=4, d_cond=6, d_audio=3, d_text=3, d_s=8)
-    class_ids = [0, 1, 0, 1]
-    audio = rng.standard_normal((4, 5, 3))
-    text = rng.standard_normal((4, 5, 3))
-    z1, cond = _mismatch_inputs(class_ids, seed=7)
-    out = mismatch_pairing(z1, cond, class_ids, np.random.default_rng(8),
-                           mode="permute-text", audio=audio, text=text, net=net)
-    assert np.array_equal(out.latents, z1[out.permutation])
-    from cfmlab.flow import build_condition_batch
-
-    expected = build_condition_batch(audio, text[out.permutation], net).data
-    assert np.allclose(out.conditions, expected)
+        mismatch_pairing(z1, z0, [0], np.random.default_rng(5))

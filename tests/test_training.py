@@ -171,6 +171,9 @@ def test_check_codec_dims_mismatch(small_run):
     bad = small_cfg(codec={"n_codes": 64})
     with pytest.raises(ConfigError, match=r"codec\.n_codes"):
         check_codec_dims(bad, codecs, stacks)
+    bad = small_cfg(dataset={"downsample": 2})
+    with pytest.raises(ConfigError, match=r"^dataset\.downsample: checkpoint has 4, "):
+        check_codec_dims(bad, codecs, stacks)
 
 
 # -------------------------------------------------------------------- stage 2
@@ -179,7 +182,7 @@ def test_prepare_stage2_shapes(small_run):
     cfg, ds, codecs, stacks, _ = small_run
     data = prepare_stage2_data(cfg, ds, codecs, stacks)
     n_train = len(ds.splits["train"])
-    L = cfg.dataset.n_frames // cfg.codec.downsample
+    L = cfg.dataset.n_frames // cfg.dataset.downsample
     d_G = cfg.codec.d_g * len(PART_ORDER)
     assert data.z1.shape == (n_train, L, d_G)
     assert data.audio.shape == (n_train, L, cfg.dataset.d_audio)
