@@ -51,24 +51,19 @@ class ProjectionHeads:
     audio: Tensor   # (d_audio, d)
     motion: Tensor  # (d_G, d)
 
+    _FIELD_NAMES = ("text", "audio", "motion")
+
     def parameters(self):
-        return [self.text, self.audio, self.motion]
+        return [getattr(self, n) for n in self._FIELD_NAMES]
 
     def named_tensors(self):
-        return {
-            "sacm/text/weight": self.text,
-            "sacm/audio/weight": self.audio,
-            "sacm/motion/weight": self.motion,
-        }
+        return {f"sacm/{n}/weight": getattr(self, n) for n in self._FIELD_NAMES}
 
     @classmethod
     def from_named_tensors(cls, tensors):
         try:
-            return cls(
-                text=Tensor(np.array(tensors["sacm/text/weight"]), requires_grad=True),
-                audio=Tensor(np.array(tensors["sacm/audio/weight"]), requires_grad=True),
-                motion=Tensor(np.array(tensors["sacm/motion/weight"]), requires_grad=True),
-            )
+            return cls(*(Tensor(np.array(tensors[f"sacm/{n}/weight"]), requires_grad=True)
+                         for n in cls._FIELD_NAMES))
         except KeyError as exc:
             raise CheckpointError(
                 f"missing projection head in checkpoint: {exc}") from exc

@@ -41,7 +41,7 @@ from .config import (
     validate_config,
 )
 from .evaluate import condition_for_clip, evaluate_run
-from .numerics import NumericError, Tensor, no_grad
+from .numerics import NumericError, Tape, Tensor, no_grad
 from .numerics.gradcheck import check_gradients
 from .numerics.tensor import inject_backward_fault
 from .sampler import (
@@ -251,12 +251,16 @@ def _gradcheck_suite():
 
 
 def cmd_gradcheck(args):
+    suite, fault = _gradcheck_suite(), args.inject_fault
+    if fault is not None and fault not in {
+            t._op for _, f, _, _ in suite for t in Tape.from_output(f()).nodes
+            if t._vjp is not None}:
+        print(f"error: --inject-fault: no '{fault}' node on either checked "
+              "loss's tape", file=sys.stderr)
+        return 2
     failures = 0
-    for name, loss_fn, params, tol in _gradcheck_suite():
-        if args.inject_fault:
-            with inject_backward_fault(args.inject_fault):
-                errs = check_gradients(loss_fn, params)
-        else:
+    for name, loss_fn, params, tol in suite:
+        with inject_backward_fault(fault):  # None injects nothing
             errs = check_gradients(loss_fn, params)
         worst = max(errs.values())
         status = "PASS" if worst < tol else "FAIL"

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import CheckpointError
-from .numerics import NumericError, Tensor, as_tensor, concat, gelu, matmul, mse, \
-    reshape, shift, uniform_init, zeros_init
+from .numerics import NumericError, Tensor, as_tensor, gelu, matmul, mse, \
+    neighbour_linear, reshape, uniform_init, zeros_init
 
 PART_ORDER = ("hand", "upper", "lower", "face")
 PART_JOINTS = {"hand": 24, "upper": 12, "lower": 8, "face": 16}
@@ -152,28 +152,26 @@ class PartCodecParams:
     def d_g(self):
         return self.enc_w2.shape[1]
 
+    _FIELD_NAMES = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
+                    "dec_w1", "dec_b1", "dec_w2", "dec_b2")
+
     def parameters(self):
-        return [self.enc_w1, self.enc_b1, self.enc_w2, self.enc_b2,
-                self.dec_w1, self.dec_b1, self.dec_w2, self.dec_b2]
+        return [getattr(self, n) for n in self._FIELD_NAMES]
 
     def named_tensors(self):
-        names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-                 "dec_w1", "dec_b1", "dec_w2", "dec_b2")
-        out = {f"codec/{self.part}/{n}": t for n, t in zip(names, self.parameters())}
+        out = {f"codec/{self.part}/{n}": getattr(self, n) for n in self._FIELD_NAMES}
         out[f"codec/{self.part}/in_scale"] = Tensor(np.float64(self.in_scale))
         return out
 
     @classmethod
     def from_named_tensors(cls, tensors, part):
-        names = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-                 "dec_w1", "dec_b1", "dec_w2", "dec_b2")
         try:
             vals = [Tensor(np.array(tensors[f"codec/{part}/{n}"]), requires_grad=True)
-                    for n in names]
+                    for n in cls._FIELD_NAMES]
         except KeyError as exc:
             raise CheckpointError(
                 f"missing codec tensor for part {part!r}: {exc}") from exc
-        _check_codec_shapes(part, {n: v.data for n, v in zip(names, vals)})
+        _check_codec_shapes(part, {n: v.data for n, v in zip(cls._FIELD_NAMES, vals)})
         scale = tensors.get(f"codec/{part}/in_scale", 1.0)
         scale = np.asarray(scale.data if isinstance(scale, Tensor) else scale,
                            dtype=np.float64)
@@ -248,14 +246,13 @@ def encode_part_batch(frames, params):
 
 def decode_part_batch(latent, params):
     """(B, L, d_g) latents -> (B, T, J) reconstruction. Each window's
-    latent is decoded flanked by its neighbours, read by `shift` (edges
-    replicate)."""
+    latent is decoded flanked by its neighbours, edges replicated, through
+    one `neighbour_linear` op."""
     z = as_tensor(latent)
     b, l, _ = z.shape
     factor = params.downsample
     j = PART_JOINTS[params.part]
-    z = concat([shift(z, -1), z, shift(z, +1)], axis=-1)
-    h = gelu(matmul(z, params.dec_w1) + params.dec_b1)
+    h = gelu(neighbour_linear(z, params.dec_w1, params.dec_b1))
     flat = matmul(h, params.dec_w2) + params.dec_b2
     if params.in_scale != 1.0:
         flat = flat * params.in_scale

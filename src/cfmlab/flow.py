@@ -6,8 +6,8 @@ repulsion term against the velocity toward another sample's latent,
 z1[perm] - z0, under the same condition (`synthdata.mismatch_pairing` draws
 the derangement perm). The network is a single TCAM block (motion tokens query
 the fused audio/text condition) followed by two residual neighbour-context
-MLP blocks (each step mixes with its two temporal neighbours, read by the
-edge-clamped `shift` op — gesture strokes live at that scale) and a
+MLP blocks (each step mixes with its two edge-clamped temporal neighbours
+in one `neighbour_linear` op — gesture strokes live at that scale) and a
 linear head; the attention output projection starts at zero so the block
 is an exact residual passthrough at init.
 
@@ -41,7 +41,7 @@ from .numerics import (
     gelu,
     matmul,
     mse,
-    shift,
+    neighbour_linear,
     softmax,
     uniform_init,
     zeros_init,
@@ -93,17 +93,13 @@ class VelocityNet:
     def d_s(self):
         return self.tcam_q.shape[1]
 
-    def parameters(self):
-        return [self.p, self.time_w, self.time_b, self.cond_w, self.cond_b,
-                self.align_w,
-                self.tcam_q, self.tcam_k, self.tcam_v, self.tcam_o,
-                self.conv1_w, self.conv1_b, self.conv2_w, self.conv2_b,
-                self.out_w, self.out_b]
-
     _FIELD_NAMES = ("p", "time_w", "time_b", "cond_w", "cond_b", "align_w",
                     "tcam_q", "tcam_k", "tcam_v", "tcam_o",
                     "conv1_w", "conv1_b", "conv2_w", "conv2_b",
                     "out_w", "out_b")
+
+    def parameters(self):
+        return [getattr(self, n) for n in self._FIELD_NAMES]
 
     def named_tensors(self):
         return {f"flow/{n}": t for n, t in zip(self._FIELD_NAMES, self.parameters())}
@@ -303,8 +299,7 @@ def velocity_forward(net, zt, t, cond):
         tokens = tokens + prep.aligned
     h = tcam_fuse(tokens, prep, net)
     for w, bias in ((net.conv1_w, net.conv1_b), (net.conv2_w, net.conv2_b)):
-        ctx = concat([shift(h, -1), h, shift(h, +1)], axis=-1)
-        h = h + gelu(matmul(ctx, w) + bias)
+        h = h + gelu(neighbour_linear(h, w, bias))
     out = matmul(h, net.out_w) + net.out_b
     if single:
         return out.reshape(l, d_model)

@@ -21,9 +21,9 @@ from .tensor import (
     max_,
     mean,
     mse,
+    neighbour_linear,
     no_grad,
     reshape,
-    shift,
     softmax,
     sqrt,
     sum_,
@@ -60,9 +60,9 @@ __all__ = [
     "max_rel_err",
     "mean",
     "mse",
+    "neighbour_linear",
     "no_grad",
     "reshape",
-    "shift",
     "softmax",
     "sqrt",
     "sum_",

@@ -3,10 +3,10 @@
 Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
 the primitive set is deliberately small -- matmul, elementwise arithmetic,
-exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose, the
-clamped neighbour-row `shift`, `softmax`, one primitive in closed form:
-exp(x - max) / sum, with the gradient t - out * sum(t), t = g * out, and
-`mse`, one node for mean((a - b)^2) instead of sub, mul and mean. The
+exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose,
+`neighbour_linear` (a row and its clamped neighbours through one linear
+map), `softmax`, in closed form: exp(x - max) / sum, with the gradient
+t - out * sum(t), t = g * out, and `mse`, one node for mean((a - b)^2). The
 logsumexp/l2-normalize composites are built on top.
 
 GELU's forward and VJP each run their elementwise passes in place in one
@@ -454,39 +454,47 @@ def swap_last(a):
         lambda g: (np.swapaxes(g, -1, -2),), "swap_last")
 
 
-def _shift(x, step):
-    """The forward of `shift` and its clamped offset k."""
-    if x.ndim < 2:
-        raise NumericError("shift requires ndim >= 2")
-    l = x.shape[-2]
-    k = min(abs(step), l - 1)
-    if step > 0:
-        return np.concatenate([x[..., k:, :]] + [x[..., -1:, :]] * k, axis=-2), k
-    return np.concatenate([x[..., :1, :]] * k + [x[..., :l - k, :]], axis=-2), k
+def _neighbour_context(x):
+    """(..., L, d) -> (..., L, 3d): rows clip(i - 1), i, clip(i + 1) side by side."""
+    d = x.shape[-1]
+    ctx = np.empty(x.shape[:-1] + (3 * d,))
+    ctx[..., d:2 * d] = x
+    ctx[..., 1:, :d], ctx[..., :1, :d] = x[..., :-1, :], x[..., :1, :]
+    ctx[..., :-1, 2 * d:], ctx[..., -1:, 2 * d:] = x[..., 1:, :], x[..., -1:, :]
+    return ctx
 
 
-def shift(a, step):
-    """Row i along axis -2 becomes row clip(i + step, 0, L - 1), so edge rows
-    replicate. Both passes copy slices, O(L); the backward sums the rows that
-    met at the clamped edge into the edge row."""
-    step = int(step)
+def neighbour_linear(h, w, b):
+    """concat([h[clip(i - 1)], h[i], h[clip(i + 1)]]) @ w + b along axis -2
+    as one primitive, with the bits of that composite. The context is not
+    kept for backward: w's gradient rebuilds it from h."""
+    x, wd, bd = _arr(h), _arr(w), _arr(b)
+    if x.ndim < 2 or bd.ndim != 1 or wd.shape != (3 * x.shape[-1],) + bd.shape:
+        raise NumericError(f"neighbour_linear needs h (..., L, d), w (3d, n) and "
+                           f"b (n,), got {x.shape}, {wd.shape} and {bd.shape}")
+    with np.errstate(all="ignore"):  # the finite check reports an overflow
+        out = _neighbour_context(x) @ wd
+        out += bd
     if not _GRAD_ENABLED:
-        return _untracked(_shift(_arr(a), step)[0], "shift")
-    a = as_tensor(a)
-    out, k = _shift(a.data, step)
-    l = a.data.shape[-2]
+        return _untracked(out, "neighbour_linear")
+    h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
+    d, n = wd.shape[0] // 3, wd.shape[1]
 
     def vjp(g):
-        ga = np.zeros(a.data.shape)
-        if step > 0:
-            ga[..., k:, :] = g[..., :l - k, :]
-            ga[..., -1, :] += g[..., l - k:, :].sum(axis=-2)
-        else:
-            ga[..., :l - k, :] = g[..., k:, :]
-            ga[..., 0, :] += g[..., :k, :].sum(axis=-2)
-        return (ga,)
+        g2 = g.reshape(-1, n)
+        gh = None
+        if _needs(h):  # summed as the composite did: centre, next, previous
+            gc = (g2 @ wd.T).reshape(x.shape[:-1] + (3 * d,))
+            prev, gh, nxt = gc[..., :d], gc[..., d:2 * d].copy(), gc[..., 2 * d:]
+            # both reads of an edge row add as one term; at L = 1 row 0 is both edges
+            gh[..., 1:-1, :] += nxt[..., :-2, :]
+            gh[..., -1, :] += nxt[..., -2:, :].sum(axis=-2)
+            gh[..., 1:-1, :] += prev[..., 2:, :]
+            gh[..., 0, :] += prev[..., :2, :].sum(axis=-2)
+        gw = _neighbour_context(x).reshape(-1, 3 * d).T @ g2 if _needs(w) else None
+        return (gh, gw, _unbroadcast(g, bd.shape) if _needs(b) else None)
 
-    return _from_op(out, (a,), vjp, "shift")
+    return _from_op(out, (h, w, b), vjp, "neighbour_linear")
 
 
 def _concat(datas, axis):

@@ -1,5 +1,6 @@
 """Autodiff engine: finite-difference agreement, tape semantics, Adam."""
 
+import contextlib
 import math
 import operator
 import warnings
@@ -33,9 +34,9 @@ from cfmlab.numerics import (
     max_rel_err,
     mean,
     mse,
+    neighbour_linear,
     no_grad,
     reshape,
-    shift,
     softmax,
     sqrt,
     sum_,
@@ -167,6 +168,9 @@ OP_CASES = {
     "transpose": lambda r: (lambda x, c=Tensor(r.standard_normal((4, 3))): sum_(transpose(x, (1, 0)) * c), r.standard_normal((3, 4))),
     "transpose_negative_axes": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 3))): sum_(transpose(x, (0, -1, -2)) * c), r.standard_normal((2, 3, 4))),
     "swap_last": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 3))): sum_(swap_last(x) * c), r.standard_normal((2, 3, 4))),
+    "neighbour_linear": lambda r: (lambda x, w=Tensor(r.standard_normal((9, 2))), b=Tensor(r.standard_normal(2)), c=Tensor(r.standard_normal((2, 5, 2))): sum_(neighbour_linear(x, w, b) * c * neighbour_linear(x, w, b)), r.standard_normal((2, 5, 3))),
+    "neighbour_linear_weight": lambda r: (lambda x, h=Tensor(r.standard_normal((4, 3))), b=Tensor(r.standard_normal(2)), c=Tensor(r.standard_normal((4, 2))): sum_(tanh(neighbour_linear(h, x, b)) * c), r.standard_normal((9, 2))),
+    "neighbour_linear_bias": lambda r: (lambda x, h=Tensor(r.standard_normal((1, 3))), w=Tensor(r.standard_normal((9, 2))), c=Tensor(r.standard_normal((1, 2))): sum_(tanh(neighbour_linear(h, w, x)) * c), r.standard_normal(2)),
     "concat": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 8))): sum_(concat([x, x * Tensor(2.0)], axis=1) * c), r.standard_normal((3, 4))),
     "getitem": lambda r: (lambda x: sum_(x[1:, :2] * x[:2, 2:]), r.standard_normal((3, 4))),
     "getitem_repeated": lambda r: (lambda x, c=Tensor(r.standard_normal((5, 4))): sum_(x[[0, 2, 0, 2, 2]] * c), r.standard_normal((3, 4))),
@@ -230,11 +234,28 @@ def test_transpose_rejects_bad_axes():
         transpose(Tensor(np.ones((2, 3))), (0, 2))
 
 
-# ------------------------------------------------------------------- shift
+# -------------------------------------------------------- neighbour_linear
+#
+# `neighbour_linear` replaced the composite concat([shift(h, -1), h,
+# shift(h, +1)]) @ w + b; the `test_shift_*` cases check its clamped
+# neighbour rows, the shift that now happens inside it.
+
+def _shift_rows(t, step):
+    """Row i along axis -2 becomes row clip(i + step): the `shift` op that
+    `neighbour_linear` absorbed, rebuilt from getitem as its reference."""
+    length = t.shape[-2]
+    return t[..., np.clip(np.arange(length) + step, 0, length - 1), :]
+
+
+def _composite_neighbour_linear(h, w, b):
+    """The five-node composite `neighbour_linear` replaced, kept as its
+    bitwise reference."""
+    return matmul(concat([_shift_rows(h, -1), h, _shift_rows(h, +1)], axis=-1), w) + b
+
 
 def _selector_shift(x, step):
-    """The dense (L, L) selector matmul that `shift` replaces; kept here as
-    its bitwise reference."""
+    """The dense (L, L) selector matmul that `shift` replaced; kept here as
+    the bitwise reference of one context block."""
     length = x.shape[-2]
     sel = np.zeros((length, length))
     rows = np.arange(length)
@@ -248,12 +269,19 @@ SHIFT_SHAPES = [(1, 3), (2, 3), (5, 3), (2, 1, 3), (2, 2, 3), (2, 5, 3)]
 @pytest.mark.parametrize("shape", SHIFT_SHAPES)
 @pytest.mark.parametrize("step", [-1, 1])
 def test_shift_gradients_match_fd(step, shape):
+    # with the other neighbour's weights zero, h's gradient runs through
+    # the centre rows and the one clamped edge on the `step` side
     rng = np.random.default_rng(len(shape) * 10 + shape[-2])
-    c = Tensor(rng.standard_normal(shape))
+    d = shape[-1]
+    w = rng.standard_normal((3 * d, 4))
+    w[(2 * d if step < 0 else 0):][:d] = 0.0  # the other neighbour's block
+    w = Tensor(w)
+    b = Tensor(rng.standard_normal(4))
+    c = Tensor(rng.standard_normal(shape[:-1] + (4,)))
     x = Tensor(rng.standard_normal(shape), requires_grad=True)
 
     def f(t):
-        return sum_(tanh(shift(t, step)) * c)
+        return sum_(tanh(neighbour_linear(t, w, b)) * c)
 
     g = grad(f(x), [x])
     assert max_rel_err(g[x], finite_difference_gradient(f, x, 1e-6)) < 1e-8
@@ -262,10 +290,16 @@ def test_shift_gradients_match_fd(step, shape):
 @pytest.mark.parametrize("shape", SHIFT_SHAPES + [(3, 64, 8)])
 @pytest.mark.parametrize("step", [-1, 1])
 def test_shift_bitwise_equals_selector_matmul(step, shape):
+    # a weight that copies neighbour `step` into the output makes the op the
+    # clamped row shift, both ways
     rng = np.random.default_rng(shape[-2])
+    d = shape[-1]
+    w = np.zeros((3 * d, d))
+    w[(step + 1) * d:(step + 2) * d] = np.eye(d)
     x = Tensor(rng.standard_normal(shape), requires_grad=True)
     c = Tensor(rng.standard_normal(shape))
-    fast, ref = shift(x, step), _selector_shift(x, step)
+    fast = neighbour_linear(x, Tensor(w), Tensor(np.zeros(d)))
+    ref = _selector_shift(x, step)
     assert fast.data.tobytes() == ref.data.tobytes()
     g_fast = grad(sum_(fast * c), [x])[x].data
     g_ref = grad(sum_(ref * c), [x])[x].data
@@ -273,8 +307,64 @@ def test_shift_bitwise_equals_selector_matmul(step, shape):
 
 
 def test_shift_rejects_vectors():
-    with pytest.raises(NumericError):
-        shift(Tensor(np.ones(3)), 1)
+    with pytest.raises(NumericError, match="neighbour_linear"):
+        neighbour_linear(Tensor(np.ones(3)), Tensor(np.ones((9, 2))), Tensor(np.ones(2)))
+
+
+@pytest.mark.parametrize("shape", SHIFT_SHAPES + [(3, 64, 8), (4, 16, 32)])
+def test_neighbour_linear_matches_composite_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    d, n = shape[-1], 5
+    h, w, b = (Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in (shape, (3 * d, n), (n,)))
+    c = Tensor(rng.standard_normal(shape[:-1] + (n,)))
+    fast, ref = neighbour_linear(h, w, b), _composite_neighbour_linear(h, w, b)
+    assert fast.data.tobytes() == ref.data.tobytes()
+    assert len(Tape.from_output(fast).nodes) == 4  # h, w, b and the op
+    g_fast = grad(sum_(gelu(fast) * c), [h, w, b])
+    g_ref = grad(sum_(gelu(ref) * c), [h, w, b])
+    # h's three parts add in the composite's order when h feeds nothing else
+    for p in (h, w, b):
+        assert g_fast[p].data.tobytes() == g_ref[p].data.tobytes()
+    with no_grad():
+        assert neighbour_linear(h, w, b).data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("shape", SHIFT_SHAPES)
+def test_neighbour_linear_gradients_match_fd(shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-2])
+    d, n = shape[-1], 4
+    params = {name: Tensor(rng.standard_normal(s), requires_grad=True)
+              for name, s in (("h", shape), ("w", (3 * d, n)), ("b", (n,)))}
+    c = Tensor(rng.standard_normal(shape[:-1] + (n,)))
+
+    def f():
+        return sum_(tanh(neighbour_linear(params["h"], params["w"], params["b"])) * c)
+
+    errs = check_gradients(f, params, h=1e-6)
+    assert max(errs.values()) < 1e-8, errs
+
+
+def test_neighbour_linear_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(3)
+    h = Tensor(rng.standard_normal((2, 4, 3)))
+    w = Tensor(rng.standard_normal((9, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2))
+    out = neighbour_linear(h, w, b)
+    gh, gw, gb = out._vjp(np.ones(out.shape))
+    assert gh is None and gb is None and gw.shape == (9, 2)
+    assert grad(sum_(out), [h])[h].data.tolist() == np.zeros((2, 4, 3)).tolist()
+    assert neighbour_linear(h, Tensor(w.data), b)._vjp is None  # nothing to track
+
+
+@pytest.mark.parametrize("w_shape, b_shape", [
+    ((6, 2), (2,)), ((12, 2), (2,)), ((9,), (2,)), ((9, 2), (3,)), ((9, 2), (1, 2))])
+def test_neighbour_linear_rejects_mismatched_weights(w_shape, b_shape):
+    h = np.ones((2, 4, 3))
+    for mode in (contextlib.nullcontext, no_grad):
+        with mode(), pytest.raises(NumericError, match="w \\(3d, n\\)"):
+            neighbour_linear(Tensor(h, requires_grad=True), Tensor(np.ones(w_shape)),
+                             Tensor(np.ones(b_shape)))
 
 
 # -------------------------------------------------------------- tape semantics
@@ -539,16 +629,19 @@ def test_fault_injection_is_detected():
 
 
 def test_fault_injection_detects_shift():
+    # the neighbour shift is part of `neighbour_linear`'s one node
     rng = np.random.default_rng(0)
     w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     x = Tensor(rng.standard_normal((2, 4, 3)))
+    w_ctx = Tensor(rng.standard_normal((9, 3)))
+    b = Tensor(rng.standard_normal(3))
     c = Tensor(rng.standard_normal((2, 4, 3)))
 
     def f():
-        return sum_(tanh(shift(matmul(x, w), 1)) * c)
+        return sum_(tanh(neighbour_linear(matmul(x, w), w_ctx, b)) * c)
 
     assert check_gradients(f, {"w": w})["w"] < 1e-6
-    with inject_backward_fault("shift"):
+    with inject_backward_fault("neighbour_linear"):
         assert check_gradients(f, {"w": w})["w"] > 1e-2
 
 
@@ -568,8 +661,18 @@ def test_fault_injection_detects_softmax():
 
 
 def test_cli_gradcheck_detects_injected_shift_fault(capsys):
-    assert main(["gradcheck", "--inject-fault", "shift"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+    # both losses read neighbour context: the decoders and the velocity net
+    assert main(["gradcheck", "--inject-fault", "neighbour_linear"]) == 3
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 2 and "PASS" not in out
+
+
+@pytest.mark.parametrize("op", ["shift", "nosuchop", "leaf"])
+def test_cli_gradcheck_refuses_a_fault_in_no_taped_op(op, capsys):
+    # negating an op that no checked node carries would change nothing and pass
+    assert main(["gradcheck", "--inject-fault", op]) == 2
+    captured = capsys.readouterr()
+    assert f"'{op}'" in captured.err and "passed" not in captured.out
 
 
 def test_fault_injection_detects_mse():
@@ -614,8 +717,8 @@ PRIMITIVES = {
     "transpose": ("transpose", lambda x: transpose(x, (2, 0, 1)), [(2, 3, 4)]),
     "transpose_default": ("transpose", transpose, [(2, 3, 4)]),
     "swap_last": ("swap_last", swap_last, [(2, 3, 4)]),
-    "shift_next": ("shift", lambda x: shift(x, 1), [(2, 5, 3)]),
-    "shift_back_2": ("shift", lambda x: shift(x, -2), [(2, 5, 3)]),
+    "neighbour_linear": ("neighbour_linear", neighbour_linear, [(2, 5, 3), (9, 4), (4,)]),
+    "neighbour_linear_2d": ("neighbour_linear", neighbour_linear, [(5, 3), (9, 4), (4,)]),
     "concat": ("concat", lambda x, y: concat([x, y, x], axis=-2), [(3, 4), (2, 4)]),
     "getitem": ("getitem", lambda x: getitem(x, [0, 2, 0]), [(3, 4)]),
     "sum": ("sum", lambda x: sum_(x, axis=1), [(3, 4)]),
