@@ -16,6 +16,7 @@ import numpy as np
 from .numerics import Tensor
 
 MAGIC = b"CFMLAB01"
+_MAX_RANK = 64  # the most dims numpy gives an array
 
 __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "MAGIC"]
 
@@ -96,6 +97,9 @@ def load_checkpoint(path):
             raise CheckpointError(f"bad tensor name in {path}") from exc
         raw, off = _take(buf, off, 4, path)
         (rank,) = struct.unpack("<I", raw)
+        if rank > _MAX_RANK:
+            raise CheckpointError(f"tensor {name!r} in {path} has rank {rank}, "
+                                  f"more than the {_MAX_RANK} dims allowed")
         raw, off = _take(buf, off, 8 * rank, path)
         shape = struct.unpack(f"<{rank}Q", raw) if rank else ()
         n = _element_count(shape, (len(buf) - off) // 8, path)

@@ -40,7 +40,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .evaluate import condition_for_clip, evaluate_run
+from .evaluate import clips_per_chunk, condition_for_clip, evaluate_run
 from .numerics import NumericError, Tape, Tensor, no_grad
 from .numerics.gradcheck import check_gradients
 from .numerics.tensor import inject_backward_fault
@@ -178,14 +178,17 @@ def cmd_generate(args):
                                                           size=args.count)
     odes = [OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme, seed=int(s))
             for s in seeds]
-    motions = generate_batch(net, stacks, codecs, [cond] * args.count, odes,
-                             proj=proj, scale=cfg.sacm.scale, fps=cfg.dataset.fps,
-                             config_hash=config_hash(cfg))
-    for i, motion in enumerate(motions):
-        csv_path = write_motion_csv(motion, out / f"gen_{i:03d}.csv")
-        sidecar = write_sidecar(motion, out / f"gen_{i:03d}.json", condition_id)
-        print(csv_path)
-        print(sidecar)
+    size, run_hash = clips_per_chunk(len(cond)), config_hash(cfg)
+    for start in range(0, args.count, size):
+        chunk = odes[start:start + size]
+        motions = generate_batch(net, stacks, codecs, [cond] * len(chunk), chunk,
+                                 proj=proj, scale=cfg.sacm.scale, fps=cfg.dataset.fps,
+                                 config_hash=run_hash)
+        for i, motion in enumerate(motions, start):
+            csv_path = write_motion_csv(motion, out / f"gen_{i:03d}.csv")
+            sidecar = write_sidecar(motion, out / f"gen_{i:03d}.json", condition_id)
+            print(csv_path)
+            print(sidecar)
     return 0
 
 

@@ -5,11 +5,14 @@ planted audio onsets, and feature-space diversity.
 Features come from the frozen stage-1 encoders, so generated and real clips
 are compared in the same space regardless of how the generator was trained.
 
-A split is generated in chunks of whole clips, one `generate_batch` call
-each, with each chunk's conditions built just before it. Each clip's ODE
-seed is drawn from the run seed by clip position, and a batched draw equals
-the draw made alone, so a clip's motion depends neither on the rest of the
-split nor on where the chunks fall.
+A split is generated in chunks of whole clips of at most `_CHUNK_ROWS`
+latent rows, one `generate_batch` call each, with each chunk's conditions
+built just before it. The chunk pays each per-op cost of the velocity net,
+TCAM, RVQ and decoders once for all its clips. Each clip's ODE seed is drawn
+from the run seed by clip position, and a batched draw equals the draw made
+alone, so a clip's motion depends neither on the rest of the split nor on
+where the chunks fall. `cfmlab generate --count` draws in chunks of the same
+budget (`clips_per_chunk`).
 """
 
 from __future__ import annotations
@@ -31,22 +34,28 @@ from .metrics import (
 from .numerics import NumericError, no_grad
 from .sampler import OdeConfig, generate_batch
 
-__all__ = ["condition_for_clip", "generate_split", "evaluate_run"]
+__all__ = ["clips_per_chunk", "condition_for_clip", "generate_split", "evaluate_run"]
 
 _ODE_SEED_TAG = 4  # distinct from the stage-1/stage-2 training rng streams
 
-# Latent rows (clips x latent frames) per generate_batch call; each chunk's
-# conditions are built just before it is sampled. Wider chunks amortise more
-# per-op overhead, but their time follows the shared CPU's speed swings (up
-# to 1.7x) less closely than the small-array kernel perfbench scales eval
-# time by. Log-log slope of eval time on kernel time, 16-row clips: 0.96
-# for chunks of 2 clips, 0.91 per clip, 0.84 for 4 and 0.68 for 8.
-_CHUNK_ROWS = 32
+# Latent rows (clips x latent frames) per generate_batch call. Scoring a
+# 512-clip split of 16-row clips at default dims, one BLAS thread on a
+# 2-vCPU Xeon, ran at 317-404 clips/s with 32 rows, 514-613 with 128 and
+# 718-723 with 512. The whole split (8192 rows) bought nothing more,
+# 647-652 clips/s, and held about 6 MB more at peak, since a chunk's
+# arrays grow with its rows; so the budget is a fixed chunk, not a split.
+_CHUNK_ROWS = 512
 
 
 def _clip_seeds(seed, n):
     return np.random.default_rng([int(seed), _ODE_SEED_TAG]).integers(
         0, 2**31, size=n)
+
+
+def clips_per_chunk(rows):
+    """Clips of `rows` latent rows each that one `generate_batch` call
+    takes: as many as fit in `_CHUNK_ROWS`, and at least one."""
+    return max(1, _CHUNK_ROWS // rows)
 
 
 def condition_for_clip(audio, text, net, heads):
@@ -67,7 +76,7 @@ def generate_split(cfg, clips, net, heads, stacks, codecs, proj=None):
     if not clips:
         raise NumericError("no clips to generate from")
     seeds = _clip_seeds(cfg.seed, len(clips))
-    size = max(1, _CHUNK_ROWS // len(clips[0].audio))
+    size = clips_per_chunk(len(clips[0].audio))
     run_hash = config_hash(cfg)
     out = []
     for i in range(0, len(clips), size):

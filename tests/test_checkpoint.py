@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from cfmlab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from cfmlab.numerics import Tensor
+from cfmlab.codec import PART_ORDER, init_codebook_stack, init_part_codec
+from cfmlab.config import ConfigError, config_from_dict
+from cfmlab.numerics import NumericError, Tensor
+from cfmlab.training import (
+    init_stage2,
+    save_stage1_checkpoint,
+    save_stage2_checkpoint,
+    stage1_from_tensors,
+    stage2_from_tensors,
+)
 
 
 def test_roundtrip_bitwise(tmp_path):
@@ -109,12 +118,19 @@ def _single_tensor_file(name, shape, payload=b""):
 
 
 @pytest.mark.parametrize("shape", [(2**40, 2**40), (2**63, 2**63, 2), (3, 2**62),
-                                   (0, 2**63), (0, 2**62, 2**62)])
+                                   (0, 2**63), (0, 2**62, 2**62),
+                                   (1,) * 70, (0,) * 70])  # more dims than numpy has
 def test_rejects_oversized_shape(tmp_path, shape):
     p = tmp_path / "ck.bin"
     p.write_bytes(_single_tensor_file("x", shape, struct.pack("<4d", 1, 2, 3, 4)))
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
+
+
+def test_rank_64_loads(tmp_path):
+    p = tmp_path / "ck.bin"
+    p.write_bytes(_single_tensor_file("x", (1,) * 64, struct.pack("<d", 1.0)))
+    assert load_checkpoint(p)["x"].shape == (1,) * 64
 
 
 def test_zero_size_tensor_at_end_of_file_loads(tmp_path):
@@ -144,3 +160,71 @@ def test_save_replaces_existing_file(tmp_path):
     save_checkpoint(str(p), {"y": np.zeros(2)})
     assert set(load_checkpoint(p)) == {"y"}
     assert sorted(f.name for f in tmp_path.iterdir()) == ["ck.bin"]
+
+
+def _header_fields(raw):
+    """Offsets of the bytes of `raw` that are not tensor payload (the magic,
+    the count, and each tensor's name length, name, rank and dims), and of
+    the first byte of each rank."""
+    (count,) = struct.unpack_from("<I", raw, 8)
+    header, ranks, off = list(range(12)), [], 12
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", raw, off)
+        ranks.append(off + 4 + name_len)
+        (rank,) = struct.unpack_from("<I", raw, ranks[-1])
+        dims = struct.unpack_from(f"<{rank}Q", raw, ranks[-1] + 4)
+        header += range(off, ranks[-1] + 4 + 8 * rank)
+        off = ranks[-1] + 4 + 8 * rank + 8 * int(np.prod(dims, dtype=np.int64))
+    assert off == len(raw)
+    return header, ranks
+
+
+def _tiny_checkpoints(tmp_path):
+    """(bytes, from_tensors) of a tiny stage-1 and a tiny stage-2 checkpoint.
+    The hand and face decoder biases hold 64 or more zeros, so a rank whose
+    bit 6 flips reads 64 zero dims after the real one."""
+    rng = np.random.default_rng(0)
+    codecs = {p: init_part_codec(rng, p, downsample=4, d_g=1, hidden=2) for p in PART_ORDER}
+    stacks = {p: init_codebook_stack(rng, p, n_codes=2, depth=2, d_g=1) for p in PART_ORDER}
+    cfg = config_from_dict({"codec": {"d_g": 1}, "sacm": {"d": 3},
+                            "flow": {"d_cond": 4, "d_s": 4, "time_dim": 4},
+                            "dataset": {"d_audio": 6, "d_text": 5}})
+    save_stage1_checkpoint(tmp_path / "codec.bin", codecs, stacks)
+    save_stage2_checkpoint(tmp_path / "generator.bin", *init_stage2(cfg))
+    return [((tmp_path / "codec.bin").read_bytes(), stage1_from_tensors),
+            ((tmp_path / "generator.bin").read_bytes(), stage2_from_tensors)]
+
+
+def _load_bytes(raw, path):
+    path.write_bytes(raw)
+    return load_checkpoint(path)
+
+
+def _flip(raw, bit):
+    out = bytearray(raw)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def test_fuzzed_corruption_loads_or_raises_a_documented_error(tmp_path):
+    # every corrupt file either loads into models or raises an error the CLI
+    # maps to exit 2 or 3; a flipped payload bit may load silently
+    rng = np.random.default_rng(7)
+    path, cases = tmp_path / "bad.bin", 0
+    for raw, from_tensors in _tiny_checkpoints(tmp_path):
+        from_tensors(_load_bytes(raw, path))
+        header, ranks = _header_fields(raw)
+        corrupt = [raw[:n] for n in header[::3] + list(rng.integers(0, len(raw), size=200))]
+        corrupt += [_flip(raw, 8 * r + b) for r in ranks for b in range(32)]
+        corrupt += [_flip(raw, b) for b in rng.integers(0, 8 * len(raw), size=300)]
+        for pos, value in zip(rng.choice(header, size=300), rng.integers(0, 256, size=300)):
+            written = bytearray(raw)
+            written[pos] = value
+            corrupt.append(bytes(written))
+        for bad in corrupt:
+            try:
+                from_tensors(_load_bytes(bad, path))
+            except (CheckpointError, ConfigError, NumericError):
+                pass
+        cases += len(corrupt)
+    assert cases > 4000, cases

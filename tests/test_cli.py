@@ -7,6 +7,7 @@ import json
 import math
 import pkgutil
 import re
+import struct
 import typing
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 import cfmlab
 from cfmlab import training
 from cfmlab.alignment import ProjectionHeads
-from cfmlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from cfmlab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import CodebookStack, PartCodecParams
 from cfmlab.config import _SECTION_TYPES, config_from_dict, config_hash
@@ -50,6 +51,15 @@ def _exits_2(argv, capsys, match):
 def test_missing_checkpoint_file_exits_2(tmp_path, capsys):
     _exits_2(["generate", "--out", str(tmp_path), "--checkpoint",
               str(tmp_path / "absent.bin")], capsys, "cannot read checkpoint")
+
+
+def test_checkpoint_rank_numpy_cannot_shape_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "rank70.bin"
+    # one tensor "x" of rank 70, every dim 1, and its one float
+    ckpt.write_bytes(MAGIC + struct.pack("<II", 1, 1) + b"x"
+                     + struct.pack("<I70Qd", 70, *[1] * 70, 1.0))
+    _exits_2(["evaluate", "--self-eval", "--out", str(tmp_path), "--checkpoint", str(ckpt)],
+             capsys, f"tensor 'x' in {ckpt} has rank 70")
 
 
 def test_config_directory_exits_2(tmp_path, capsys):

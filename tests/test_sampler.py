@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cfmlab.codec import (
     rvq_quantize,
     rvq_quantize_batch,
 )
-from cfmlab import evaluate, flow
+from cfmlab import cli, evaluate, flow
 from cfmlab.config import config_from_dict, config_hash
 from cfmlab.evaluate import condition_for_clip, generate_split
 from cfmlab.flow import build_condition_batch, init_velocity_net, velocity_forward
@@ -474,13 +475,13 @@ def _generate_alone(net, stacks, decoders, cond, config, proj, scale, fps):
     return z1, codes, frames
 
 
-def _split_setup(scheme):
+def _split_setup(scheme, n_frames=32):
     """A 6-clip test split and an untrained model whose zero-initialised
     weights (attention output, aligned residual, projection) are randomised
     so every branch of the chain moves the result."""
     cfg = config_from_dict({
         "seed": 5, "sampler": {"scheme": scheme, "steps": 3},
-        "dataset": {"n_classes": 3, "n_clips": 12, "n_frames": 32, "d_audio": 8,
+        "dataset": {"n_classes": 3, "n_clips": 12, "n_frames": n_frames, "d_audio": 8,
                     "d_text": 8, "n_onsets": 3, "ratios": [0.5, 0.0, 0.5]},
         "codec": {"epochs": 0, "n_codes": 16}})
     ds = build_dataset(cfg.dataset)
@@ -540,13 +541,7 @@ def test_generate_rejects_non_finite_condition():
 def test_generate_split_chunks_do_not_change_draws(monkeypatch):
     cfg, clips, codecs, stacks, net, heads, proj = _split_setup("midpoint")
     rows = len(clips[0].audio)
-    sizes = []
-
-    def counted(net, stacks, decoders, conds, configs, **kwargs):
-        sizes.append(len(conds))
-        return generate_batch(net, stacks, decoders, conds, configs, **kwargs)
-
-    monkeypatch.setattr(evaluate, "generate_batch", counted)
+    sizes = _count_chunks(monkeypatch, evaluate)
     splits = []
     for budget, expected in ((len(clips) * rows, [6]), (4 * rows + rows // 2, [4, 2]),
                              (rows - 1, [1] * 6)):
@@ -562,6 +557,41 @@ def test_generate_split_chunks_do_not_change_draws(monkeypatch):
             for p in PART_ORDER:
                 assert a.codes[p].codes.tobytes() == b.codes[p].codes.tobytes()
                 assert a.parts[p].frames.tobytes() == b.parts[p].frames.tobytes()
+
+
+def _count_chunks(monkeypatch, module):
+    """The clip count of every generate_batch call `module` makes."""
+    sizes = []
+
+    def counted(net, stacks, decoders, conds, configs, **kwargs):
+        sizes.append(len(conds))
+        return generate_batch(net, stacks, decoders, conds, configs, **kwargs)
+
+    monkeypatch.setattr(module, "generate_batch", counted)
+    return sizes
+
+
+def test_generate_split_default_budget_takes_32_clips_of_16_rows(monkeypatch):
+    cfg, clips, codecs, stacks, net, heads, proj = _split_setup("euler", n_frames=64)
+    assert len(clips[0].audio) == 16
+    sizes = _count_chunks(monkeypatch, evaluate)
+    clips = [clips[k % len(clips)] for k in range(40)]
+    generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
+    assert sizes == [32, 8]
+
+
+def test_evaluate_run_json_is_the_same_at_every_budget(monkeypatch):
+    cfg, clips, codecs, stacks, net, heads, proj = _split_setup("midpoint")
+    ds = types.SimpleNamespace(splits={"test": clips})
+    sizes = _count_chunks(monkeypatch, evaluate)
+    outputs = []
+    for budget in (32, evaluate._CHUNK_ROWS):
+        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+        report, details = evaluate.evaluate_run(cfg, ds, codecs, stacks, net=net,
+                                                heads=heads, proj=proj)
+        outputs.append((report.to_json(), json.dumps(details, sort_keys=True, indent=2)))
+    assert sizes == [4, 2, 6]
+    assert outputs[0] == outputs[1]
 
 
 def test_velocity_forward_scalar_t_batch_equals_single_calls_bitwise():
@@ -620,3 +650,26 @@ def test_cli_generate_count_matches_single_draws(tmp_path, capsys):
                           config_hash=config_hash(cfg))
         path = write_motion_csv(single, tmp_path / f"single_{i}.csv")
         assert path.read_bytes() == (tmp_path / f"gen_{i:03d}.csv").read_bytes()
+
+
+def test_cli_generate_count_in_chunks_writes_the_same_files(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_RUN))
+    common = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    ck1, ck2 = tmp_path / "codec.bin", tmp_path / "generator.bin"
+    assert main(["train-codec", *common]) == 0
+    assert main(["train-generator", *common, "--checkpoint", str(ck1)]) == 0
+    sizes = _count_chunks(monkeypatch, cli)
+    dataset = config_from_dict(TINY_RUN).dataset
+    written = []
+    for budget, out in ((evaluate._CHUNK_ROWS, "whole"),
+                        (dataset.n_frames // dataset.downsample, "chunked")):
+        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+        capsys.readouterr()
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / out),
+                     "--checkpoint", str(ck1), "--checkpoint", str(ck2),
+                     "--clip-id", "1", "--count", "5"]) == 0
+        assert capsys.readouterr().out.count(str(tmp_path / out)) == 10
+        written.append({f.name: f.read_bytes() for f in (tmp_path / out).iterdir()})
+    assert sizes == [5, 1, 1, 1, 1, 1]
+    assert len(written[0]) == 10 and written[0] == written[1]
