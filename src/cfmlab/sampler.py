@@ -19,6 +19,7 @@ whether it is made alone (`generate`, B = 1) or in a batch.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .codec import (
+    PART_JOINTS,
     PART_ORDER,
     CodeSequence,
     MotionClip,
@@ -247,18 +249,28 @@ def _cond_sequence(cond):
 
 # ------------------------------------------------------------------ output io
 
-def write_motion_csv(motion, path):
-    """One row per (part, frame, channel), parts in fixed order; float values
-    use shortest round-trip repr so identical runs produce identical bytes.
-    The lines are the ones `csv.writer` would write: no field needs quoting,
-    and rows end in CRLF."""
-    path = Path(path)
+@functools.lru_cache(maxsize=4)
+def _csv_template(n_frames):
+    """Every line of the CSV of an `n_frames`-frame motion, with a `%r` slot
+    for each value; about 0.5 MB at 512 frames."""
     lines = ["part,frame,channel,value\r\n"]
     for part in PART_ORDER:
-        for f, row in enumerate(motion.parts[part].frames.tolist()):
-            lines.extend(f"{part},{f},{c},{v!r}\r\n" for c, v in enumerate(row))
+        lines.extend(f"{part},{f},{c},%r\r\n"
+                     for f in range(n_frames) for c in range(PART_JOINTS[part]))
+    return "".join(lines)
+
+
+def write_motion_csv(motion, path):
+    """One row per (part, frame, channel), parts in fixed order; float values
+    are `%r` (shortest round-trip `repr`) so identical runs produce identical
+    bytes. Every line comes from one template per frame count, filled by a
+    single `%`: each part's channel count is fixed, so the frame count
+    fixes the layout. The lines are the ones `csv.writer` would write: no
+    field needs quoting, and rows end in CRLF."""
+    path = Path(path)
+    values = np.concatenate([motion.parts[p].frames.ravel() for p in PART_ORDER])
     with path.open("w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(_csv_template(motion.n_frames) % tuple(values.tolist()))
     return path
 
 

@@ -40,6 +40,18 @@ def stage1(tmp_path_factory):
     return cfg, out / "codec.bin"
 
 
+@pytest.fixture(scope="module")
+def stage2(stage1):
+    """A config file with a one-epoch stage 2, and both checkpoints."""
+    _, codec = stage1
+    cfg = codec.parent / "run.json"
+    cfg.write_text(json.dumps({**TINY, "flow": {"epochs": 1, "batch": 8},
+                               "sampler": {"steps": 3}}))
+    assert main(["train-generator", "--config", str(cfg), "--out", str(codec.parent),
+                 "--checkpoint", str(codec)]) == 0
+    return cfg, codec, codec.parent / "generator.bin"
+
+
 def _exits_2(argv, capsys, match):
     capsys.readouterr()
     assert main(argv) == 2
@@ -159,6 +171,21 @@ def test_out_path_is_a_file_exits_2(tmp_path, capsys):
     out = tmp_path / "taken"
     out.write_text("")
     _exits_2(["make-data", "--out", str(out)], capsys, "cannot use --out")
+
+
+# a directory where the first output file goes; the checkpoint is written
+# beside its target and renamed over it, and the temp file must not stay
+@pytest.mark.parametrize("command, blocked", [("generate", "gen_000.csv"),
+                                              ("evaluate", "report.json"),
+                                              ("train-codec", "codec.bin")])
+def test_unwritable_output_exits_2_naming_it(stage2, tmp_path, capsys, command, blocked):
+    cfg, codec, generator = stage2
+    (tmp_path / blocked).mkdir()
+    checkpoints = [] if command == "train-codec" else [
+        "--checkpoint", str(codec), "--checkpoint", str(generator)]
+    _exits_2([command, "--config", str(cfg), "--out", str(tmp_path), *checkpoints],
+             capsys, f"cannot write {tmp_path / blocked}: ")
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
 
 @pytest.mark.parametrize("command", ["generate", "evaluate"])

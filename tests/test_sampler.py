@@ -1,11 +1,17 @@
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfmlab
 from cfmlab.alignment import composite_batch, project_and_normalize_batch
 from cfmlab.cli import main
 from cfmlab.codec import (
@@ -446,6 +452,37 @@ def test_csv_bytes_match_csv_module_writer(tmp_path):
     assert b"hand,0,0,-0.0\r\nhand,0,1,1e-300\r\nhand,0,2,3.0\r\n" in out.read_bytes()
 
 
+# where repr changes notation (fixed <-> exponent) or meets a float extreme
+CSV_EDGE_VALUES = [1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 5e-324,
+                   -1e-300, 1.7976931348623157e308, -0.0]
+
+
+def test_csv_bytes_match_csv_module_writer_at_every_length(tmp_path):
+    # one process, a length seen again after others: a line layout made for
+    # one frame count is never used for another
+    rng = np.random.default_rng(5)
+    for i, n_frames in enumerate((1, 3, 64, 3, 512)):
+        parts = {p: MotionClip(p, rng.standard_normal((n_frames, PART_JOINTS[p]))
+                               * 10.0 ** rng.integers(-8, 8, (n_frames, PART_JOINTS[p])))
+                 for p in PART_ORDER}
+        parts["hand"].frames.flat[:8] = CSV_EDGE_VALUES
+        parts["face"].frames.flat[-8:] = CSV_EDGE_VALUES[::-1]
+        motion = GeneratedMotion(parts=parts, latent=np.zeros((1, 1)), codes={},
+                                 seed=0, config_hash="x")
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["part", "frame", "channel", "value"])
+        writer.writerows([part, f, c, repr(v)] for part in PART_ORDER
+                         for f, row in enumerate(parts[part].frames.tolist())
+                         for c, v in enumerate(row))
+        out = write_motion_csv(motion, tmp_path / f"m{i}.csv").read_bytes()
+        assert out == ref.getvalue().encode("ascii"), n_frames
+        assert out.startswith(b"part,frame,channel,value\r\nhand,0,0,1e+16\r\n"
+                              b"hand,0,1,9999999999999998.0\r\nhand,0,2,0.0001\r\n"
+                              b"hand,0,3,9.999999999999999e-05\r\nhand,0,4,5e-324\r\n")
+        assert out.endswith(f"face,{n_frames - 1},15,1e+16\r\n".encode("ascii"))
+
+
 def test_sidecar_contents(tmp_path):
     net, decoders, stacks, cond = _small_setup(length=8)
     cfg = OdeConfig(n=2, seed=9)
@@ -673,3 +710,34 @@ def test_cli_generate_count_in_chunks_writes_the_same_files(tmp_path, monkeypatc
         written.append({f.name: f.read_bytes() for f in (tmp_path / out).iterdir()})
     assert sizes == [5, 1, 1, 1, 1, 1]
     assert len(written[0]) == 10 and written[0] == written[1]
+
+
+# one process runs both stages and `generate --count 2`; argv: config, out dir
+_CLI_RUN = """
+import sys
+from cfmlab.cli import main
+cfg, out = sys.argv[1:]
+codec, generator = f"{out}/codec.bin", f"{out}/generator.bin"
+for argv in (["train-codec"], ["train-generator", "--checkpoint", codec],
+             ["generate", "--checkpoint", codec, "--checkpoint", generator,
+              "--count", "2"]):
+    if main([*argv, "--config", cfg, "--out", out]):
+        sys.exit(1)
+"""
+
+
+def test_cli_run_is_byte_identical_in_two_fresh_processes(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_RUN))
+    env = dict(os.environ, CFMLAB_THREADS="1",
+               PYTHONPATH=str(Path(cfmlab.__file__).resolve().parents[1]))
+    runs = []
+    for name in ("a", "b"):
+        proc = subprocess.run([sys.executable, "-c", _CLI_RUN, str(cfg_path),
+                               str(tmp_path / name)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        runs.append({f.name: f.read_bytes() for f in (tmp_path / name).iterdir()
+                     if f.suffix in (".bin", ".csv")})
+    assert sorted(runs[0]) == ["codec.bin", "gen_000.csv", "gen_001.csv", "generator.bin"]
+    assert runs[0] == runs[1]
