@@ -290,7 +290,8 @@ def _build_parser():
         if out:
             p.add_argument("--out", help="output directory (default: cwd)")
 
-    p = sub.add_parser("make-data", help="export the synthetic dataset")
+    p = sub.add_parser("make-data", help="export the synthetic dataset (write-only: "
+                       "every command rebuilds it from the config)")
     common(p)
     p.set_defaults(func=cmd_make_data)
 

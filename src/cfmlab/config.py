@@ -6,8 +6,8 @@ no inf or NaN), its bound or choices by its metadata, e.g. `_field(0.05,
 ge=0, lt=1)`. The rules that join fields sit in `_RULES`. `validate_config`
 checks all of it and raises ConfigError naming the first failing field by
 its dotted path (e.g. "flow.lam"), which the CLI maps to exit code 2. A
-section or RunConfig runs it when built, so a parsed, a hand-built and a
-manifest's config are checked alike; after an in-place change, run it again.
+section or RunConfig runs it when built, so a parsed and a hand-built
+config are checked alike; after an in-place change, run it again.
 """
 
 from __future__ import annotations

@@ -324,7 +324,7 @@ def cfm_loss(v_pred, v_pos, v_neg, lam):
     loss = mse(vp, Tensor(pos))
     if lam == 0.0:
         return loss
-    neg = v_neg.data if isinstance(v_neg, Tensor) else np.asarray(v_neg)
-    if neg.shape != vp.shape:
-        raise NumericError(f"cfm_loss negative shape mismatch {neg.shape} vs {vp.shape}")
-    return loss - Tensor(lam) * mse(vp, Tensor(neg))
+    negative = v_neg.data if isinstance(v_neg, Tensor) else np.asarray(v_neg)
+    if negative.shape != vp.shape:
+        raise NumericError(f"cfm_loss negative shape mismatch {negative.shape} vs {vp.shape}")
+    return loss - Tensor(lam) * mse(vp, Tensor(negative))

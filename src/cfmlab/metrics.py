@@ -106,14 +106,6 @@ class MetricReport:
              "config_hash": self.config_hash},
             sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(fgd=payload["fgd"], bc=payload["bc"],
-                   diversity=payload["diversity"],
-                   config_hash=payload["config_hash"],
-                   n_real=payload["n_real"], n_gen=payload["n_gen"])
-
 
 # ------------------------------------------------------------------------ fgd
 

@@ -9,7 +9,6 @@ from .tensor import (
     as_tensor,
     concat,
     exp,
-    finite_checks,
     gelu,
     getitem,
     grad,
@@ -18,7 +17,6 @@ from .tensor import (
     log,
     logsumexp,
     matmul,
-    max_,
     mean,
     mse,
     neighbour_linear,
@@ -28,8 +26,6 @@ from .tensor import (
     sqrt,
     sum_,
     swap_last,
-    tanh,
-    transpose,
     uniform_init,
     zeros_init,
 )
@@ -46,7 +42,6 @@ __all__ = [
     "check_gradients",
     "concat",
     "exp",
-    "finite_checks",
     "finite_difference_gradient",
     "gelu",
     "getitem",
@@ -56,7 +51,6 @@ __all__ = [
     "log",
     "logsumexp",
     "matmul",
-    "max_",
     "max_rel_err",
     "mean",
     "mse",
@@ -67,8 +61,6 @@ __all__ = [
     "sqrt",
     "sum_",
     "swap_last",
-    "tanh",
-    "transpose",
     "uniform_init",
     "zeros_init",
 ]

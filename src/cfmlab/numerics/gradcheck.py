@@ -2,7 +2,6 @@
 
 Central differences at 64-bit precision give ~1e-10 absolute error for
 O(1) smooth functions with h=1e-5, which is plenty of headroom for the
-
 reverse-mode checks in the test suite (tolerances 1e-6 .. 1e-3).
 """
 

@@ -2,12 +2,13 @@
 
 Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
-the primitive set is deliberately small -- matmul, elementwise arithmetic,
-exp/log/sqrt, tanh/GELU, reductions, concat/slice/reshape/transpose,
-`neighbour_linear` (a row and its clamped neighbours through one linear
-map), `softmax`, in closed form: exp(x - max) / sum, with the gradient
-t - out * sum(t), t = g * out, and `mse`, one node for mean((a - b)^2). The
-logsumexp/l2-normalize composites are built on top.
+the primitive set is deliberately small: the 18 ops training calls --
+matmul, add/sub/mul/div, exp/log/sqrt, GELU, sum/mean, concat/getitem/
+reshape, `swap_last` (the last two axes swapped), `neighbour_linear` (a row
+and its clamped neighbours through one linear map), `softmax`, in closed
+form: exp(x - max) / sum, with the gradient t - out * sum(t), t = g * out,
+and `mse`, one node for mean((a - b)^2). The logsumexp/l2-normalize
+composites are built on top.
 
 GELU's forward and VJP each run their elementwise passes in place in one
 buffer, in the operation order of the plain expressions, so the bits are
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,7 +36,6 @@ from scipy.special import erf
 
 _UID = itertools.count()
 _GRAD_ENABLED = True
-_FINITE_CHECKS = True
 _FAULT_OP = None  # set via inject_backward_fault(), test instrumentation only
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -52,8 +51,7 @@ def _check_finite(data, op):
     # of finite entries (callers hold np.errstate, or numpy would warn), so
     # only then is the elementwise test run. The ufunc reduce is np.sum
     # without its Python-level dispatch, which runs per op.
-    if (_FINITE_CHECKS and not math.isfinite(np.add.reduce(data, axis=None))
-            and not np.isfinite(data).all()):
+    if not math.isfinite(np.add.reduce(data, axis=None)) and not np.isfinite(data).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -69,17 +67,6 @@ def no_grad():
             yield
     finally:
         _GRAD_ENABLED = prev
-
-
-@contextmanager
-def finite_checks(enabled):
-    global _FINITE_CHECKS
-    prev = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    try:
-        yield
-    finally:
-        _FINITE_CHECKS = prev
 
 
 @contextmanager
@@ -161,17 +148,11 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __rmatmul__(self, other):
         return matmul(other, self)
-
-    def __pow__(self, exponent):
-        return pow_scalar(self, exponent)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -184,9 +165,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
     @property
     def mT(self):
@@ -302,27 +280,6 @@ def div(a, b):
         "div")
 
 
-def neg(a):
-    if not _GRAD_ENABLED:
-        return _untracked(-_arr(a), "neg")
-    a = as_tensor(a)
-    return _from_op(-a.data, (a,), lambda g: (-g,), "neg")
-
-
-def pow_scalar(a, exponent):
-    c = float(exponent)
-    if not _GRAD_ENABLED:
-        return _untracked(_arr(a) ** c, "pow")
-    a = as_tensor(a)
-
-    def vjp(g):
-        ga = _quiet(lambda: g * c * a.data ** (c - 1.0))
-        _quiet(_check_finite, ga, "pow backward")  # e.g. x ** 0.5 at x = 0
-        return (ga,)
-
-    return _from_op(_quiet(operator.pow, a.data, c), (a,), vjp, "pow")
-
-
 def exp(a):
     if not _GRAD_ENABLED:
         return _untracked(np.exp(_arr(a)), "exp")
@@ -350,14 +307,6 @@ def sqrt(a):
         return (ga,)
 
     return _from_op(out, (a,), vjp, "sqrt")
-
-
-def tanh(a):
-    if not _GRAD_ENABLED:
-        return _untracked(np.tanh(_arr(a)), "tanh")
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _from_op(out, (a,), lambda g: (g * (1.0 - out * out),), "tanh")
 
 
 def _gelu_cdf(x):
@@ -432,17 +381,6 @@ def reshape(a, shape):
     return _from_op(
         a.data.reshape(shape), (a,),
         lambda g: (g.reshape(a.data.shape),), "reshape")
-
-
-def transpose(a, axes=None):
-    if not _GRAD_ENABLED:
-        return _untracked(np.transpose(_arr(a), axes), "transpose")
-    a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    out = np.transpose(a.data, axes)  # rejects bad axes before they wrap
-    inv = tuple(np.argsort([ax % a.data.ndim for ax in axes]))
-    return _from_op(out, (a,), lambda g: (np.transpose(g, inv),), "transpose")
 
 
 def swap_last(a):
@@ -566,21 +504,6 @@ def mean(a, axis=None, keepdims=False):
         return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
 
     return _from_op(out, (a,), vjp, "mean")
-
-
-def max_(a, axis=None, keepdims=False):
-    if not _GRAD_ENABLED:
-        return _untracked(np.max(_arr(a), axis=axis, keepdims=keepdims), "max")
-    a = as_tensor(a)
-    out = np.max(a.data, axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        full = np.max(a.data, axis=axis, keepdims=True)
-        mask = (a.data == full).astype(np.float64)
-        mask /= np.sum(mask, axis=axis, keepdims=True)  # split ties evenly
-        return (mask * _expand_reduced(g, a.data.shape, axis, keepdims),)
-
-    return _from_op(out, (a,), vjp, "max")
 
 
 # -- softmax -------------------------------------------------------------------

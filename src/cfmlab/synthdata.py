@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .codec import PART_JOINTS, PART_ORDER, MotionClip
-from .config import STROKE_HALF_WIDTH, ConfigError, DatasetConfig
+from .config import STROKE_HALF_WIDTH, DatasetConfig
 from .numerics import NumericError
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "generate_utterance",
     "build_dataset",
     "save_dataset",
-    "load_dataset",
     "NegativePairing",
     "sample_derangement",
     "mismatch_pairing",
@@ -295,6 +294,9 @@ def _stack_split(split, clips, cfg):
 
 
 def save_dataset(dataset, out_dir):
+    """Export `dataset` to `out_dir`: a JSON manifest and one tensor file for
+    the classes and one per split. The export is write-only: no command
+    reads it back, each rebuilds the dataset from its config."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = dataset.config
@@ -331,60 +333,6 @@ def save_dataset(dataset, out_dir):
         save_checkpoint(out_dir / f"{split}.bin",
                         _stack_split(split, dataset.splits[split], cfg))
     return out_dir
-
-
-def load_dataset(in_dir):
-    """The dataset `save_dataset` wrote to `in_dir`. Its manifest is outside
-    input, so DatasetConfig checks it against the config schema."""
-    in_dir = Path(in_dir)
-    path = in_dir / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-        dims = manifest["dims"]
-        config = DatasetConfig(  # checks types first, so raises no TypeError
-            n_classes=manifest["classes"], n_clips=manifest["n_clips"],
-            n_frames=dims["n_frames"], fps=manifest["fps"],
-            d_audio=dims["d_audio"], d_text=dims["d_text"],
-            downsample=dims["downsample"], noise=dims["noise"],
-            n_onsets=dims["n_onsets"], ratios=dims["ratios"],
-            seed=manifest["seed"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from None
-    except TypeError:  # the manifest or its dims is not an object
-        raise ConfigError(f"{path}: must be an object with a 'dims' object") from None
-
-    ct = load_checkpoint(in_dir / "classes.bin")
-    classes = []
-    for c in range(config.n_classes):
-        classes.append(GestureClass(
-            id=c,
-            freqs={p: float(ct["classes/freqs"][c, i])
-                   for i, p in enumerate(PART_ORDER)},
-            part_weights={p: float(ct["classes/part_weights"][c, i])
-                          for i, p in enumerate(PART_ORDER)},
-            phases={p: ct[f"classes/phases/{p}"][c] for p in PART_ORDER},
-            stroke_dirs={p: ct[f"classes/stroke_dirs/{p}"][c] for p in PART_ORDER},
-            text_anchor=ct["classes/text_anchor"][c],
-            audio_anchor=ct["classes/audio_anchor"][c]))
-
-    splits = {}
-    for split in SPLITS:
-        t = load_checkpoint(in_dir / f"{split}.bin")
-        clips = []
-        for i in range(t[f"data/{split}/class"].shape[0]):
-            motion = {p: MotionClip(p, t[f"data/{split}/motion/{p}"][i],
-                                    fps=config.fps) for p in PART_ORDER}
-            clips.append(SyntheticUtterance(
-                class_id=int(t[f"data/{split}/class"][i]),
-                audio=t[f"data/{split}/audio"][i],
-                text=t[f"data/{split}/text"][i],
-                motion=motion,
-                onsets=t[f"data/{split}/onsets"][i],
-                seed=int(t[f"data/{split}/seed"][i])))
-        splits[split] = clips
-    return Dataset(config=config, classes=classes, splits=splits)
 
 
 # ------------------------------------------------------------------ negatives

@@ -107,14 +107,6 @@ class RunRecord:
              "checkpoints": [str(p) for p in self.checkpoints]},
             sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(config_hash=payload["config_hash"], stage=payload["stage"],
-                   curves=payload["curves"],
-                   wall_clock_s=payload["wall_clock_s"],
-                   checkpoints=payload["checkpoints"])
-
 
 def _rng(seed, *tags):
     return np.random.default_rng([int(seed)] + [int(t) for t in tags])

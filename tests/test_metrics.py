@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -72,13 +73,8 @@ def test_metric_report_rejects_bad_fields():
 def test_metric_report_json_roundtrip():
     rep = MetricReport(fgd=1.25, bc=0.75, diversity=3.5, config_hash="abc",
                        n_real=48, n_gen=48)
-    again = MetricReport.from_json(rep.to_json())
-    assert again == rep
-    import json
-
-    payload = json.loads(rep.to_json())
-    assert set(payload) == {"fgd", "bc", "diversity", "n_real", "n_gen",
-                            "config_hash"}
+    assert json.loads(rep.to_json()) == {"fgd": 1.25, "bc": 0.75, "diversity": 3.5,
+                                         "config_hash": "abc", "n_real": 48, "n_gen": 48}
 
 
 # ------------------------------------------------------------------------- fgd

@@ -66,10 +66,9 @@ def test_run_record_json_roundtrip():
     rec = RunRecord(config_hash="abc", stage="generator",
                     curves={"cfm": [1.0, 0.5]}, wall_clock_s=2.5,
                     checkpoints=["out/generator.bin"])
-    again = RunRecord.from_json(rec.to_json())
-    assert again.config_hash == rec.config_hash
-    assert again.curves == rec.curves
-    assert again.checkpoints == rec.checkpoints
+    assert json.loads(rec.to_json()) == {
+        "config_hash": "abc", "stage": "generator", "curves": {"cfm": [1.0, 0.5]},
+        "wall_clock_s": 2.5, "checkpoints": ["out/generator.bin"]}
 
 
 # -------------------------------------------------------------------- stage 1
