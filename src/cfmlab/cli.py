@@ -2,7 +2,8 @@
 generation, evaluation, and the gradient self-check.
 
 Exit codes: 0 success, 2 usage/config errors (an output path that cannot
-be written among them), 3 numerical failures.
+be written among them, and a checkpoint whose dims do not match the
+config), 3 numerical failures.
 Every command is deterministic given (config, seed) and the BLAS thread
 count (CFMLAB_THREADS): another thread count may round some sums in
 another order, so trained checkpoints can differ in their last bits.
@@ -169,8 +170,8 @@ def cmd_generate(args):
     cfg = _load_cfg(args)
     merged = _merged_checkpoints(args.checkpoint)
     codecs, stacks = stage1_from_tensors(merged)
-    check_codec_dims(cfg, codecs, stacks)
     net, heads, proj = stage2_from_tensors(merged)
+    check_codec_dims(cfg, codecs, stacks, net, heads, proj)
     out = _out_dir(args)
     ds = build_dataset(cfg.dataset)
     u, condition_id = _condition_for(args, cfg, ds)
@@ -197,15 +198,12 @@ def cmd_evaluate(args):
     cfg = _load_cfg(args)
     merged = _merged_checkpoints(args.checkpoint)
     codecs, stacks = stage1_from_tensors(merged)
-    check_codec_dims(cfg, codecs, stacks)
-    net = heads = proj = None
-    if not args.self_eval:
-        net, heads, proj = stage2_from_tensors(merged)
-    ds = build_dataset(cfg.dataset)
-    report, details = evaluate_run(cfg, ds, codecs, stacks, net=net,
-                                   heads=heads, proj=proj,
-                                   self_eval=args.self_eval)
+    stage2 = () if args.self_eval else stage2_from_tensors(merged)
+    check_codec_dims(cfg, codecs, stacks, *stage2)
     out = _out_dir(args)
+    ds = build_dataset(cfg.dataset)
+    report, details = evaluate_run(cfg, ds, codecs, stacks, *stage2,
+                                   self_eval=args.self_eval)
     report_path = out / "report.json"
     report_path.write_text(report.to_json())
     (out / "details.json").write_text(

@@ -352,20 +352,19 @@ def rvq_dequantize(codes, stack):
 def straight_through(latent, quantized):
     """latent + stop_gradient(quantized - latent): forward is the quantized
     value, backward treats quantization as identity."""
-    q = np.asarray(quantized.data if isinstance(quantized, Tensor) else quantized)
-    if q.shape != latent.shape:
-        raise NumericError(f"straight_through shape mismatch {q.shape} vs {latent.shape}")
-    return latent + Tensor(q - latent.data)
+    if quantized.shape != latent.shape:
+        raise NumericError(
+            f"straight_through shape mismatch {quantized.shape} vs {latent.shape}")
+    return latent + Tensor(quantized - latent.data)
 
 
 def commitment_loss(latent, quantized):
     """MSE between latent and stop-gradient(quantized); pulls the encoder
     toward its selected codes without moving the codebook."""
     z = as_tensor(latent)
-    q = np.asarray(quantized.data if isinstance(quantized, Tensor) else quantized)
-    if q.shape != z.shape:
-        raise NumericError(f"commitment_loss shape mismatch {q.shape} vs {z.shape}")
-    return mse(z, Tensor(q))
+    if quantized.shape != z.shape:
+        raise NumericError(f"commitment_loss shape mismatch {quantized.shape} vs {z.shape}")
+    return mse(z, Tensor(quantized))
 
 
 def ema_codebook_update(stack, codes, stage_inputs, decay=0.99, rng=None,

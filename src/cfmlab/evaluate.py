@@ -118,8 +118,8 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
             raise NumericError(
                 "evaluation needs a trained velocity net and alignment heads "
                 "(or self_eval)")
-        gen_motions = generate_split(cfg, clips, net, heads, stacks, codecs,
-                                     proj=proj)
+        gen_motions = [m.parts for m in generate_split(cfg, clips, net, heads,
+                                                       stacks, codecs, proj=proj)]
 
     scale = cfg.sacm.scale
     real_all = motion_features([u.motion for u in clips], codecs, scale=scale,

@@ -14,9 +14,10 @@ is an exact residual passthrough at init.
 `velocity_forward` has a condition part and a step part. The condition
 part (`prepare_condition`) builds the terms that depend only on the
 condition and the latent length: both position embeddings, the TCAM keys
-and values, and the frame-aligned residual. An ODE solve builds them once
-and reuses them at every step; training passes a raw condition, which is
-prepared inside the call, so both take one code path with the same bits.
+and values, and the frame-aligned residual. Every caller prepares the
+condition itself and passes the result: training once per step, an ODE
+solve once for all its steps. The velocity field takes batched (B, L, d_G)
+latents only.
 
 Motion tokens and condition both receive parameter-free sinusoidal temporal
 position embeddings before cross-attention: attention is otherwise a
@@ -222,11 +223,9 @@ class PreparedCondition:
 
 
 def prepare_condition(net, cond, length):
-    """Condition terms of `velocity_forward` for latents of `length` frames:
-    cond is (L_c, d_O) or (B, L_c, d_O)."""
+    """Condition terms of `velocity_forward` for latents of `length` frames,
+    from a (B, L_c, d_O) condition."""
     c = as_tensor(cond)
-    if c.ndim == 2:
-        c = c.reshape(1, *c.shape)
     # frame-aligned conditions get a direct per-step residual so timing
     # cues reach the matching motion frame without relying on attention
     # to discover the diagonal; unaligned conditions use attention alone
@@ -238,16 +237,12 @@ def prepare_condition(net, cond, length):
         aligned=aligned)
 
 
-def tcam_fuse(x, cond, net, return_attn=False):
-    """Cross-attention: motion tokens (…, L, d_G) query the condition
-    (…, L_c, d_O), or the keys and values of a PreparedCondition; residual
-    on the projected query path."""
+def tcam_fuse(x, prep, net, return_attn=False):
+    """Cross-attention: motion tokens (B, L, d_G) query the keys and values
+    of a PreparedCondition; residual on the projected query path. With
+    return_attn, also the (B, L, L_c) attention weights."""
     xt = as_tensor(x)
-    if isinstance(cond, PreparedCondition):
-        k, v = cond.keys, cond.values
-    else:
-        ct = as_tensor(cond)
-        k, v = matmul(ct, net.tcam_k), matmul(ct, net.tcam_v)
+    k, v = prep.keys, prep.values
     if xt.shape[:-2] != k.shape[:-2]:
         raise NumericError(f"tcam batch shape mismatch {xt.shape} vs {k.shape}")
     out, attn = _attention(matmul(xt, net.tcam_q), k, v, net.tcam_o, net.d_s)
@@ -256,24 +251,21 @@ def tcam_fuse(x, cond, net, return_attn=False):
     return out
 
 
-def velocity_forward(net, zt, t, cond):
-    """Predict the velocity field at interpolant zt, time t, condition cond.
+def velocity_forward(net, zt, t, prep):
+    """Predict the velocity field at interpolant zt (B, L, d_G), time t and
+    the PreparedCondition `prep`, built by `prepare_condition` for B
+    conditions and L frames.
 
-    Accepts (L, d_G) or batched (B, L, d_G) with a scalar t or a per-example
-    t (B,). A scalar t builds one time-embedding row shared by the batch, so
-    each example's velocity is bit-identical to its own B = 1 call. `cond`
-    is a raw condition, prepared here, or a PreparedCondition built by
-    `prepare_condition` for this latent length; both give the same bits.
+    t is a scalar or a per-example (B,) array. A scalar t builds one
+    time-embedding row shared by the batch, so each example's velocity is
+    bit-identical to its own B = 1 call.
     """
     x = as_tensor(zt)
-    single = x.ndim == 2
-    if single:
-        x = x.reshape(1, *x.shape)
+    if x.ndim != 3:
+        raise NumericError(f"latents must be (B, L, d_G), got shape {x.shape}")
     b, l, d_model = x.shape
     if d_model != net.d_model:
         raise NumericError(f"latent dim {d_model} != network dim {net.d_model}")
-    prep = (cond if isinstance(cond, PreparedCondition)
-            else prepare_condition(net, cond, l))
     if prep.keys.shape[0] != b:
         raise NumericError(f"condition batch {prep.keys.shape[0]} != latent batch {b}")
     if prep.pe_x.shape[0] != l:
@@ -300,10 +292,7 @@ def velocity_forward(net, zt, t, cond):
     h = tcam_fuse(tokens, prep, net)
     for w, bias in ((net.conv1_w, net.conv1_b), (net.conv2_w, net.conv2_b)):
         h = h + gelu(neighbour_linear(h, w, bias))
-    out = matmul(h, net.out_w) + net.out_b
-    if single:
-        return out.reshape(l, d_model)
-    return out
+    return matmul(h, net.out_w) + net.out_b
 
 
 # --------------------------------------------------------------------- loss
@@ -313,18 +302,16 @@ def cfm_loss(v_pred, v_pos, v_neg, lam):
 
     lam = 0 reduces to the plain flow-matching objective (identical code
     path, bit-identical result); lam >= 1 makes the objective unbounded
-    below and is rejected.
+    below and is rejected. The targets v_pos and v_neg are arrays.
     """
     if not 0.0 <= lam < 1.0:
         raise NumericError(f"contrast weight must satisfy 0 <= lam < 1, got {lam}")
     vp = as_tensor(v_pred)
-    pos = v_pos.data if isinstance(v_pos, Tensor) else np.asarray(v_pos)
-    if pos.shape != vp.shape:
-        raise NumericError(f"cfm_loss shape mismatch {pos.shape} vs {vp.shape}")
-    loss = mse(vp, Tensor(pos))
+    if v_pos.shape != vp.shape:
+        raise NumericError(f"cfm_loss shape mismatch {v_pos.shape} vs {vp.shape}")
+    loss = mse(vp, Tensor(v_pos))
     if lam == 0.0:
         return loss
-    negative = v_neg.data if isinstance(v_neg, Tensor) else np.asarray(v_neg)
-    if negative.shape != vp.shape:
-        raise NumericError(f"cfm_loss negative shape mismatch {negative.shape} vs {vp.shape}")
-    return loss - Tensor(lam) * mse(vp, Tensor(negative))
+    if v_neg.shape != vp.shape:
+        raise NumericError(f"cfm_loss negative shape mismatch {v_neg.shape} vs {vp.shape}")
+    return loss - Tensor(lam) * mse(vp, Tensor(v_neg))

@@ -205,8 +205,9 @@ def _find_peaks(x, height, distance):
     return peaks[keep]
 
 
-def extract_kinematic_peaks(motion, threshold_std=0.5, min_separation=3):
-    """Local maxima of the per-frame joint-speed norm summed over parts.
+def extract_kinematic_peaks(clips, threshold_std=0.5, min_separation=3):
+    """Local maxima of the per-frame joint-speed norm summed over the parts
+    of `clips` (part -> MotionClip).
 
     Speed index i is the transition frame i -> i+1 and is reported as time
     i / fps; peaks must clear mean + threshold_std * std and sit at least
@@ -214,7 +215,6 @@ def extract_kinematic_peaks(motion, threshold_std=0.5, min_separation=3):
     """
     if not min_separation >= 1:
         raise NumericError(f"min_separation must be at least 1, got {min_separation}")
-    clips = motion.parts if hasattr(motion, "parts") else motion
     if not clips:
         raise NumericError("no motion clips to extract peaks from")
     counts = {c.frames.shape[0] for c in clips.values()}
@@ -259,17 +259,17 @@ def diversity(samples):
 
 def motion_features(clips, codecs, scale=2.0, provenance="real"):
     """Frozen stage-1 feature space: encode each part, build the composite
-    latent, mean-pool over time; one d_G row per clip. All clips run as one
-    batch, so they must share a frame count."""
+    latent, mean-pool over time; one d_G row per clip, each clip a part ->
+    MotionClip dict. All clips run as one batch, so they must share a frame
+    count."""
     if not clips:
         raise NumericError("no clips given to motion_features")
-    maps = [item.parts if hasattr(item, "parts") else item for item in clips]
-    for parts_map in maps:
+    for parts_map in clips:
         missing = [p for p in PART_ORDER if p not in parts_map]
         if missing:
             raise NumericError(f"clip missing parts for feature extraction: {missing}")
     with no_grad():
-        latents = {p: encode_part_batch(np.stack([m[p].frames for m in maps]), codecs[p])
+        latents = {p: encode_part_batch(np.stack([m[p].frames for m in clips]), codecs[p])
                    for p in PART_ORDER}
         comp = composite_batch(latents, scale).data
     return FeatureSet(comp.mean(axis=1), provenance=provenance)

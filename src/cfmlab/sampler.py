@@ -7,9 +7,11 @@ part's channels out of the composite and undoes its scale, quantizes them
 with the part's codebook stack, and decodes the dequantized latents to
 motion frames.
 
-The condition is the same at every ODE step, so `integrate_ode` builds its
+`integrate_ode` is a plain fixed-step stepper over a field(z, t) callable.
+The condition is the same at every ODE step, so `generate_batch` builds its
 terms (position embeddings, TCAM keys and values, the frame-aligned
-residual) once per solve, and each step evaluates only the latent side.
+residual) once per solve, and each field evaluation computes only the
+latent side.
 
 `generate_batch` runs the chain once for B (condition, OdeConfig) pairs, each
 z0 drawn from its own config's seed. A fixed-step solve has no per-sample
@@ -41,7 +43,7 @@ from .codec import (
 # unused here since sampling is batched, but perfbench's traced runs wrap
 # these names on this module (perfbench/layers.py), so they must resolve
 from .codec import decode_part, rvq_dequantize  # noqa: F401
-from .flow import VelocityNet, prepare_condition, velocity_forward
+from .flow import prepare_condition, velocity_forward
 from .numerics import NumericError, Tensor, as_tensor, matmul, no_grad
 
 __all__ = [
@@ -128,39 +130,22 @@ def init_manifold_projection(d_model=32):
 
 # ---------------------------------------------------------------- integration
 
-def _as_field(net):
-    if isinstance(net, VelocityNet):
-        def field(z, t, cond):
-            with no_grad():
-                return velocity_forward(net, Tensor(z), t, cond).data
-        return field
-    if callable(net):
-        return net
-    raise NumericError("integrate_ode needs a VelocityNet or a callable field")
+def integrate_ode(field, z0, config):
+    """Fixed-step explicit integration of dz/dt = field(z, t) from 0 to 1.
 
-
-def integrate_ode(net, z0, cond, config):
-    """Fixed-step explicit integration of dz/dt = v(z, t, cond) from 0 to 1.
-
-    `net` is a VelocityNet or any callable (z, t, cond) -> dz/dt with the
-    same shape as z. A VelocityNet's condition terms are built once, before
-    the first step, and every field evaluation reuses them. Straight
-    (constant-velocity) paths are integrated exactly by both schemes for any
-    step count.
+    `field` maps a state array z and a float time t to an array of z's
+    shape. Straight (constant-velocity) paths are integrated exactly by
+    both schemes for any step count.
     """
-    field = _as_field(net)
     z = np.array(z0, dtype=np.float64)
-    if isinstance(net, VelocityNet):
-        with no_grad():  # the condition terms are the same at every step
-            cond = prepare_condition(net, cond, z.shape[-2])
     h = 1.0 / config.n
     for k in range(config.n):
         t = k * h
         if config.scheme == "euler":
-            z = z + h * np.asarray(field(z, t, cond))
+            z = z + h * field(z, t)
         else:
-            zmid = z + 0.5 * h * np.asarray(field(z, t, cond))
-            z = z + h * np.asarray(field(zmid, t + 0.5 * h, cond))
+            zmid = z + 0.5 * h * field(z, t)
+            z = z + h * field(zmid, t + 0.5 * h)
         if not np.all(np.isfinite(z)):
             raise NumericError(
                 f"non-finite state after ODE step {k + 1} of {config.n} "
@@ -171,9 +156,7 @@ def integrate_ode(net, z0, cond, config):
 def project_to_codebook_manifold(latent, proj):
     """Linear d_G -> d_G map nudging integrated latents toward the quantizer's
     input distribution; identity-initialized, so a fresh head is a passthrough."""
-    z = as_tensor(latent)
-    w = proj.weight if isinstance(proj, ManifoldProjection) else proj
-    w = as_tensor(w)
+    z, w = as_tensor(latent), proj.weight
     if z.shape[-1] != w.shape[0]:
         raise NumericError(f"latent dim {z.shape[-1]} != projection dim {w.shape[0]}")
     return matmul(z, w)
@@ -200,22 +183,24 @@ def generate_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0,
     """Full sampling chain for a batch of (condition, OdeConfig) pairs: z0
     from each config's seed -> one integration over (B, L, d_G) -> project
     -> per part: slice and rescale -> quantize -> dequantize -> decode.
-    Returns one GeneratedMotion per pair, bit-identical to drawing that
-    pair alone."""
+    The B conditions are prepared once, before the first ODE step, and
+    every evaluation of the velocity field reuses them. Returns one
+    GeneratedMotion per pair, bit-identical to drawing that pair alone."""
     if len({(c.n, c.scheme) for c in configs}) != 1:
         raise NumericError("need at least one ODE config, all with one step count and scheme")
     seqs = [_cond_sequence(c) for c in conds]
     widths = [decoders[p].d_g for p in PART_ORDER]
-    d_model = net.d_model if isinstance(net, VelocityNet) else sum(widths)
-    if sum(widths) != d_model:
-        raise NumericError(f"latent dim {d_model} != sum of part dims {sum(widths)}")
+    if sum(widths) != net.d_model:
+        raise NumericError(f"latent dim {net.d_model} != sum of part dims {sum(widths)}")
     length = seqs[0].shape[0]
-    z0 = np.stack([np.random.default_rng(c.seed).standard_normal((length, d_model))
+    z0 = np.stack([np.random.default_rng(c.seed).standard_normal((length, net.d_model))
                    for c in configs])
 
-    z1 = integrate_ode(net, z0, np.stack(seqs), configs[0])
     codes, frames, offset = {}, {}, 0
     with no_grad():
+        prep = prepare_condition(net, np.stack(seqs), length)
+        z1 = integrate_ode(lambda z, t: velocity_forward(net, Tensor(z), t, prep).data,
+                           z0, configs[0])
         if proj is not None:
             z1 = project_to_codebook_manifold(z1, proj).data
         for part, width in zip(PART_ORDER, widths):
@@ -241,7 +226,7 @@ def generate(net, stacks, decoders, cond, config, proj=None, scale=2.0,
 
 
 def _cond_sequence(cond):
-    seq = np.asarray(cond.data if isinstance(cond, Tensor) else cond, dtype=np.float64)
+    seq = np.asarray(cond, dtype=np.float64)
     if seq.ndim != 2:
         raise NumericError(f"condition must be (L, d_O), got shape {seq.shape}")
     return seq

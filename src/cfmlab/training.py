@@ -61,7 +61,7 @@ from .codec import (
 )
 from .config import ConfigError, config_hash
 from .flow import VelocityNet, build_condition_batch, init_velocity_net, \
-    interpolate_batch, velocity_forward, cfm_loss
+    interpolate_batch, prepare_condition, velocity_forward, cfm_loss
 from .numerics import NumericError, Tensor, grad, mse, no_grad
 from .numerics.optim import AdamState, adam_step
 from .sampler import ManifoldProjection, init_manifold_projection, \
@@ -294,7 +294,8 @@ def stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg):
     if f.lambda_cfm > 0.0:
         cond = build_condition_batch(audio_emb, text_emb, net)
         zt = interpolate_batch(z0, batch.z1, t)
-        v_pred = velocity_forward(net, Tensor(zt), t, cond)
+        prep = prepare_condition(net, cond, zt.shape[1])
+        v_pred = velocity_forward(net, Tensor(zt), t, prep)
         l_cfm = cfm_loss(v_pred, batch.z1 - z0, v_neg, f.lam)
         remain = Tensor((1.0 - t)[:, None, None])
         z1_hat = Tensor(zt) + remain * v_pred
@@ -395,9 +396,10 @@ def load_stage2_checkpoint(path):
     return stage2_from_tensors(load_checkpoint(path))
 
 
-def check_codec_dims(cfg, codecs, stacks):
-    """Loaded stage-1 checkpoint must match the config before stage 2
-    builds on top of it."""
+def check_codec_dims(cfg, codecs, stacks, *stage2):
+    """Loaded checkpoints must match the config: stage 1 before stage 2
+    builds on top of it, and the stage-2 (net, heads, proj), when given,
+    tensor by tensor against the shapes `init_stage2(cfg)` builds."""
     for p in PART_ORDER:
         found = {"codec.d_g": codecs[p].d_g, "dataset.downsample": codecs[p].downsample,
                  "codec.depth": stacks[p].depth,
@@ -406,3 +408,9 @@ def check_codec_dims(cfg, codecs, stacks):
             want = attrgetter(path)(cfg)
             if have != want:
                 raise ConfigError(f"{path}: checkpoint has {have}, config wants {want}")
+    for model, fresh in zip(stage2, init_stage2(cfg) if stage2 else ()):
+        want = fresh.named_tensors()
+        for name, t in model.named_tensors().items():
+            if t.shape != want[name].shape:
+                raise ConfigError(f"{name}: checkpoint has shape {t.shape}, "
+                                  f"config wants {want[name].shape}")

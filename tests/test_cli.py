@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cfmlab
-from cfmlab import training
+from cfmlab import cli, training
 from cfmlab.alignment import ProjectionHeads
 from cfmlab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from cfmlab.cli import main
@@ -193,6 +193,42 @@ def test_stage1_checkpoint_alone_exits_2(stage1, tmp_path, capsys, command):
     cfg, ckpt = stage1
     _exits_2([command, "--config", str(cfg), "--out", str(tmp_path),
               "--checkpoint", str(ckpt)], capsys, "missing flow tensor")
+
+
+# (config change, the error); the stage2 fixture's generator has d_audio = 16
+# and d_g = 8
+MISFIT_STAGE2 = {
+    "d_audio": ({"dataset": {**TINY["dataset"], "d_audio": 12}},
+                "sacm/audio/weight: checkpoint has shape (16, 16), config wants (12, 16)"),
+    "d_g": ({"codec": {**TINY["codec"], "d_g": 4}},
+            "flow/p: checkpoint has shape (32,), config wants (16,)"),
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+@pytest.mark.parametrize("case", sorted(MISFIT_STAGE2))
+def test_stage2_checkpoint_that_does_not_fit_the_config_exits_2_naming_the_tensor(
+        stage2, tmp_path, capsys, case, command):
+    run_cfg, _, generator = stage2
+    change, message = MISFIT_STAGE2[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads(run_cfg.read_text()), **change}))
+    # a codec trained from the changed config fits it; the generator does not
+    assert main(["train-codec", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    _exits_2([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+              "--checkpoint", str(tmp_path / "codec.bin"), "--checkpoint", str(generator)],
+             capsys, message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_checks_out_before_it_evaluates(stage2, tmp_path, capsys, monkeypatch):
+    cfg, codec, generator = stage2
+    out = tmp_path / "taken"
+    out.write_text("")
+    monkeypatch.setattr(cli, "evaluate_run",
+                        lambda *a, **k: pytest.fail("evaluated before --out was checked"))
+    _exits_2(["evaluate", "--config", str(cfg), "--out", str(out), "--checkpoint",
+              str(codec), "--checkpoint", str(generator)], capsys, "cannot use --out")
 
 
 # 2 and 3 test clips; 5 test clips of which one is the only one of its class

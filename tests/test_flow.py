@@ -156,7 +156,7 @@ def test_tcam_zero_output_projection_is_query_passthrough():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 5, 6))
     cond = rng.standard_normal((2, 5, 6))
-    out = tcam_fuse(x, cond, net)
+    out = tcam_fuse(x, prepare_condition(net, cond, 5), net)
     assert np.array_equal(out.data, (Tensor(x) @ net.tcam_q).data)
 
 
@@ -165,7 +165,7 @@ def test_tcam_single_condition_frame_attention_is_one():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, 4, 6))
     cond = rng.standard_normal((1, 1, 6))
-    _, attn = tcam_fuse(x, cond, net, return_attn=True)
+    _, attn = tcam_fuse(x, prepare_condition(net, cond, 4), net, return_attn=True)
     assert np.all(attn.data == 1.0)
 
 
@@ -174,7 +174,7 @@ def test_tcam_attention_rows_sum_to_one():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((3, 5, 6))
     cond = rng.standard_normal((3, 7, 6))
-    _, attn = tcam_fuse(x, cond, net, return_attn=True)
+    _, attn = tcam_fuse(x, prepare_condition(net, cond, 5), net, return_attn=True)
     assert attn.shape == (3, 5, 7)
     assert np.allclose(attn.data.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -182,11 +182,11 @@ def test_tcam_attention_rows_sum_to_one():
 def test_velocity_forward_shape_and_determinism():
     net = _small_net(13)
     rng = np.random.default_rng(14)
-    zt = rng.standard_normal((4, 6))
-    cond = rng.standard_normal((4, 6))
-    a = velocity_forward(net, zt, 0.3, cond)
-    b = velocity_forward(net, zt.copy(), 0.3, cond.copy())
-    assert a.shape == (4, 6)
+    zt = rng.standard_normal((1, 4, 6))
+    cond = rng.standard_normal((1, 4, 6))
+    a = velocity_forward(net, zt, 0.3, prepare_condition(net, cond, 4))
+    b = velocity_forward(net, zt.copy(), 0.3, prepare_condition(net, cond.copy(), 4))
+    assert a.shape == (1, 4, 6)
     assert np.array_equal(a.data, b.data)
 
 
@@ -196,33 +196,37 @@ def test_velocity_forward_batched_matches_single():
     zt = rng.standard_normal((3, 4, 6))
     cond = rng.standard_normal((3, 4, 6))
     ts = np.array([0.1, 0.5, 0.9])
-    batched = velocity_forward(net, zt, ts, cond).data
+    batched = velocity_forward(net, zt, ts, prepare_condition(net, cond, 4)).data
     for i in range(3):
-        single = velocity_forward(net, zt[i], ts[i], cond[i]).data
-        assert np.allclose(batched[i], single, atol=1e-12)
+        one = velocity_forward(net, zt[i:i + 1], ts[i],
+                               prepare_condition(net, cond[i:i + 1], 4)).data
+        assert np.allclose(batched[i], one[0], atol=1e-12)
 
 
 def test_velocity_forward_rejects_bad_time_and_dims():
     net = _small_net(17)
     rng = np.random.default_rng(18)
-    zt = rng.standard_normal((4, 6))
-    cond = rng.standard_normal((4, 6))
+    zt = rng.standard_normal((1, 4, 6))
+    cond = rng.standard_normal((1, 4, 6))
+    prep = prepare_condition(net, cond, 4)
     with pytest.raises(NumericError):
-        velocity_forward(net, zt, 1.2, cond)
+        velocity_forward(net, zt, 1.2, prep)
     with pytest.raises(NumericError):
-        velocity_forward(net, rng.standard_normal((4, 5)), 0.5, cond)
+        velocity_forward(net, rng.standard_normal((1, 4, 5)), 0.5, prep)
     with pytest.raises(NumericError, match="prepared for 5 frames"):
         velocity_forward(net, zt, 0.5, prepare_condition(net, cond, 5))
     with pytest.raises(NumericError, match="condition batch 2"):
-        velocity_forward(net, zt, 0.5, prepare_condition(net, np.stack([cond] * 2), 4))
+        velocity_forward(net, zt, 0.5, prepare_condition(net, np.concatenate([cond] * 2), 4))
+    with pytest.raises(NumericError, match=r"must be \(B, L, d_G\), got shape \(4, 6\)"):
+        velocity_forward(net, zt[0], 0.5, prep)
 
 
 def test_velocity_forward_finite_on_wide_inputs():
     net = _small_net(19)
     rng = np.random.default_rng(20)
-    zt = rng.uniform(-10, 10, size=(4, 6))
-    cond = rng.uniform(-10, 10, size=(4, 6))
-    out = velocity_forward(net, zt, 0.7, cond)
+    zt = rng.uniform(-10, 10, size=(1, 4, 6))
+    cond = rng.uniform(-10, 10, size=(1, 4, 6))
+    out = velocity_forward(net, zt, 0.7, prepare_condition(net, cond, 4))
     assert np.all(np.isfinite(out.data))
 
 
@@ -235,7 +239,8 @@ def test_velocity_forward_full_gradient_check():
     v_hat = rng.standard_normal((2, 3, 6))
 
     def f():
-        return mse(velocity_forward(net, zt, ts, cond), Tensor(v_hat))
+        return mse(velocity_forward(net, zt, ts, prepare_condition(net, cond, 3)),
+                   Tensor(v_hat))
 
     params = dict(zip(VelocityNet._FIELD_NAMES, net.parameters()))
     g = grad(f(), list(params.values()))
@@ -248,10 +253,10 @@ def test_velocity_forward_full_gradient_check():
 def test_time_embedding_varies_output():
     net = _small_net(23)
     rng = np.random.default_rng(24)
-    zt = rng.standard_normal((4, 6))
-    cond = rng.standard_normal((4, 6))
-    a = velocity_forward(net, zt, 0.0, cond).data
-    b = velocity_forward(net, zt, 1.0, cond).data
+    zt = rng.standard_normal((1, 4, 6))
+    prep = prepare_condition(net, rng.standard_normal((1, 4, 6)), 4)
+    a = velocity_forward(net, zt, 0.0, prep).data
+    b = velocity_forward(net, zt, 1.0, prep).data
     assert not np.allclose(a, b)
 
 
@@ -410,10 +415,11 @@ def test_velocity_net_checkpoint_roundtrip(tmp_path):
     for a, b in zip(back.parameters(), net.parameters()):
         assert np.array_equal(a.data, b.data)
     rng = np.random.default_rng(36)
-    zt = rng.standard_normal((4, 6))
-    cond = rng.standard_normal((4, 6))
-    assert np.array_equal(velocity_forward(back, zt, 0.4, cond).data,
-                          velocity_forward(net, zt, 0.4, cond).data)
+    zt = rng.standard_normal((1, 4, 6))
+    cond = rng.standard_normal((1, 4, 6))
+    assert np.array_equal(
+        velocity_forward(back, zt, 0.4, prepare_condition(back, cond, 4)).data,
+        velocity_forward(net, zt, 0.4, prepare_condition(net, cond, 4)).data)
 
 
 @pytest.mark.parametrize("t", [float("nan"), np.float64("nan"), np.array(float("nan")),
@@ -423,9 +429,9 @@ def test_nan_flow_time_is_rejected_as_out_of_range(t):
     net = _small_net(21)
     rng = np.random.default_rng(22)
     zt = rng.standard_normal((2, 4, 6))
-    cond = rng.standard_normal((2, 4, 6))
+    prep = prepare_condition(net, rng.standard_normal((2, 4, 6)), 4)
     with pytest.raises(NumericError, match=r"flow time t must lie in \[0, 1\]"):
-        velocity_forward(net, zt, t, cond)
+        velocity_forward(net, zt, t, prep)
     with pytest.raises(NumericError, match=r"interpolation time t must lie in \[0, 1\]"):
         interpolate_batch(zt, zt + 1.0, t)
 
@@ -435,7 +441,7 @@ def test_scalar_time_row_matches_per_example_time():
     net = _small_net(23)
     rng = np.random.default_rng(24)
     zt = rng.standard_normal((1, 4, 6))
-    cond = rng.standard_normal((1, 4, 6))
+    prep = prepare_condition(net, rng.standard_normal((1, 4, 6)), 4)
     for t in (0.0, 0.3, 0.3, 1.0):
-        assert (velocity_forward(net, zt, t, cond).data.tobytes()
-                == velocity_forward(net, zt, np.array([t]), cond).data.tobytes())
+        assert (velocity_forward(net, zt, t, prep).data.tobytes()
+                == velocity_forward(net, zt, np.array([t]), prep).data.tobytes())

@@ -26,10 +26,11 @@ from cfmlab.codec import (
     rvq_quantize,
     rvq_quantize_batch,
 )
-from cfmlab import cli, evaluate, flow
+from cfmlab import cli, evaluate, flow, sampler
 from cfmlab.config import config_from_dict, config_hash
 from cfmlab.evaluate import condition_for_clip, generate_split
-from cfmlab.flow import build_condition_batch, init_velocity_net, velocity_forward
+from cfmlab.flow import build_condition_batch, init_velocity_net, prepare_condition, \
+    velocity_forward
 from cfmlab.numerics import NumericError, Tensor, matmul, no_grad
 from cfmlab.sampler import (
     GeneratedMotion,
@@ -91,37 +92,34 @@ def test_constant_field_recovers_target_exactly(scheme, n):
     rng = np.random.default_rng(7)
     z0 = rng.standard_normal((5, 3))
     v = rng.standard_normal((5, 3))
-    out = integrate_ode(lambda z, t, c: v, z0, None, OdeConfig(n=n, scheme=scheme))
+    out = integrate_ode(lambda z, t: v, z0, OdeConfig(n=n, scheme=scheme))
     assert np.max(np.abs(out - (z0 + v))) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["euler", "midpoint"])
 def test_zero_field_returns_z0(scheme):
     z0 = np.arange(6.0).reshape(2, 3)
-    out = integrate_ode(lambda z, t, c: np.zeros_like(z), z0, None,
+    out = integrate_ode(lambda z, t: np.zeros_like(z), z0,
                         OdeConfig(n=5, scheme=scheme))
     assert np.array_equal(out, z0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 10, 100])
 def test_identity_field_euler_matches_compounding(n):
-    out = integrate_ode(lambda z, t, c: z, np.array(1.0), None,
-                        OdeConfig(n=n, scheme="euler"))
+    out = integrate_ode(lambda z, t: z, np.array(1.0), OdeConfig(n=n, scheme="euler"))
     assert abs(float(out) - (1.0 + 1.0 / n) ** n) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64])
 def test_identity_field_euler_error_bound(n):
-    out = integrate_ode(lambda z, t, c: z, np.array(1.0), None,
-                        OdeConfig(n=n, scheme="euler"))
+    out = integrate_ode(lambda z, t: z, np.array(1.0), OdeConfig(n=n, scheme="euler"))
     assert abs(float(out) - math.e) < 3.0 / n
 
 
 def test_identity_field_refinement_halves_error():
     errs = {}
     for n in [4, 8, 16, 32, 64]:
-        out = integrate_ode(lambda z, t, c: z, np.array(1.0), None,
-                            OdeConfig(n=n, scheme="euler"))
+        out = integrate_ode(lambda z, t: z, np.array(1.0), OdeConfig(n=n, scheme="euler"))
         errs[n] = abs(float(out) - math.e)
     for n in [4, 8, 16, 32]:
         assert errs[2 * n] < errs[n]
@@ -131,39 +129,52 @@ def test_time_dependent_field_schemes_differ():
     # dz/dt = t has exact solution z0 + 1/2; midpoint integrates it exactly,
     # Euler with n=2 does not — distinguishing the two update rules.
     z0 = np.array(0.0)
-    euler = integrate_ode(lambda z, t, c: np.asarray(t), z0, None,
-                          OdeConfig(n=2, scheme="euler"))
-    mid = integrate_ode(lambda z, t, c: np.asarray(t), z0, None,
-                        OdeConfig(n=2, scheme="midpoint"))
+    euler = integrate_ode(lambda z, t: np.asarray(t), z0, OdeConfig(n=2, scheme="euler"))
+    mid = integrate_ode(lambda z, t: np.asarray(t), z0, OdeConfig(n=2, scheme="midpoint"))
     assert abs(float(mid) - 0.5) <= 1e-12
     assert abs(float(euler) - 0.25) <= 1e-12  # h*(t0+t1) = 0.5*(0+0.5)
 
 
 def test_non_finite_state_names_the_step():
-    def field(z, t, c):
+    def field(z, t):
         return np.full_like(z, np.inf) if t >= 0.5 else np.zeros_like(z)
 
     with pytest.raises(NumericError, match="step 3 of 4"):
-        integrate_ode(field, np.zeros(2), None, OdeConfig(n=4, scheme="euler"))
+        integrate_ode(field, np.zeros(2), OdeConfig(n=4, scheme="euler"))
+
+
+def _prepared_field(net, cond, length):
+    """The velocity field of `net` under the (B, L_c, d_O) condition
+    `cond`, prepared once for `length` frames, as `generate_batch`
+    integrates it."""
+    with no_grad():
+        prep = prepare_condition(net, cond, length)
+
+    def field(z, t):
+        with no_grad():
+            return velocity_forward(net, Tensor(z), t, prep).data
+    return field
 
 
 def test_integrate_with_velocity_net_is_deterministic_and_finite():
     net, _, _, cond = _small_setup()
-    z0 = np.random.default_rng(3).standard_normal((4, net.d_model))
-    a = integrate_ode(net, z0, cond, OdeConfig(n=5, scheme="euler"))
-    b = integrate_ode(net, z0, cond, OdeConfig(n=5, scheme="euler"))
+    z0 = np.random.default_rng(3).standard_normal((1, 4, net.d_model))
+    field = _prepared_field(net, cond[None], 4)
+    a = integrate_ode(field, z0, OdeConfig(n=5, scheme="euler"))
+    b = integrate_ode(field, z0, OdeConfig(n=5, scheme="euler"))
     assert np.array_equal(a, b)
     assert np.all(np.isfinite(a))
     assert a.shape == z0.shape
 
 
 def _solve_step_by_step(net, z0, cond, config):
-    """integrate_ode written out as one `velocity_forward` call on the raw
-    condition per field evaluation: the reference a solve that prepares the
-    condition once must match bit for bit."""
+    """An ODE solve written out, preparing the (B, L_c, d_O) condition
+    afresh at every field evaluation: the reference a solve that prepares
+    it once must match bit for bit."""
     def v(z, t):
         with no_grad():
-            return velocity_forward(net, Tensor(z), t, cond).data
+            prep = prepare_condition(net, cond, z.shape[1])
+            return velocity_forward(net, Tensor(z), t, prep).data
 
     z, h = np.array(z0, dtype=np.float64), 1.0 / config.n
     for k in range(config.n):
@@ -196,13 +207,23 @@ def test_integrate_ode_prepares_condition_once_per_solve(monkeypatch, scheme,
         return matmul(a, b)
 
     monkeypatch.setattr(flow, "matmul", counted)
-    assert integrate_ode(net, z0, cond, config).tobytes() == expected.tobytes()
+    field = _prepared_field(net, cond, z0.shape[1])
+    assert integrate_ode(field, z0, config).tobytes() == expected.tobytes()
     assert len(projections) == 2  # one key and one value projection per solve
 
 
-def test_integrate_rejects_non_field():
-    with pytest.raises(NumericError):
-        integrate_ode(3.0, np.zeros(2), None, OdeConfig(n=1))
+def test_generate_batch_prepares_the_condition_once_per_solve(monkeypatch):
+    net, decoders, stacks, cond = _small_setup(length=8)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prepare_condition(*args)
+
+    monkeypatch.setattr(sampler, "prepare_condition", counted)
+    generate_batch(net, stacks, decoders, [cond, cond],
+                   [OdeConfig(n=3, scheme="midpoint", seed=s) for s in (0, 1)])
+    assert len(calls) == 1  # for all 6 field evaluations and both draws
 
 
 # ----------------------------------------------------------------- projection
@@ -499,12 +520,13 @@ def test_sidecar_contents(tmp_path):
 
 def _generate_alone(net, stacks, decoders, cond, config, proj, scale, fps):
     """The per-clip chain the batched core replaced, built from the
-    single-sequence helpers: (L, d_G) integration, split, quantize,
-    dequantize and decode one clip at a time. The reference a batch must
-    match bit for bit."""
+    single-sequence helpers: a B = 1 solve that prepares the condition at
+    every field evaluation, then split, quantize, dequantize and decode one
+    clip at a time. The reference a batch must match bit for bit."""
     z0 = np.random.default_rng(config.seed).standard_normal(
-        (cond.shape[0], net.d_model))
-    z1 = project_to_codebook_manifold(integrate_ode(net, z0, cond, config), proj).data
+        (1, cond.shape[0], net.d_model))
+    z1 = _solve_step_by_step(net, z0, cond[None], config)[0]
+    z1 = project_to_codebook_manifold(z1, proj).data
     regions = _split_regions(z1, {p: decoders[p].d_g for p in PART_ORDER}, scale)
     codes = quantize_regions(regions, stacks)
     frames = {p: decode_part(rvq_dequantize(codes[p], stacks[p]), decoders[p],
@@ -638,11 +660,11 @@ def test_velocity_forward_scalar_t_batch_equals_single_calls_bitwise():
     rng = np.random.default_rng(2)
     z = rng.standard_normal((5, 6, net.d_model))
     cond = rng.standard_normal((5, 6, net.d_cond))
-    batch = velocity_forward(net, z, 0.3, cond).data
+    batch = velocity_forward(net, z, 0.3, prepare_condition(net, cond, 6)).data
     for i in range(5):
-        one = velocity_forward(net, z[i:i + 1], 0.3, cond[i:i + 1]).data
-        single = velocity_forward(net, z[i], 0.3, cond[i]).data
-        assert batch[i].tobytes() == one[0].tobytes() == single.tobytes()
+        one = velocity_forward(net, z[i:i + 1], 0.3,
+                               prepare_condition(net, cond[i:i + 1], 6)).data
+        assert batch[i].tobytes() == one[0].tobytes()
 
 
 def test_generate_batch_rejects_mixed_ode_configs():
