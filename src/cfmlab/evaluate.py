@@ -6,13 +6,17 @@ Features come from the frozen stage-1 encoders, so generated and real clips
 are compared in the same space regardless of how the generator was trained.
 
 A split is generated in chunks of whole clips of at most `_CHUNK_ROWS`
-latent rows, one `generate_batch` call each, with each chunk's conditions
-built just before it. The chunk pays each per-op cost of the velocity net,
-TCAM, RVQ and decoders once for all its clips. Each clip's ODE seed is drawn
-from the run seed by clip position, and a batched draw equals the draw made
-alone, so a clip's motion depends neither on the rest of the split nor on
-where the chunks fall. `cfmlab generate --count` draws in chunks of the same
-budget (`clips_per_chunk`).
+latent rows, one `sample_batch` call each, with each chunk's conditions
+built just before it, one `condition_for_clip` call per clip. The chunk
+pays each per-op cost of the velocity net, TCAM, RVQ and decoders once for
+all its clips, and its frames go straight into one (N, T, J) array per
+part, which the metrics take whole, as they take the stacked real frames.
+Each clip's ODE seed is drawn from the run seed by clip position, and a
+batched draw equals the draw made alone, so a clip's motion depends neither
+on the rest of the split nor on where the chunks fall. `cfmlab generate
+--count` draws in chunks of the same budget (`clips_per_chunk`). The
+conditions stay per clip while the benchmark clocks its calibration kernel
+on `condition_for_clip` calls (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import project_and_normalize_batch
+from .codec import PART_ORDER
 from .config import ConfigError, config_hash
 from .flow import build_condition_batch
 from .metrics import (
     MetricReport,
-    OnsetTrack,
     beat_consistency,
     diversity,
     extract_kinematic_peaks,
@@ -32,13 +36,13 @@ from .metrics import (
     motion_features,
 )
 from .numerics import NumericError, no_grad
-from .sampler import OdeConfig, generate_batch
+from .sampler import OdeConfig, sample_batch
 
 __all__ = ["clips_per_chunk", "condition_for_clip", "generate_split", "evaluate_run"]
 
 _ODE_SEED_TAG = 4  # distinct from the stage-1/stage-2 training rng streams
 
-# Latent rows (clips x latent frames) per generate_batch call. Scoring a
+# Latent rows (clips x latent frames) per sampling call. Scoring a
 # 512-clip split of 16-row clips at default dims, one BLAS thread on a
 # 2-vCPU Xeon, ran at 317-404 clips/s with 32 rows, 514-613 with 128 and
 # 718-723 with 512. The whole split (8192 rows) bought nothing more,
@@ -53,8 +57,8 @@ def _clip_seeds(seed, n):
 
 
 def clips_per_chunk(rows):
-    """Clips of `rows` latent rows each that one `generate_batch` call
-    takes: as many as fit in `_CHUNK_ROWS`, and at least one."""
+    """Clips of `rows` latent rows each that one sampling call takes: as
+    many as fit in `_CHUNK_ROWS`, and at least one."""
     return max(1, _CHUNK_ROWS // rows)
 
 
@@ -71,30 +75,26 @@ def condition_for_clip(audio, text, net, heads):
 
 
 def generate_split(cfg, clips, net, heads, stacks, codecs, proj=None):
-    """One generated motion per conditioning clip, seeds derived from the run
-    seed so repeated evaluations are bit-identical."""
+    """Part -> (N, T, J) frames of one generated motion per conditioning clip,
+    seeds derived from the run seed so repeated evaluations are bit-identical;
+    each chunk's frames go into arrays allocated at the first chunk."""
     if not clips:
         raise NumericError("no clips to generate from")
     seeds = _clip_seeds(cfg.seed, len(clips))
     size = clips_per_chunk(len(clips[0].audio))
-    run_hash = config_hash(cfg)
-    out = []
+    out = {}
     for i in range(0, len(clips), size):
         conds = [condition_for_clip(u.audio, u.text, net, heads)
                  for u in clips[i:i + size]]
         odes = [OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme, seed=int(s))
                 for s in seeds[i:i + size]]
-        out += generate_batch(net, stacks, codecs, conds, odes, proj=proj,
-                              scale=cfg.sacm.scale, fps=cfg.dataset.fps,
-                              config_hash=run_hash)
+        _, _, frames = sample_batch(net, stacks, codecs, conds, odes, proj=proj,
+                                    scale=cfg.sacm.scale)
+        for part, chunk in frames.items():
+            if part not in out:
+                out[part] = np.empty((len(clips),) + chunk.shape[1:])
+            out[part][i:i + len(chunk)] = chunk
     return out
-
-
-def _by_class(clips):
-    groups = {}
-    for i, u in enumerate(clips):
-        groups.setdefault(u.class_id, []).append(i)
-    return groups
 
 
 def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
@@ -107,25 +107,24 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
     relational checks compare.
     """
     clips = dataset.splits[split]
-    groups = _by_class(clips)
+    groups = {}
+    for i, u in enumerate(clips):
+        groups.setdefault(u.class_id, []).append(i)
     if len(clips) < 4 or min(map(len, groups.values())) < 2:  # per-class FGD needs 2
         raise ConfigError(f"dataset.ratios: {split} split has {len(clips)} clips, "
                           f"need >= 4 and >= 2 of each class to evaluate")
-    if self_eval:
-        gen_motions = [u.motion for u in clips]
-    else:
-        if net is None or heads is None:
-            raise NumericError(
-                "evaluation needs a trained velocity net and alignment heads "
-                "(or self_eval)")
-        gen_motions = [m.parts for m in generate_split(cfg, clips, net, heads,
-                                                       stacks, codecs, proj=proj)]
-
+    if not self_eval and (net is None or heads is None):
+        raise NumericError("evaluation needs a trained velocity net and alignment "
+                           "heads (or self_eval)")
     scale = cfg.sacm.scale
-    real_all = motion_features([u.motion for u in clips], codecs, scale=scale,
-                               provenance="real")
-    gen_all = motion_features(gen_motions, codecs, scale=scale,
-                              provenance="generated")
+    real = {p: np.stack([u.motion[p].frames for u in clips]) for p in PART_ORDER}
+    real_all = motion_features(real, codecs, scale=scale, provenance="real")
+    if self_eval:
+        gen = real
+    else:
+        del real  # not held while the split is sampled
+        gen = generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
+    gen_all = motion_features(gen, codecs, scale=scale, provenance="generated")
 
     real_cls = {c: real_all.features[idx] for c, idx in groups.items()}
     gen_cls = {c: gen_all.features[idx] for c, idx in groups.items()}
@@ -139,13 +138,10 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
     fgd_matched = float(np.mean(list(matched.values())))
     fgd_mismatched = float(np.mean(cross)) if cross else None
 
-    sigma = cfg.metrics.sigma
-    bc_values = []
-    for u, motion in zip(clips, gen_motions):
-        peaks = extract_kinematic_peaks(motion)
-        onsets = OnsetTrack(times=np.asarray(u.onsets),
-                            duration=cfg.dataset.n_frames / cfg.dataset.fps)
-        bc_values.append(beat_consistency(peaks, onsets, sigma=sigma))
+    fps = cfg.dataset.fps
+    bc_values = beat_consistency(extract_kinematic_peaks(gen, fps),
+                                 np.stack([u.onsets for u in clips]),
+                                 cfg.dataset.n_frames / fps, sigma=cfg.metrics.sigma)
 
     report = MetricReport(
         fgd=fgd(real_all, gen_all),
@@ -159,7 +155,7 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
         "fgd_matched": fgd_matched,
         "fgd_mismatched": fgd_mismatched,
         "fgd_by_class": {str(c): matched[c] for c in sorted(matched)},
-        "bc_per_clip": bc_values,
+        "bc_per_clip": bc_values.tolist(),
         "diversity_real": diversity(real_all.features),
         "split": split,
         "self_eval": bool(self_eval),

@@ -1,14 +1,15 @@
 """Evaluation metrics: Fréchet gesture distance, beat consistency, diversity.
 
-Features for the distributional metrics live in the frozen stage-1 space:
-each clip's parts are encoded, concatenated into the composite latent, and
-mean-pooled over time, so real and generated motion are compared in the same
-space the generator is trained to hit.
+Metrics take N motions as arrays, part -> (N, T, J) frames. Features for
+the distributional metrics live in the frozen stage-1 space: each motion's
+parts are encoded, concatenated into the composite latent and mean-pooled
+over time, so real and generated motion are compared in the same space the
+generator is trained to hit.
 
-Kinematic peaks come from a small numpy peak finder with the semantics of
-`scipy.signal.find_peaks(x, height=h, distance=d)`: plateau midpoints, a
-height floor, then distance pruning from the highest peak down. It spares
-every process that imports this module the cost of importing `scipy.signal`.
+Beat consistency works on all N rows at once but for the peak search, which
+runs per row since its distance pruning is sequential: a small numpy finder
+with the semantics of `scipy.signal.find_peaks(x, height=h, distance=d)`.
+It spares every process that imports this module importing `scipy.signal`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .alignment import composite_batch
-from .codec import PART_ORDER, encode_part_batch
+from .codec import encode_part_batch
 # unused here since features are batched, but perfbench's traced runs wrap
 # this name on this module (perfbench/layers.py), so it must resolve
 from .codec import encode_part  # noqa: F401
@@ -29,7 +30,6 @@ from .numerics import NumericError, no_grad
 
 __all__ = [
     "FeatureSet",
-    "OnsetTrack",
     "MetricReport",
     "fgd",
     "extract_kinematic_peaks",
@@ -58,24 +58,6 @@ class FeatureSet:
     @property
     def n(self):
         return self.features.shape[0]
-
-
-@dataclass
-class OnsetTrack:
-    times: np.ndarray  # strictly increasing, seconds
-    duration: float
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.duration = float(self.duration)
-        if self.times.ndim != 1:
-            raise NumericError(f"onset times must be 1-D, got shape {self.times.shape}")
-        if not self.duration > 0:
-            raise NumericError(f"clip duration must be positive, got {self.duration}")
-        if np.any(np.diff(self.times) <= 0):
-            raise NumericError("onset times must be strictly increasing")
-        if self.times.size and (self.times[0] < 0 or self.times[-1] > self.duration):
-            raise NumericError("onset times must lie within [0, duration]")
 
 
 @dataclass
@@ -205,46 +187,61 @@ def _find_peaks(x, height, distance):
     return peaks[keep]
 
 
-def extract_kinematic_peaks(clips, threshold_std=0.5, min_separation=3):
-    """Local maxima of the per-frame joint-speed norm summed over the parts
-    of `clips` (part -> MotionClip).
+def extract_kinematic_peaks(parts, fps, threshold_std=0.5, min_separation=3):
+    """Local maxima of the per-frame joint-speed norm of N motions, summed
+    over the parts of `parts` (part -> (N, T, J) frames).
 
     Speed index i is the transition frame i -> i+1 and is reported as time
-    i / fps; peaks must clear mean + threshold_std * std and sit at least
-    min_separation speed samples apart (rounded up, and at least 1).
+    i / fps; a row's peaks must clear its mean + threshold_std * std and sit
+    at least min_separation speed samples apart (rounded up, and at least
+    1). Returns (times, counts): the peak times of every row, row after
+    row, and each row's peak count.
     """
     if not min_separation >= 1:
         raise NumericError(f"min_separation must be at least 1, got {min_separation}")
-    if not clips:
-        raise NumericError("no motion clips to extract peaks from")
-    counts = {c.frames.shape[0] for c in clips.values()}
-    rates = {c.fps for c in clips.values()}
-    if len(counts) != 1 or len(rates) != 1:
-        raise NumericError("parts disagree on frame count or fps")
-    n_frames, fps = counts.pop(), rates.pop()
+    shapes = {np.shape(frames)[:2] for frames in parts.values()}
+    if len(shapes) != 1:
+        raise NumericError(f"parts disagree on clip or frame count: {sorted(shapes)}")
+    (n, n_frames), = shapes
     if n_frames < 3:
         raise NumericError(f"need at least 3 frames to extract peaks, got {n_frames}")
-    speed = np.zeros(n_frames - 1)
-    for clip in clips.values():
-        speed += np.linalg.norm(np.diff(clip.frames, axis=0), axis=1)
-    height = speed.mean() + threshold_std * speed.std()
-    idx = _find_peaks(speed, height, min_separation)
-    return OnsetTrack(times=idx / fps, duration=n_frames / fps)
+    speed = np.zeros((n, n_frames - 1))
+    for frames in parts.values():
+        speed += np.linalg.norm(np.diff(frames, axis=1), axis=2)
+    heights = speed.mean(axis=1) + threshold_std * speed.std(axis=1)
+    rows = [_find_peaks(x, h, min_separation) for x, h in zip(speed, heights)]
+    return np.concatenate(rows) / fps, np.array([r.size for r in rows])
 
 
 # ------------------------------------------------------------ beat consistency
 
-def beat_consistency(motion_peaks, audio_onsets, sigma=0.1):
-    """Mean Gaussian affinity of each motion peak to its nearest audio onset."""
+def beat_consistency(peaks, onsets, duration, sigma=0.1):
+    """Per row, the mean Gaussian affinity of each motion peak to the nearest
+    of the row's audio onsets, or 0.0 without peaks. `peaks` is the (times,
+    counts) pair of `extract_kinematic_peaks`; `onsets` (N, M) holds strictly
+    increasing times in [0, duration]. Every affinity is computed at once,
+    and the rows of one peak count are averaged together, so each row gets
+    the bits it would get alone. Returns (N,)."""
+    times, counts = peaks
+    onsets = np.asarray(onsets, dtype=np.float64)
     if not sigma > 0:
         raise NumericError(f"kernel width sigma must be positive, got {sigma}")
-    if audio_onsets.times.size == 0:
-        raise NumericError("audio onset track is empty")
-    if motion_peaks.times.size == 0:
-        return 0.0
-    delta = motion_peaks.times[:, None] - audio_onsets.times[None, :]
-    nearest_sq = np.min(delta * delta, axis=1)
-    return float(np.mean(np.exp(-nearest_sq / (2.0 * sigma * sigma))))
+    if not duration > 0:
+        raise NumericError(f"clip duration must be positive, got {duration}")
+    if onsets.shape[:1] != counts.shape or onsets.ndim != 2 or onsets.shape[1] == 0:
+        raise NumericError(f"audio onset track is empty or not ({counts.size}, M): "
+                           f"{onsets.shape}")
+    if np.any(np.diff(onsets, axis=1) <= 0):
+        raise NumericError("onset times must be strictly increasing")
+    if np.any(onsets[:, 0] < 0) or np.any(onsets[:, -1] > duration):
+        raise NumericError("onset times must lie within [0, duration]")
+    delta = times[:, None] - np.repeat(onsets, counts, axis=0)
+    affinity = np.exp(-np.min(delta * delta, axis=1) / (2.0 * sigma * sigma))
+    out, starts = np.zeros(counts.size), np.cumsum(counts) - counts
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = affinity[starts[rows, None] + np.arange(k)].mean(axis=1)
+    return out
 
 
 # ------------------------------------------------------------------- diversity
@@ -257,19 +254,11 @@ def diversity(samples):
 
 # ------------------------------------------------------------ feature extractor
 
-def motion_features(clips, codecs, scale=2.0, provenance="real"):
-    """Frozen stage-1 feature space: encode each part, build the composite
-    latent, mean-pool over time; one d_G row per clip, each clip a part ->
-    MotionClip dict. All clips run as one batch, so they must share a frame
-    count."""
-    if not clips:
-        raise NumericError("no clips given to motion_features")
-    for parts_map in clips:
-        missing = [p for p in PART_ORDER if p not in parts_map]
-        if missing:
-            raise NumericError(f"clip missing parts for feature extraction: {missing}")
+def motion_features(parts, codecs, scale=2.0, provenance="real"):
+    """Frozen stage-1 feature space: encode each part of `parts` (part ->
+    (N, T, J) frames), build the composite latent, mean-pool over time; one
+    d_G row per motion."""
     with no_grad():
-        latents = {p: encode_part_batch(np.stack([m[p].frames for m in clips]), codecs[p])
-                   for p in PART_ORDER}
+        latents = {p: encode_part_batch(frames, codecs[p]) for p, frames in parts.items()}
         comp = composite_batch(latents, scale).data
     return FeatureSet(comp.mean(axis=1), provenance=provenance)

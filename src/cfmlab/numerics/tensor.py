@@ -229,6 +229,14 @@ def _quiet(f, *args):
     return f(*args)
 
 
+@np.errstate(all="ignore")
+def _checked(op, f, *args):
+    """f(*args) without numpy's float warnings, refused as `op` unless finite."""
+    out = f(*args)
+    _check_finite(out, op)
+    return out
+
+
 # -- elementwise primitives ------------------------------------------------
 #
 # Every primitive opens with the same test: with recording off it runs only
@@ -274,9 +282,10 @@ def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _from_op(
         _quiet(np.divide, a.data, b.data), (a, b),
-        lambda g: (_unbroadcast(g / b.data, a.data.shape) if _needs(a) else None,
-                   _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                   if _needs(b) else None),
+        lambda g: (_checked("div backward", lambda: _unbroadcast(g / b.data, a.data.shape))
+                   if _needs(a) else None,
+                   _checked("div backward", lambda: _unbroadcast(  # b * b underflows to 0
+                       -g * a.data / (b.data * b.data), b.data.shape)) if _needs(b) else None),
         "div")
 
 
@@ -292,7 +301,8 @@ def log(a):
     if not _GRAD_ENABLED:
         return _untracked(np.log(_arr(a)), "log")
     a = as_tensor(a)
-    return _from_op(_quiet(np.log, a.data), (a,), lambda g: (g / a.data,), "log")
+    return _from_op(_quiet(np.log, a.data), (a,),  # 1 / x overflows at subnormal x
+                    lambda g: (_checked("log backward", np.divide, g, a.data),), "log")
 
 
 def sqrt(a):
@@ -300,13 +310,8 @@ def sqrt(a):
         return _untracked(np.sqrt(_arr(a)), "sqrt")
     a = as_tensor(a)
     out = _quiet(np.sqrt, a.data)
-
-    def vjp(g):
-        ga = _quiet(lambda: g * 0.5 / out)
-        _quiet(_check_finite, ga, "sqrt backward")  # infinite slope at x = 0
-        return (ga,)
-
-    return _from_op(out, (a,), vjp, "sqrt")
+    return _from_op(out, (a,),  # infinite slope at x = 0
+                    lambda g: (_checked("sqrt backward", lambda: g * 0.5 / out),), "sqrt")
 
 
 def _gelu_cdf(x):

@@ -13,10 +13,13 @@ terms (position embeddings, TCAM keys and values, the frame-aligned
 residual) once per solve, and each field evaluation computes only the
 latent side.
 
-`generate_batch` runs the chain once for B (condition, OdeConfig) pairs, each
-z0 drawn from its own config's seed. A fixed-step solve has no per-sample
-control flow and every op works row by row, so a draw is bit-identical
-whether it is made alone (`generate`, B = 1) or in a batch.
+`sample_batch` runs the chain once for B (condition, OdeConfig) pairs, each
+z0 drawn from its own config's seed, and returns arrays: z1, and per part
+the codes and the (B, T, J) frames. A fixed-step solve has no per-sample
+control flow and every op works row by row, so a row is bit-identical
+whether it is drawn alone or in a batch. Evaluation keeps the arrays
+(`evaluate.generate_split`); `generate_batch` packages each row as a
+`GeneratedMotion` for the CSV writers, and `generate` is its B = 1 call.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "integrate_ode",
     "project_to_codebook_manifold",
     "quantize_regions",
+    "sample_batch",
     "generate",
     "generate_batch",
     "write_motion_csv",
@@ -178,27 +182,29 @@ def quantize_regions(parts, stacks):
     return out
 
 
-def generate_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0,
-                   fps=15.0, config_hash=None):
-    """Full sampling chain for a batch of (condition, OdeConfig) pairs: z0
+def sample_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0):
+    """The sampling chain for B (condition, OdeConfig) pairs, as arrays: z0
     from each config's seed -> one integration over (B, L, d_G) -> project
     -> per part: slice and rescale -> quantize -> dequantize -> decode.
     The B conditions are prepared once, before the first ODE step, and
-    every evaluation of the velocity field reuses them. Returns one
-    GeneratedMotion per pair, bit-identical to drawing that pair alone."""
+    every evaluation of the velocity field reuses them. Returns z1
+    (B, L, d_G) and, per part, codes (B, L, depth) and frames (B, T, J);
+    row i is bit-identical to drawing pair i alone."""
     if len({(c.n, c.scheme) for c in configs}) != 1:
         raise NumericError("need at least one ODE config, all with one step count and scheme")
-    seqs = [_cond_sequence(c) for c in conds]
+    seqs = np.stack([np.asarray(c, dtype=np.float64) for c in conds])
+    if seqs.ndim != 3:
+        raise NumericError(f"conditions must be (L, d_O), got shape {seqs.shape[1:]}")
     widths = [decoders[p].d_g for p in PART_ORDER]
     if sum(widths) != net.d_model:
         raise NumericError(f"latent dim {net.d_model} != sum of part dims {sum(widths)}")
-    length = seqs[0].shape[0]
+    length = seqs.shape[1]
     z0 = np.stack([np.random.default_rng(c.seed).standard_normal((length, net.d_model))
                    for c in configs])
 
     codes, frames, offset = {}, {}, 0
     with no_grad():
-        prep = prepare_condition(net, np.stack(seqs), length)
+        prep = prepare_condition(net, seqs, length)
         z1 = integrate_ode(lambda z, t: velocity_forward(net, Tensor(z), t, prep).data,
                            z0, configs[0])
         if proj is not None:
@@ -212,6 +218,14 @@ def generate_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0,
             frames[part] = decode_part_batch(rvq_dequantize_batch(codes[part], stages),
                                              decoders[part]).data
             offset += width
+    return z1, codes, frames
+
+
+def generate_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0,
+                   fps=15.0, config_hash=None):
+    """`sample_batch`, packaged as one GeneratedMotion per pair."""
+    z1, codes, frames = sample_batch(net, stacks, decoders, conds, configs,
+                                     proj=proj, scale=scale)
     return [GeneratedMotion(
         parts={p: MotionClip(p, frames[p][i], fps=fps) for p in PART_ORDER},
         latent=z1[i], codes={p: CodeSequence(p, codes[p][i]) for p in PART_ORDER},
@@ -223,13 +237,6 @@ def generate(net, stacks, decoders, cond, config, proj=None, scale=2.0,
     """One draw: the B = 1 call of `generate_batch`. Deterministic given seed."""
     return generate_batch(net, stacks, decoders, [cond], [config], proj=proj,
                           scale=scale, fps=fps, config_hash=config_hash)[0]
-
-
-def _cond_sequence(cond):
-    seq = np.asarray(cond, dtype=np.float64)
-    if seq.ndim != 2:
-        raise NumericError(f"condition must be (L, d_O), got shape {seq.shape}")
-    return seq
 
 
 # ------------------------------------------------------------------ output io

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ def test_generate_split_spans_one_condition_per_clip():
                                                         codecs, proj=proj))
     assert calls["flow.condition"] == len(clips)
     assert calls["flow.field_eval"] == calls["sampler.integrate_ode"] * cfg.sampler.steps
+
+
+def test_evaluate_run_spans_each_eval_layer():
+    # the split is sampled once and scored as arrays, so each eval span
+    # counts calls on the whole split; the conditions stay one per clip
+    cfg, clips, codecs, stacks, net, heads, proj = _tiny_model()
+    ds = SimpleNamespace(splits={"test": clips})
+    calls = _span_calls(lambda: evaluate.evaluate_run(cfg, ds, codecs, stacks, net=net,
+                                                      heads=heads, proj=proj))
+    assert calls["evaluate.generate_split"] == 1
+    assert calls["metrics.features"] == 2
+    assert calls["metrics.bc"] >= 1
+    assert calls["flow.condition"] == len(clips)
 
 
 def test_one_stage1_step_spans_each_codec_layer_once_per_part():

@@ -16,7 +16,6 @@ from cfmlab.codec import (
 from cfmlab.metrics import (
     FeatureSet,
     MetricReport,
-    OnsetTrack,
     _find_peaks,
     _psd_sqrt,
     beat_consistency,
@@ -26,7 +25,7 @@ from cfmlab.metrics import (
     motion_features,
 )
 from cfmlab.numerics import NumericError
-from cfmlab.synthdata import generate_utterance, make_gesture_classes
+from cfmlab.synthdata import generate_utterance, generate_utterances, make_gesture_classes
 
 
 # ----------------------------------------------------------------------- types
@@ -42,14 +41,16 @@ def test_feature_set_validation():
 
 
 def test_onset_track_validation():
-    OnsetTrack([0.1, 0.5, 0.9], duration=1.0)
-    OnsetTrack([], duration=1.0)
+    # beat_consistency validates the onset track of every row
+    assert _bc([0.5], [0.1, 0.5, 0.9], duration=1.0) == 1.0
     with pytest.raises(NumericError, match="strictly increasing"):
-        OnsetTrack([0.5, 0.5], duration=1.0)
+        _bc([0.5], [0.5, 0.5], duration=1.0)
     with pytest.raises(NumericError, match="within"):
-        OnsetTrack([0.5, 1.5], duration=1.0)
+        _bc([0.5], [0.5, 1.5], duration=1.0)
     with pytest.raises(NumericError, match="duration"):
-        OnsetTrack([0.1], duration=0.0)
+        _bc([0.1], [0.1], duration=0.0)
+    with pytest.raises(NumericError, match=r"\(2, M\)"):
+        beat_consistency((np.array([0.5]), np.array([1, 0])), np.array([[0.5]]), 1.0)
 
 
 def test_metric_report_clamps_tiny_negative_fgd():
@@ -181,27 +182,47 @@ def test_psd_sqrt_squares_back():
 
 # -------------------------------------------------------------- kinematic peaks
 
+FPS = 15.0
+
+
 def _clip_from_speed(speed, part="hand"):
-    """Build a 1-joint-dominant clip whose summed speed sequence equals
-    `speed` (one joint moves monotonically by the requested amounts)."""
+    """A one-motion batch, (1, T, J) frames of one part, whose summed speed
+    sequence equals `speed` (one joint moves monotonically by the requested
+    amounts)."""
     j = PART_JOINTS[part]
-    frames = np.zeros((len(speed) + 1, j))
-    frames[1:, 0] = np.cumsum(speed)
-    return {part: MotionClip(part, frames)}
+    frames = np.zeros((1, len(speed) + 1, j))
+    frames[0, 1:, 0] = np.cumsum(speed)
+    return {part: frames}
+
+
+def _peak_times(parts, **kwargs):
+    """The peak times of a one-motion batch."""
+    times, counts = extract_kinematic_peaks(parts, FPS, **kwargs)
+    assert counts.tolist() == [times.size]
+    return times
+
+
+def _bc(peak_times, onset_times, duration=10.0, sigma=0.1):
+    """Beat consistency of one motion's peaks against one onset track."""
+    peaks = (np.asarray(peak_times, dtype=np.float64), np.array([len(peak_times)]))
+    out = beat_consistency(peaks, np.asarray(onset_times, dtype=np.float64)[None],
+                           duration, sigma=sigma)
+    assert out.shape == (1,)
+    return out[0]
 
 
 def test_constant_motion_has_no_peaks():
-    clip = {"hand": MotionClip("hand", np.ones((12, PART_JOINTS["hand"])))}
-    track = extract_kinematic_peaks(clip)
-    assert track.times.size == 0
-    assert track.duration == 12 / 15.0
+    clip = {"hand": np.ones((1, 12, PART_JOINTS["hand"]))}
+    times, counts = extract_kinematic_peaks(clip, FPS)
+    assert times.size == 0
+    assert counts.tolist() == [0]
 
 
 def test_single_triangular_bump_peaks_at_apex():
     speed = np.array([0, 0, 1, 2, 3, 2, 1, 0, 0], dtype=float)
-    track = extract_kinematic_peaks(_clip_from_speed(speed))
-    assert track.times.size == 1
-    assert track.times[0] == pytest.approx(4 / 15.0)
+    times = _peak_times(_clip_from_speed(speed))
+    assert times.size == 1
+    assert times[0] == pytest.approx(4 / 15.0)
 
 
 def test_planted_peaks_recovered_within_one_frame():
@@ -213,9 +234,9 @@ def test_planted_peaks_recovered_within_one_frame():
             if 0 <= f + k < 63:
                 speed[f + k] += 2.0 * 0.5 * (1 + math.cos(math.pi * k / 3.0))
     speed += 0.05 * rng.random(63)
-    track = extract_kinematic_peaks(_clip_from_speed(speed))
-    assert track.times.size == len(planted)
-    for t, f in zip(track.times, planted):
+    times = _peak_times(_clip_from_speed(speed))
+    assert times.size == len(planted)
+    for t, f in zip(times, planted):
         assert abs(t - f / 15.0) <= 1.0 / 15.0 + 1e-12
 
 
@@ -224,14 +245,13 @@ def test_peaks_summed_across_parts():
     speed_face = np.array([0, 0, 0, 0, 0, 5, 0, 0], dtype=float)
     clips = {**_clip_from_speed(speed_hand, "hand"),
              **_clip_from_speed(speed_face, "face")}
-    track = extract_kinematic_peaks(clips)
-    assert track.times == pytest.approx([2 / 15.0, 5 / 15.0])
+    assert _peak_times(clips) == pytest.approx([2 / 15.0, 5 / 15.0])
 
 
 def test_min_separation_suppresses_adjacent_peaks():
     speed = np.array([0, 0, 3, 0, 4, 0, 0, 0], dtype=float)
-    track = extract_kinematic_peaks(_clip_from_speed(speed), min_separation=3)
-    assert track.times == pytest.approx([4 / 15.0])
+    assert _peak_times(_clip_from_speed(speed), min_separation=3) == \
+        pytest.approx([4 / 15.0])
 
 
 DISTANCES = (1, 2, 3, 4, 5, 2.5)
@@ -289,79 +309,152 @@ def test_peak_finder_matches_scipy_on_generated_speed():
 def test_min_separation_below_one_rejected(bad):
     speed = np.array([0, 0, 3, 0, 4, 0, 0, 0], dtype=float)
     with pytest.raises(NumericError, match="min_separation"):
-        extract_kinematic_peaks(_clip_from_speed(speed), min_separation=bad)
+        extract_kinematic_peaks(_clip_from_speed(speed), FPS, min_separation=bad)
 
 
 def test_fractional_min_separation_rounds_up():
     speed = np.array([0, 3, 0, 4, 0, 0, 0, 0], dtype=float)
     clip = _clip_from_speed(speed)
-    assert extract_kinematic_peaks(clip, threshold_std=0.0, min_separation=2).times == \
+    assert _peak_times(clip, threshold_std=0.0, min_separation=2) == \
         pytest.approx([1 / 15.0, 3 / 15.0])
-    assert extract_kinematic_peaks(clip, threshold_std=0.0, min_separation=2.5).times == \
+    assert _peak_times(clip, threshold_std=0.0, min_separation=2.5) == \
         pytest.approx([3 / 15.0])
 
 
 def test_too_short_clip_rejected():
-    clip = {"hand": MotionClip("hand", np.zeros((2, PART_JOINTS["hand"])))}
+    clip = {"hand": np.zeros((1, 2, PART_JOINTS["hand"]))}
     with pytest.raises(NumericError, match="at least 3 frames"):
-        extract_kinematic_peaks(clip)
+        extract_kinematic_peaks(clip, FPS)
 
 
 def test_mismatched_part_lengths_rejected():
-    clips = {"hand": MotionClip("hand", np.zeros((8, 24))),
-             "face": MotionClip("face", np.zeros((6, 16)))}
+    clips = {"hand": np.zeros((1, 8, 24)), "face": np.zeros((1, 6, 16))}
     with pytest.raises(NumericError, match="disagree"):
-        extract_kinematic_peaks(clips)
+        extract_kinematic_peaks(clips, FPS)
+    clips = {"hand": np.zeros((2, 8, 24)), "face": np.zeros((1, 8, 16))}
+    with pytest.raises(NumericError, match="disagree"):
+        extract_kinematic_peaks(clips, FPS)
 
 
 # ------------------------------------------------------------ beat consistency
 
 def test_bc_coincident_peaks_is_exactly_one():
-    peaks = OnsetTrack([0.2, 0.5, 0.8], duration=1.0)
-    assert beat_consistency(peaks, peaks, sigma=0.1) == 1.0
+    peaks = [0.2, 0.5, 0.8]
+    assert _bc(peaks, peaks, duration=1.0, sigma=0.1) == 1.0
 
 
 def test_bc_sigma_sqrt2_offset_is_exp_minus_one():
     sigma = 0.1
-    onset = OnsetTrack([0.5], duration=2.0)
-    peak = OnsetTrack([0.5 + sigma * math.sqrt(2.0)], duration=2.0)
-    assert beat_consistency(peak, onset, sigma=sigma) == pytest.approx(
-        math.exp(-1.0), abs=1e-12)
+    assert _bc([0.5 + sigma * math.sqrt(2.0)], [0.5], duration=2.0, sigma=sigma) == \
+        pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_bc_random_tracks_match_double_loop():
     rng = np.random.default_rng(5)
-    peaks = OnsetTrack(np.sort(rng.uniform(0, 10, size=7)), duration=10.0)
-    onsets = OnsetTrack(np.sort(rng.uniform(0, 10, size=5)), duration=10.0)
+    peaks = np.sort(rng.uniform(0, 10, size=7))
+    onsets = np.sort(rng.uniform(0, 10, size=5))
     sigma = 0.25
     expected = 0.0
-    for p in peaks.times:
-        best = min((p - a) ** 2 for a in onsets.times)
+    for p in peaks:
+        best = min((p - a) ** 2 for a in onsets)
         expected += math.exp(-best / (2 * sigma * sigma))
-    expected /= len(peaks.times)
-    assert beat_consistency(peaks, onsets, sigma=sigma) == pytest.approx(
+    expected /= len(peaks)
+    assert _bc(peaks, onsets, duration=10.0, sigma=sigma) == pytest.approx(
         expected, abs=1e-12)
 
 
 def test_bc_empty_motion_is_zero_and_empty_audio_errors():
-    onsets = OnsetTrack([0.5], duration=1.0)
-    assert beat_consistency(OnsetTrack([], duration=1.0), onsets) == 0.0
+    assert _bc([], [0.5], duration=1.0) == 0.0
     with pytest.raises(NumericError, match="empty"):
-        beat_consistency(onsets, OnsetTrack([], duration=1.0))
+        _bc([0.5], [], duration=1.0)
 
 
 def test_bc_rejects_nonpositive_sigma():
-    onsets = OnsetTrack([0.5], duration=1.0)
     with pytest.raises(NumericError, match="sigma"):
-        beat_consistency(onsets, onsets, sigma=0.0)
+        _bc([0.5], [0.5], duration=1.0, sigma=0.0)
 
 
 def test_bc_monotone_in_offset():
-    onsets = OnsetTrack([1.0], duration=4.0)
-    values = [beat_consistency(OnsetTrack([1.0 + off], duration=4.0), onsets)
-              for off in np.linspace(0.0, 1.0, 11)]
+    values = [_bc([1.0 + off], [1.0], duration=4.0) for off in np.linspace(0.0, 1.0, 11)]
     assert all(x >= y - 1e-15 for x, y in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
+
+
+# ------------------------------------------------- batched against per clip
+
+def _reference_peaks(motion, fps, threshold_std=0.5, min_separation=3):
+    """The per-clip peak extraction the batched one replaced, kept as the
+    reference: one motion's speeds summed over its parts, its own height
+    floor, then the peak search; the peak times in seconds."""
+    speed = np.zeros(next(iter(motion.values())).shape[0] - 1)
+    for frames in motion.values():
+        speed += np.linalg.norm(np.diff(frames, axis=0), axis=1)
+    height = speed.mean() + threshold_std * speed.std()
+    return _find_peaks(speed, height, min_separation) / fps
+
+
+def _reference_bc(peak_times, onset_times, sigma):
+    """The per-clip beat consistency the batched one replaced."""
+    if peak_times.size == 0:
+        return 0.0
+    delta = peak_times[:, None] - onset_times[None, :]
+    nearest_sq = np.min(delta * delta, axis=1)
+    return float(np.mean(np.exp(-nearest_sq / (2.0 * sigma * sigma))))
+
+
+def _assert_batch_matches_reference(parts, onsets, duration, sigma=0.1, **kwargs):
+    """Batched peaks and BC equal the per-clip chain on every row, bit for
+    bit; returns the per-row peak counts and BC."""
+    times, counts = extract_kinematic_peaks(parts, FPS, **kwargs)
+    bc = beat_consistency((times, counts), onsets, duration, sigma=sigma)
+    rows = np.split(times, np.cumsum(counts)[:-1])
+    for i in range(len(counts)):
+        expected = _reference_peaks({p: f[i] for p, f in parts.items()}, FPS, **kwargs)
+        assert rows[i].tobytes() == expected.tobytes(), i
+        assert bc[i].tobytes() == np.float64(
+            _reference_bc(expected, onsets[i], sigma)).tobytes(), i
+    return counts, bc
+
+
+def _speed_rows(speeds):
+    """(N, T, 24) hand frames whose row i has the summed speeds speeds[i]."""
+    speeds = np.asarray(speeds, dtype=np.float64)
+    frames = np.zeros((speeds.shape[0], speeds.shape[1] + 1, PART_JOINTS["hand"]))
+    frames[:, 1:, 0] = np.cumsum(speeds, axis=1)
+    return {"hand": frames}
+
+
+@pytest.mark.parametrize("min_separation", [3, 2.5, 1])
+def test_batched_peaks_and_bc_match_the_per_clip_chain_on_edge_rows(min_separation):
+    rng = np.random.default_rng(14)
+    speeds = [
+        [0, 1, 3, 3, 3, 1, 0, 2, 2, 0, 0, 4, 4, 1, 0, 0],   # plateaus
+        [1.5] * 16,                                        # flat: no peaks
+        [0, 0, 0, 1, 2, 5, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0],  # a single peak
+        [0, 3, 0, 4, 0, 3, 0, 4, 0, 3, 0, 4, 0, 3, 0, 0],  # close peaks to prune
+        list(rng.integers(0, 3, 16)),                      # ties everywhere
+        list(rng.standard_normal(16) ** 2),
+    ]
+    onsets = np.sort(rng.uniform(0.0, 16 / FPS, (len(speeds), 3)), axis=1)
+    counts, bc = _assert_batch_matches_reference(
+        _speed_rows(speeds), onsets, 17 / FPS, threshold_std=0.0,
+        min_separation=min_separation)
+    assert counts[1] == 0 and bc[1] == 0.0
+    assert counts[2] == 1
+
+
+def test_batched_peaks_and_bc_match_the_per_clip_chain_on_512_frame_rows():
+    # 32 onsets in 512 frames: rows with more than 8 peaks take numpy's
+    # pairwise sum, which a padded or differently grouped mean would change
+    classes = make_gesture_classes(np.random.default_rng(15), 3)
+    for noise in (0.0, 0.3):
+        utts = generate_utterances(np.arange(12) + int(100 * noise), classes * 4, noise,
+                                   n_frames=512, n_onsets=32)
+        parts = {p: np.stack([u.motion[p].frames for u in utts]) for p in PART_ORDER}
+        onsets = np.stack([u.onsets for u in utts])
+        counts, _ = _assert_batch_matches_reference(parts, onsets, 512 / FPS)
+        assert counts.min() > 8
+        assert len(set(counts.tolist())) > (1 if noise else 0)  # several counts
 
 
 # ------------------------------------------------------------------- diversity
@@ -413,7 +506,8 @@ def test_motion_features_match_manual_pipeline():
     for _ in range(6):
         clips.append({p: MotionClip(p, rng.standard_normal((16, PART_JOINTS[p])))
                       for p in PART_ORDER})
-    feats = motion_features(clips, codecs, scale=2.0)
+    parts = {p: np.stack([c[p].frames for c in clips]) for p in PART_ORDER}
+    feats = motion_features(parts, codecs, scale=2.0)
     assert feats.features.shape == (6, 12)
     for row, clip in zip(feats.features, clips):
         latents = [encode_part(clip[p], codecs[p]).sequence for p in PART_ORDER]
@@ -424,10 +518,9 @@ def test_motion_features_match_manual_pipeline():
 def test_motion_features_deterministic_and_tagged():
     rng = np.random.default_rng(9)
     codecs = {p: init_part_codec(rng, p, downsample=4, d_g=2) for p in PART_ORDER}
-    clips = [{p: MotionClip(p, np.ones((8, PART_JOINTS[p]))) for p in PART_ORDER}
-             for _ in range(2)]
-    a = motion_features(clips, codecs, provenance="generated")
-    b = motion_features(clips, codecs, provenance="generated")
+    parts = {p: np.ones((2, 8, PART_JOINTS[p])) for p in PART_ORDER}
+    a = motion_features(parts, codecs, provenance="generated")
+    b = motion_features(parts, codecs, provenance="generated")
     assert np.array_equal(a.features, b.features)
     assert a.provenance == "generated"
 
@@ -435,6 +528,5 @@ def test_motion_features_deterministic_and_tagged():
 def test_motion_features_missing_part_rejected():
     rng = np.random.default_rng(10)
     codecs = {p: init_part_codec(rng, p, downsample=4, d_g=2) for p in PART_ORDER}
-    clips = [{"hand": MotionClip("hand", np.zeros((8, 24)))}]
     with pytest.raises(NumericError, match="missing parts"):
-        motion_features(clips, codecs)
+        motion_features({"hand": np.zeros((1, 8, 24))}, codecs)

@@ -512,6 +512,41 @@ def test_backward_at_a_domain_edge_raises_naming_the_op(op, fn):
             grad(y, [x])
 
 
+def _log_at_subnormal():
+    x = Tensor(np.array([1e-320, 1.0]), requires_grad=True)
+    return sum_(log(x)), [x]
+
+
+def _div_by_tiny():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([1e-170, 1.0]), requires_grad=True)
+    return sum_(a / b), [a, b]
+
+
+@pytest.mark.parametrize("op, build", [("log", _log_at_subnormal), ("div", _div_by_tiny)])
+def test_backward_overflow_raises_naming_the_op(op, build):
+    # 1 / 1e-320 overflows, and 1e-170 ** 2 underflows to 0; the forwards
+    # are finite, and the gradients used to come back as inf
+    y, params = build()
+    assert math.isfinite(y.item())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        with pytest.raises(NumericError, match=f"produced by op '{op} backward'"):
+            grad(y, params)
+
+
+def test_log_and_div_backward_keep_finite_gradients_bitwise():
+    # the checked VJPs return the bits of the unchecked formulas
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
+    b = Tensor(rng.uniform(0.5, 2.0, (4,)), requires_grad=True)
+    grads = grad(sum_(log(x) / b), [x, b])
+    ones = np.ones((3, 4))
+    assert grads[x].data.tobytes() == (ones / b.data / x.data).tobytes()
+    assert grads[b].data.tobytes() == (-ones * np.log(x.data) / (b.data * b.data)).sum(
+        axis=0).tobytes()
+
+
 # ------------------------------------------------ matmul weight-gradient fold
 
 def _per_slice_matmul_grads(a, b, g):

@@ -20,6 +20,7 @@ from cfmlab.codec import (
     MotionClip,
     PartLatent,
     decode_part,
+    encode_part,
     init_codebook_stack,
     init_part_codec,
     rvq_dequantize,
@@ -29,6 +30,7 @@ from cfmlab.codec import (
 from cfmlab import cli, evaluate, flow, sampler
 from cfmlab.config import config_from_dict, config_hash
 from cfmlab.evaluate import condition_for_clip, generate_split
+from cfmlab.metrics import MetricReport, _find_peaks, diversity, fgd
 from cfmlab.flow import build_condition_batch, init_velocity_net, prepare_condition, \
     velocity_forward
 from cfmlab.numerics import NumericError, Tensor, matmul, no_grad
@@ -42,6 +44,7 @@ from cfmlab.sampler import (
     integrate_ode,
     project_to_codebook_manifold,
     quantize_regions,
+    sample_batch,
     write_motion_csv,
     write_sidecar,
 )
@@ -557,23 +560,26 @@ def _split_setup(scheme, n_frames=32):
 def test_generate_split_equals_per_clip_draws_bitwise(scheme):
     cfg, clips, codecs, stacks, net, heads, proj = _split_setup(scheme)
     assert len(clips) == 6
-    batch = generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
-    assert len({m.seed for m in batch}) == len(clips)
-    for u, m in zip(clips, batch):
-        cond = condition_for_clip(u.audio, u.text, net, heads)
-        ode = OdeConfig(n=cfg.sampler.steps, scheme=scheme, seed=m.seed)
+    split = generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
+    seeds = evaluate._clip_seeds(cfg.seed, len(clips))
+    assert len(set(seeds.tolist())) == len(clips)
+    conds = [condition_for_clip(u.audio, u.text, net, heads) for u in clips]
+    odes = [OdeConfig(n=cfg.sampler.steps, scheme=scheme, seed=int(s)) for s in seeds]
+    z1s, codes_b, frames_b = sample_batch(net, stacks, codecs, conds, odes, proj=proj,
+                                          scale=cfg.sacm.scale)
+    for i, (cond, ode) in enumerate(zip(conds, odes)):
         alone = generate(net, stacks, codecs, cond, ode, proj=proj,
                          scale=cfg.sacm.scale, fps=cfg.dataset.fps,
                          config_hash=config_hash(cfg))
         z1, codes, frames = _generate_alone(net, stacks, codecs, cond, ode, proj,
                                             cfg.sacm.scale, cfg.dataset.fps)
-        assert m.latent.tobytes() == alone.latent.tobytes() == z1.tobytes()
+        assert z1s[i].tobytes() == alone.latent.tobytes() == z1.tobytes()
         for p in PART_ORDER:
-            assert (m.codes[p].codes.tobytes() == alone.codes[p].codes.tobytes()
+            assert (codes_b[p][i].tobytes() == alone.codes[p].codes.tobytes()
                     == codes[p].codes.tobytes())
-            assert (m.parts[p].frames.tobytes() == alone.parts[p].frames.tobytes()
-                    == frames[p].tobytes())
-        assert m.config_hash == alone.config_hash == config_hash(cfg)
+            assert (split[p][i].tobytes() == frames_b[p][i].tobytes()
+                    == alone.parts[p].frames.tobytes() == frames[p].tobytes())
+        assert alone.seed == ode.seed and alone.config_hash == config_hash(cfg)
 
 
 def test_condition_for_clip_is_the_batched_condition():
@@ -609,24 +615,24 @@ def test_generate_split_chunks_do_not_change_draws(monkeypatch):
         splits.append(generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj))
         assert sizes == expected
     whole = splits[0]
+    assert list(whole) == list(PART_ORDER)
     for chunked in splits[1:]:
-        for a, b in zip(whole, chunked):
-            assert a.seed == b.seed
-            assert a.latent.tobytes() == b.latent.tobytes()
-            for p in PART_ORDER:
-                assert a.codes[p].codes.tobytes() == b.codes[p].codes.tobytes()
-                assert a.parts[p].frames.tobytes() == b.parts[p].frames.tobytes()
+        for p in PART_ORDER:
+            assert whole[p].shape == chunked[p].shape == (6, 32, PART_JOINTS[p])
+            assert whole[p].tobytes() == chunked[p].tobytes()
 
 
-def _count_chunks(monkeypatch, module):
-    """The clip count of every generate_batch call `module` makes."""
+def _count_chunks(monkeypatch, module, name="sample_batch"):
+    """The clip count of every call `module` makes to its sampler `name`:
+    `sample_batch` for evaluation, `generate_batch` for the CLI."""
     sizes = []
+    original = getattr(module, name)
 
     def counted(net, stacks, decoders, conds, configs, **kwargs):
         sizes.append(len(conds))
-        return generate_batch(net, stacks, decoders, conds, configs, **kwargs)
+        return original(net, stacks, decoders, conds, configs, **kwargs)
 
-    monkeypatch.setattr(module, "generate_batch", counted)
+    monkeypatch.setattr(module, name, counted)
     return sizes
 
 
@@ -651,6 +657,69 @@ def test_evaluate_run_json_is_the_same_at_every_budget(monkeypatch):
         outputs.append((report.to_json(), json.dumps(details, sort_keys=True, indent=2)))
     assert sizes == [4, 2, 6]
     assert outputs[0] == outputs[1]
+
+
+def _reference_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval):
+    """evaluate_run's report and details JSON from the per-clip chain the
+    array tail replaced: each clip drawn alone, its features from the
+    single-clip encoder pipeline, its peaks and beat consistency one clip
+    at a time."""
+    real = [{p: u.motion[p].frames for p in PART_ORDER} for u in clips]
+    gen = real
+    if not self_eval:
+        seeds = evaluate._clip_seeds(cfg.seed, len(clips))
+        gen = [generate(net, stacks, codecs, condition_for_clip(u.audio, u.text, net, heads),
+                        OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme,
+                                  seed=int(s)), proj=proj, scale=cfg.sacm.scale).parts
+               for u, s in zip(clips, seeds)]
+        gen = [{p: m[p].frames for p in PART_ORDER} for m in gen]
+
+    def features(motions):
+        return np.stack([(np.concatenate(
+            [encode_part(MotionClip(p, m[p]), codecs[p]).sequence for p in PART_ORDER],
+            axis=1) * (1.0 / cfg.sacm.scale)).mean(axis=0) for m in motions])
+
+    f_real, f_gen = features(real), features(gen)
+    groups = {}
+    for i, u in enumerate(clips):
+        groups.setdefault(u.class_id, []).append(i)
+    matched = {c: fgd(f_real[idx], f_gen[idx]) for c, idx in groups.items()}
+    cross = [fgd(f_real[groups[c2]], f_gen[groups[c]]) for c in groups for c2 in groups
+             if c2 != c]
+
+    def bc_alone(motion, onsets, sigma=cfg.metrics.sigma):
+        speed = np.zeros(len(motion[PART_ORDER[0]]) - 1)
+        for p in PART_ORDER:
+            speed += np.linalg.norm(np.diff(motion[p], axis=0), axis=1)
+        peaks = _find_peaks(speed, speed.mean() + 0.5 * speed.std(), 3) / cfg.dataset.fps
+        if peaks.size == 0:
+            return 0.0
+        delta = peaks[:, None] - onsets[None, :]
+        return float(np.mean(np.exp(-np.min(delta * delta, axis=1) / (2.0 * sigma * sigma))))
+
+    bc = [bc_alone(m, np.asarray(u.onsets)) for u, m in zip(clips, gen)]
+    report = MetricReport(fgd=fgd(f_real, f_gen), bc=float(np.mean(bc)),
+                          diversity=diversity(f_gen), config_hash=config_hash(cfg),
+                          n_real=len(clips), n_gen=len(clips))
+    details = {"fgd_matched": float(np.mean(list(matched.values()))),
+               "fgd_mismatched": float(np.mean(cross)),
+               "fgd_by_class": {str(c): matched[c] for c in sorted(matched)},
+               "bc_per_clip": bc, "diversity_real": diversity(f_real),
+               "split": "test", "self_eval": self_eval}
+    return report.to_json(), json.dumps(details, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("self_eval", [False, True])
+def test_evaluate_run_json_equals_the_per_clip_chain(monkeypatch, self_eval):
+    cfg, clips, codecs, stacks, net, heads, proj = _split_setup("euler")
+    ds = types.SimpleNamespace(splits={"test": clips})
+    expected = _reference_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval)
+    assert json.loads(expected[1])["bc_per_clip"][0] > 0.0
+    for budget in (3 * len(clips[0].audio) // 2, evaluate._CHUNK_ROWS):
+        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+        report, details = evaluate.evaluate_run(cfg, ds, codecs, stacks, net=net,
+                                                heads=heads, proj=proj, self_eval=self_eval)
+        assert (report.to_json(), json.dumps(details, sort_keys=True, indent=2)) == expected
 
 
 def test_velocity_forward_scalar_t_batch_equals_single_calls_bitwise():
@@ -718,7 +787,7 @@ def test_cli_generate_count_in_chunks_writes_the_same_files(tmp_path, monkeypatc
     ck1, ck2 = tmp_path / "codec.bin", tmp_path / "generator.bin"
     assert main(["train-codec", *common]) == 0
     assert main(["train-generator", *common, "--checkpoint", str(ck1)]) == 0
-    sizes = _count_chunks(monkeypatch, cli)
+    sizes = _count_chunks(monkeypatch, cli, "generate_batch")
     dataset = config_from_dict(TINY_RUN).dataset
     written = []
     for budget, out in ((evaluate._CHUNK_ROWS, "whole"),

@@ -9,7 +9,7 @@ from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import PART_JOINTS, PART_ORDER, MotionClip, init_part_codec
 from cfmlab.config import ConfigError, load_config
-from cfmlab.metrics import OnsetTrack, beat_consistency, extract_kinematic_peaks, fgd, motion_features
+from cfmlab.metrics import beat_consistency, extract_kinematic_peaks, fgd, motion_features
 from cfmlab.numerics import NumericError
 from cfmlab.synthdata import (
     DatasetConfig,
@@ -81,23 +81,27 @@ def test_utterance_shapes():
     assert u.onsets.shape == (4,)
 
 
+def _as_batch(motions):
+    """Part -> (N, T, J) frames of N part -> MotionClip motions."""
+    return {p: np.stack([m[p].frames for m in motions]) for p in PART_ORDER}
+
+
 def test_noise_zero_peaks_within_two_frames_of_onsets():
     classes = make_gesture_classes(np.random.default_rng(3), 3)
     for seed in range(5):
         for c in classes:
             u = generate_utterance(seed, c, noise=0.0)
-            track = extract_kinematic_peaks(u.motion)
-            assert track.times.size == u.onsets.size
-            assert np.all(np.abs(track.times - u.onsets) <= 2.0 / 15.0 + 1e-12)
+            times, _ = extract_kinematic_peaks(_as_batch([u.motion]), 15.0)
+            assert times.size == u.onsets.size
+            assert np.all(np.abs(times - u.onsets) <= 2.0 / 15.0 + 1e-12)
 
 
 def test_noise_zero_beat_consistency_above_point_nine():
     classes = make_gesture_classes(np.random.default_rng(4), 3)
     for seed in range(5):
         u = generate_utterance(seed, classes[seed % 3], noise=0.0)
-        track = extract_kinematic_peaks(u.motion)
-        onsets = OnsetTrack(u.onsets, duration=64 / 15.0)
-        assert beat_consistency(track, onsets, sigma=0.1) > 0.9
+        peaks = extract_kinematic_peaks(_as_batch([u.motion]), 15.0)
+        assert beat_consistency(peaks, u.onsets[None], 64 / 15.0, sigma=0.1)[0] > 0.9
 
 
 def test_audio_pulse_marks_onset_latent_steps():
@@ -387,9 +391,9 @@ def test_within_class_fgd_below_cross_class():
     group_a2 = [generate_utterance(2000 + i, classes[0], 0.1).motion for i in range(32)]
     group_b = [generate_utterance(3000 + i, classes[1], 0.1).motion for i in range(32)]
     codecs = {p: init_part_codec(np.random.default_rng(42), p) for p in PART_ORDER}
-    fa1 = motion_features(group_a1, codecs)
-    fa2 = motion_features(group_a2, codecs)
-    fb = motion_features(group_b, codecs)
+    fa1 = motion_features(_as_batch(group_a1), codecs)
+    fa2 = motion_features(_as_batch(group_a2), codecs)
+    fb = motion_features(_as_batch(group_b), codecs)
     assert fgd(fa1, fa2) < fgd(fa1, fb)
 
 
