@@ -207,7 +207,9 @@ def extract_kinematic_peaks(parts, fps, threshold_std=0.5, min_separation=3):
         raise NumericError(f"need at least 3 frames to extract peaks, got {n_frames}")
     speed = np.zeros((n, n_frames - 1))
     for frames in parts.values():
-        speed += np.linalg.norm(np.diff(frames, axis=1), axis=2)
+        d = np.diff(frames, axis=1)
+        d *= d  # np.linalg.norm's square and reduce, in place
+        speed += np.sqrt(np.add.reduce(d, axis=2))
     heights = speed.mean(axis=1) + threshold_std * speed.std(axis=1)
     rows = [_find_peaks(x, h, min_separation) for x, h in zip(speed, heights)]
     return np.concatenate(rows) / fps, np.array([r.size for r in rows])

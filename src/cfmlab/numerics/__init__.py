@@ -69,7 +69,7 @@ __all__ = [
 def _keep_freed_pages():
     """Blocks under 32 MB come from glibc's heap, trimmed only past 1 GB free
     (see cfmlab.training). Setting either turns off the dynamic mmap
-    threshold, so the trim alone faulted 542k pages where both fault 40k."""
+    threshold, so the trim alone faulted 500k pages where both fault 26k."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):

@@ -1,5 +1,11 @@
 """Dense float64 tensors with reverse-mode autodiff recorded on a flat tape.
 
+The graph is made of `_Node`s, not of tensors: a tracked op output's node
+holds the op name, its parents' nodes (None for a constant) and the VJP; a
+parameter's is a leaf; a constant has none. A VJP may close only over the
+arrays and shapes its rule reads for a parent that needs a gradient, so an
+op output no rule reads is freed with its Tensor while the graph lives on.
+
 Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
 the primitive set is deliberately small: the 18 ops training calls --
@@ -20,8 +26,8 @@ is one gemm over the batch rows folded into one axis, not one product per
 batch slice: the weight gradient is never held as a (B, k, n) stack.
 
 Under `no_grad` a primitive runs only its numpy forward and its finite
-check: its output is untracked, with no VJP closure and no parents, so it
-is a constant wherever it is used later, also in a tracked graph.
+check: its output is untracked, with no node, so it is a constant wherever
+it is used later, also in a tracked graph.
 """
 
 from __future__ import annotations
@@ -85,18 +91,33 @@ def inject_backward_fault(op_name):
         _FAULT_OP = prev
 
 
-class Tensor:
-    """N-d float64 array plus the graph edges needed for backprop."""
+class _Node:
+    """One tape entry: op name, parents' nodes (None for a constant operand),
+    VJP and creation counter. A leaf (a parameter) has no parents and no VJP."""
 
-    __slots__ = ("data", "requires_grad", "_op", "_parents", "_vjp", "_uid", "__weakref__")
+    __slots__ = ("_op", "_parents", "_vjp", "_uid", "__weakref__")
+
+    def __init__(self, op, parents, vjp):
+        self._op = op
+        self._parents = parents
+        self._vjp = vjp
+        self._uid = next(_UID)
+
+
+class Tensor:
+    """N-d float64 array plus its graph node: a leaf node for a parameter,
+    the op's node for a tracked op output, None for a constant."""
+
+    __slots__ = ("data", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self._op = "leaf"
-        self._parents = ()
-        self._vjp = None
-        self._uid = next(_UID)
+        self._node = _Node("leaf", (), None) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        """A parameter: the tensor has a leaf node."""
+        return self._node is not None and self._node._vjp is None
 
     @property
     def shape(self):
@@ -116,7 +137,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self._op!r})"
+        return f"Tensor(shape={self.data.shape}, op={self._node and self._node._op!r})"
 
     # identity-based hashing: tensors are graph nodes, not values
     __hash__ = object.__hash__
@@ -180,23 +201,20 @@ def _arr(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _needs(t):
-    """Binary VJPs skip parents that are neither parameters nor op outputs."""
-    return t.requires_grad or t._vjp is not None
+def _grad_shape(t):
+    """t's shape if t needs a gradient (it has a node: a parameter or a
+    tracked op output), else None; VJPs keep this, never t."""
+    return t.data.shape if t._node is not None else None
 
 
 def _untracked(data, op):
     """An op's output while recording is off: checked (quietly, as no_grad
-    holds errstate), with no graph edges. Float64 operands give a float64
+    holds errstate), with no node. Float64 operands give a float64
     result, so the constructor's dtype conversion is skipped."""
     _check_finite(data, op)
     out = object.__new__(Tensor)
     out.data = np.asarray(data)
-    out.requires_grad = False
-    out._op = "leaf"
-    out._parents = ()
-    out._vjp = None
-    out._uid = next(_UID)
+    out._node = None
     return out
 
 
@@ -204,10 +222,9 @@ def _untracked(data, op):
 def _from_op(data, parents, vjp, op):
     _check_finite(data, op)
     out = Tensor(data)
-    if any(_needs(p) for p in parents):
-        out._op = op
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    nodes = tuple(p._node for p in parents)
+    if any(nodes):  # a _Node is always true
+        out._node = _Node(op, nodes, vjp)
     return out
 
 
@@ -247,10 +264,11 @@ def add(a, b):
     if not _GRAD_ENABLED:
         return _untracked(_arr(a) + _arr(b), "add")
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
     return _from_op(
         a.data + b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape) if _needs(a) else None,
-                   _unbroadcast(g, b.data.shape) if _needs(b) else None),
+        lambda g: (None if sa is None else _unbroadcast(g, sa),
+                   None if sb is None else _unbroadcast(g, sb)),
         "add")
 
 
@@ -258,10 +276,11 @@ def sub(a, b):
     if not _GRAD_ENABLED:
         return _untracked(_arr(a) - _arr(b), "sub")
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
     return _from_op(
         a.data - b.data, (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape) if _needs(a) else None,
-                   _unbroadcast(-g, b.data.shape) if _needs(b) else None),
+        lambda g: (None if sa is None else _unbroadcast(g, sa),
+                   None if sb is None else _unbroadcast(-g, sb)),
         "sub")
 
 
@@ -269,10 +288,13 @@ def mul(a, b):
     if not _GRAD_ENABLED:
         return _untracked(_arr(a) * _arr(b), "mul")
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    x = None if sb is None else a.data  # each operand only for the other's gradient
+    y = None if sa is None else b.data
     return _from_op(
         a.data * b.data, (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape) if _needs(a) else None,
-                   _unbroadcast(g * a.data, b.data.shape) if _needs(b) else None),
+        lambda g: (None if sa is None else _unbroadcast(g * y, sa),
+                   None if sb is None else _unbroadcast(g * x, sb)),
         "mul")
 
 
@@ -280,12 +302,15 @@ def div(a, b):
     if not _GRAD_ENABLED:
         return _untracked(_arr(a) / _arr(b), "div")
     a, b = as_tensor(a), as_tensor(b)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    x, y = (None if sb is None else a.data), b.data  # x only for b's gradient
     return _from_op(
         _quiet(np.divide, a.data, b.data), (a, b),
-        lambda g: (_checked("div backward", lambda: _unbroadcast(g / b.data, a.data.shape))
-                   if _needs(a) else None,
-                   _checked("div backward", lambda: _unbroadcast(  # b * b underflows to 0
-                       -g * a.data / (b.data * b.data), b.data.shape)) if _needs(b) else None),
+        lambda g: (None if sa is None else
+                   _checked("div backward", lambda: _unbroadcast(g / y, sa)),
+                   None if sb is None else
+                   _checked("div backward", lambda: _unbroadcast(  # y * y underflows to 0
+                       -g * x / (y * y), sb))),
         "div")
 
 
@@ -301,8 +326,9 @@ def log(a):
     if not _GRAD_ENABLED:
         return _untracked(np.log(_arr(a)), "log")
     a = as_tensor(a)
-    return _from_op(_quiet(np.log, a.data), (a,),  # 1 / x overflows at subnormal x
-                    lambda g: (_checked("log backward", np.divide, g, a.data),), "log")
+    x = a.data
+    return _from_op(_quiet(np.log, x), (a,),  # 1 / x overflows at subnormal x
+                    lambda g: (_checked("log backward", np.divide, g, x),), "log")
 
 
 def sqrt(a):
@@ -362,18 +388,18 @@ def matmul(a, b):
         return _untracked(_matmul(_arr(a), _arr(b)), "matmul")
     a, b = as_tensor(a), as_tensor(b)
     out = _matmul(a.data, b.data)
+    sa, sb, folded = _grad_shape(a), _grad_shape(b), b.data.ndim == 2
+    x = None if sb is None else a.data  # each operand only for the other's gradient
+    y = None if sa is None else b.data
 
     def vjp(g):
-        if b.data.ndim == 2:  # (..., k) @ (k, n): one gemm per gradient
-            k, n = b.data.shape
-            g2 = g.reshape(-1, n)
-            ga = (g2 @ b.data.T).reshape(a.data.shape) if _needs(a) else None
-            gb = a.data.reshape(-1, k).T @ g2 if _needs(b) else None
+        if folded:  # (..., k) @ (k, n): one gemm per gradient
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = None if sa is None else (g2 @ y.T).reshape(sa)
+            gb = None if sb is None else x.reshape(-1, sb[0]).T @ g2
             return (ga, gb)
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) \
-            if _needs(a) else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) \
-            if _needs(b) else None
+        ga = None if sa is None else _unbroadcast(g @ np.swapaxes(y, -1, -2), sa)
+        gb = None if sb is None else _unbroadcast(np.swapaxes(x, -1, -2) @ g, sb)
         return (ga, gb)
 
     return _from_op(out, (a, b), vjp, "matmul")
@@ -383,9 +409,8 @@ def reshape(a, shape):
     if not _GRAD_ENABLED:
         return _untracked(_arr(a).reshape(shape), "reshape")
     a = as_tensor(a)
-    return _from_op(
-        a.data.reshape(shape), (a,),
-        lambda g: (g.reshape(a.data.shape),), "reshape")
+    s = a.data.shape
+    return _from_op(a.data.reshape(shape), (a,), lambda g: (g.reshape(s),), "reshape")
 
 
 def swap_last(a):
@@ -422,20 +447,23 @@ def neighbour_linear(h, w, b):
         return _untracked(out, "neighbour_linear")
     h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
     d, n = wd.shape[0] // 3, wd.shape[1]
+    sh, sw, sb = _grad_shape(h), _grad_shape(w), _grad_shape(b)
+    wk = None if sh is None else wd  # w only for h's gradient, h only for w's
+    xk = None if sw is None else x
 
     def vjp(g):
         g2 = g.reshape(-1, n)
         gh = None
-        if _needs(h):  # summed as the composite did: centre, next, previous
-            gc = (g2 @ wd.T).reshape(x.shape[:-1] + (3 * d,))
+        if sh is not None:  # summed as the composite did: centre, next, previous
+            gc = (g2 @ wk.T).reshape(sh[:-1] + (3 * d,))
             prev, gh, nxt = gc[..., :d], gc[..., d:2 * d].copy(), gc[..., 2 * d:]
             # both reads of an edge row add as one term; at L = 1 row 0 is both edges
             gh[..., 1:-1, :] += nxt[..., :-2, :]
             gh[..., -1, :] += nxt[..., -2:, :].sum(axis=-2)
             gh[..., 1:-1, :] += prev[..., 2:, :]
             gh[..., 0, :] += prev[..., :2, :].sum(axis=-2)
-        gw = _neighbour_context(x).reshape(-1, 3 * d).T @ g2 if _needs(w) else None
-        return (gh, gw, _unbroadcast(g, bd.shape) if _needs(b) else None)
+        gw = None if xk is None else _neighbour_context(xk).reshape(-1, 3 * d).T @ g2
+        return (gh, gw, None if sb is None else _unbroadcast(g, sb))
 
     return _from_op(out, (h, w, b), vjp, "neighbour_linear")
 
@@ -451,21 +479,23 @@ def concat(tensors, axis=-1):
         return _untracked(_concat([_arr(t) for t in tensors], axis), "concat")
     tensors = [as_tensor(t) for t in tensors]
     datas = [t.data for t in tensors]
+    out = _concat(datas, axis)
+    sizes = [d.shape[axis] for d in datas]  # read once concatenate accepted them
 
     def vjp(g):
-        offsets = np.cumsum([d.shape[axis] for d in datas])[:-1]
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
-    return _from_op(_concat(datas, axis), tensors, vjp, "concat")
+    return _from_op(out, tensors, vjp, "concat")
 
 
 def getitem(a, key):
     if not _GRAD_ENABLED:
         return _untracked(_arr(a)[key], "getitem")
     a = as_tensor(a)
+    s = a.data.shape
 
     def vjp(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(s)
         np.add.at(full, key, g)  # repeated indices accumulate; += keeps one
         return (full,)
 
@@ -489,9 +519,10 @@ def sum_(a, axis=None, keepdims=False):
     if not _GRAD_ENABLED:
         return _untracked(np.sum(_arr(a), axis=axis, keepdims=keepdims), "sum")
     a = as_tensor(a)
+    s = a.data.shape
     return _from_op(
         _quiet(np.sum, a.data, axis, None, None, keepdims), (a,),
-        lambda g: (_expand_reduced(g, a.data.shape, axis, keepdims).copy(),),
+        lambda g: (_expand_reduced(g, s, axis, keepdims).copy(),),
         "sum")
 
 
@@ -503,10 +534,10 @@ def mean(a, axis=None, keepdims=False):
         return _untracked(np.mean(x, axis=axis, keepdims=keepdims), "mean")
     a = as_tensor(a)
     out = np.mean(a.data, axis=axis, keepdims=keepdims)
-    count = a.data.size // out.size
+    s, count = a.data.shape, a.data.size // out.size
 
     def vjp(g):
-        return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
+        return (_expand_reduced(g, s, axis, keepdims) / count,)
 
     return _from_op(out, (a,), vjp, "mean")
 
@@ -555,12 +586,13 @@ def mse(a, b):
         return _untracked(_mse(_arr(a), _arr(b))[1], "mse")
     a, b = as_tensor(a), as_tensor(b)
     d, out = _mse(a.data, b.data)
+    sa, sb = _grad_shape(a), _grad_shape(b)
 
     def vjp(g):
         t = d * (g / d.size)
         t += t
-        return (_unbroadcast(t, a.data.shape) if _needs(a) else None,
-                _unbroadcast(-t, b.data.shape) if _needs(b) else None)
+        return (None if sa is None else _unbroadcast(t, sa),
+                None if sb is None else _unbroadcast(-t, sb))
 
     return _from_op(out, (a, b), vjp, "mse")
 
@@ -586,10 +618,12 @@ def l2_normalize(a, axis=-1):
 
 @dataclass
 class Tape:
-    """Topologically ordered record of the ops reachable from one output.
+    """Topologically ordered record of the nodes reachable from one output.
 
-    Creation order is a topological order by construction (an op's parents
-    always exist before the op runs), so nodes are sorted by uid.
+    A node holds its op name, parents' nodes and VJP, never an op output;
+    its VJP closes only over the arrays its rule reads. Constants have no
+    node. Creation order is a topological order by construction (an op's
+    parents always exist before the op runs), so nodes are sorted by uid.
     """
 
     nodes: list
@@ -598,40 +632,41 @@ class Tape:
     def from_output(cls, out):
         seen = set()
         nodes = []
-        stack = [out]
+        stack = [out._node]
         while stack:
-            t = stack.pop()
-            if id(t) in seen:
+            n = stack.pop()
+            if n is None or id(n) in seen:
                 continue
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
-        nodes.sort(key=lambda t: t._uid)
+            seen.add(id(n))
+            nodes.append(n)
+            stack.extend(n._parents)
+        nodes.sort(key=lambda n: n._uid)
         return cls(nodes)
 
     def replay_backward(self, out, seed_grad):
         """One reverse sweep; visits every recorded node exactly once.
 
-        Constants get no entry (binary VJPs return None for them). A first
-        gradient is kept uncopied if the VJP allocated it or it is
+        Gradients are keyed by node id (`id(t._node)`); constants have no
+        node, so no entry. Each VJP reads only the arrays it closed over. A
+        first gradient is kept uncopied if the VJP allocated it or it is
         C-contiguous; other views are copied, as their layout would move
         BLAS rounding. A second one allocates `acc + pg` in acc's layout and
         later ones add into it in place, so entries may be shared views.
         """
-        grads = {id(out): np.asarray(seed_grad, dtype=np.float64)}
+        grads = {id(out._node): np.asarray(seed_grad, dtype=np.float64)}
         summed = set()  # ids whose entry was allocated here, safe to add into
-        for t in reversed(self.nodes):
-            if t._vjp is None:
+        for n in reversed(self.nodes):
+            if n._vjp is None:
                 continue  # leaf: keep its accumulated grad for the caller
-            g = grads.pop(id(t), None)
+            g = grads.pop(id(n), None)
             if g is None:
                 continue
-            parent_grads = t._vjp(g)
-            if _FAULT_OP is not None and t._op == _FAULT_OP:
+            parent_grads = n._vjp(g)
+            if _FAULT_OP is not None and n._op == _FAULT_OP:
                 parent_grads = tuple(
                     None if pg is None else -np.asarray(pg) for pg in parent_grads)
-            for p, pg in zip(t._parents, parent_grads):
-                if pg is None:
+            for p, pg in zip(n._parents, parent_grads):
+                if p is None or pg is None:  # concat slices g for constants too
                     continue
                 # numpy 0-d results come back as scalars; out= keeps them arrays
                 pg = np.asarray(pg, dtype=np.float64)
@@ -651,7 +686,8 @@ def grad(loss, params):
     """Reverse-mode gradients of a scalar loss w.r.t. `params`.
 
     Params that never touched the tape, and tensors without requires_grad,
-    get zero gradients. Every returned array is writable and owns its
+    get zero gradients. The tape's nodes hold only what their VJPs read and
+    are freed on return. Every returned array is writable and owns its
     memory: the replay's entries that are views are copied here.
     """
     loss = as_tensor(loss)
@@ -662,7 +698,7 @@ def grad(loss, params):
     grads = tape.replay_backward(loss, np.ones_like(loss.data))
     out = {}
     for p in params:
-        g = grads.get(id(p)) if p.requires_grad else None
+        g = grads.get(id(p._node)) if p.requires_grad else None
         g = np.zeros_like(p.data) if g is None else g
         out[p] = Tensor(g if g.base is None else g.copy())
     return out

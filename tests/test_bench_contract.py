@@ -167,9 +167,10 @@ def test_one_stage1_step_spans_each_codec_layer_once_per_part():
         assert codes.dtype == np.int64
         assert codes.shape == (5, 32 // cfg.dataset.downsample, cfg.codec.depth)
     assert probe.code_usage(cfg.codec.epochs, cfg.codec.n_codes) > 0.0
-    # each part's reconstruction and commitment mse is one node of the 121,
-    # and so is each decoder's neighbour_linear, which is not a matmul node
-    assert probe.tape[stage1] == [(121, 12)]
+    # each part's reconstruction and commitment mse is one node of the 98,
+    # and so is each decoder's neighbour_linear, which is not a matmul node;
+    # constants have no node
+    assert probe.tape[stage1] == [(98, 12)]
 
 
 def _import_probe():

@@ -2,10 +2,12 @@
 
 import contextlib
 import inspect
+import itertools
 import math
 import operator
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -94,7 +96,7 @@ def test_no_grad_blocks_recording():
     x = Tensor(3.0, requires_grad=True)
     with no_grad():
         y = x * x
-    assert y._vjp is None
+    assert y._node is None
     g = grad(y + x, [x])
     assert float(g[x].data) == pytest.approx(1.0)
 
@@ -338,10 +340,10 @@ def test_neighbour_linear_constant_operands_get_no_gradient():
     w = Tensor(rng.standard_normal((9, 2)), requires_grad=True)
     b = Tensor(rng.standard_normal(2))
     out = neighbour_linear(h, w, b)
-    gh, gw, gb = out._vjp(np.ones(out.shape))
+    gh, gw, gb = out._node._vjp(np.ones(out.shape))
     assert gh is None and gb is None and gw.shape == (9, 2)
     assert grad(sum_(out), [h])[h].data.tolist() == np.zeros((2, 4, 3)).tolist()
-    assert neighbour_linear(h, Tensor(w.data), b)._vjp is None  # nothing to track
+    assert neighbour_linear(h, Tensor(w.data), b)._node is None  # nothing to track
 
 
 @pytest.mark.parametrize("w_shape, b_shape", [
@@ -370,9 +372,14 @@ def test_constant_operand_gets_no_gradient_entry(op):
     rng = np.random.default_rng(1)
     w = Tensor(rng.uniform(0.5, 1.5, (3, 3)), requires_grad=True)
     c = Tensor(rng.uniform(0.5, 1.5, (3, 3)))
-    for out in (sum_(BINARY_OPS[op](c, w)), sum_(BINARY_OPS[op](w, c))):
-        grads = Tape.from_output(out).replay_backward(out, np.ones(()))
-        assert id(w) in grads and id(c) not in grads
+    assert c._node is None
+    for out in (BINARY_OPS[op](c, w), BINARY_OPS[op](w, c)):
+        # the VJP returns None in the constant's place
+        parent_grads = out._node._vjp(np.ones(out.shape))
+        assert [pg is None for pg in parent_grads] == [p is None for p in out._node._parents]
+        loss = sum_(out)
+        grads = Tape.from_output(loss).replay_backward(loss, np.ones(()))
+        assert list(grads) == [id(w._node)]
 
 
 def test_grad_without_requires_grad_is_zero():
@@ -416,7 +423,7 @@ def test_concat_split_views_accumulate_exact_sum():
     # a single split view is copied: its layout would move BLAS rounding
     out = sum_(concat([x, Tensor(np.ones((3, 1)))], axis=-1) * Tensor(c[:, :5]))
     grads = Tape.from_output(out).replay_backward(out, np.ones(()))
-    assert grads[id(x)].flags.c_contiguous
+    assert grads[id(x._node)].flags.c_contiguous
 
 
 def test_shared_gradient_views_are_not_added_into():
@@ -751,14 +758,13 @@ def test_untracked_output_matches_tracked_and_has_no_edges(case):
     _, fn, shapes = PRIMITIVES[case]
     arrays = _operands(shapes, len(case))
     tracked = fn(*[Tensor(a, requires_grad=True) for a in arrays])
-    assert tracked._vjp is not None
+    assert tracked._node._vjp is not None and not tracked.requires_grad
     with no_grad():
         for operands in ([Tensor(a, requires_grad=True) for a in arrays], arrays):
             fast = fn(*operands)
             assert fast.data.tobytes() == tracked.data.tobytes()
             assert fast.shape == tracked.shape and fast.data.dtype == np.float64
-            assert fast._vjp is None and fast._parents == () and fast._op == "leaf"
-            assert not fast.requires_grad
+            assert fast._node is None and not fast.requires_grad
 
 
 @pytest.mark.parametrize("case", sorted(PRIMITIVES))
@@ -779,6 +785,92 @@ def test_primitives_are_the_ops_on_the_gradcheck_tapes():
     taped = {t._op for _, f, _, _ in _gradcheck_suite()
              for t in Tape.from_output(f()).nodes if t._vjp is not None}
     assert {op for op, _, _ in PRIMITIVES.values()} == defined == taped
+
+
+# ------------------------------------------------- what a graph node keeps
+
+def _graph_objects_held(node):
+    """The Tensors and nodes among the values a node's VJP closes over,
+    looking into tuples and lists."""
+    stack = [cell.cell_contents for cell in node._vjp.__closure__ or ()]
+    held = []
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, (Tensor, tensor._Node)):
+            held.append(v)
+    return held
+
+
+@pytest.mark.parametrize("case", sorted(PRIMITIVES))
+def test_primitive_vjp_closes_over_no_tensor_or_node(case):
+    # each subset of operands needing a gradient gives the VJP another form
+    _, fn, shapes = PRIMITIVES[case]
+    arrays = _operands(shapes, len(case))
+    for needs in itertools.product([False, True], repeat=len(arrays)):
+        if any(needs):
+            out = fn(*[Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)])
+            assert _graph_objects_held(out._node) == [], needs
+
+
+@pytest.mark.parametrize("op_name", sorted(OP_CASES))
+def test_op_case_vjps_close_over_no_tensor_or_node(op_name):
+    f, init = OP_CASES[op_name](np.random.default_rng(0))
+    nodes = Tape.from_output(f(Tensor(init, requires_grad=True))).nodes
+    assert [n._op for n in nodes if n._vjp is not None and _graph_objects_held(n)] == []
+
+
+def _mul_into_add(w, c):
+    m = mul(w, c)
+    return [m], sum_(add(m, c))
+
+
+def _matmul_into_add(w, c):
+    h = matmul(c, w)
+    return [h], sum_(h + c)
+
+
+def _scores_into_softmax(w, c):
+    scores = matmul(c, w)
+    scaled = scores * 0.5
+    return [scores, scaled], sum_(softmax(scaled) * c)
+
+
+def _gelu_into_residual(w, c):
+    h = gelu(matmul(c, w))
+    return [h], sum_((h + c) * c)
+
+
+@pytest.mark.parametrize("build", [_mul_into_add, _matmul_into_add, _scores_into_softmax,
+                                   _gelu_into_residual], ids=lambda f: f.__name__[1:])
+def test_an_output_no_rule_reads_is_freed_while_its_graph_lives(build):
+    rng = np.random.default_rng(8)
+    w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    c = Tensor(rng.standard_normal((4, 4)))
+    outputs, loss = build(w, c)
+    refs = [weakref.ref(t.data) for t in outputs]
+    del outputs
+    assert [r() for r in refs] == [None] * len(refs)
+    kept, ref_loss = build(w, c)  # the same graph with its outputs alive
+    assert grad(loss, [w])[w].data.tobytes() == grad(ref_loss, [w])[w].data.tobytes()
+
+
+@pytest.mark.parametrize("right_needs_grad", [True, False])
+def test_matmul_keeps_its_left_operand_only_for_the_right_gradient(right_needs_grad):
+    rng = np.random.default_rng(9)
+    v = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    c = Tensor(rng.standard_normal((3, 4)))
+    w = Tensor(rng.standard_normal((4, 2)), requires_grad=right_needs_grad)
+    left = v + c
+    ref = weakref.ref(left.data)
+    loss = sum_(matmul(left, w))
+    del left
+    assert (ref() is not None) == right_needs_grad
+    g = grad(loss, [v, w])
+    assert g[v].data.tobytes() == (np.ones((3, 2)) @ w.data.T).tobytes()
+    if right_needs_grad:
+        assert g[w].data.tobytes() == ((v.data + c.data).T @ np.ones((3, 2))).tobytes()
 
 
 def _composite_softmax(a, axis=-1):
@@ -824,7 +916,7 @@ def test_untracked_tensor_is_a_constant_in_a_tracked_graph():
     k = Tensor(rng.standard_normal((2, 3, 4)))
     with no_grad():
         c = gelu(matmul(x, w)) + x
-    assert c._parents == ()
+    assert c._node is None
 
     def loss(const):
         h = softmax(matmul(const, w) * 0.5) * k
@@ -871,7 +963,7 @@ def test_gelu_matches_its_old_expression_bitwise(shape, layout):
     assert out.data.tobytes() == ref.tobytes()
     with no_grad():
         assert gelu(x).data.tobytes() == ref.tobytes()
-    (gx,) = out._vjp(g)
+    (gx,) = out._node._vjp(g)
     assert gx.shape == x.shape
     assert gx.tobytes() == np.asarray(_old_gelu_grad(x, g)).tobytes()
 
@@ -925,9 +1017,10 @@ def test_mse_matches_the_composite_bitwise(case):
 
 
 def test_mse_is_one_tape_node():
+    # the constant operand has no node
     a = Tensor(np.ones((2, 3)), requires_grad=True)
     nodes = Tape.from_output(mse(a, Tensor(np.zeros(3)))).nodes
-    assert [t._op for t in nodes] == ["leaf", "leaf", "mse"]
+    assert [n._op for n in nodes] == ["leaf", "mse"]
 
 
 @pytest.mark.parametrize("recording", [True, False])
