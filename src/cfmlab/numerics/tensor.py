@@ -5,6 +5,10 @@ holds the op name, its parents' nodes (None for a constant) and the VJP; a
 parameter's is a leaf; a constant has none. A VJP may close only over the
 arrays and shapes its rule reads for a parent that needs a gradient, so an
 op output no rule reads is freed with its Tensor while the graph lives on.
+A graph is swept backward once: the sweep frees each node's VJP, with the
+arrays it closed over, as soon as the rule has run, so the memory the graph
+holds falls as the sweep nears the leaves. A second sweep through the same
+node raises `NumericError` naming its op.
 
 Design constraints: everything is 64-bit, every op checks its output for
 NaN/Inf (non-finite values are an error state, not a silent warning), and
@@ -27,13 +31,15 @@ batch slice: the weight gradient is never held as a (B, k, n) stack.
 
 Under `no_grad` a primitive runs only its numpy forward and its finite
 check: its output is untracked, with no node, so it is a constant wherever
-it is used later, also in a tracked graph.
+it is used later, also in a tracked graph. Recording is a per-thread flag,
+so `no_grad` in one thread leaves every other thread's recording as it was.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -41,7 +47,6 @@ import numpy as np
 from scipy.special import erf
 
 _UID = itertools.count()
-_GRAD_ENABLED = True
 _FAULT_OP = None  # set via inject_backward_fault(), test instrumentation only
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -61,18 +66,28 @@ def _check_finite(data, op):
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
+class _Recording(threading.local):
+    """Whether ops record nodes, per thread: a thread starts out recording,
+    and one thread's `no_grad` neither sets nor restores another's flag."""
+
+    enabled = True
+
+
+_RECORDING = _Recording()
+
+
 @contextmanager
 def no_grad():
-    """Disable tape recording; forward values only. numpy's float warnings
-    are off inside, once for the block: each op's output is checked instead."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording in this thread; forward values only. numpy's
+    float warnings are off inside, once for the block: each op's output is
+    checked instead."""
+    prev = _RECORDING.enabled
+    _RECORDING.enabled = False
     try:
         with np.errstate(all="ignore"):
             yield
     finally:
-        _GRAD_ENABLED = prev
+        _RECORDING.enabled = prev
 
 
 @contextmanager
@@ -261,7 +276,7 @@ def _checked(op, f, *args):
 # and records the VJP closure through `_from_op`.
 
 def add(a, b):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_arr(a) + _arr(b), "add")
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
@@ -273,7 +288,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_arr(a) - _arr(b), "sub")
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
@@ -285,7 +300,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_arr(a) * _arr(b), "mul")
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
@@ -299,7 +314,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_arr(a) / _arr(b), "div")
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
@@ -315,7 +330,7 @@ def div(a, b):
 
 
 def exp(a):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(np.exp(_arr(a)), "exp")
     a = as_tensor(a)
     out = _quiet(np.exp, a.data)
@@ -323,7 +338,7 @@ def exp(a):
 
 
 def log(a):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(np.log(_arr(a)), "log")
     a = as_tensor(a)
     x = a.data
@@ -332,7 +347,7 @@ def log(a):
 
 
 def sqrt(a):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(np.sqrt(_arr(a)), "sqrt")
     a = as_tensor(a)
     out = _quiet(np.sqrt, a.data)
@@ -352,7 +367,7 @@ def _gelu_cdf(x):
 
 def gelu(a):
     """Exact (erf-based) GELU."""
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         x = _arr(a)
         return _untracked(x * _gelu_cdf(x), "gelu")
     a = as_tensor(a)
@@ -384,7 +399,7 @@ def _matmul(x, y):
 
 def matmul(a, b):
     """a @ b; a 2-d `b` takes both gradients over a's folded batch rows."""
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_matmul(_arr(a), _arr(b)), "matmul")
     a, b = as_tensor(a), as_tensor(b)
     out = _matmul(a.data, b.data)
@@ -406,7 +421,7 @@ def matmul(a, b):
 
 
 def reshape(a, shape):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_arr(a).reshape(shape), "reshape")
     a = as_tensor(a)
     s = a.data.shape
@@ -414,7 +429,7 @@ def reshape(a, shape):
 
 
 def swap_last(a):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(np.swapaxes(_arr(a), -1, -2), "swap_last")
     a = as_tensor(a)
     return _from_op(
@@ -443,7 +458,7 @@ def neighbour_linear(h, w, b):
     with np.errstate(all="ignore"):  # the finite check reports an overflow
         out = _neighbour_context(x) @ wd
         out += bd
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(out, "neighbour_linear")
     h, w, b = as_tensor(h), as_tensor(w), as_tensor(b)
     d, n = wd.shape[0] // 3, wd.shape[1]
@@ -462,6 +477,7 @@ def neighbour_linear(h, w, b):
             gh[..., -1, :] += nxt[..., -2:, :].sum(axis=-2)
             gh[..., 1:-1, :] += prev[..., 2:, :]
             gh[..., 0, :] += prev[..., :2, :].sum(axis=-2)
+            del gc, prev, nxt  # freed before w's gradient rebuilds the context
         gw = None if xk is None else _neighbour_context(xk).reshape(-1, 3 * d).T @ g2
         return (gh, gw, None if sb is None else _unbroadcast(g, sb))
 
@@ -475,7 +491,7 @@ def _concat(datas, axis):
 
 
 def concat(tensors, axis=-1):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_concat([_arr(t) for t in tensors], axis), "concat")
     tensors = [as_tensor(t) for t in tensors]
     datas = [t.data for t in tensors]
@@ -489,7 +505,7 @@ def concat(tensors, axis=-1):
 
 
 def getitem(a, key):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_arr(a)[key], "getitem")
     a = as_tensor(a)
     s = a.data.shape
@@ -516,7 +532,7 @@ def _expand_reduced(g, in_shape, axis, keepdims):
 
 
 def sum_(a, axis=None, keepdims=False):
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(np.sum(_arr(a), axis=axis, keepdims=keepdims), "sum")
     a = as_tensor(a)
     s = a.data.shape
@@ -530,7 +546,7 @@ def mean(a, axis=None, keepdims=False):
     x = _arr(a)
     if x.size == 0:  # refused before numpy warns "Mean of empty slice"
         raise NumericError("op 'mean' needs a non-empty operand")
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(np.mean(x, axis=axis, keepdims=keepdims), "mean")
     a = as_tensor(a)
     out = np.mean(a.data, axis=axis, keepdims=keepdims)
@@ -556,14 +572,15 @@ def _softmax(x, axis):
 
 def softmax(a, axis=-1):
     """Softmax along `axis` as one primitive, in closed form both ways."""
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_softmax(_arr(a), axis), "softmax")
     a = as_tensor(a)
     out = _softmax(a.data, axis)
 
     def vjp(g):
         t = g * out
-        return (t - out * np.sum(t, axis=axis, keepdims=True),)
+        np.subtract(t, out * np.sum(t, axis=axis, keepdims=True), out=t)
+        return (t,)
 
     return _from_op(out, (a,), vjp, "softmax")
 
@@ -582,7 +599,7 @@ def _mse(x, y):
 def mse(a, b):
     """mean((a - b)^2) over every entry of the broadcast difference, as one
     primitive; the gradient is 2 (g / n) d, built as t + t, t = d * (g / n)."""
-    if not _GRAD_ENABLED:
+    if not _RECORDING.enabled:
         return _untracked(_mse(_arr(a), _arr(b))[1], "mse")
     a, b = as_tensor(a), as_tensor(b)
     d, out = _mse(a.data, b.data)
@@ -616,6 +633,12 @@ def l2_normalize(a, axis=-1):
 
 # -- tape view ----------------------------------------------------------------
 
+def _spent(g):
+    """The VJP of every node a backward sweep has passed: the node's own
+    rule, with the arrays it closed over, is freed as the sweep moves on."""
+    raise NumericError("backward through a graph that was already swept")
+
+
 @dataclass
 class Tape:
     """Topologically ordered record of the nodes reachable from one output.
@@ -624,6 +647,7 @@ class Tape:
     its VJP closes only over the arrays its rule reads. Constants have no
     node. Creation order is a topological order by construction (an op's
     parents always exist before the op runs), so nodes are sorted by uid.
+    The record is swept once: `replay_backward` spends every node it runs.
     """
 
     nodes: list
@@ -644,7 +668,14 @@ class Tape:
         return cls(nodes)
 
     def replay_backward(self, out, seed_grad):
-        """One reverse sweep; visits every recorded node exactly once.
+        """The one reverse sweep of this graph; visits every recorded node
+        exactly once.
+
+        Each node's VJP is swapped for `_spent` just before it runs, so the
+        rule and the arrays it closed over are freed as the sweep passes the
+        node, not when the graph dies. Replaying a graph whose nodes are
+        spent, or any graph through one of them, raises `NumericError`
+        naming the op; a leaf (VJP None) is never spent.
 
         Gradients are keyed by node id (`id(t._node)`); constants have no
         node, so no entry. Each VJP reads only the arrays it closed over. A
@@ -656,12 +687,17 @@ class Tape:
         grads = {id(out._node): np.asarray(seed_grad, dtype=np.float64)}
         summed = set()  # ids whose entry was allocated here, safe to add into
         for n in reversed(self.nodes):
-            if n._vjp is None:
+            vjp = n._vjp
+            if vjp is None:
                 continue  # leaf: keep its accumulated grad for the caller
             g = grads.pop(id(n), None)
             if g is None:
                 continue
-            parent_grads = n._vjp(g)
+            if vjp is _spent:
+                raise NumericError(f"op '{n._op}' backward: the graph was already "
+                                   "swept, which freed this node's rule")
+            n._vjp = _spent  # the rule and its arrays die once `vjp` is rebound
+            parent_grads = vjp(g)
             if _FAULT_OP is not None and n._op == _FAULT_OP:
                 parent_grads = tuple(
                     None if pg is None else -np.asarray(pg) for pg in parent_grads)
@@ -686,9 +722,11 @@ def grad(loss, params):
     """Reverse-mode gradients of a scalar loss w.r.t. `params`.
 
     Params that never touched the tape, and tensors without requires_grad,
-    get zero gradients. The tape's nodes hold only what their VJPs read and
-    are freed on return. Every returned array is writable and owns its
-    memory: the replay's entries that are views are copied here.
+    get zero gradients. The tape's nodes hold only what their VJPs read,
+    and the sweep frees each node's VJP as it passes it, so a loss's graph
+    takes one `grad`: a second call on it raises `NumericError`. Every
+    returned array is writable and owns its memory: the replay's entries
+    that are views are copied here.
     """
     loss = as_tensor(loss)
     if loss.data.size != 1:

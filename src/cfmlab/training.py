@@ -21,9 +21,9 @@ the graph, runs the EMA updates (stage 1), takes the gradient and the Adam
 step and returns floats, so one graph is alive at a time. The freed pages
 stay in the heap (`cfmlab.numerics` sets glibc's mallopt). With glibc's
 default trim they went back to the kernel: 4 stage-1 epochs at 128 clips
-of 512 frames (one BLAS thread) took 119-122k minor page faults, against
-26k with the heap setting (4 stage-2 epochs: 51-76k against 6-7k), over
-two runs each.
+of 512 frames (one BLAS thread) took 149k minor page faults, against 25k
+with the heap setting (4 stage-2 epochs: 61-63k against 3k), over two runs
+each.
 """
 
 from __future__ import annotations

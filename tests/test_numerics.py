@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import re
+import threading
 import warnings
 import weakref
 
@@ -99,6 +100,34 @@ def test_no_grad_blocks_recording():
     assert y._node is None
     g = grad(y + x, [x])
     assert float(g[x].data) == pytest.approx(1.0)
+
+
+def test_no_grad_is_per_thread():
+    # the main thread enters first and leaves first while the worker is still
+    # inside: with one process-wide flag, the main thread's exit turned
+    # recording back on in the worker, whose exit then left it off for good
+    w = Tensor(np.ones(2), requires_grad=True)
+    entered, main_left = threading.Event(), threading.Event()
+    inside, fresh = [], []
+
+    def worker():
+        with no_grad():
+            entered.set()
+            main_left.wait(10)
+            inside.append((w * w)._node)
+
+    t = threading.Thread(target=worker)
+    with no_grad():
+        t.start()
+        assert entered.wait(10)
+    main_left.set()
+    t.join(10)
+    assert not t.is_alive() and inside == [None]
+    assert (w * w)._node is not None
+    t = threading.Thread(target=lambda: fresh.append((w * w)._node))
+    t.start()
+    t.join(10)
+    assert not t.is_alive() and len(fresh) == 1 and fresh[0] is not None
 
 
 # ------------------------------------------------- finite_difference_gradient
@@ -449,6 +478,45 @@ def test_tape_replay_deterministic_bitwise():
         return grad(loss, [w])[w].data.tobytes()
 
     assert run() == run()
+
+
+def test_a_graph_is_swept_once():
+    rng = np.random.default_rng(7)
+    x, c = rng.standard_normal((4, 3)), rng.standard_normal((4, 5))
+    w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    p = softmax(matmul(Tensor(x), w))
+    loss = sum_(p * Tensor(c))
+    g = grad(loss, [w])[w].data
+    # the first sweep keeps the plain expressions' bits
+    s = p.data
+    t = np.ones((4, 5)) * c * s
+    assert g.tobytes() == (x.T @ (t - s * np.sum(t, axis=-1, keepdims=True))).tobytes()
+    with pytest.raises(NumericError, match="op 'sum' backward: the graph was already swept"):
+        grad(loss, [w])
+    again = sum_(p)  # a fresh node over a spent one
+    with pytest.raises(NumericError, match="op 'softmax' backward"):
+        Tape.from_output(again).replay_backward(again, np.ones(()))
+
+
+def test_sweep_frees_each_rule_as_it_passes():
+    rng = np.random.default_rng(8)
+    w1 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w2 = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    first = matmul(Tensor(rng.standard_normal((5, 3))), w1)
+    out = gelu(matmul(gelu(first), w2))
+    vjp = out._node._vjp
+    cdf = weakref.ref(dict(zip(vjp.__code__.co_freevars, vjp.__closure__))["cdf"].cell_contents)
+    del vjp
+    real, seen = first._node._vjp, []
+
+    def look(g):  # the last rule the sweep runs before the leaves
+        seen.append(cdf() is None)
+        return real(g)
+
+    first._node._vjp = look
+    assert cdf() is not None
+    grad(sum_(out), [w1, w2])
+    assert seen == [True]
 
 
 def test_finite_check_raises_on_nan():
