@@ -2,8 +2,8 @@
 generation, evaluation, and the gradient self-check.
 
 Exit codes: 0 success, 2 usage/config errors (an output path that cannot
-be written among them, and a checkpoint whose dims do not match the
-config), 3 numerical failures.
+be written among them, a checkpoint whose dims do not match the config,
+and running out of memory), 3 numerical failures.
 Every command is deterministic given (config, seed) and the BLAS thread
 count (CFMLAB_THREADS): another thread count may round some sums in
 another order, so trained checkpoints can differ in their last bits.
@@ -355,6 +355,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
     except OSError as exc:  # readers raise the errors above, so this is a write
         path = exc.filename2 or exc.filename or "an output"  # os.replace: (tmp, target)
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)

@@ -10,6 +10,14 @@ Beat consistency works on all N rows at once but for the peak search, which
 runs per row since its distance pruning is sequential: a small numpy finder
 with the semantics of `scipy.signal.find_peaks(x, height=h, distance=d)`.
 It spares every process that imports this module importing `scipy.signal`.
+
+Diversity's pair distances are computed here too, with the summation order
+of `scipy.spatial.distance.pdist`: for each pair, the squared differences
+are added over the feature axis in index order, then square-rooted, and
+the distances come in condensed (i < j) order, so their mean has pdist's
+bits. Importing `scipy.spatial` would load `scipy.sparse`, `scipy.linalg`,
+qhull and the kd-tree, about 110 modules and 12 MB resident in every
+process; a Gram-matrix form would be faster but changes the bits.
 """
 
 from __future__ import annotations
@@ -19,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .alignment import composite_batch
 from .codec import encode_part_batch
@@ -248,10 +255,30 @@ def beat_consistency(peaks, onsets, duration, sigma=0.1):
 
 # ------------------------------------------------------------------- diversity
 
+def _pair_distances(x):
+    """The L2 distances of the rows of `x` (N, d) in condensed (i < j)
+    order, bit for bit as `pdist(x)`: each block of 64 rows against all
+    later rows, summing one feature's squared differences at a time."""
+    n = x.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    at = 0
+    for start in range(0, n - 1, 64):
+        rows = x[start:start + 64]
+        acc = np.zeros((rows.shape[0], n - start - 1))
+        for k in range(x.shape[1]):
+            d = np.subtract.outer(rows[:, k], x[start + 1:, k])
+            acc += np.multiply(d, d, out=d)
+        # row start + r pairs with the later rows from column r on
+        upper = acc[np.arange(acc.shape[1]) >= np.arange(rows.shape[0])[:, None]]
+        out[at:at + upper.size] = np.sqrt(upper)
+        at += upper.size
+    return out
+
+
 def diversity(samples):
     """Mean L2 distance over all unordered sample pairs."""
     feats = _as_features(samples)
-    return float(np.mean(pdist(feats)))
+    return float(np.mean(_pair_distances(feats)))
 
 
 # ------------------------------------------------------------ feature extractor

@@ -16,14 +16,19 @@ All randomness is keyed on (seed, stage, epoch, batch), so identical configs
 reproduce bit-identical checkpoints.
 
 `stage1_loss` and `stage2_loss` are the objectives; `cfmlab gradcheck`
-differences the same two. Each optimiser step is a function that builds
-the graph, runs the EMA updates (stage 1), takes the gradient and the Adam
-step and returns floats, so one graph is alive at a time. The freed pages
-stay in the heap (`cfmlab.numerics` sets glibc's mallopt). With glibc's
-default trim they went back to the kernel: 4 stage-1 epochs at 128 clips
-of 512 frames (one BLAS thread) took 149k minor page faults, against 25k
-with the heap setting (4 stage-2 epochs: 61-63k against 3k), over two runs
-each.
+differences the same two. Each optimiser step is a function that returns
+floats, so its graph is dead before the next step's forward. A stage-1
+step goes further: it builds and sweeps one part's graph at a time, in
+PART_ORDER, each in a function that returns the part's floats and
+gradients, then runs the EMA updates and one Adam step. This has the bits
+of the joint `stage1_loss` graph: the parts share no parameter, the seed
+gradient reaches each part's rec as 1.0 and its com as beta, and the
+floats are summed in the joint graph's order. The freed pages stay in
+the heap (`cfmlab.numerics` sets glibc's mallopt). With glibc's default
+trim they went back to the kernel: 4 stage-1 epochs at 128 clips of 512
+frames (one BLAS thread) took 93-124k minor page faults, against 10-11k
+with the heap setting (4 stage-2 epochs after them: 63-67k against 6-7k,
+since stage 1 leaves a smaller heap), over two runs each.
 """
 
 from __future__ import annotations
@@ -192,31 +197,48 @@ def stage1_loss(frames, codecs, quantize, beta):
     return total, {"rec": loss_rec, "com": loss_com}
 
 
+def _stage1_part(p, batch, codecs, stack, beta):
+    """One part's share of a stage-1 step: its loss, then the gradient over
+    its parameters. Returns (rec, com, grads, codes, stage_inputs); the
+    part's graph is dead once this returns."""
+    assigned = []
+
+    def quantize(part, z):
+        q, codes, _, stage_inputs = rvq_quantize_batch(
+            z.data, stack.stages, return_stage_inputs=True)
+        assigned.append((codes, stage_inputs))
+        return straight_through(z, q), q
+
+    total, terms = stage1_loss({p: batch}, codecs, quantize, beta)
+    grads = grad(total, codecs[p].parameters())
+    return (float(terms["rec"].data), float(terms["com"].data), grads,
+            *assigned[0])
+
+
 def train_codec(cfg, dataset):
-    """Stage 1: jointly reconstruct all four parts; returns trained codecs,
-    codebook stacks, and the run record."""
+    """Stage 1: reconstruct all four parts, one part's graph at a time;
+    returns trained codecs, codebook stacks, and the run record."""
     frames = _train_motion(dataset)
     codecs, stacks = init_stage1(cfg, frames)
     params = [t for p in PART_ORDER for t in codecs[p].parameters()]
     adam = AdamState(lr=cfg.codec.lr)
+    beta = cfg.codec.beta
 
     def step(idx, ema_rng):
-        assigned = []
-
-        def quantize(p, z):
-            q, codes, _, stage_inputs = rvq_quantize_batch(
-                z.data, stacks[p].stages, return_stage_inputs=True)
+        rec, com, grads, assigned = 0.0, 0.0, {}, []
+        for p in PART_ORDER:
+            rec_p, com_p, grads_p, codes, stage_inputs = _stage1_part(
+                p, frames[p][idx], codecs, stacks[p], beta)
+            rec += rec_p
+            com += com_p
+            grads.update(grads_p)
             assigned.append((p, codes, stage_inputs))
-            return straight_through(z, q), q
-
-        total, terms = stage1_loss({p: frames[p][idx] for p in PART_ORDER},
-                                   codecs, quantize, cfg.codec.beta)
         for p, codes, stage_inputs in assigned:  # in PART_ORDER: one ema_rng
             ema_codebook_update(stacks[p], codes, stage_inputs,
                                 decay=cfg.codec.ema_decay, rng=ema_rng)
-        adam_step(params, grad(total, params), adam)
-        return {"total": float(total.data), "rec": float(terms["rec"].data),
-                "com": float(terms["com"].data)}
+        adam_step(params, grads, adam)
+        return {"total": rec if beta == 0.0 else rec + beta * com, "rec": rec,
+                "com": com}
 
     record = _fit(cfg, STAGE1, cfg.codec, len(frames[PART_ORDER[0]]),
                   ("total", "rec", "com"), step)

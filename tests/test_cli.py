@@ -173,6 +173,18 @@ def test_out_path_is_a_file_exits_2(tmp_path, capsys):
     _exits_2(["make-data", "--out", str(out)], capsys, "cannot use --out")
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB"),
+    ("", "an allocation failed")])
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, message, shown):
+    def build_dataset(section):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "build_dataset", build_dataset)
+    _exits_2(["make-data", "--out", str(tmp_path / "data")], capsys,
+             f"error: out of memory: {shown}")
+
+
 # a directory where the first output file goes; the checkpoint is written
 # beside its target and renamed over it, and the temp file must not stay
 @pytest.mark.parametrize("command, blocked", [("generate", "gen_000.csv"),

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
+from scipy.spatial.distance import pdist
 
 from cfmlab.codec import (
     PART_JOINTS,
@@ -17,6 +18,7 @@ from cfmlab.metrics import (
     FeatureSet,
     MetricReport,
     _find_peaks,
+    _pair_distances,
     _psd_sqrt,
     beat_consistency,
     diversity,
@@ -491,6 +493,19 @@ def test_diversity_translation_invariant_and_scales():
 def test_diversity_needs_two_samples():
     with pytest.raises(NumericError, match="at least 2"):
         diversity(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 51, 64, 65, 512, 513])
+@pytest.mark.parametrize("d", [1, 7, 32])
+def test_pair_distances_are_pdists_bits(n, d):
+    # the same summation order as pdist, so diversity keeps its bits; a
+    # duplicate row gives a 0 distance, and a far row large ones
+    rng = np.random.default_rng(n * 100 + d)
+    x = rng.standard_normal((n, d)) * 3.0
+    x[n // 2] = x[0]
+    x[-1] += 1e8
+    assert _pair_distances(x).tobytes() == pdist(x).tobytes()
+    assert diversity(x) == float(np.mean(pdist(x)))
 
 
 # ------------------------------------------------------------ feature extractor

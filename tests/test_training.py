@@ -148,7 +148,61 @@ def test_each_step_frees_the_previous_graph(small_run, monkeypatch, stage, first
             train_generator(cfg, ds, codecs, stacks)
     finally:
         gc.enable()
-    assert len(graphs) == 6 and len(alive) > 6 and max(alive) == 0
+    # 6 steps; stage 1 takes one graph per part and frees it before the
+    # next part's forward
+    steps = 6 * (len(PART_ORDER) if stage == 1 else 1)
+    assert len(graphs) == steps and len(alive) > steps and max(alive) == 0
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+def test_stage1_per_part_gradients_match_the_joint_graph(small_run, beta):
+    # the parts share no parameter, and the seed gradient reaches each
+    # part's rec as 1.0 and its com as beta, so a graph per part gives the
+    # joint graph's gradients bit for bit
+    cfg, ds, _, _, _ = small_run
+    frames = training._train_motion(ds)
+    codecs, stacks = training.init_stage1(cfg, frames)
+    batch = {p: frames[p][:8] for p in PART_ORDER}
+
+    def quantize(p, z):
+        q = training.rvq_quantize_batch(z.data, stacks[p].stages)[0]
+        return training.straight_through(z, q), q
+
+    total, terms = training.stage1_loss(batch, codecs, quantize, beta)
+    params = [t for p in PART_ORDER for t in codecs[p].parameters()]
+    joint = training.grad(total, params)
+    rec, com, grads = 0.0, 0.0, {}
+    for p in PART_ORDER:
+        rec_p, com_p, grads_p, codes, _ = training._stage1_part(
+            p, batch[p], codecs, stacks[p], beta)
+        rec, com = rec + rec_p, com + com_p
+        grads.update(grads_p)
+        assert codes.shape == (8, cfg.dataset.n_frames // cfg.dataset.downsample,
+                               cfg.codec.depth)
+    assert (rec, com) == (float(terms["rec"].data), float(terms["com"].data))
+    assert list(grads) == params
+    for t in params:
+        assert grads[t].data.tobytes() == joint[t].data.tobytes()
+
+
+def _guard_cfg():
+    return config_from_dict({"seed": 3, "dataset": {"n_clips": 40, "n_frames": 128},
+                             "codec": {"epochs": 1}, "flow": {"epochs": 1, "batch": 32}})
+
+
+def test_stage1_traced_peak_stays_under_14_mib():
+    # one part's graph is alive at a time: the traced peak of this run was
+    # 22.05 MiB with all four parts' graphs alive in every step, and is
+    # 9.35 MiB with one
+    cfg = _guard_cfg()
+    ds = build_dataset(cfg.dataset)
+    tracemalloc.start()
+    try:
+        train_codec(cfg, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 << 20, f"{peak / (1 << 20):.2f} MiB"
 
 
 def test_stage2_traced_peak_stays_under_14_mib():
@@ -156,8 +210,7 @@ def test_stage2_traced_peak_stays_under_14_mib():
     # each node's rule as it passes: the traced peak of this run was
     # 22.03 MiB when the graph held every op output, 15.97 MiB with nodes
     # that hold none, and is 12.04 MiB with rules freed during the sweep
-    cfg = config_from_dict({"seed": 3, "dataset": {"n_clips": 40, "n_frames": 128},
-                            "codec": {"epochs": 1}, "flow": {"epochs": 1, "batch": 32}})
+    cfg = _guard_cfg()
     ds = build_dataset(cfg.dataset)
     codecs, stacks, _ = train_codec(cfg, ds)
     tracemalloc.start()
