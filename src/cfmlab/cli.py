@@ -144,7 +144,8 @@ def cmd_train_generator(args):
 
 def _condition_for(args, cfg, ds):
     """Condition source: a held-out test clip (--clip-id) or a fresh
-    utterance of a class (--class-id). Returns (utterance, condition_id)."""
+    utterance of a class (--class-id). Returns (clip, condition_id), the
+    clip one row of a `Clips` record."""
     if args.clip_id is not None and args.class_id is not None:
         raise ConfigError("--clip-id and --class-id are mutually exclusive")
     if args.class_id is not None:

@@ -5,12 +5,15 @@ planted audio onsets, and feature-space diversity.
 Features come from the frozen stage-1 encoders, so generated and real clips
 are compared in the same space regardless of how the generator was trained.
 
-A split is generated in chunks of whole clips of at most `_CHUNK_ROWS`
-latent rows, one `sample_batch` call each, with each chunk's conditions
-built just before it, one `condition_for_clip` call per clip. The chunk
-pays each per-op cost of the velocity net, TCAM, RVQ and decoders once for
-all its clips, and its frames go straight into one (N, T, J) array per
-part, which the metrics take whole, as they take the stacked real frames.
+A split is a `synthdata.Clips` record of arrays, read as it is: its
+motion arrays are the real frames, its onsets the beat targets, and its
+class ids group the per-class FGD. It is generated in chunks of whole
+clips of at most `_CHUNK_ROWS` latent rows, one `sample_batch` call each,
+with each chunk's conditions built just before it, one
+`condition_for_clip` call per clip. The chunk pays each per-op cost of the
+velocity net, TCAM, RVQ and decoders once for all its clips, and its
+frames go straight into one (N, T, J) array per part, which the metrics
+take whole, as they take the split's real frames.
 Each clip's ODE seed is drawn from the run seed by clip position, and a
 batched draw equals the draw made alone, so a clip's motion depends neither
 on the rest of the split nor on where the chunks fall. `cfmlab generate
@@ -24,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .alignment import project_and_normalize_batch
-from .codec import PART_ORDER
 from .config import ConfigError, config_hash
 from .flow import build_condition_batch
 from .metrics import (
@@ -75,17 +77,18 @@ def condition_for_clip(audio, text, net, heads):
 
 
 def generate_split(cfg, clips, net, heads, stacks, codecs, proj=None):
-    """Part -> (N, T, J) frames of one generated motion per conditioning clip,
-    seeds derived from the run seed so repeated evaluations are bit-identical;
-    each chunk's frames go into arrays allocated at the first chunk."""
+    """Part -> (N, T, J) frames of one generated motion per clip of `clips`
+    (a `Clips` record), seeds derived from the run seed so repeated
+    evaluations are bit-identical; each chunk's frames go into arrays
+    allocated at the first chunk."""
     if not clips:
         raise NumericError("no clips to generate from")
     seeds = _clip_seeds(cfg.seed, len(clips))
-    size = clips_per_chunk(len(clips[0].audio))
+    size = clips_per_chunk(clips.audio.shape[1])
     out = {}
     for i in range(0, len(clips), size):
-        conds = [condition_for_clip(u.audio, u.text, net, heads)
-                 for u in clips[i:i + size]]
+        conds = [condition_for_clip(audio, text, net, heads) for audio, text
+                 in zip(clips.audio[i:i + size], clips.text[i:i + size])]
         odes = [OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme, seed=int(s))
                 for s in seeds[i:i + size]]
         _, _, frames = sample_batch(net, stacks, codecs, conds, odes, proj=proj,
@@ -108,8 +111,8 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
     """
     clips = dataset.splits[split]
     groups = {}
-    for i, u in enumerate(clips):
-        groups.setdefault(u.class_id, []).append(i)
+    for i, c in enumerate(clips.class_id.tolist()):
+        groups.setdefault(c, []).append(i)
     if len(clips) < 4 or min(map(len, groups.values())) < 2:  # per-class FGD needs 2
         raise ConfigError(f"dataset.ratios: {split} split has {len(clips)} clips, "
                           f"need >= 4 and >= 2 of each class to evaluate")
@@ -117,17 +120,13 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
         raise NumericError("evaluation needs a trained velocity net and alignment "
                            "heads (or self_eval)")
     scale = cfg.sacm.scale
-    real = {p: np.stack([u.motion[p].frames for u in clips]) for p in PART_ORDER}
-    real_all = motion_features(real, codecs, scale=scale, provenance="real")
-    if self_eval:
-        gen = real
-    else:
-        del real  # not held while the split is sampled
-        gen = generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
-    gen_all = motion_features(gen, codecs, scale=scale, provenance="generated")
+    real_all = motion_features(clips.motion, codecs, scale=scale)
+    gen = clips.motion if self_eval else generate_split(cfg, clips, net, heads, stacks,
+                                                        codecs, proj=proj)
+    gen_all = motion_features(gen, codecs, scale=scale)
 
-    real_cls = {c: real_all.features[idx] for c, idx in groups.items()}
-    gen_cls = {c: gen_all.features[idx] for c, idx in groups.items()}
+    real_cls = {c: real_all[idx] for c, idx in groups.items()}
+    gen_cls = {c: gen_all[idx] for c, idx in groups.items()}
 
     matched = {c: fgd(real_cls[c], gen_cls[c]) for c in groups}
     cross = []
@@ -139,24 +138,23 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
     fgd_mismatched = float(np.mean(cross)) if cross else None
 
     fps = cfg.dataset.fps
-    bc_values = beat_consistency(extract_kinematic_peaks(gen, fps),
-                                 np.stack([u.onsets for u in clips]),
+    bc_values = beat_consistency(extract_kinematic_peaks(gen, fps), clips.onsets,
                                  cfg.dataset.n_frames / fps, sigma=cfg.metrics.sigma)
 
     report = MetricReport(
         fgd=fgd(real_all, gen_all),
         bc=float(np.mean(bc_values)),
-        diversity=diversity(gen_all.features),
+        diversity=diversity(gen_all),
         config_hash=config_hash(cfg),
-        n_real=real_all.n,
-        n_gen=gen_all.n,
+        n_real=len(real_all),
+        n_gen=len(gen_all),
     )
     details = {
         "fgd_matched": fgd_matched,
         "fgd_mismatched": fgd_mismatched,
         "fgd_by_class": {str(c): matched[c] for c in sorted(matched)},
         "bc_per_clip": bc_values.tolist(),
-        "diversity_real": diversity(real_all.features),
+        "diversity_real": diversity(real_all),
         "split": split,
         "self_eval": bool(self_eval),
     }

@@ -36,7 +36,6 @@ from .codec import encode_part  # noqa: F401
 from .numerics import NumericError, no_grad
 
 __all__ = [
-    "FeatureSet",
     "MetricReport",
     "fgd",
     "extract_kinematic_peaks",
@@ -44,28 +43,6 @@ __all__ = [
     "diversity",
     "motion_features",
 ]
-
-PROVENANCES = ("real", "generated")
-
-
-@dataclass
-class FeatureSet:
-    features: np.ndarray  # (N, d_f)
-    provenance: str = "real"
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise NumericError(f"features must be (N, d_f), got {self.features.shape}")
-        if not np.all(np.isfinite(self.features)):
-            raise NumericError("non-finite feature values")
-        if self.provenance not in PROVENANCES:
-            raise NumericError(f"provenance must be one of {PROVENANCES}")
-
-    @property
-    def n(self):
-        return self.features.shape[0]
-
 
 @dataclass
 class MetricReport:
@@ -99,7 +76,7 @@ class MetricReport:
 # ------------------------------------------------------------------------ fgd
 
 def _as_features(x, min_n=2):
-    feats = x.features if isinstance(x, FeatureSet) else np.asarray(x, dtype=np.float64)
+    feats = np.asarray(x, dtype=np.float64)
     if feats.ndim != 2:
         raise NumericError(f"features must be (N, d_f), got shape {feats.shape}")
     if feats.shape[0] < min_n:
@@ -283,11 +260,11 @@ def diversity(samples):
 
 # ------------------------------------------------------------ feature extractor
 
-def motion_features(parts, codecs, scale=2.0, provenance="real"):
+def motion_features(parts, codecs, scale=2.0):
     """Frozen stage-1 feature space: encode each part of `parts` (part ->
-    (N, T, J) frames), build the composite latent, mean-pool over time; one
-    d_G row per motion."""
+    (N, T, J) frames), build the composite latent, mean-pool over time.
+    Returns the (N, d_G) array, one row per motion."""
     with no_grad():
         latents = {p: encode_part_batch(frames, codecs[p]) for p, frames in parts.items()}
         comp = composite_batch(latents, scale).data
-    return FeatureSet(comp.mean(axis=1), provenance=provenance)
+    return comp.mean(axis=1)

@@ -11,6 +11,14 @@ A dataset is built in one batched pass (`generate_utterances`): each clip
 draws its random numbers from its own seeded stream, so it is the same clip
 whichever batch builds it, and the physics (sway, strokes, the leaky
 integration to positions, audio pulses) is vectorised across clips.
+
+Clips live in one `Clips` record of arrays with a leading clip axis:
+`class_id` and `seed` (N,), `audio` (N, L, d_a), `text` (N, L, d_t),
+`motion` part -> (N, T, J) and `onsets` (N, M) in seconds. An int index
+gives one clip, each field without its clip axis; a slice gives a `Clips`
+of views into the same arrays, so the dataset's splits share the arrays
+of the one batch that built them, and an empty split keeps its trailing
+shapes.
 """
 
 from __future__ import annotations
@@ -24,14 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .codec import PART_JOINTS, PART_ORDER, MotionClip
+from .codec import PART_JOINTS, PART_ORDER
 from .config import STROKE_HALF_WIDTH, DatasetConfig
 from .numerics import NumericError
 
 __all__ = [
     "SPLITS",
     "GestureClass",
-    "SyntheticUtterance",
+    "Clips",
     "DatasetConfig",
     "Dataset",
     "make_gesture_classes",
@@ -74,30 +82,30 @@ class GestureClass:
 
 
 @dataclass
-class SyntheticUtterance:
-    class_id: int
-    audio: np.ndarray    # (L, d_a) latent-rate features
-    text: np.ndarray     # (L, d_t)
-    motion: dict         # part -> MotionClip
-    onsets: np.ndarray   # planted onset times, seconds
-    seed: int
+class Clips:
+    class_id: np.ndarray  # (N,) int64
+    seed: np.ndarray      # (N,) int64
+    audio: np.ndarray     # (N, L, d_a) latent-rate features
+    text: np.ndarray      # (N, L, d_t)
+    motion: dict          # part -> (N, T, J) frames
+    onsets: np.ndarray    # (N, M) planted onset times, seconds
 
-    def __post_init__(self):
-        self.audio = np.asarray(self.audio, dtype=np.float64)
-        self.text = np.asarray(self.text, dtype=np.float64)
-        self.onsets = np.asarray(self.onsets, dtype=np.float64)
-        missing = [p for p in PART_ORDER if p not in self.motion]
-        if missing:
-            raise NumericError(f"utterance missing motion parts: {missing}")
-        if self.onsets.size and np.any(np.diff(self.onsets) <= 0):
-            raise NumericError("planted onsets must be strictly increasing")
+    def __len__(self):
+        return len(self.seed)
+
+    def __getitem__(self, index):
+        """An int gives one clip without the clip axis; a slice, views."""
+        return Clips(class_id=self.class_id[index], seed=self.seed[index],
+                     audio=self.audio[index], text=self.text[index],
+                     motion={p: m[index] for p, m in self.motion.items()},
+                     onsets=self.onsets[index])
 
 
 @dataclass
 class Dataset:
     config: DatasetConfig
     classes: list
-    splits: dict  # split -> list[SyntheticUtterance]
+    splits: dict  # split -> Clips
 
 
 # -------------------------------------------------------------------- classes
@@ -154,7 +162,8 @@ def _plant_onsets(rng, n_frames, n_onsets):
 
 def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
                         downsample=4, n_onsets=4):
-    """Deterministic (seed, class, noise) -> one congruent triple per seed.
+    """Deterministic (seed, class, noise) -> `Clips` of one congruent triple
+    per seed.
 
     Clip b draws every random number from its own `default_rng(seeds[b])`, in
     a fixed order: onsets, then per part its first pose row and its noise,
@@ -170,7 +179,7 @@ def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
         raise NumericError(f"got {len(seeds)} seeds for {len(gclasses)} classes")
     n = len(seeds)
     if n == 0:
-        return []
+        raise NumericError("no seeds to generate clips from")
     bounds = np.cumsum([0] + [PART_JOINTS[p] for p in PART_ORDER])
     cols = {p: slice(bounds[i], bounds[i + 1]) for i, p in enumerate(PART_ORDER)}
     n_latent = n_frames // downsample
@@ -229,11 +238,9 @@ def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
     text += np.stack([g.text_anchor for g in unique])[cls][:, None, :]
     for o in range(n_onsets):
         audio[rows, onsets[:, o] // downsample, -1] += PULSE_AMPLITUDE
-    times_s = onsets / fps
-    return [SyntheticUtterance(
-        class_id=g.id, audio=audio[b], text=text[b],
-        motion={p: MotionClip(p, motion[p][b], fps=fps) for p in PART_ORDER},
-        onsets=times_s[b], seed=int(seeds[b])) for b, g in enumerate(gclasses)]
+    return Clips(class_id=np.array([g.id for g in gclasses], dtype=np.int64),
+                 seed=np.array(seeds, dtype=np.int64), audio=audio, text=text,
+                 motion=motion, onsets=onsets / fps)
 
 
 def generate_utterance(seed, gclass, noise, n_frames=64, fps=15.0,
@@ -274,25 +281,6 @@ def build_dataset(config):
     return Dataset(config=config, classes=classes, splits=splits)
 
 
-def _stack_split(split, clips, cfg):
-    n_latent = cfg.n_frames // cfg.downsample
-
-    def stack(rows, shape):  # an empty split keeps the trailing shape
-        return np.stack(rows) if rows else np.zeros((0,) + shape)
-
-    tensors = {
-        f"data/{split}/class": np.array([u.class_id for u in clips], dtype=np.float64),
-        f"data/{split}/seed": np.array([u.seed for u in clips], dtype=np.float64),
-        f"data/{split}/audio": stack([u.audio for u in clips], (n_latent, cfg.d_audio)),
-        f"data/{split}/text": stack([u.text for u in clips], (n_latent, cfg.d_text)),
-        f"data/{split}/onsets": stack([u.onsets for u in clips], (cfg.n_onsets,)),
-    }
-    for part in PART_ORDER:
-        tensors[f"data/{split}/motion/{part}"] = stack(
-            [u.motion[part].frames for u in clips], (cfg.n_frames, PART_JOINTS[part]))
-    return tensors
-
-
 def save_dataset(dataset, out_dir):
     """Export `dataset` to `out_dir`: a JSON manifest and one tensor file for
     the classes and one per split. The export is write-only: no command
@@ -330,8 +318,13 @@ def save_dataset(dataset, out_dir):
     save_checkpoint(out_dir / "classes.bin", class_tensors)
 
     for split in SPLITS:
-        save_checkpoint(out_dir / f"{split}.bin",
-                        _stack_split(split, dataset.splits[split], cfg))
+        clips = dataset.splits[split]
+        tensors = {f"data/{split}/class": clips.class_id, f"data/{split}/seed": clips.seed,
+                   f"data/{split}/audio": clips.audio, f"data/{split}/text": clips.text,
+                   f"data/{split}/onsets": clips.onsets}
+        for part in PART_ORDER:
+            tensors[f"data/{split}/motion/{part}"] = clips.motion[part]
+        save_checkpoint(out_dir / f"{split}.bin", tensors)  # as float64
     return out_dir
 
 

@@ -154,7 +154,7 @@ def _train_motion(dataset):
     clips = dataset.splits["train"]
     if not clips:
         raise ConfigError("dataset.ratios: train split is empty")
-    return {p: np.stack([u.motion[p].frames for u in clips]) for p in PART_ORDER}
+    return clips.motion
 
 
 def init_stage1(cfg, frames):
@@ -257,28 +257,24 @@ class Stage2Data:
 
 
 def prepare_stage2_data(cfg, dataset, codecs, stacks, split="train"):
-    """Encode every clip with the frozen stage-1 codecs and build composite
-    latents (divided by the configured scale): the continuous encoder outputs
-    are the flow targets, their quantized counterparts supervise the manifold
-    projection."""
+    """Encode every clip of the split with the frozen stage-1 codecs and
+    build composite latents (divided by the configured scale): the
+    continuous encoder outputs are the flow targets, their quantized
+    counterparts supervise the manifold projection. The audio, text and
+    class ids are the split's own arrays, not copies."""
     clips = dataset.splits[split]
     if not clips:
         raise ConfigError(f"dataset.ratios: {split} split is empty")
     continuous, quantized = {}, {}
     with no_grad():
         for p in PART_ORDER:
-            frames = np.stack([u.motion[p].frames for u in clips])
-            z = encode_part_batch(frames, codecs[p]).data
+            z = encode_part_batch(clips.motion[p], codecs[p]).data
             q, _, _ = rvq_quantize_batch(z, stacks[p].stages)
             continuous[p], quantized[p] = z, q
         z1 = composite_batch(continuous, cfg.sacm.scale).data
         z1_quant = composite_batch(quantized, cfg.sacm.scale).data
-    return Stage2Data(
-        z1=z1,
-        z1_quant=z1_quant,
-        audio=np.stack([u.audio for u in clips]),
-        text=np.stack([u.text for u in clips]),
-        class_ids=np.array([u.class_id for u in clips], dtype=np.int64))
+    return Stage2Data(z1=z1, z1_quant=z1_quant, audio=clips.audio, text=clips.text,
+                      class_ids=clips.class_id)
 
 
 def init_stage2(cfg):
@@ -348,6 +344,9 @@ def stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg):
 def train_generator(cfg, dataset, codecs, stacks):
     """Stage 2: frozen codecs; velocity net + alignment heads + projection
     trained jointly. Returns (net, heads, proj, record)."""
+    if cfg.flow.lam > 0.0 and len(dataset.splits["train"]) == 1:
+        raise ConfigError("dataset.ratios: train split has 1 clip, and the contrastive "
+                          "negatives (flow.lam > 0) need 2")
     data = prepare_stage2_data(cfg, dataset, codecs, stacks)
     net, heads, proj = init_stage2(cfg)
     params = (net.parameters() + heads.parameters() + proj.parameters())

@@ -69,6 +69,18 @@ def test_bench_names_resolve(module, attr):
     assert callable(getattr(mod, attr, None)), f"cfmlab.{module}.{attr}"
 
 
+def test_dataset_reads_perfbench_makes():
+    # perfbench/workloads.py sizes its rates by len() of each split and
+    # conditions each draw on a test clip's (L, d_a) audio and (L, d_t) text
+    cfg = config_from_dict({"dataset": {"n_clips": 20, "ratios": [0.5, 0.0, 0.5]}})
+    ds = build_dataset(cfg.dataset)
+    assert [len(ds.splits[s]) for s in ("train", "val", "test")] == [10, 0, 10]
+    test, n_latent = ds.splits["test"], cfg.dataset.n_frames // cfg.dataset.downsample
+    for k in (0, len(test) - 1):
+        assert test[k].audio.shape == (n_latent, cfg.dataset.d_audio)
+        assert test[k].text.shape == (n_latent, cfg.dataset.d_text)
+
+
 # ------------------------------------------------------- span call counts
 # A traced run reads a layer's calls from the spans its wraps record, so a
 # call that moves to a name perfbench does not wrap reads 0 without failing.

@@ -256,6 +256,23 @@ def test_evaluate_on_a_too_small_test_split_exits_2(stage1, tmp_path, capsys, ra
              f"dataset.ratios: test split has {n_test} clips, need >= 4 and >= 2 of each")
 
 
+def test_one_clip_train_split_with_negatives_exits_2(stage1, tmp_path, capsys):
+    # the negatives' derangement needs 2 clips, so stage 2 would skip every
+    # batch and save an untrained generator; without negatives it trains
+    _, ckpt = stage1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY, "flow": {"epochs": 2}, "dataset": {
+        **TINY["dataset"], "n_clips": 12, "ratios": [0.1, 0.45, 0.45]}}))
+    argv = ["train-generator", "--config", str(cfg), "--out", str(tmp_path),
+            "--checkpoint", str(ckpt)]
+    _exits_2(argv, capsys, "dataset.ratios: train split has 1 clip, and the "
+             "contrastive negatives (flow.lam > 0) need 2")
+    assert not (tmp_path / "generator.bin").exists()
+    assert main(argv + ["--lambda", "0"]) == 0
+    record = json.loads((tmp_path / "generator_record.json").read_text())
+    assert all(v > 0.0 for v in record["curves"]["total"])
+
+
 # (tensor, how it is altered, what the error says after the tensor's name);
 # TINY trains d_g = 8, hidden = 64, 16 codes
 MISFIT_STAGE1 = {

@@ -15,7 +15,6 @@ from cfmlab.codec import (
     init_part_codec,
 )
 from cfmlab.metrics import (
-    FeatureSet,
     MetricReport,
     _find_peaks,
     _pair_distances,
@@ -32,14 +31,18 @@ from cfmlab.synthdata import generate_utterance, generate_utterances, make_gestu
 
 # ----------------------------------------------------------------------- types
 
-def test_feature_set_validation():
-    FeatureSet(np.zeros((3, 2)))
-    with pytest.raises(NumericError):
-        FeatureSet(np.zeros(3))
-    with pytest.raises(NumericError):
-        FeatureSet(np.array([[np.nan, 0.0]]))
-    with pytest.raises(NumericError):
-        FeatureSet(np.zeros((2, 2)), provenance="synthetic")
+def test_feature_validation():
+    # fgd and diversity take (N, d_f) arrays and check them themselves
+    ok = np.zeros((3, 2))
+    assert fgd(ok, ok) == 0.0 and diversity(ok) == 0.0
+    for bad, match in ((np.zeros((3, 2, 1)), r"\(N, d_f\)"),
+                       (np.array([[np.nan, 0.0], [0.0, 0.0]]), "non-finite")):
+        with pytest.raises(NumericError, match=match):
+            fgd(bad, ok)
+        with pytest.raises(NumericError, match=match):
+            fgd(ok, bad)
+        with pytest.raises(NumericError, match=match):
+            diversity(bad)
 
 
 def test_onset_track_validation():
@@ -300,8 +303,8 @@ def test_peak_finder_matches_scipy_on_generated_speed():
     for seed in range(24):
         u = generate_utterance(seed, classes[seed % 3], noise=(0.0, 0.05, 0.3)[seed % 3])
         speed = np.zeros(63)
-        for clip in u.motion.values():
-            speed += np.linalg.norm(np.diff(clip.frames, axis=0), axis=1)
+        for frames in u.motion.values():
+            speed += np.linalg.norm(np.diff(frames, axis=0), axis=1)
         for height in (speed.mean() + 0.5 * speed.std(), -np.inf):
             for distance in DISTANCES:
                 _assert_finder_matches_scipy(speed, height, distance)
@@ -452,9 +455,7 @@ def test_batched_peaks_and_bc_match_the_per_clip_chain_on_512_frame_rows():
     for noise in (0.0, 0.3):
         utts = generate_utterances(np.arange(12) + int(100 * noise), classes * 4, noise,
                                    n_frames=512, n_onsets=32)
-        parts = {p: np.stack([u.motion[p].frames for u in utts]) for p in PART_ORDER}
-        onsets = np.stack([u.onsets for u in utts])
-        counts, _ = _assert_batch_matches_reference(parts, onsets, 512 / FPS)
+        counts, _ = _assert_batch_matches_reference(utts.motion, utts.onsets, 512 / FPS)
         assert counts.min() > 8
         assert len(set(counts.tolist())) > (1 if noise else 0)  # several counts
 
@@ -463,7 +464,7 @@ def test_batched_peaks_and_bc_match_the_per_clip_chain_on_512_frame_rows():
 
 def test_diversity_identical_samples_is_zero():
     feats = np.tile([1.0, 2.0, 3.0], (6, 1))
-    assert diversity(FeatureSet(feats)) == 0.0
+    assert diversity(feats) == 0.0
 
 
 def test_diversity_two_samples_is_their_distance():
@@ -523,21 +524,20 @@ def test_motion_features_match_manual_pipeline():
                       for p in PART_ORDER})
     parts = {p: np.stack([c[p].frames for c in clips]) for p in PART_ORDER}
     feats = motion_features(parts, codecs, scale=2.0)
-    assert feats.features.shape == (6, 12)
-    for row, clip in zip(feats.features, clips):
+    assert feats.shape == (6, 12)
+    for row, clip in zip(feats, clips):
         latents = [encode_part(clip[p], codecs[p]).sequence for p in PART_ORDER]
         manual = (np.concatenate(latents, axis=1) * (1.0 / 2.0)).mean(axis=0)
         assert row.tobytes() == manual.tobytes()
 
 
-def test_motion_features_deterministic_and_tagged():
+def test_motion_features_deterministic():
     rng = np.random.default_rng(9)
     codecs = {p: init_part_codec(rng, p, downsample=4, d_g=2) for p in PART_ORDER}
     parts = {p: np.ones((2, 8, PART_JOINTS[p])) for p in PART_ORDER}
-    a = motion_features(parts, codecs, provenance="generated")
-    b = motion_features(parts, codecs, provenance="generated")
-    assert np.array_equal(a.features, b.features)
-    assert a.provenance == "generated"
+    a = motion_features(parts, codecs)
+    b = motion_features(parts, codecs)
+    assert a.shape == (2, 8) and np.array_equal(a, b)
 
 
 def test_motion_features_missing_part_rejected():

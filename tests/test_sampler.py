@@ -640,7 +640,7 @@ def test_generate_split_default_budget_takes_32_clips_of_16_rows(monkeypatch):
     cfg, clips, codecs, stacks, net, heads, proj = _split_setup("euler", n_frames=64)
     assert len(clips[0].audio) == 16
     sizes = _count_chunks(monkeypatch, evaluate)
-    clips = [clips[k % len(clips)] for k in range(40)]
+    clips = clips[np.arange(40) % len(clips)]
     generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
     assert sizes == [32, 8]
 
@@ -664,7 +664,7 @@ def _reference_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval)
     array tail replaced: each clip drawn alone, its features from the
     single-clip encoder pipeline, its peaks and beat consistency one clip
     at a time."""
-    real = [{p: u.motion[p].frames for p in PART_ORDER} for u in clips]
+    real = [{p: u.motion[p] for p in PART_ORDER} for u in clips]
     gen = real
     if not self_eval:
         seeds = evaluate._clip_seeds(cfg.seed, len(clips))

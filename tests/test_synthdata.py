@@ -7,15 +7,15 @@ import pytest
 from cfmlab import synthdata
 from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
-from cfmlab.codec import PART_JOINTS, PART_ORDER, MotionClip, init_part_codec
+from cfmlab.codec import PART_JOINTS, PART_ORDER, init_part_codec
 from cfmlab.config import ConfigError, load_config
 from cfmlab.metrics import beat_consistency, extract_kinematic_peaks, fgd, motion_features
 from cfmlab.numerics import NumericError
 from cfmlab.synthdata import (
+    Clips,
     DatasetConfig,
     GestureClass,
     build_dataset,
-    SyntheticUtterance,
     generate_utterance,
     generate_utterances,
     make_gesture_classes,
@@ -68,7 +68,7 @@ def test_utterance_deterministic_per_seed():
     assert np.array_equal(a.text, b.text)
     assert np.array_equal(a.onsets, b.onsets)
     for p in PART_ORDER:
-        assert np.array_equal(a.motion[p].frames, b.motion[p].frames)
+        assert np.array_equal(a.motion[p], b.motion[p])
 
 
 def test_utterance_shapes():
@@ -77,13 +77,13 @@ def test_utterance_shapes():
     assert u.audio.shape == (16, 16)
     assert u.text.shape == (16, 16)
     for p in PART_ORDER:
-        assert u.motion[p].frames.shape == (64, PART_JOINTS[p])
+        assert u.motion[p].shape == (64, PART_JOINTS[p])
     assert u.onsets.shape == (4,)
 
 
 def _as_batch(motions):
-    """Part -> (N, T, J) frames of N part -> MotionClip motions."""
-    return {p: np.stack([m[p].frames for m in motions]) for p in PART_ORDER}
+    """Part -> (N, T, J) frames of N part -> (T, J) motions."""
+    return {p: np.stack([m[p] for m in motions]) for p in PART_ORDER}
 
 
 def test_noise_zero_peaks_within_two_frames_of_onsets():
@@ -195,7 +195,7 @@ def _reference_utterance(seed, gclass, noise, n_frames=64, fps=15.0,
         for t in range(1, n_frames):
             frames[t] = synthdata.POSITION_DECAY * frames[t - 1] + vel[t - 1]
         frames += noise * rng.standard_normal((n_frames, j))
-        motion[part] = MotionClip(part, frames, fps=fps)
+        motion[part] = frames
     n_latent = n_frames // downsample
     audio = np.tile(gclass.audio_anchor, (n_latent, 1))
     text = np.tile(gclass.text_anchor, (n_latent, 1))
@@ -203,8 +203,18 @@ def _reference_utterance(seed, gclass, noise, n_frames=64, fps=15.0,
     text += noise * rng.standard_normal(text.shape)
     for f in onset_frames:
         audio[f // downsample, -1] += synthdata.PULSE_AMPLITUDE
-    return SyntheticUtterance(class_id=gclass.id, audio=audio, text=text, motion=motion,
-                              onsets=onset_frames / fps, seed=int(seed))
+    return Clips(class_id=gclass.id, seed=int(seed), audio=audio, text=text, motion=motion,
+                 onsets=onset_frames / fps)
+
+
+def _stack_clips(rows):
+    """One Clips record of per-clip rows, each field stacked on a clip axis."""
+    return Clips(class_id=np.array([u.class_id for u in rows]),
+                 seed=np.array([u.seed for u in rows]),
+                 audio=np.stack([u.audio for u in rows]),
+                 text=np.stack([u.text for u in rows]),
+                 motion={p: np.stack([u.motion[p] for u in rows]) for p in PART_ORDER},
+                 onsets=np.stack([u.onsets for u in rows]))
 
 
 def _assert_same_utterance(a, b):
@@ -213,9 +223,8 @@ def _assert_same_utterance(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
     for p in PART_ORDER:
-        x, y = a.motion[p].frames, b.motion[p].frames
+        x, y = a.motion[p], b.motion[p]
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), p
-        assert a.motion[p].fps == b.motion[p].fps
 
 
 @pytest.mark.parametrize("noise, dims", [
@@ -256,7 +265,8 @@ def test_single_utterance_is_its_row_of_a_batch():
 
 def test_batched_utterances_validate_inputs():
     c = _one_class()
-    assert generate_utterances([], [], 0.05) == []
+    with pytest.raises(NumericError, match="no seeds"):
+        generate_utterances([], [], 0.05)
     with pytest.raises(NumericError, match="noise"):
         generate_utterances([0, 1], [c, c], noise=-0.1)
     with pytest.raises(NumericError, match="2 seeds for 1 classes"):
@@ -276,7 +286,8 @@ def test_saved_dataset_matches_reference_loop(tmp_path):
     sizes = [len(ds.splits[s]) for s in synthdata.SPLITS]
     bounds = np.cumsum([0] + sizes)
     reference = synthdata.Dataset(config=cfg, classes=classes, splits={
-        s: clips[bounds[i]:bounds[i + 1]] for i, s in enumerate(synthdata.SPLITS)})
+        s: _stack_clips(clips[bounds[i]:bounds[i + 1]])
+        for i, s in enumerate(synthdata.SPLITS)})
     save_dataset(ds, tmp_path / "batched")
     save_dataset(reference, tmp_path / "reference")
     for name in ("manifest.json", "classes.bin", "train.bin", "val.bin", "test.bin"):
@@ -316,7 +327,37 @@ def test_dataset_rebuild_is_identical():
             assert ua.class_id == ub.class_id
             assert np.array_equal(ua.audio, ub.audio)
             for p in PART_ORDER:
-                assert np.array_equal(ua.motion[p].frames, ub.motion[p].frames)
+                assert np.array_equal(ua.motion[p], ub.motion[p])
+
+
+def test_split_row_is_row_k_of_every_field():
+    ds = build_dataset(DatasetConfig(n_clips=24, seed=3))
+    for split, clips in ds.splits.items():
+        assert len(clips) == len(clips.class_id) > 0
+        for k in (0, len(clips) - 1):
+            row = clips[k]
+            assert row.class_id == clips.class_id[k] and row.seed == clips.seed[k]
+            for name in ("audio", "text", "onsets"):
+                assert np.array_equal(getattr(row, name), getattr(clips, name)[k]), name
+            assert list(row.motion) == list(PART_ORDER)
+            for p in PART_ORDER:
+                assert np.array_equal(row.motion[p], clips.motion[p][k]), p
+
+
+def test_split_slice_shares_memory_with_its_parent():
+    c = _one_class()
+    batch = generate_utterances(list(range(6)), [c] * 6, 0.05)
+    part = batch[2:5]
+    assert isinstance(part, Clips) and len(part) == 3
+    for name in ("class_id", "seed", "audio", "text", "onsets"):
+        assert np.shares_memory(getattr(part, name), getattr(batch, name)), name
+        assert np.array_equal(getattr(part, name), getattr(batch, name)[2:5]), name
+    for p in PART_ORDER:
+        assert np.shares_memory(part.motion[p], batch.motion[p]), p
+    # an empty slice keeps the trailing shapes
+    empty = batch[3:3]
+    assert len(empty) == 0 and empty.audio.shape == (0,) + batch.audio.shape[1:]
+    assert empty.motion["hand"].shape == (0, 64, PART_JOINTS["hand"])
 
 
 def test_dataset_files_byte_identical(tmp_path):
@@ -344,7 +385,7 @@ def _assert_export_matches(out_dir, ds):
             for key in ("audio", "text", "onsets"):
                 assert np.array_equal(t[f"data/{split}/{key}"][i], getattr(u, key))
             for p in PART_ORDER:
-                assert np.array_equal(t[f"data/{split}/motion/{p}"][i], u.motion[p].frames)
+                assert np.array_equal(t[f"data/{split}/motion/{p}"][i], u.motion[p])
     ct = load_checkpoint(out_dir / "classes.bin")
     for c in ds.classes:
         assert np.array_equal(ct["classes/text_anchor"][c.id], c.text_anchor)
@@ -362,7 +403,7 @@ def test_make_data_with_an_empty_split_roundtrips(tmp_path):
     assert tensors["data/val/audio"].shape == (0, 16, 16)
     assert tensors["data/val/motion/hand"].shape == (0, 64, PART_JOINTS["hand"])
     ds = build_dataset(load_config(cfg).dataset)
-    assert ds.splits["val"] == []
+    assert len(ds.splits["val"]) == 0
     assert [len(ds.splits[s]) for s in ("train", "test")] == [10, 10]
     _assert_export_matches(tmp_path / "d", ds)
 
