@@ -42,7 +42,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .evaluate import clips_per_chunk, condition_for_clip, evaluate_run
+from .evaluate import condition_for_clip, evaluate_run
 from .numerics import NumericError, Tape, Tensor, no_grad
 from .numerics.gradcheck import check_gradients
 from .numerics.tensor import inject_backward_fault
@@ -52,7 +52,7 @@ from .sampler import (
     write_motion_csv,
     write_sidecar,
 )
-from .synthdata import build_dataset, generate_utterance, save_dataset
+from .synthdata import build_dataset, clips_per_chunk, generate_utterance, save_dataset
 from .training import (
     Stage2Data,
     check_codec_dims,
@@ -225,7 +225,7 @@ def _gradcheck_suite():
     frames = {"face": rng.standard_normal((2, 8, 16))}
     with no_grad():
         z_init = encode_part_batch(frames["face"], codec).data
-    q0, _, _ = rvq_quantize_batch(z_init, stack.stages)
+    q0, _ = rvq_quantize_batch(z_init, stack.stages)
 
     def stage1():
         return stage1_loss(frames, {"face": codec},

@@ -292,14 +292,13 @@ def _check_stack(stack, d):
 def rvq_quantize_batch(z, stages, return_stage_inputs=False):
     """Greedy residual VQ over a stack of stage codebooks.
 
-    z: (..., d) array. Returns (quantized, codes (..., depth),
-    residual norms after each stage (..., depth)[, stage inputs]).
+    z: (..., d) array. Returns (quantized, codes (..., depth)[, the
+    residual each stage took]).
     """
     z = np.asarray(z, dtype=np.float64)
     residual = z.copy()
     quantized = np.zeros_like(z)
     codes = np.empty(z.shape[:-1] + (len(stages),), dtype=np.int64)
-    norms = np.empty(z.shape[:-1] + (len(stages),), dtype=np.float64)
     stage_inputs = []
     for s, book in enumerate(stages):
         if return_stage_inputs:
@@ -314,17 +313,16 @@ def rvq_quantize_batch(z, stages, return_stage_inputs=False):
         quantized += chosen
         residual -= chosen
         codes[..., s] = idx
-        norms[..., s] = np.linalg.norm(residual, axis=-1)
     if return_stage_inputs:
-        return quantized, codes, norms, stage_inputs
-    return quantized, codes, norms
+        return quantized, codes, stage_inputs
+    return quantized, codes
 
 
 # stays only for sampler.quantize_regions, which perfbench wraps
 def rvq_quantize(latent, stack):
     _check_stack(stack, latent.sequence.shape[1])
-    q, codes, norms = rvq_quantize_batch(latent.sequence, stack.stages)
-    return PartLatent(latent.part, q), CodeSequence(latent.part, codes), norms
+    q, codes = rvq_quantize_batch(latent.sequence, stack.stages)
+    return PartLatent(latent.part, q), CodeSequence(latent.part, codes)
 
 
 def rvq_dequantize_batch(codes, stages):

@@ -7,17 +7,18 @@ are compared in the same space regardless of how the generator was trained.
 
 A split is a `synthdata.Clips` record of arrays, read as it is: its
 motion arrays are the real frames, its onsets the beat targets, and its
-class ids group the per-class FGD. It is generated in chunks of whole
-clips of at most `_CHUNK_ROWS` latent rows, one `sample_batch` call each,
-with each chunk's conditions built just before it, one
+class ids group the per-class FGD. `evaluate_run` walks it in the chunks
+of `Clips.chunks` (whole clips of at most `synthdata._CHUNK_ROWS` latent
+rows). Each chunk is generated in one `sample_batch` call
+(`generate_split`), with its conditions built just before it, one
 `condition_for_clip` call per clip. The chunk pays each per-op cost of the
-velocity net, TCAM, RVQ and decoders once for all its clips, and its
-frames go straight into one (N, T, J) array per part, which the metrics
-take whole, as they take the split's real frames.
+velocity net, TCAM, RVQ and decoders once for all its clips. Its generated
+and real frames go straight to features and kinematic peaks, so the run
+holds the per-clip features and beat scores, never a generated split.
 Each clip's ODE seed is drawn from the run seed by clip position, and a
 batched draw equals the draw made alone, so a clip's motion depends neither
 on the rest of the split nor on where the chunks fall. `cfmlab generate
---count` draws in chunks of the same budget (`clips_per_chunk`). The
+--count` draws in chunks of the same budget (`synthdata.clips_per_chunk`). The
 conditions stay per clip while the benchmark clocks its calibration kernel
 on `condition_for_clip` calls (ROADMAP item 1).
 """
@@ -40,28 +41,14 @@ from .metrics import (
 from .numerics import NumericError, no_grad
 from .sampler import OdeConfig, sample_batch
 
-__all__ = ["clips_per_chunk", "condition_for_clip", "generate_split", "evaluate_run"]
+__all__ = ["condition_for_clip", "generate_split", "evaluate_run"]
 
 _ODE_SEED_TAG = 4  # distinct from the stage-1/stage-2 training rng streams
-
-# Latent rows (clips x latent frames) per sampling call. Scoring a
-# 512-clip split of 16-row clips at default dims, one BLAS thread on a
-# 2-vCPU Xeon, ran at 317-404 clips/s with 32 rows, 514-613 with 128 and
-# 718-723 with 512. The whole split (8192 rows) bought nothing more,
-# 647-652 clips/s, and held about 6 MB more at peak, since a chunk's
-# arrays grow with its rows; so the budget is a fixed chunk, not a split.
-_CHUNK_ROWS = 512
 
 
 def _clip_seeds(seed, n):
     return np.random.default_rng([int(seed), _ODE_SEED_TAG]).integers(
         0, 2**31, size=n)
-
-
-def clips_per_chunk(rows):
-    """Clips of `rows` latent rows each that one sampling call takes: as
-    many as fit in `_CHUNK_ROWS`, and at least one."""
-    return max(1, _CHUNK_ROWS // rows)
 
 
 def condition_for_clip(audio, text, net, heads):
@@ -76,28 +63,18 @@ def condition_for_clip(audio, text, net, heads):
         return build_condition_batch(a, t, net).data
 
 
-def generate_split(cfg, clips, net, heads, stacks, codecs, proj=None):
-    """Part -> (N, T, J) frames of one generated motion per clip of `clips`
-    (a `Clips` record), seeds derived from the run seed so repeated
-    evaluations are bit-identical; each chunk's frames go into arrays
-    allocated at the first chunk."""
+def generate_split(cfg, clips, seeds, net, heads, stacks, codecs, proj=None):
+    """Part -> (n, T, J) frames of one generated motion per clip of `clips`
+    (a `Clips` record), in one `sample_batch` call; `seeds` are the clips'
+    ODE seeds."""
     if not clips:
         raise NumericError("no clips to generate from")
-    seeds = _clip_seeds(cfg.seed, len(clips))
-    size = clips_per_chunk(clips.audio.shape[1])
-    out = {}
-    for i in range(0, len(clips), size):
-        conds = [condition_for_clip(audio, text, net, heads) for audio, text
-                 in zip(clips.audio[i:i + size], clips.text[i:i + size])]
-        odes = [OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme, seed=int(s))
-                for s in seeds[i:i + size]]
-        _, _, frames = sample_batch(net, stacks, codecs, conds, odes, proj=proj,
-                                    scale=cfg.sacm.scale)
-        for part, chunk in frames.items():
-            if part not in out:
-                out[part] = np.empty((len(clips),) + chunk.shape[1:])
-            out[part][i:i + len(chunk)] = chunk
-    return out
+    conds = [condition_for_clip(audio, text, net, heads)
+             for audio, text in zip(clips.audio, clips.text)]
+    odes = [OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme, seed=int(s))
+            for s in seeds]
+    return sample_batch(net, stacks, codecs, conds, odes, proj=proj,
+                        scale=cfg.sacm.scale)[2]
 
 
 def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
@@ -119,11 +96,25 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
     if not self_eval and (net is None or heads is None):
         raise NumericError("evaluation needs a trained velocity net and alignment "
                            "heads (or self_eval)")
-    scale = cfg.sacm.scale
-    real_all = motion_features(clips.motion, codecs, scale=scale)
-    gen = clips.motion if self_eval else generate_split(cfg, clips, net, heads, stacks,
-                                                        codecs, proj=proj)
-    gen_all = motion_features(gen, codecs, scale=scale)
+    scale, fps = cfg.sacm.scale, cfg.dataset.fps
+    # drawn from the run seed by clip position, so repeated evaluations
+    # are bit-identical
+    seeds = _clip_seeds(cfg.seed, len(clips))
+    real_all, gen_all, bc_values = [], [], []
+    for start, chunk in clips.chunks():
+        real = motion_features(chunk.motion, codecs, scale=scale)
+        if self_eval:
+            gen, feats = chunk.motion, real
+        else:
+            gen = generate_split(cfg, chunk, seeds[start:start + len(chunk)], net, heads,
+                                 stacks, codecs, proj=proj)
+            feats = motion_features(gen, codecs, scale=scale)
+        real_all.append(real)
+        gen_all.append(feats)
+        bc_values.append(beat_consistency(
+            extract_kinematic_peaks(gen, fps), chunk.onsets, cfg.dataset.n_frames / fps,
+            sigma=cfg.metrics.sigma))
+    real_all, gen_all, bc_values = map(np.concatenate, (real_all, gen_all, bc_values))
 
     real_cls = {c: real_all[idx] for c, idx in groups.items()}
     gen_cls = {c: gen_all[idx] for c, idx in groups.items()}
@@ -136,10 +127,6 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
                 cross.append(fgd(real_cls[c2], gen_cls[c]))
     fgd_matched = float(np.mean(list(matched.values())))
     fgd_mismatched = float(np.mean(cross)) if cross else None
-
-    fps = cfg.dataset.fps
-    bc_values = beat_consistency(extract_kinematic_peaks(gen, fps), clips.onsets,
-                                 cfg.dataset.n_frames / fps, sigma=cfg.metrics.sigma)
 
     report = MetricReport(
         fgd=fgd(real_all, gen_all),

@@ -6,6 +6,11 @@ parts are encoded, concatenated into the composite latent and mean-pooled
 over time, so real and generated motion are compared in the same space the
 generator is trained to hit.
 
+Features, kinematic peaks and beat consistency work row by row, so
+`evaluate.evaluate_run` takes them one chunk of clips at a time, and only
+the per-clip features and beat scores outlive a chunk. FGD and diversity
+need every feature row at once, and take the whole split's (N, d_G).
+
 Beat consistency works on all N rows at once but for the peak search, which
 runs per row since its distance pruning is sequential: a small numpy finder
 with the semantics of `scipy.signal.find_peaks(x, height=h, distance=d)`.

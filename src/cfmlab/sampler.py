@@ -17,9 +17,10 @@ latent side.
 z0 drawn from its own config's seed, and returns arrays: z1, and per part
 the codes and the (B, T, J) frames. A fixed-step solve has no per-sample
 control flow and every op works row by row, so a row is bit-identical
-whether it is drawn alone or in a batch. Evaluation keeps the arrays
-(`evaluate.generate_split`); `generate_batch` packages each row as a
-`GeneratedMotion` for the CSV writers, and `generate` is its B = 1 call.
+whether it is drawn alone or in a batch. Evaluation keeps the arrays of
+each chunk of clips (`evaluate.generate_split`); `generate_batch`
+packages each row as a `GeneratedMotion` for the CSV writers, and
+`generate` is its B = 1 call.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def quantize_regions(parts, stacks):
             raise NumericError(f"missing part {part!r} in region latents")
         if part not in stacks:
             raise NumericError(f"missing codebook stack for part {part!r}")
-        _, codes, _ = rvq_quantize(parts[part], stacks[part])
+        _, codes = rvq_quantize(parts[part], stacks[part])
         out[part] = codes
     return out
 
@@ -213,7 +214,7 @@ def sample_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0):
             stages = stacks[part].stages
             if any(book.shape[-1] != width for book in stages):
                 raise NumericError(f"codebooks of part {part!r} do not match d_g {width}")
-            _, codes[part], _ = rvq_quantize_batch(
+            _, codes[part] = rvq_quantize_batch(
                 z1[..., offset:offset + width] * scale, stages)
             frames[part] = decode_part_batch(rvq_dequantize_batch(codes[part], stages),
                                              decoders[part]).data

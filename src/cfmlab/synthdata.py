@@ -10,7 +10,9 @@ their last channel, which is what ties generated motion back to the beat.
 A dataset is built in one batched pass (`generate_utterances`): each clip
 draws its random numbers from its own seeded stream, so it is the same clip
 whichever batch builds it, and the physics (sway, strokes, the leaky
-integration to positions, audio pulses) is vectorised across clips.
+integration to positions) is vectorised across a block of clips, one block
+at a time, straight into the returned arrays, so the build holds the
+dataset and one block's velocity buffer, not a second copy of the motion.
 
 Clips live in one `Clips` record of arrays with a leading clip axis:
 `class_id` and `seed` (N,), `audio` (N, L, d_a), `text` (N, L, d_t),
@@ -18,7 +20,9 @@ Clips live in one `Clips` record of arrays with a leading clip axis:
 gives one clip, each field without its clip axis; a slice gives a `Clips`
 of views into the same arrays, so the dataset's splits share the arrays
 of the one batch that built them, and an empty split keeps its trailing
-shapes.
+shapes. `Clips.chunks` walks a split in views of `clips_per_chunk` clips:
+stage-2 preparation and evaluation run over it, so each holds one chunk's
+intermediates, not the whole split's.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "SPLITS",
     "GestureClass",
     "Clips",
+    "clips_per_chunk",
     "DatasetConfig",
     "Dataset",
     "make_gesture_classes",
@@ -59,6 +64,28 @@ STROKE_AMPLITUDE = 2.0
 BASE_SWAY_AMPLITUDE = 0.3
 PULSE_AMPLITUDE = 1.5   # onset marker on the last audio channel
 POSITION_DECAY = 0.95   # per-frame relaxation toward the rest pose
+
+# Clips whose physics `generate_utterances` runs at once. With one BLAS
+# thread on a 2-vCPU Xeon, the fastest of 7 builds of 512 clips of 64
+# frames took 89, 72, 68, 63 and 62 ms with blocks of 4, 8, 16, 32 and 64
+# clips, and of 160 clips of 512 frames 202, 159, 132, 124 and 127 ms,
+# against at best 75 and 150 ms with one buffer for every clip. A block's
+# buffer holds 32 x 512 frames x 60 joints (7.9 MB) at 512 frames.
+_BLOCK_CLIPS = 32
+
+# Latent rows (clips x latent frames) per chunk of a whole-split pass.
+# Scoring a 512-clip split of 16-row clips at default dims, one BLAS thread
+# on a 2-vCPU Xeon, ran at 317-404 clips/s with 32 rows, 514-613 with 128
+# and 718-723 with 512. The whole split (8192 rows) bought nothing more,
+# 647-652 clips/s, and held about 6 MB more at peak, since a chunk's
+# arrays grow with its rows; so the budget is a fixed chunk, not a split.
+_CHUNK_ROWS = 512
+
+
+def clips_per_chunk(rows):
+    """Clips of `rows` latent rows each that one chunk takes: as many as
+    fit in `_CHUNK_ROWS`, and at least one."""
+    return max(1, _CHUNK_ROWS // rows)
 
 
 @dataclass
@@ -99,6 +126,12 @@ class Clips:
                      audio=self.audio[index], text=self.text[index],
                      motion={p: m[index] for p, m in self.motion.items()},
                      onsets=self.onsets[index])
+
+    def chunks(self):
+        """(start, view) of consecutive clips, `clips_per_chunk` at a time."""
+        size = clips_per_chunk(self.audio.shape[1])
+        for start in range(0, len(self), size):
+            yield start, self[start:start + size]
 
 
 @dataclass
@@ -168,7 +201,8 @@ def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
     Clip b draws every random number from its own `default_rng(seeds[b])`, in
     a fixed order: onsets, then per part its first pose row and its noise,
     then audio noise, then text noise. So a clip does not depend on the
-    batch it is built in. The physics then runs across all clips at once.
+    batch it is built in. The physics then runs across a block of
+    `_BLOCK_CLIPS` clips at a time, straight into the returned arrays.
     Strokes are planted in velocity space so the summed joint-speed apex
     lands exactly on each onset frame; audio features carry a pulse on their
     last channel at the matching latent step.
@@ -182,23 +216,7 @@ def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
         raise NumericError("no seeds to generate clips from")
     bounds = np.cumsum([0] + [PART_JOINTS[p] for p in PART_ORDER])
     cols = {p: slice(bounds[i], bounds[i + 1]) for i, p in enumerate(PART_ORDER)}
-    n_latent = n_frames // downsample
-
-    onsets = np.empty((n, n_onsets), dtype=np.int64)
-    # frames[:, t + 1] holds the velocity of step t until the leaky
-    # integration below turns it into a position
-    frames = np.empty((n, n_frames, bounds[-1]))
-    motion = {p: np.empty((n, n_frames, PART_JOINTS[p])) for p in PART_ORDER}
-    audio = np.empty((n, n_latent, gclasses[0].audio_anchor.shape[0]))
-    text = np.empty((n, n_latent, gclasses[0].text_anchor.shape[0]))
-    for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        onsets[b] = _plant_onsets(rng, n_frames, n_onsets)
-        for part in PART_ORDER:
-            frames[b, 0, cols[part]] = 0.2 * rng.standard_normal(PART_JOINTS[part])
-            motion[part][b] = rng.standard_normal((n_frames, PART_JOINTS[part]))
-        audio[b] = rng.standard_normal((n_latent, audio.shape[2]))
-        text[b] = rng.standard_normal((n_latent, text.shape[2]))
+    width, n_latent = bounds[-1], n_frames // downsample
 
     unique = list({id(g): g for g in gclasses}.values())
     index = {id(g): c for c, g in enumerate(unique)}
@@ -206,36 +224,63 @@ def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
     times = np.arange(n_frames - 1, dtype=np.float64) / fps
     offsets = range(-STROKE_HALF_WIDTH, STROKE_HALF_WIDTH + 1)
     bumps = [0.5 * (1.0 + math.cos(math.pi * k / STROKE_HALF_WIDTH)) for k in offsets]
-    strokes = np.empty((len(unique), len(bumps), bounds[-1]))
+    # per class, the sway velocity of every step and the velocity of every
+    # stroke offset; every stroke of a class pushes along that class's
+    # signature direction, so repeated beats read as the same gesture
+    sway = np.empty((n_frames - 1, len(unique), width))
+    strokes = np.empty((len(unique), len(bumps), width))
     for c, g in enumerate(unique):
-        mine = cls == c
         for part in PART_ORDER:
             j = PART_JOINTS[part]
-            frames[mine, 1:, cols[part]] = (BASE_SWAY_AMPLITUDE / math.sqrt(j)) * np.sin(
+            sway[:, c, cols[part]] = (BASE_SWAY_AMPLITUDE / math.sqrt(j)) * np.sin(
                 2.0 * math.pi * g.freqs[part] * times[:, None] + g.phases[part][None, :])
-            # every stroke of a class pushes along that class's signature
-            # direction, so repeated beats read as the same gesture
             for i, bump in enumerate(bumps):
                 strokes[c, i, cols[part]] = (STROKE_AMPLITUDE * g.part_weights[part]
                                              * bump * g.stroke_dirs[part])
-    # (onset, offset) order keeps the sums of overlapping strokes in the
-    # order of a per-clip loop; _plant_onsets keeps every stroke in the clip
-    rows = np.arange(n)
-    for o in range(n_onsets):
-        for i, k in enumerate(offsets):
-            frames[rows, onsets[:, o] + k + 1] += strokes[cls, i]
-    # leaky integration: joints relax toward rest between strokes instead
-    # of drifting without bound
-    for t in range(1, n_frames):
-        frames[:, t] += POSITION_DECAY * frames[:, t - 1]
-    for part in PART_ORDER:
-        motion[part] *= noise
-        motion[part] += frames[:, :, cols[part]]
+
+    onsets = np.empty((n, n_onsets), dtype=np.int64)
+    motion = {p: np.empty((n, n_frames, PART_JOINTS[p])) for p in PART_ORDER}
+    audio = np.empty((n, n_latent, gclasses[0].audio_anchor.shape[0]))
+    text = np.empty((n, n_latent, gclasses[0].text_anchor.shape[0]))
+    # every block's frames are a prefix of one buffer, so no two blocks'
+    # buffers are ever alive at once
+    buffer = np.empty(n_frames * min(n, _BLOCK_CLIPS) * width)
+    for start in range(0, n, _BLOCK_CLIPS):
+        stop = min(start + _BLOCK_CLIPS, n)
+        # frames[t + 1, b] holds the velocity of step t until the leaky
+        # integration below turns it into a position
+        frames = buffer[:n_frames * (stop - start) * width].reshape(
+            n_frames, stop - start, width)
+        for b in range(start, stop):
+            rng = np.random.default_rng(seeds[b])
+            onsets[b] = _plant_onsets(rng, n_frames, n_onsets)
+            for part in PART_ORDER:
+                frames[0, b - start, cols[part]] = 0.2 * rng.standard_normal(
+                    PART_JOINTS[part])
+                rng.standard_normal(out=motion[part][b])
+            rng.standard_normal(out=audio[b])
+            rng.standard_normal(out=text[b])
+        np.take(sway, cls[start:stop], axis=1, out=frames[1:], mode="clip")
+        # (onset, offset) order keeps the sums of overlapping strokes in the
+        # order of a per-clip loop; _plant_onsets keeps every stroke in the clip
+        rows = np.arange(stop - start)
+        for o in range(n_onsets):
+            for i, k in enumerate(offsets):
+                frames[onsets[start:stop, o] + k + 1, rows] += strokes[cls[start:stop], i]
+        # leaky integration: joints relax toward rest between strokes instead
+        # of drifting without bound
+        for t in range(1, n_frames):
+            frames[t] += POSITION_DECAY * frames[t - 1]
+        for part in PART_ORDER:
+            block = motion[part][start:stop]
+            block *= noise
+            block += frames[:, :, cols[part]].transpose(1, 0, 2)
 
     audio *= noise
     audio += np.stack([g.audio_anchor for g in unique])[cls][:, None, :]
     text *= noise
     text += np.stack([g.text_anchor for g in unique])[cls][:, None, :]
+    rows = np.arange(n)
     for o in range(n_onsets):
         audio[rows, onsets[:, o] // downsample, -1] += PULSE_AMPLITUDE
     return Clips(class_id=np.array([g.id for g in gclasses], dtype=np.int64),

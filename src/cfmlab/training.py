@@ -15,6 +15,10 @@ toward another clip, of another class where the batch allows
 All randomness is keyed on (seed, stage, epoch, batch), so identical configs
 reproduce bit-identical checkpoints.
 
+Stage-2 preparation (`prepare_stage2_data`) encodes and quantizes the
+train split one chunk of clips at a time, so it holds the latents it keeps
+and one chunk's intermediates.
+
 `stage1_loss` and `stage2_loss` are the objectives; `cfmlab gradcheck`
 differences the same two. Each optimiser step is a function that returns
 floats, so its graph is dead before the next step's forward. A stage-1
@@ -204,7 +208,7 @@ def _stage1_part(p, batch, codecs, stack, beta):
     assigned = []
 
     def quantize(part, z):
-        q, codes, _, stage_inputs = rvq_quantize_batch(
+        q, codes, stage_inputs = rvq_quantize_batch(
             z.data, stack.stages, return_stage_inputs=True)
         assigned.append((codes, stage_inputs))
         return straight_through(z, q), q
@@ -260,19 +264,27 @@ def prepare_stage2_data(cfg, dataset, codecs, stacks, split="train"):
     """Encode every clip of the split with the frozen stage-1 codecs and
     build composite latents (divided by the configured scale): the
     continuous encoder outputs are the flow targets, their quantized
-    counterparts supervise the manifold projection. The audio, text and
-    class ids are the split's own arrays, not copies."""
+    counterparts supervise the manifold projection. The split is encoded
+    one chunk of `Clips.chunks` at a time, into arrays allocated at the
+    first chunk, so only one chunk's encoder and quantizer intermediates
+    are alive. The audio, text and class ids are the split's own arrays,
+    not copies."""
     clips = dataset.splits[split]
     if not clips:
         raise ConfigError(f"dataset.ratios: {split} split is empty")
-    continuous, quantized = {}, {}
+    z1 = z1_quant = None
     with no_grad():
-        for p in PART_ORDER:
-            z = encode_part_batch(clips.motion[p], codecs[p]).data
-            q, _, _ = rvq_quantize_batch(z, stacks[p].stages)
-            continuous[p], quantized[p] = z, q
-        z1 = composite_batch(continuous, cfg.sacm.scale).data
-        z1_quant = composite_batch(quantized, cfg.sacm.scale).data
+        for start, chunk in clips.chunks():
+            continuous, quantized = {}, {}
+            for p in PART_ORDER:
+                z = encode_part_batch(chunk.motion[p], codecs[p]).data
+                continuous[p], quantized[p] = z, rvq_quantize_batch(z, stacks[p].stages)[0]
+            cont = composite_batch(continuous, cfg.sacm.scale).data
+            if z1 is None:
+                z1, z1_quant = np.empty((2, len(clips)) + cont.shape[1:])
+            z1[start:start + len(chunk)] = cont
+            z1_quant[start:start + len(chunk)] = composite_batch(
+                quantized, cfg.sacm.scale).data
     return Stage2Data(z1=z1, z1_quant=z1_quant, audio=clips.audio, text=clips.text,
                       class_ids=clips.class_id)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cfmlab
-from cfmlab import evaluate, sampler
+from cfmlab import evaluate, sampler, synthdata
 from cfmlab.codec import PART_ORDER
 from cfmlab.config import config_from_dict
 from cfmlab.numerics import Tape
@@ -136,22 +136,25 @@ def test_generate_split_spans_one_condition_per_clip():
     # perfbench runs its calibration kernel on condition_for_clip calls
     cfg, clips, codecs, stacks, net, heads, proj = _tiny_model()
     assert len(clips) == 5
-    calls = _span_calls(lambda: evaluate.generate_split(cfg, clips, net, heads, stacks,
-                                                        codecs, proj=proj))
+    seeds = evaluate._clip_seeds(cfg.seed, len(clips))
+    calls = _span_calls(lambda: evaluate.generate_split(cfg, clips, seeds, net, heads,
+                                                        stacks, codecs, proj=proj))
     assert calls["flow.condition"] == len(clips)
     assert calls["flow.field_eval"] == calls["sampler.integrate_ode"] * cfg.sampler.steps
 
 
-def test_evaluate_run_spans_each_eval_layer():
-    # the split is sampled once and scored as arrays, so each eval span
-    # counts calls on the whole split; the conditions stay one per clip
+def test_evaluate_run_spans_each_eval_layer(monkeypatch):
+    # the split is sampled and scored one chunk at a time, so each eval span
+    # counts calls per chunk (here 2 + 2 + 1 clips); the conditions stay one
+    # per clip
     cfg, clips, codecs, stacks, net, heads, proj = _tiny_model()
     ds = SimpleNamespace(splits={"test": clips})
+    monkeypatch.setattr(synthdata, "_CHUNK_ROWS", 2 * len(clips[0].audio))
     calls = _span_calls(lambda: evaluate.evaluate_run(cfg, ds, codecs, stacks, net=net,
                                                       heads=heads, proj=proj))
-    assert calls["evaluate.generate_split"] == 1
-    assert calls["metrics.features"] == 2
-    assert calls["metrics.bc"] >= 1
+    assert calls["evaluate.generate_split"] == 3
+    assert calls["metrics.features"] == 6
+    assert calls["metrics.bc"] == 6
     assert calls["flow.condition"] == len(clips)
 
 

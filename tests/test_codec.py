@@ -130,17 +130,18 @@ def _stack(part, books):
 def test_rvq_two_code_example():
     stack = _stack("hand", [[[0.0, 0.0], [1.0, 1.0]]])
     latent = PartLatent("hand", [[0.9, 1.2]])
-    q, codes, norms = rvq_quantize(latent, stack)
+    q, codes = rvq_quantize(latent, stack)
     assert codes.codes.tolist() == [[1]]
     assert np.array_equal(q.sequence, [[1.0, 1.0]])
-    assert norms[0, 0] == pytest.approx(np.hypot(0.1, 0.2), abs=1e-15)
+    residual = np.linalg.norm(latent.sequence - q.sequence, axis=-1)
+    assert residual[0] == pytest.approx(np.hypot(0.1, 0.2), abs=1e-15)
 
 
 def test_rvq_exact_row_gives_zero_residual():
     stack = _stack("face", [[[0.5, -0.25], [2.0, 3.0]]])
-    q, codes, norms = rvq_quantize(PartLatent("face", [[2.0, 3.0]]), stack)
+    q, codes = rvq_quantize(PartLatent("face", [[2.0, 3.0]]), stack)
     assert codes.codes.tolist() == [[1]]
-    assert norms[0, 0] == 0.0
+    assert q.sequence.tolist() == [[2.0, 3.0]]
 
 
 def test_rvq_matches_exhaustive_search():
@@ -148,7 +149,7 @@ def test_rvq_matches_exhaustive_search():
     d, k, depth, n = 6, 16, 3, 40
     z = rng.standard_normal((n, d))
     stack = init_codebook_stack(rng, "upper", n_codes=k, depth=depth, d_g=d, init_data=z)
-    _, codes, _ = rvq_quantize_batch(z, stack.stages)
+    _, codes = rvq_quantize_batch(z, stack.stages)
     for i in range(n):
         residual = z[i].copy()
         for s, book in enumerate(stack.stages):
@@ -162,16 +163,18 @@ def test_rvq_residual_norms_non_increasing():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((200, 8))
     stack = init_codebook_stack(rng, "hand", n_codes=32, depth=3, d_g=8, init_data=z)
-    _, _, norms = rvq_quantize_batch(z, stack.stages)
+    # the residual each stage took, then the one the last stage left
+    q, _, inputs = rvq_quantize_batch(z, stack.stages, return_stage_inputs=True)
+    norms = np.linalg.norm(np.stack(inputs[1:] + [z - q], axis=-2), axis=-1)
     assert np.all(np.diff(norms, axis=-1) <= 1e-12)
 
 
 def _old_rvq(z, stages):
     """rvq_quantize_batch before it built its scores in place, kept as the
-    reference: (quantized, codes, norms, stage inputs, scores per stage)."""
+    reference: (quantized, codes, stage inputs, scores per stage)."""
     residual = z.copy()
     quantized = np.zeros_like(z)
-    codes, norms, inputs, scores = [], [], [], []
+    codes, inputs, scores = [], [], []
     for book in stages:
         inputs.append(residual.copy())
         scores.append(np.sum(book * book, axis=1) - 2.0 * (residual @ book.T))
@@ -179,8 +182,7 @@ def _old_rvq(z, stages):
         quantized += book[idx]
         residual -= book[idx]
         codes.append(idx)
-        norms.append(np.linalg.norm(residual, axis=-1))
-    return quantized, np.stack(codes, -1), np.stack(norms, -1), inputs, scores
+    return quantized, np.stack(codes, -1), inputs, scores
 
 
 def _tie_case(rng):
@@ -207,12 +209,12 @@ def test_rvq_scores_and_codes_match_the_old_expression_bitwise(case, monkeypatch
     monkeypatch.undo()
     ref = _old_rvq(z, stages)
     assert got[1].dtype == np.int64
-    for g, r in zip(got[:3], ref[:3]):
+    for g, r in zip(got[:2], ref[:2]):
         assert g.shape == r.shape and g.tobytes() == r.tobytes()
-    for g, r in zip(got[3], ref[3]):
+    for g, r in zip(got[2], ref[2]):
         assert g.tobytes() == r.tobytes()
     assert len(seen) == len(stages)
-    for g, r in zip(seen, ref[4]):
+    for g, r in zip(seen, ref[3]):
         assert g.tobytes() == r.tobytes()
     if case == "tie":  # the first of the tied codes wins
         assert got[1][0, 0] == 1
@@ -234,7 +236,7 @@ def test_dequantize_roundtrip():
     z = rng.standard_normal((16, 4))
     stack = init_codebook_stack(rng, "lower", n_codes=8, depth=2, d_g=4, init_data=z)
     latent = PartLatent("lower", z)
-    q, codes, _ = rvq_quantize(latent, stack)
+    q, codes = rvq_quantize(latent, stack)
     back = rvq_dequantize(codes, stack)
     assert np.array_equal(back.sequence, q.sequence)
 
@@ -333,7 +335,7 @@ def test_straight_through_end_to_end_gradient():
     z0 = encode_part_batch(frames, params).data
     stack = init_codebook_stack(rng, "lower", n_codes=8, depth=2, d_g=4,
                                 init_data=z0.reshape(-1, 4))
-    q0, _, _ = rvq_quantize_batch(z0, stack.stages)
+    q0, _ = rvq_quantize_batch(z0, stack.stages)
     delta = q0 - z0  # quantization frozen as identity-plus-constant
 
     def f():
@@ -359,7 +361,7 @@ def test_ema_decay_one_is_identity():
     z = rng.standard_normal((20, 4))
     stack = init_codebook_stack(rng, "hand", n_codes=4, depth=1, d_g=4, init_data=z)
     before = [b.copy() for b in stack.stages]
-    _, codes, _, inputs = rvq_quantize_batch(z, stack.stages, return_stage_inputs=True)
+    _, codes, inputs = rvq_quantize_batch(z, stack.stages, return_stage_inputs=True)
     ema_codebook_update(stack, codes, inputs, decay=1.0, rng=rng)
     assert np.array_equal(stack.stages[0], before[0])
 
@@ -367,7 +369,7 @@ def test_ema_decay_one_is_identity():
 def test_ema_decay_zero_gives_batch_mean():
     z = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
     stack = _stack("hand", [[[0.0, 0.0]]])  # single code takes everything
-    _, codes, _, inputs = rvq_quantize_batch(z, stack.stages, return_stage_inputs=True)
+    _, codes, inputs = rvq_quantize_batch(z, stack.stages, return_stage_inputs=True)
     ema_codebook_update(stack, codes, inputs, decay=0.0, rng=np.random.default_rng(0))
     assert np.allclose(stack.stages[0][0], z.mean(axis=0), atol=1e-15)
 
@@ -382,7 +384,7 @@ def test_ema_two_step_matches_unrolled_recurrence():
     counts = np.ones(2)
     vectors = stack.ema_vectors[0].copy()
     for batch in batches:
-        _, codes, _, inputs = rvq_quantize_batch(batch, stack.stages,
+        _, codes, inputs = rvq_quantize_batch(batch, stack.stages,
                                                  return_stage_inputs=True)
         # hand-unrolled recurrence on the same assignments
         n = np.bincount(codes[:, 0], minlength=2).astype(float)
@@ -402,7 +404,7 @@ def test_ema_reseeds_dead_codes():
     z = rng.standard_normal((30, 3)) + 10.0  # far from the stale code at origin
     stack = _stack("face", [np.vstack([z[:2] + 1e-3, [[0.0, 0.0, 0.0]]])])
     stack.ema_counts[0][:] = [1.0, 1.0, 0.5]
-    _, codes, _, inputs = rvq_quantize_batch(z, stack.stages, return_stage_inputs=True)
+    _, codes, inputs = rvq_quantize_batch(z, stack.stages, return_stage_inputs=True)
     assert not np.any(codes == 2)  # origin code is dead
     ema_codebook_update(stack, codes, inputs, decay=0.99, rng=rng)
     reseeded = stack.stages[0][2]

@@ -27,10 +27,11 @@ from cfmlab.codec import (
     rvq_quantize,
     rvq_quantize_batch,
 )
-from cfmlab import cli, evaluate, flow, sampler
+from cfmlab import cli, evaluate, flow, sampler, synthdata
 from cfmlab.config import config_from_dict, config_hash
 from cfmlab.evaluate import condition_for_clip, generate_split
-from cfmlab.metrics import MetricReport, _find_peaks, diversity, fgd
+from cfmlab.metrics import MetricReport, _find_peaks, beat_consistency, diversity, \
+    extract_kinematic_peaks, fgd, motion_features
 from cfmlab.flow import build_condition_batch, init_velocity_net, prepare_condition, \
     velocity_forward
 from cfmlab.numerics import NumericError, Tensor, matmul, no_grad
@@ -308,7 +309,7 @@ def test_split_unit_scale_is_plain_slicing():
     # at scale 1, generate_batch quantizes each part's channel slice as is
     motion, stacks = _draw_per_part({p: 2 for p in PART_ORDER}, scale=1.0)
     for k, p in enumerate(PART_ORDER):
-        _, codes, _ = rvq_quantize_batch(motion.latent[:, 2 * k:2 * k + 2], stacks[p].stages)
+        _, codes = rvq_quantize_batch(motion.latent[:, 2 * k:2 * k + 2], stacks[p].stages)
         assert np.array_equal(motion.codes[p].codes, codes)
 
 
@@ -318,7 +319,7 @@ def test_split_respects_per_part_widths():
     assert motion.latent.shape == (8, 10)
     regions = _split_regions(motion.latent, dims, 2.0)
     for p in PART_ORDER:
-        _, codes, _ = rvq_quantize_batch(regions[p].sequence, stacks[p].stages)
+        _, codes = rvq_quantize_batch(regions[p].sequence, stacks[p].stages)
         assert np.array_equal(motion.codes[p].codes, codes)
         assert motion.parts[p].frames.shape == (32, PART_JOINTS[p])
 
@@ -351,7 +352,7 @@ def test_quantize_regions_matches_per_part_quantizer():
     parts = {p: PartLatent(p, rng.standard_normal((5, 3))) for p in PART_ORDER}
     codes = quantize_regions(parts, stacks)
     for p in PART_ORDER:
-        _, expected, _ = rvq_quantize(parts[p], stacks[p])
+        _, expected = rvq_quantize(parts[p], stacks[p])
         assert np.array_equal(codes[p].codes, expected.codes)
 
 
@@ -560,8 +561,8 @@ def _split_setup(scheme, n_frames=32):
 def test_generate_split_equals_per_clip_draws_bitwise(scheme):
     cfg, clips, codecs, stacks, net, heads, proj = _split_setup(scheme)
     assert len(clips) == 6
-    split = generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
     seeds = evaluate._clip_seeds(cfg.seed, len(clips))
+    split = generate_split(cfg, clips, seeds, net, heads, stacks, codecs, proj=proj)
     assert len(set(seeds.tolist())) == len(clips)
     conds = [condition_for_clip(u.audio, u.text, net, heads) for u in clips]
     odes = [OdeConfig(n=cfg.sampler.steps, scheme=scheme, seed=int(s)) for s in seeds]
@@ -604,19 +605,25 @@ def test_generate_rejects_non_finite_condition():
 
 
 def test_generate_split_chunks_do_not_change_draws(monkeypatch):
+    # a chunk drawn with its slice of the split's seeds gives the rows the
+    # whole split gives, wherever the chunks fall
     cfg, clips, codecs, stacks, net, heads, proj = _split_setup("midpoint")
     rows = len(clips[0].audio)
+    seeds = evaluate._clip_seeds(cfg.seed, len(clips))
     sizes = _count_chunks(monkeypatch, evaluate)
     splits = []
     for budget, expected in ((len(clips) * rows, [6]), (4 * rows + rows // 2, [4, 2]),
                              (rows - 1, [1] * 6)):
-        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+        monkeypatch.setattr(synthdata, "_CHUNK_ROWS", budget)
         sizes.clear()
-        splits.append(generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj))
+        chunks = [generate_split(cfg, chunk, seeds[start:start + len(chunk)], net, heads,
+                                 stacks, codecs, proj=proj)
+                  for start, chunk in clips.chunks()]
         assert sizes == expected
-    whole = splits[0]
+        splits.append({p: np.concatenate([c[p] for c in chunks]) for p in PART_ORDER})
+    whole = generate_split(cfg, clips, seeds, net, heads, stacks, codecs, proj=proj)
     assert list(whole) == list(PART_ORDER)
-    for chunked in splits[1:]:
+    for chunked in splits:
         for p in PART_ORDER:
             assert whole[p].shape == chunked[p].shape == (6, 32, PART_JOINTS[p])
             assert whole[p].tobytes() == chunked[p].tobytes()
@@ -641,7 +648,9 @@ def test_generate_split_default_budget_takes_32_clips_of_16_rows(monkeypatch):
     assert len(clips[0].audio) == 16
     sizes = _count_chunks(monkeypatch, evaluate)
     clips = clips[np.arange(40) % len(clips)]
-    generate_split(cfg, clips, net, heads, stacks, codecs, proj=proj)
+    assert [(start, len(chunk)) for start, chunk in clips.chunks()] == [(0, 32), (32, 8)]
+    evaluate.evaluate_run(cfg, types.SimpleNamespace(splits={"test": clips}), codecs,
+                          stacks, net=net, heads=heads, proj=proj)
     assert sizes == [32, 8]
 
 
@@ -650,8 +659,8 @@ def test_evaluate_run_json_is_the_same_at_every_budget(monkeypatch):
     ds = types.SimpleNamespace(splits={"test": clips})
     sizes = _count_chunks(monkeypatch, evaluate)
     outputs = []
-    for budget in (32, evaluate._CHUNK_ROWS):
-        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+    for budget in (32, synthdata._CHUNK_ROWS):
+        monkeypatch.setattr(synthdata, "_CHUNK_ROWS", budget)
         report, details = evaluate.evaluate_run(cfg, ds, codecs, stacks, net=net,
                                                 heads=heads, proj=proj)
         outputs.append((report.to_json(), json.dumps(details, sort_keys=True, indent=2)))
@@ -680,12 +689,6 @@ def _reference_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval)
             axis=1) * (1.0 / cfg.sacm.scale)).mean(axis=0) for m in motions])
 
     f_real, f_gen = features(real), features(gen)
-    groups = {}
-    for i, u in enumerate(clips):
-        groups.setdefault(u.class_id, []).append(i)
-    matched = {c: fgd(f_real[idx], f_gen[idx]) for c, idx in groups.items()}
-    cross = [fgd(f_real[groups[c2]], f_gen[groups[c]]) for c in groups for c2 in groups
-             if c2 != c]
 
     def bc_alone(motion, onsets, sigma=cfg.metrics.sigma):
         speed = np.zeros(len(motion[PART_ORDER[0]]) - 1)
@@ -698,6 +701,18 @@ def _reference_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval)
         return float(np.mean(np.exp(-np.min(delta * delta, axis=1) / (2.0 * sigma * sigma))))
 
     bc = [bc_alone(m, np.asarray(u.onsets)) for u, m in zip(clips, gen)]
+    return _report_json(cfg, clips, f_real, f_gen, bc, self_eval)
+
+
+def _report_json(cfg, clips, f_real, f_gen, bc, self_eval):
+    """evaluate_run's report and details JSON from a split's real and
+    generated features and its per-clip beat consistency."""
+    groups = {}
+    for i, c in enumerate(clips.class_id.tolist()):
+        groups.setdefault(c, []).append(i)
+    matched = {c: fgd(f_real[idx], f_gen[idx]) for c, idx in groups.items()}
+    cross = [fgd(f_real[groups[c2]], f_gen[groups[c]]) for c in groups for c2 in groups
+             if c2 != c]
     report = MetricReport(fgd=fgd(f_real, f_gen), bc=float(np.mean(bc)),
                           diversity=diversity(f_gen), config_hash=config_hash(cfg),
                           n_real=len(clips), n_gen=len(clips))
@@ -715,11 +730,45 @@ def test_evaluate_run_json_equals_the_per_clip_chain(monkeypatch, self_eval):
     ds = types.SimpleNamespace(splits={"test": clips})
     expected = _reference_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval)
     assert json.loads(expected[1])["bc_per_clip"][0] > 0.0
-    for budget in (3 * len(clips[0].audio) // 2, evaluate._CHUNK_ROWS):
-        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+    for budget in (3 * len(clips[0].audio) // 2, synthdata._CHUNK_ROWS):
+        monkeypatch.setattr(synthdata, "_CHUNK_ROWS", budget)
         report, details = evaluate.evaluate_run(cfg, ds, codecs, stacks, net=net,
                                                 heads=heads, proj=proj, self_eval=self_eval)
         assert (report.to_json(), json.dumps(details, sort_keys=True, indent=2)) == expected
+
+
+def _whole_split_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval):
+    """evaluate_run's report and details JSON from the whole-split chain
+    the chunked pass replaced: every clip drawn in one `sample_batch` call,
+    then the features, kinematic peaks and beat consistency of the whole
+    split at once."""
+    gen = clips.motion if self_eval else generate_split(
+        cfg, clips, evaluate._clip_seeds(cfg.seed, len(clips)), net, heads, stacks, codecs,
+        proj=proj)
+    fps = cfg.dataset.fps
+    bc = beat_consistency(extract_kinematic_peaks(gen, fps), clips.onsets,
+                          cfg.dataset.n_frames / fps, sigma=cfg.metrics.sigma)
+    return _report_json(cfg, clips, motion_features(clips.motion, codecs, scale=cfg.sacm.scale),
+                        motion_features(gen, codecs, scale=cfg.sacm.scale), bc.tolist(),
+                        self_eval)
+
+
+@pytest.mark.parametrize("self_eval", [False, True])
+def test_evaluate_run_chunks_equal_the_whole_split_chain(monkeypatch, self_eval):
+    # 6 clips in chunks of 4: the last chunk is partial
+    cfg, clips, codecs, stacks, net, heads, proj = _split_setup("midpoint")
+    ds = types.SimpleNamespace(splits={"test": clips})
+    expected = _whole_split_evaluate(cfg, clips, codecs, stacks, net, heads, proj, self_eval)
+    monkeypatch.setattr(synthdata, "_CHUNK_ROWS", 4 * len(clips[0].audio))
+    sizes = _count_chunks(monkeypatch, evaluate)
+    features = []
+    monkeypatch.setattr(evaluate, "motion_features", lambda parts, *a, **k: features.append(
+        len(parts[PART_ORDER[0]])) or motion_features(parts, *a, **k))
+    report, details = evaluate.evaluate_run(cfg, ds, codecs, stacks, net=net, heads=heads,
+                                            proj=proj, self_eval=self_eval)
+    assert sizes == ([] if self_eval else [4, 2])
+    assert features == ([4, 2] if self_eval else [4, 4, 2, 2])
+    assert (report.to_json(), json.dumps(details, sort_keys=True, indent=2)) == expected
 
 
 def test_velocity_forward_scalar_t_batch_equals_single_calls_bitwise():
@@ -790,9 +839,9 @@ def test_cli_generate_count_in_chunks_writes_the_same_files(tmp_path, monkeypatc
     sizes = _count_chunks(monkeypatch, cli, "generate_batch")
     dataset = config_from_dict(TINY_RUN).dataset
     written = []
-    for budget, out in ((evaluate._CHUNK_ROWS, "whole"),
+    for budget, out in ((synthdata._CHUNK_ROWS, "whole"),
                         (dataset.n_frames // dataset.downsample, "chunked")):
-        monkeypatch.setattr(evaluate, "_CHUNK_ROWS", budget)
+        monkeypatch.setattr(synthdata, "_CHUNK_ROWS", budget)
         capsys.readouterr()
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / out),
                      "--checkpoint", str(ck1), "--checkpoint", str(ck2),

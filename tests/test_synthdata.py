@@ -255,6 +255,19 @@ def test_batched_utterances_overlapping_strokes(n_frames, n_onsets):
         u, _reference_utterance(8, c, 0.0, n_frames=n_frames, n_onsets=n_onsets))
 
 
+@pytest.mark.parametrize("n_frames, n_onsets", [(64, 4), (48, 12)])
+def test_blocked_utterances_match_reference_loop(monkeypatch, n_frames, n_onsets):
+    # 7 clips in blocks of 2: four blocks, the last one partial
+    monkeypatch.setattr(synthdata, "_BLOCK_CLIPS", 2)
+    classes = make_gesture_classes(np.random.default_rng(4), 3)
+    seeds = [11, 2, 2**32 - 2, 40, 5, 6, 0]
+    picked = [classes[i] for i in (2, 0, 1, 1, 2, 0, 2)]
+    batch = generate_utterances(seeds, picked, 0.05, n_frames=n_frames, n_onsets=n_onsets)
+    for seed, gclass, got in zip(seeds, picked, batch):
+        _assert_same_utterance(got, _reference_utterance(
+            seed, gclass, 0.05, n_frames=n_frames, n_onsets=n_onsets))
+
+
 def test_single_utterance_is_its_row_of_a_batch():
     classes = make_gesture_classes(np.random.default_rng(8), 2)
     seeds, picked = [5, 6, 7], [classes[1], classes[0], classes[1]]

@@ -10,8 +10,10 @@ from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import PART_ORDER
 from cfmlab.config import ConfigError, config_from_dict
-from cfmlab.numerics import NumericError, Tape, Tensor
-from cfmlab import training
+from cfmlab.numerics import NumericError, Tape, Tensor, no_grad
+from cfmlab import synthdata, training
+from cfmlab.alignment import composite_batch
+from cfmlab.evaluate import evaluate_run
 from cfmlab.synthdata import build_dataset
 from cfmlab.training import (
     RunRecord,
@@ -190,19 +192,60 @@ def _guard_cfg():
                              "codec": {"epochs": 1}, "flow": {"epochs": 1, "batch": 32}})
 
 
+def _traced_peak(fn):
+    """The tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_stage1_traced_peak_stays_under_14_mib():
     # one part's graph is alive at a time: the traced peak of this run was
     # 22.05 MiB with all four parts' graphs alive in every step, and is
     # 9.35 MiB with one
     cfg = _guard_cfg()
     ds = build_dataset(cfg.dataset)
-    tracemalloc.start()
-    try:
-        train_codec(cfg, ds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: train_codec(cfg, ds))
     assert peak < 14 << 20, f"{peak / (1 << 20):.2f} MiB"
+
+
+def test_build_dataset_traced_peak_stays_under_12_mib():
+    # the physics runs one block of clips at a time: the traced peak of
+    # this build (8.52 MiB kept) was 16.21 MiB with a velocity buffer for
+    # every clip, and is 10.66 MiB with one block's
+    cfg = config_from_dict({"seed": 3, "dataset": {"n_clips": 128, "n_frames": 128}})
+    peak = _traced_peak(lambda: build_dataset(cfg.dataset))
+    assert peak < 12 << 20, f"{peak / (1 << 20):.2f} MiB"
+
+
+def test_prepare_stage2_traced_peak_stays_under_5_mib():
+    # the train split is encoded one chunk at a time: the traced peak of
+    # this pass (1.00 MiB kept) was 7.63 MiB when the whole split was
+    # encoded at once, and is 3.13 MiB
+    cfg = config_from_dict({"seed": 3, "dataset": {"n_clips": 160, "n_frames": 128},
+                            "codec": {"epochs": 0}})
+    ds = build_dataset(cfg.dataset)
+    codecs, stacks, _ = train_codec(cfg, ds)
+    peak = _traced_peak(lambda: prepare_stage2_data(cfg, ds, codecs, stacks))
+    assert peak < 5 << 20, f"{peak / (1 << 20):.2f} MiB"
+
+
+def test_evaluate_run_traced_peak_stays_under_5_mib():
+    # the 128-clip test split is generated and scored one chunk at a time:
+    # the traced peak was 7.48 MiB when the generated split and the whole
+    # split's encodings were alive at once, and is 3.74 MiB
+    cfg = config_from_dict({"seed": 3, "dataset": {"n_clips": 160, "n_frames": 64,
+                                                   "ratios": [0.2, 0.0, 0.8]},
+                            "codec": {"epochs": 0}})
+    ds = build_dataset(cfg.dataset)
+    codecs, stacks, _ = train_codec(cfg, ds)
+    net, heads, proj = init_stage2(cfg)
+    peak = _traced_peak(lambda: evaluate_run(cfg, ds, codecs, stacks, net=net,
+                                             heads=heads, proj=proj))
+    assert peak < 5 << 20, f"{peak / (1 << 20):.2f} MiB"
 
 
 def test_stage2_traced_peak_stays_under_14_mib():
@@ -213,12 +256,7 @@ def test_stage2_traced_peak_stays_under_14_mib():
     cfg = _guard_cfg()
     ds = build_dataset(cfg.dataset)
     codecs, stacks, _ = train_codec(cfg, ds)
-    tracemalloc.start()
-    try:
-        train_generator(cfg, ds, codecs, stacks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: train_generator(cfg, ds, codecs, stacks))
     assert peak < 14 << 20, f"{peak / (1 << 20):.2f} MiB"
 
 
@@ -260,6 +298,29 @@ def test_prepare_stage2_shapes(small_run):
     assert data.text.shape == (n_train, L, cfg.dataset.d_text)
     expected = np.array([u.class_id for u in ds.splits["train"]])
     assert np.array_equal(data.class_ids, expected)
+
+
+def test_prepare_stage2_chunks_equal_a_whole_split_encode(small_run, monkeypatch):
+    cfg, ds, codecs, stacks, _ = small_run
+    clips = ds.splits["train"]
+    assert len(clips) == 19  # chunks of 5: the last one partial
+    with no_grad():
+        continuous = {p: training.encode_part_batch(clips.motion[p], codecs[p]).data
+                      for p in PART_ORDER}
+        quantized = {p: training.rvq_quantize_batch(z, stacks[p].stages)[0]
+                     for p, z in continuous.items()}
+        z1 = composite_batch(continuous, cfg.sacm.scale).data
+        z1_quant = composite_batch(quantized, cfg.sacm.scale).data
+    monkeypatch.setattr(synthdata, "_CHUNK_ROWS", 5 * clips.audio.shape[1])
+    sizes = []
+    encode = training.encode_part_batch
+    monkeypatch.setattr(training, "encode_part_batch",
+                        lambda frames, params: sizes.append(len(frames)) or encode(frames, params))
+    data = prepare_stage2_data(cfg, ds, codecs, stacks)
+    assert sizes == [n for n in (5, 5, 5, 4) for _ in PART_ORDER]
+    assert data.z1.shape == z1.shape and data.z1.tobytes() == z1.tobytes()
+    assert data.z1_quant.shape == z1_quant.shape
+    assert data.z1_quant.tobytes() == z1_quant.tobytes()
 
 
 def test_stage2_curves_and_determinism(small_run):
