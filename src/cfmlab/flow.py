@@ -303,6 +303,16 @@ def cfm_loss(v_pred, v_pos, v_neg, lam):
     lam = 0 reduces to the plain flow-matching objective (identical code
     path, bit-identical result); lam >= 1 makes the objective unbounded
     below and is rejected. The targets v_pos and v_neg are arrays.
+
+    With a = v_pos = z1 - z0, b = v_neg = z1[perm] - z0 and k = lam / (1 - lam),
+
+        mse(v, a) - lam * mse(v, b) = (1 - lam) * mse(v, c) - k * mse(a, b),
+        c = a + k (a - b) = a + k (z1 - z1[perm]),
+
+    so the objective is plain flow matching toward a target pushed away
+    from the negative's latent, scaled by 1 - lam; z0 cancels from the
+    push. The constant k * mse(a, b) has no gradient, and it is why the
+    loss can read below zero.
     """
     if not 0.0 <= lam < 1.0:
         raise NumericError(f"contrast weight must satisfy 0 <= lam < 1, got {lam}")

@@ -20,10 +20,16 @@ form: exp(x - max) / sum, with the gradient t - out * sum(t), t = g * out,
 and `mse`, one node for mean((a - b)^2). The logsumexp/l2-normalize
 composites are built on top.
 
-GELU's forward and VJP each run their elementwise passes in place in one
-buffer, in the operation order of the plain expressions, so the bits are
-those of `x * cdf`, cdf = 0.5 * (1 + erf(x * _INV_SQRT2)), and of
-`g * (cdf + x * pdf)`, pdf = exp(-0.5 * x * x) * _INV_SQRT2PI.
+GELU is the tanh form of Hendrycks & Gimpel (2016), the one BERT and GPT-2
+use: x * s with the gate s = 0.5 * (1 + tanh(u)), u = x * (k + kc * x * x),
+k = sqrt(2 / pi), kc = 0.044715 k. It stays within 4.7e-4 of the erf form
+on [-8, 8] and needs nothing but numpy. The gate reads x clipped to +-10:
+tanh(u) is exactly +-1 from |x| = 7.19 on, so the clip moves no bit where
+the plain form is finite, and it keeps x * x and u finite up to the
+largest float. While recording, the forward also builds the slope
+s + 2 s (1 - s) x (k + 3 kc x^2) and the rule keeps only that array, so
+the VJP is one multiply. Every pass runs in place, in the operation order
+of the plain expressions.
 
 When the right operand of `matmul` is a 2-d weight, each of its gradients
 is one gemm over the batch rows folded into one axis, not one product per
@@ -44,13 +50,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 _UID = itertools.count()
 _FAULT_OP = None  # set via inject_backward_fault(), test instrumentation only
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_GELU_K = math.sqrt(2.0 / math.pi)
+_GELU_KC = 0.044715 * _GELU_K
+_GELU_CLIP = 10.0  # past |x| = 7.19 the gate is exactly 0 or 1
 
 
 class NumericError(RuntimeError):
@@ -355,38 +361,44 @@ def sqrt(a):
                     lambda g: (_checked("sqrt backward", lambda: g * 0.5 / out),), "sqrt")
 
 
-def _gelu_cdf(x):
-    """0.5 * (1 + erf(x / sqrt 2)), each pass in place in one buffer laid
-    out like x (a 0-d x still gets an array, which erf can write into)."""
-    c = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
-    erf(c, out=c)
-    c += 1.0
-    c *= 0.5
-    return c
+def _gelu_gate(x):
+    """(s, a): the gate 0.5 * (1 + tanh(a * (k + kc * a * a))) and a, x
+    clipped to +-_GELU_CLIP, each pass in place in buffers laid out like x
+    (a 0-d x still gets arrays, which numpy can write into)."""
+    a = np.clip(x, -_GELU_CLIP, _GELU_CLIP, out=np.empty_like(x))
+    s = np.multiply(a, a, out=np.empty_like(x))
+    s *= _GELU_KC
+    s += _GELU_K
+    s *= a
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s, a
 
 
 def gelu(a):
-    """Exact (erf-based) GELU."""
+    """GELU in its tanh form, x * s; see the module docstring."""
     if not _RECORDING.enabled:
         x = _arr(a)
-        return _untracked(x * _gelu_cdf(x), "gelu")
+        s = _gelu_gate(x)[0]
+        s *= x
+        return _untracked(s, "gelu")
     a = as_tensor(a)
     x = a.data
-    cdf = _gelu_cdf(x)
-
-    def vjp(g):
-        # g * (cdf + x * exp(-x^2 / 2) / sqrt(2 pi)), one operation at a time
-        # in that order, in one buffer
-        p = np.multiply(x, -0.5, out=np.empty_like(x))
-        p *= x
-        np.exp(p, out=p)
-        p *= _INV_SQRT2PI
-        p *= x
-        p += cdf
-        p *= g
-        return (p,)
-
-    return _from_op(x * cdf, (a,), vjp, "gelu")
+    s, slope = _gelu_gate(x)
+    out = _quiet(np.multiply, x, s)  # -inf * 0 is the finite check's to report
+    # the slope s + (2k + 6kc c^2) * ((1 - s) s c), c the clipped x that
+    # `slope` holds until it is squared: 2k + 6kc c^2 has the bits of twice
+    # k + 3kc c^2 in one pass fewer, and in the tails (1 - s) s is exactly 0
+    w = np.subtract(1.0, s, out=np.empty_like(x))
+    w *= s
+    w *= slope
+    slope *= slope
+    slope *= 6.0 * _GELU_KC
+    slope += 2.0 * _GELU_K
+    slope *= w
+    slope += s
+    return _from_op(out, (a,), lambda g: (g * slope,), "gelu")
 
 
 # -- matmul and shape ops ----------------------------------------------------

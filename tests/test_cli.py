@@ -5,10 +5,14 @@ exported names."""
 import importlib
 import json
 import math
+import os
 import pkgutil
 import re
 import struct
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +54,32 @@ def stage2(stage1):
     assert main(["train-generator", "--config", str(cfg), "--out", str(codec.parent),
                  "--checkpoint", str(codec)]) == 0
     return cfg, codec, codec.parent / "generator.bin"
+
+
+def test_cli_runs_with_every_scipy_import_refused(tmp_path):
+    # the runtime needs numpy alone: with `import scipy` made to fail, the
+    # gradient check and a tiny train -> generate -> evaluate chain exit 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**TINY, "flow": {"epochs": 1, "batch": 8},
+                               "sampler": {"steps": 3}}))
+    out, codec, generator = str(tmp_path), str(tmp_path / "codec.bin"), \
+        str(tmp_path / "generator.bin")
+    chain = [["gradcheck"],
+             ["train-codec", "--config", str(cfg), "--out", out],
+             ["train-generator", "--config", str(cfg), "--out", out, "--checkpoint", codec],
+             ["generate", "--config", str(cfg), "--out", out, "--count", "2",
+              "--checkpoint", codec, "--checkpoint", generator],
+             ["evaluate", "--config", str(cfg), "--out", out,
+              "--checkpoint", codec, "--checkpoint", generator]]
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom cfmlab.cli import main\n"
+            f"codes = [main(argv) for argv in {chain!r}]\n"
+            "assert sys.modules['scipy'] is None\nprint(codes)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cfmlab.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]"
+    assert (tmp_path / "report.json").is_file() and (tmp_path / "gen_001.csv").is_file()
 
 
 def _exits_2(argv, capsys, match):

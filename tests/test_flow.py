@@ -391,6 +391,24 @@ def test_cfm_loss_gradient():
     assert max_rel_err(g[vp], fd) < 1e-6
 
 
+@pytest.mark.parametrize("lam", [0.05, 0.3])
+def test_cfm_loss_is_flow_matching_toward_a_pushed_target(lam):
+    # the identity in cfm_loss's docstring, in value and gradient
+    rng = np.random.default_rng(36)
+    z0, z1 = rng.standard_normal((2, 6, 4, 3))
+    perm = np.array([1, 2, 0, 4, 5, 3])
+    a, b = z1 - z0, z1[perm] - z0
+    k = lam / (1.0 - lam)
+    c = a + k * (z1 - z1[perm])
+    v = Tensor(rng.standard_normal(a.shape), requires_grad=True)
+    loss = cfm_loss(v, a, b, lam)
+    pushed = (1.0 - lam) * mse(v, Tensor(c))
+    expect = pushed.item() - k * mse(Tensor(a), Tensor(b)).item()
+    assert loss.item() == pytest.approx(expect, rel=1e-13)
+    g, g_pushed = grad(loss, [v])[v].data, grad(pushed, [v])[v].data
+    np.testing.assert_allclose(g, g_pushed, rtol=0.0, atol=1e-14 * np.max(np.abs(g)))
+
+
 def test_cfm_minimizer_closed_form_via_descent():
     v_pos = np.array([1.0, -2.0])
     v_neg = np.array([0.5, 3.0])

@@ -12,7 +12,6 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from cfmlab.cli import _gradcheck_suite, main
 from cfmlab.numerics import (
@@ -505,16 +504,17 @@ def test_sweep_frees_each_rule_as_it_passes():
     first = matmul(Tensor(rng.standard_normal((5, 3))), w1)
     out = gelu(matmul(gelu(first), w2))
     vjp = out._node._vjp
-    cdf = weakref.ref(dict(zip(vjp.__code__.co_freevars, vjp.__closure__))["cdf"].cell_contents)
+    slope = weakref.ref(
+        dict(zip(vjp.__code__.co_freevars, vjp.__closure__))["slope"].cell_contents)
     del vjp
     real, seen = first._node._vjp, []
 
     def look(g):  # the last rule the sweep runs before the leaves
-        seen.append(cdf() is None)
+        seen.append(slope() is None)
         return real(g)
 
     first._node._vjp = look
-    assert cdf() is not None
+    assert slope() is not None
     grad(sum_(out), [w1, w2])
     assert seen == [True]
 
@@ -910,8 +910,15 @@ def _gelu_into_residual(w, c):
     return [h], sum_((h + c) * c)
 
 
+def _matmul_into_gelu(w, c):
+    # gelu's rule keeps only its slope, so its input dies with its Tensor
+    h = matmul(c, w)
+    return [h], sum_(gelu(h) * c)
+
+
 @pytest.mark.parametrize("build", [_mul_into_add, _matmul_into_add, _scores_into_softmax,
-                                   _gelu_into_residual], ids=lambda f: f.__name__[1:])
+                                   _gelu_into_residual, _matmul_into_gelu],
+                         ids=lambda f: f.__name__[1:])
 def test_an_output_no_rule_reads_is_freed_while_its_graph_lives(build):
     rng = np.random.default_rng(8)
     w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
@@ -996,44 +1003,69 @@ def test_untracked_tensor_is_a_constant_in_a_tracked_graph():
     assert np.any(from_untracked != 0.0)
 
 
-# ------------------------------------------- gelu and mse against their old forms
+# -------------------- gelu against its plain expressions, mse against its old form
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _old_gelu(x):
-    """The gelu forward before it worked in one buffer: (output, cdf)."""
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return x * cdf, cdf
+_K = math.sqrt(2.0 / math.pi)
+_KC = 0.044715 * _K
 
 
-def _old_gelu_grad(x, g):
-    """The gelu VJP before it worked in one buffer."""
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return g * (_old_gelu(x)[1] + x * pdf)
+def _plain_gelu(x):
+    """The tanh form as plain numpy expressions, in the operation order gelu
+    runs in place: (output, slope). No clip: it moves no bit where these
+    are finite."""
+    s = 0.5 * (1.0 + np.tanh(x * (x * x * _KC + _K)))
+    return x * s, s + (x * x * (6.0 * _KC) + 2.0 * _K) * ((1.0 - s) * s * x)
 
 
 @pytest.mark.parametrize("shape, layout", [
     ((64, 128, 64), "plain"), ((3, 4), "plain"), ((), "plain"),
     ((5, 7), "transposed"), ((4, 6, 5), "broadcast_g")])
-def test_gelu_matches_its_old_expression_bitwise(shape, layout):
+def test_gelu_matches_its_plain_expression_bitwise(shape, layout):
     rng = np.random.default_rng(len(shape) + sum(shape))
-    x = 3.0 * rng.standard_normal(shape)
+    x = 3.0 * rng.standard_normal(shape)  # some entries past the clip at 10
     if layout == "transposed":  # a non-contiguous input
         x = x.T
     g = rng.standard_normal(x.shape)
     if layout == "broadcast_g":  # a read-only view with zero strides
         g = np.broadcast_to(rng.standard_normal(x.shape[-1]), x.shape)
     out = gelu(Tensor(x, requires_grad=True))
-    ref = _old_gelu(x)[0]
+    ref, slope = _plain_gelu(x)
     assert out.data.shape == ref.shape
     assert out.data.tobytes() == ref.tobytes()
     with no_grad():
         assert gelu(x).data.tobytes() == ref.tobytes()
     (gx,) = out._node._vjp(g)
     assert gx.shape == x.shape
-    assert gx.tobytes() == np.asarray(_old_gelu_grad(x, g)).tobytes()
+    assert gx.tobytes() == np.asarray(g * slope).tobytes()
+
+
+def test_gelu_stays_within_5e_4_of_the_erf_form():
+    x = np.linspace(-8.0, 8.0, 16001)
+    exact = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    assert np.max(np.abs(gelu(Tensor(x)).data - exact)) < 5e-4
+
+
+@pytest.mark.parametrize("big", [1e3, 1e200, np.finfo(np.float64).max])
+def test_gelu_is_exact_in_the_tails_up_to_the_largest_float(big):
+    # the gate and the slope read x clipped, so x * x cannot overflow and
+    # the slope never meets 0 * inf
+    x = Tensor(np.array([big, -big]), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = gelu(x)
+        gx = grad(sum_(out), [x])[x].data
+        with no_grad():
+            assert gelu(x).data.tobytes() == out.data.tobytes()
+    assert out.data.tolist() == [big, 0.0]
+    assert gx.tolist() == [1.0, 0.0]
+
+
+def test_gelu_refuses_an_infinite_input_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (np.inf, -np.inf):
+            with pytest.raises(NumericError, match="'gelu'"):
+                gelu(Tensor(np.array([v, 1.0]), requires_grad=True))
 
 
 def _old_mse(a, b):
