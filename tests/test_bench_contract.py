@@ -200,13 +200,15 @@ def _import_probe():
     raise AssertionError("perfbench/workloads.py defines no IMPORT_PROBE")
 
 
-def test_import_probe_does_not_load_scipy():
+@pytest.mark.parametrize("prefix", ["scipy.signal", "scipy.spatial", "scipy"])
+def test_import_probe_does_not_load_scipy_signal(prefix):
     # importing scipy.signal (and with it scipy.stats and scipy.optimize)
     # took about 1 s of every fresh cfmlab process; scipy.spatial (with
     # scipy.sparse, scipy.linalg, qhull and the kd-tree) 0.1 s and 12 MB;
-    # scipy.special, for GELU's erf, 0.14 s, 21 MB and 298 modules
+    # scipy.special, for GELU's erf, 0.14 s, 21 MB and 298 modules, and
+    # the package now loads no scipy module at all
     code = _import_probe() + "\nimport sys\nprint(sorted(m for m in sys.modules " \
-        "if m == 'scipy' or m.startswith('scipy.')))"
+        f"if m == {prefix!r} or m.startswith({prefix + '.'!r})))"
     env = dict(os.environ, PYTHONPATH=str(Path(cfmlab.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
