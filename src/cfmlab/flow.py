@@ -297,12 +297,14 @@ def velocity_forward(net, zt, t, prep):
 
 # --------------------------------------------------------------------- loss
 
-def cfm_loss(v_pred, v_pos, v_neg, lam):
+def cfm_loss(v_pred, v_pos, v_neg, lam, terms=None):
     """mean ||v_pred - v_pos||^2 - lam * mean ||v_pred - v_neg||^2.
 
     lam = 0 reduces to the plain flow-matching objective (identical code
     path, bit-identical result); lam >= 1 makes the objective unbounded
-    below and is rejected. The targets v_pos and v_neg are arrays.
+    below and is rejected. The targets v_pos and v_neg are arrays. A
+    `terms` dict receives the two means as they are built: "cfm_pos", and
+    "cfm_neg" when lam > 0.
 
     With a = v_pos = z1 - z0, b = v_neg = z1[perm] - z0 and k = lam / (1 - lam),
 
@@ -319,9 +321,11 @@ def cfm_loss(v_pred, v_pos, v_neg, lam):
     vp = as_tensor(v_pred)
     if v_pos.shape != vp.shape:
         raise NumericError(f"cfm_loss shape mismatch {v_pos.shape} vs {vp.shape}")
-    loss = mse(vp, Tensor(v_pos))
+    terms = {} if terms is None else terms
+    terms["cfm_pos"] = loss = mse(vp, Tensor(v_pos))
     if lam == 0.0:
         return loss
     if v_neg.shape != vp.shape:
         raise NumericError(f"cfm_loss negative shape mismatch {v_neg.shape} vs {vp.shape}")
-    return loss - Tensor(lam) * mse(vp, Tensor(v_neg))
+    terms["cfm_neg"] = mse(vp, Tensor(v_neg))
+    return loss - Tensor(lam) * terms["cfm_neg"]

@@ -311,7 +311,8 @@ def stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg):
     only when flow.lam > 0: training draws them with `mismatch_pairing`,
     and `cfmlab gradcheck` fixes them. Returns (total, terms): total is
     None when lambda_cfm and lambda_sem are both 0, and terms holds those
-    of cfm, proj, cos, clp and sem that ran."""
+    of cfm (with its means cfm_pos and cfm_neg), proj, cos, clp and sem
+    that ran."""
     f, s = cfg.flow, cfg.sacm
     terms = {}
     total = None
@@ -327,7 +328,7 @@ def stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg):
         zt = interpolate_batch(z0, batch.z1, t)
         prep = prepare_condition(net, cond, zt.shape[1])
         v_pred = velocity_forward(net, Tensor(zt), t, prep)
-        l_cfm = cfm_loss(v_pred, batch.z1 - z0, v_neg, f.lam)
+        l_cfm = cfm_loss(v_pred, batch.z1 - z0, v_neg, f.lam, terms)
         remain = Tensor((1.0 - t)[:, None, None])
         z1_hat = Tensor(zt) + remain * v_pred
         l_proj = mse(project_to_codebook_manifold(z1_hat, proj),
@@ -380,7 +381,8 @@ def train_generator(cfg, dataset, codecs, stacks):
 
     # a trailing singleton cannot host the negatives' derangement
     record = _fit(cfg, STAGE2, cfg.flow, data.z1.shape[0],
-                  ("cfm", "cos", "clp", "sem", "proj", "total"), step,
+                  ("cfm", "cfm_pos", "cfm_neg", "cos", "clp", "sem", "proj",
+                   "total"), step,
                   min_rows=2 if cfg.flow.lam > 0.0 else 1)
     return net, heads, proj, record
 

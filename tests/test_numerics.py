@@ -7,6 +7,7 @@ import math
 import operator
 import re
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from cfmlab.cli import _gradcheck_suite, main
+from cfmlab.codec import init_codebook_stack, init_part_codec
 from cfmlab.numerics import (
     AdamState,
     NumericError,
@@ -47,6 +49,7 @@ from cfmlab.numerics import (
 )
 from cfmlab.numerics import tensor
 from cfmlab.numerics.tensor import add, div, mul, sub
+from cfmlab.training import _stage1_part
 
 
 # ---------------------------------------------------------------- grad() basics
@@ -1017,14 +1020,22 @@ def _plain_gelu(x):
     return x * s, s + (x * x * (6.0 * _KC) + 2.0 * _K) * ((1.0 - s) * s * x)
 
 
+_B = tensor._BLOCK  # the tracked forward's block: test each side of its edges
+
+
 @pytest.mark.parametrize("shape, layout", [
     ((64, 128, 64), "plain"), ((3, 4), "plain"), ((), "plain"),
-    ((5, 7), "transposed"), ((4, 6, 5), "broadcast_g")])
+    ((5, 7), "transposed"), ((4, 6, 5), "broadcast_g"), ((0, 5), "plain"),
+    ((_B - 1,), "plain"), ((_B,), "plain"), ((_B + 1,), "plain"),
+    ((4, 3 * _B // 4 + 1), "plain"),  # 3 blocks and a tail of 4
+    ((40, 30, 20), "fortran")])
 def test_gelu_matches_its_plain_expression_bitwise(shape, layout):
     rng = np.random.default_rng(len(shape) + sum(shape))
     x = 3.0 * rng.standard_normal(shape)  # some entries past the clip at 10
     if layout == "transposed":  # a non-contiguous input
         x = x.T
+    if layout == "fortran":  # copied once, in C order, before the blocks
+        x = np.asfortranarray(x)
     g = rng.standard_normal(x.shape)
     if layout == "broadcast_g":  # a read-only view with zero strides
         g = np.broadcast_to(rng.standard_normal(x.shape[-1]), x.shape)
@@ -1037,6 +1048,42 @@ def test_gelu_matches_its_plain_expression_bitwise(shape, layout):
     (gx,) = out._node._vjp(g)
     assert gx.shape == x.shape
     assert gx.tobytes() == np.asarray(g * slope).tobytes()
+
+
+def _reference_gelu(a):
+    """gelu as one node built from `_plain_gelu`, with no blocks."""
+    out, slope = _plain_gelu(a.data)
+    return tensor._from_op(out, (a,), lambda g: (g * slope,), "gelu")
+
+
+def test_a_stage1_gradient_is_bitwise_the_one_through_a_plain_gelu(monkeypatch):
+    # both GELUs of a part codec run over 4 blocks and a tail: 5 clips of
+    # 211 windows of 64 hidden units are 67,520 entries
+    def step():
+        rng = np.random.default_rng(12)
+        codecs = {"hand": init_part_codec(rng, "hand")}
+        batch = rng.standard_normal((5, 4 * 211, 24))
+        stack = init_codebook_stack(rng, "hand")
+        rec, com, grads, _, _ = _stage1_part("hand", batch, codecs, stack, 0.25)
+        return [rec, com] + [grads[p].data.tobytes() for p in codecs["hand"].parameters()]
+
+    blocked = step()
+    monkeypatch.setattr("cfmlab.codec.gelu", _reference_gelu)
+    assert step() == blocked
+
+
+def test_tracked_gelu_holds_little_beyond_its_output_and_slope():
+    # out and slope are 4 MiB each here; the blocks' buffers are 128 KiB
+    # each (the whole-array passes peaked at 16 MiB)
+    x = Tensor(np.random.default_rng(13).standard_normal((64, 128, 64)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes == 4 << 20
+    assert peak < 9 << 20, f"{peak / (1 << 20):.2f} MiB"
 
 
 def test_gelu_stays_within_5e_4_of_the_erf_form():

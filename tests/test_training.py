@@ -326,7 +326,8 @@ def test_prepare_stage2_chunks_equal_a_whole_split_encode(small_run, monkeypatch
 def test_stage2_curves_and_determinism(small_run):
     cfg, ds, codecs, stacks, _ = small_run
     net, heads, proj, rec = train_generator(cfg, ds, codecs, stacks)
-    assert set(rec.curves) == {"cfm", "cos", "clp", "sem", "proj", "total"}
+    assert set(rec.curves) == {"cfm", "cfm_pos", "cfm_neg", "cos", "clp", "sem", "proj",
+                               "total"}
     assert all(len(v) == cfg.flow.epochs for v in rec.curves.values())
     net2, heads2, proj2, rec2 = train_generator(cfg, ds, codecs, stacks)
     for name, t in net.named_tensors().items():
@@ -335,6 +336,16 @@ def test_stage2_curves_and_determinism(small_run):
         assert np.array_equal(t.data, heads2.named_tensors()[name].data)
     assert np.array_equal(proj.weight.data, proj2.weight.data)
     assert rec.curves == rec2.curves
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_stage2_curves_carry_the_two_means_of_cfm(small_run, lam):
+    # cfm = cfm_pos - lam * cfm_neg in every batch, so in every epoch mean
+    _, ds, codecs, stacks, _ = small_run
+    rec = train_generator(small_cfg(flow={"lam": lam}), ds, codecs, stacks)[3]
+    for cfm, pos, neg in zip(rec.curves["cfm"], rec.curves["cfm_pos"], rec.curves["cfm_neg"]):
+        assert pos > 0.0 and (neg > 0.0) == (lam > 0.0)
+        assert cfm - (pos - lam * neg) == pytest.approx(0.0, abs=1e-14 * pos)
 
 
 def test_stage2_loss_decreases(small_run):
