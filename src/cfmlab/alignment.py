@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import CheckpointError
+from .checkpoint import Weights
 from .codec import PART_ORDER
 from .numerics import (
     NumericError,
@@ -46,27 +46,12 @@ __all__ = [
 
 
 @dataclass
-class ProjectionHeads:
+class ProjectionHeads(Weights):
+    _KEY = "sacm/{name}/weight"
+
     text: Tensor    # (d_text, d)
     audio: Tensor   # (d_audio, d)
     motion: Tensor  # (d_G, d)
-
-    _FIELD_NAMES = ("text", "audio", "motion")
-
-    def parameters(self):
-        return [getattr(self, n) for n in self._FIELD_NAMES]
-
-    def named_tensors(self):
-        return {f"sacm/{n}/weight": getattr(self, n) for n in self._FIELD_NAMES}
-
-    @classmethod
-    def from_named_tensors(cls, tensors):
-        try:
-            return cls(*(Tensor(np.array(tensors[f"sacm/{n}/weight"]), requires_grad=True)
-                         for n in cls._FIELD_NAMES))
-        except KeyError as exc:
-            raise CheckpointError(
-                f"missing projection head in checkpoint: {exc}") from exc
 
 
 def init_projection_heads(rng, d_text, d_audio, d_motion, d=16):

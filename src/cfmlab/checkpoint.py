@@ -4,12 +4,21 @@ Layout: 8-byte magic "CFMLAB01", u32 LE tensor count; per tensor a u32 LE
 length-prefixed UTF-8 name, u32 LE rank, one u64 LE per dim, then the
 row-major little-endian float64 payload. Entries are written sorted by
 name so identical contents give identical bytes.
+
+Model checkpoints name each tensor by its model: `codec/{part}/{name}` (a
+part codec's weights and fixed `in_scale`), `codebook/{part}/{stage}` (one
+RVQ stage's codes), `flow/{name}` (the velocity field), `sacm/{name}/weight`
+(an alignment head) and `proj/{name}` (the manifold projection). A model
+dataclass inheriting `Weights` states its weights once, as `Tensor` fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
 import struct
+import typing
 
 import numpy as np
 
@@ -18,11 +27,44 @@ from .numerics import Tensor
 MAGIC = b"CFMLAB01"
 _MAX_RANK = 64  # the most dims numpy gives an array
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "MAGIC"]
+__all__ = ["CheckpointError", "Weights", "save_checkpoint", "load_checkpoint", "MAGIC"]
 
 
 class CheckpointError(RuntimeError):
     """Malformed or inconsistent checkpoint file."""
+
+
+@functools.cache  # one entry per model class; parameters() runs every step
+def _weight_names(cls):
+    hints = typing.get_type_hints(cls)
+    return tuple(f.name for f in dataclasses.fields(cls) if hints[f.name] is Tensor)
+
+
+class Weights:
+    """Base of the model dataclasses. Their weights are their `Tensor`-typed
+    fields, in declaration order; each is saved under `_KEY`, formatted with
+    the field's `name` and the model's other fields (e.g. a codec's part)."""
+
+    _KEY = "{name}"
+
+    def parameters(self):
+        return [getattr(self, n) for n in _weight_names(type(self))]
+
+    def named_tensors(self):
+        return {self._KEY.format_map(dict(vars(self), name=n)): getattr(self, n)
+                for n in _weight_names(type(self))}
+
+    @classmethod
+    def from_named_tensors(cls, tensors, **fields):
+        """The model whose weights `tensors` holds, as trainable Tensors;
+        `fields` gives its other fields."""
+        weights = {}
+        for n in _weight_names(cls):
+            key = cls._KEY.format_map(dict(fields, name=n))
+            if key not in tensors:
+                raise CheckpointError(f"missing tensor {key!r} in checkpoint")
+            weights[n] = Tensor(np.array(tensors[key]), requires_grad=True)
+        return cls(**fields, **weights)
 
 
 def save_checkpoint(path, tensors):

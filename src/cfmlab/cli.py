@@ -222,14 +222,13 @@ def _gradcheck_suite():
     rng = np.random.default_rng(1234)
     codec = init_part_codec(rng, "face", downsample=4, d_g=2, hidden=6)
     stack = init_codebook_stack(rng, "face", n_codes=4, depth=2, d_g=2)
-    frames = {"face": rng.standard_normal((2, 8, 16))}
+    frames = rng.standard_normal((2, 8, 16))
     with no_grad():
-        z_init = encode_part_batch(frames["face"], codec).data
+        z_init = encode_part_batch(frames, codec).data
     q0, _ = rvq_quantize_batch(z_init, stack.stages)
 
     def stage1():
-        return stage1_loss(frames, {"face": codec},
-                           lambda p, z: (z + Tensor(q0 - z_init), q0), 0.25)[0]
+        return stage1_loss(frames, codec, lambda z: (z + Tensor(q0 - z_init), q0), 0.25)[0]
 
     cfg = config_from_dict({"codec": {"d_g": 1}, "sacm": {"d": 3},
                             "flow": {"d_cond": 4, "d_s": 4, "time_dim": 4},

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, Weights
 from .numerics import NumericError, Tensor, as_tensor, gelu, matmul, mse, \
     neighbour_linear, reshape, uniform_init, zeros_init
 
@@ -129,7 +129,9 @@ class CodebookStack:
 
 
 @dataclass
-class PartCodecParams:
+class PartCodecParams(Weights):
+    _KEY = "codec/{part}/{name}"
+
     part: str
     enc_w1: Tensor
     enc_b1: Tensor
@@ -152,33 +154,20 @@ class PartCodecParams:
     def d_g(self):
         return self.enc_w2.shape[1]
 
-    _FIELD_NAMES = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
-                    "dec_w1", "dec_b1", "dec_w2", "dec_b2")
-
-    def parameters(self):
-        return [getattr(self, n) for n in self._FIELD_NAMES]
-
     def named_tensors(self):
-        out = {f"codec/{self.part}/{n}": getattr(self, n) for n in self._FIELD_NAMES}
-        out[f"codec/{self.part}/in_scale"] = Tensor(np.float64(self.in_scale))
-        return out
+        return {**super().named_tensors(),
+                f"codec/{self.part}/in_scale": Tensor(np.float64(self.in_scale))}
 
     @classmethod
     def from_named_tensors(cls, tensors, part):
-        try:
-            vals = [Tensor(np.array(tensors[f"codec/{part}/{n}"]), requires_grad=True)
-                    for n in cls._FIELD_NAMES]
-        except KeyError as exc:
-            raise CheckpointError(
-                f"missing codec tensor for part {part!r}: {exc}") from exc
-        _check_codec_shapes(part, {n: v.data for n, v in zip(cls._FIELD_NAMES, vals)})
-        scale = tensors.get(f"codec/{part}/in_scale", 1.0)
-        scale = np.asarray(scale.data if isinstance(scale, Tensor) else scale,
-                           dtype=np.float64)
+        params = super().from_named_tensors(tensors, part=part)
+        _check_codec_shapes(part, vars(params))
+        scale = np.asarray(tensors.get(f"codec/{part}/in_scale", 1.0), dtype=np.float64)
         if scale.size != 1 or not 0.0 < scale.item() < np.inf:
             raise CheckpointError(
                 f"codec/{part}/in_scale: must be one finite number > 0, got {scale}")
-        return cls(part, *vals, in_scale=scale.item())
+        params.in_scale = scale.item()
+        return params
 
 
 def _check_codec_shapes(part, arrays):
@@ -365,18 +354,16 @@ def commitment_loss(latent, quantized):
     return mse(z, Tensor(quantized))
 
 
-def ema_codebook_update(stack, codes, stage_inputs, decay=0.99, rng=None,
-                        reseed_threshold=1.0):
+def ema_codebook_update(stack, codes, stage_inputs, decay, rng, reseed_threshold=1.0):
     """EMA update of every stage codebook from one batch of assignments.
 
     codes: (..., depth) indices from rvq_quantize_batch; stage_inputs: the
     per-stage residual inputs (same leading shape, trailing d). Dead codes
-    (EMA count < reseed_threshold) are reseeded from the stage's inputs.
+    (EMA count < reseed_threshold) are reseeded from the stage's inputs,
+    drawn with `rng`.
     """
     if not 0.0 <= decay <= 1.0:
         raise NumericError(f"EMA decay must be in [0, 1], got {decay}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     codes = np.asarray(codes, dtype=np.int64)
     for s in range(stack.depth):
         book = stack.stages[s]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import CheckpointError
+from .checkpoint import Weights
 from .numerics import (
     NumericError,
     Tensor,
@@ -64,7 +64,9 @@ __all__ = [
 
 
 @dataclass
-class VelocityNet:
+class VelocityNet(Weights):
+    _KEY = "flow/{name}"
+
     p: Tensor        # (d_G,) body-structure embedding, broadcast over frames
     time_w: Tensor   # (16, d_G)
     time_b: Tensor   # (d_G,)
@@ -93,26 +95,6 @@ class VelocityNet:
     @property
     def d_s(self):
         return self.tcam_q.shape[1]
-
-    _FIELD_NAMES = ("p", "time_w", "time_b", "cond_w", "cond_b", "align_w",
-                    "tcam_q", "tcam_k", "tcam_v", "tcam_o",
-                    "conv1_w", "conv1_b", "conv2_w", "conv2_b",
-                    "out_w", "out_b")
-
-    def parameters(self):
-        return [getattr(self, n) for n in self._FIELD_NAMES]
-
-    def named_tensors(self):
-        return {f"flow/{n}": t for n, t in zip(self._FIELD_NAMES, self.parameters())}
-
-    @classmethod
-    def from_named_tensors(cls, tensors):
-        try:
-            vals = [Tensor(np.array(tensors[f"flow/{n}"]), requires_grad=True)
-                    for n in cls._FIELD_NAMES]
-        except KeyError as exc:
-            raise CheckpointError(f"missing flow tensor in checkpoint: {exc}") from exc
-        return cls(*vals)
 
 
 def init_velocity_net(rng, d_model=32, d_cond=32, d_audio=16, d_text=16, d_s=64,

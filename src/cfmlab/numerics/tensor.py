@@ -293,7 +293,7 @@ def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
     return _from_op(
-        a.data + b.data, (a, b),
+        _quiet(np.add, a.data, b.data), (a, b),
         lambda g: (None if sa is None else _unbroadcast(g, sa),
                    None if sb is None else _unbroadcast(g, sb)),
         "add")
@@ -305,7 +305,7 @@ def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
     sa, sb = _grad_shape(a), _grad_shape(b)
     return _from_op(
-        a.data - b.data, (a, b),
+        _quiet(np.subtract, a.data, b.data), (a, b),
         lambda g: (None if sa is None else _unbroadcast(g, sa),
                    None if sb is None else _unbroadcast(-g, sb)),
         "sub")
@@ -319,7 +319,7 @@ def mul(a, b):
     x = None if sb is None else a.data  # each operand only for the other's gradient
     y = None if sa is None else b.data
     return _from_op(
-        a.data * b.data, (a, b),
+        _quiet(np.multiply, a.data, b.data), (a, b),
         lambda g: (None if sa is None else _unbroadcast(g * y, sa),
                    None if sb is None else _unbroadcast(g * x, sb)),
         "mul")
@@ -429,7 +429,7 @@ def matmul(a, b):
     if not _RECORDING.enabled:
         return _untracked(_matmul(_arr(a), _arr(b)), "matmul")
     a, b = as_tensor(a), as_tensor(b)
-    out = _matmul(a.data, b.data)
+    out = _quiet(_matmul, a.data, b.data)
     sa, sb, folded = _grad_shape(a), _grad_shape(b), b.data.ndim == 2
     x = None if sb is None else a.data  # each operand only for the other's gradient
     y = None if sa is None else b.data
@@ -576,7 +576,7 @@ def mean(a, axis=None, keepdims=False):
     if not _RECORDING.enabled:
         return _untracked(np.mean(x, axis=axis, keepdims=keepdims), "mean")
     a = as_tensor(a)
-    out = np.mean(a.data, axis=axis, keepdims=keepdims)
+    out = _quiet(np.mean, a.data, axis, None, None, keepdims)
     s, count = a.data.shape, a.data.size // out.size
 
     def vjp(g):
@@ -629,7 +629,7 @@ def mse(a, b):
     if not _RECORDING.enabled:
         return _untracked(_mse(_arr(a), _arr(b))[1], "mse")
     a, b = as_tensor(a), as_tensor(b)
-    d, out = _mse(a.data, b.data)
+    d, out = _quiet(_mse, a.data, b.data)
     sa, sb = _grad_shape(a), _grad_shape(b)
 
     def vjp(g):

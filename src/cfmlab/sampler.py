@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError
+from .checkpoint import Weights
 from .codec import (
     PART_JOINTS,
     PART_ORDER,
@@ -111,22 +111,10 @@ class GeneratedMotion:
 
 
 @dataclass
-class ManifoldProjection:
+class ManifoldProjection(Weights):
+    _KEY = "proj/{name}"
+
     weight: Tensor  # (d_G, d_G), identity at init
-
-    def parameters(self):
-        return [self.weight]
-
-    def named_tensors(self):
-        return {"proj/weight": self.weight}
-
-    @classmethod
-    def from_named_tensors(cls, tensors):
-        try:
-            return cls(weight=Tensor(np.array(tensors["proj/weight"]), requires_grad=True))
-        except KeyError as exc:
-            raise CheckpointError(
-                f"missing projection tensor in checkpoint: {exc}") from exc
 
 
 def init_manifold_projection(d_model=32):

@@ -22,17 +22,16 @@ and one chunk's intermediates.
 `stage1_loss` and `stage2_loss` are the objectives; `cfmlab gradcheck`
 differences the same two. Each optimiser step is a function that returns
 floats, so its graph is dead before the next step's forward. A stage-1
-step goes further: it builds and sweeps one part's graph at a time, in
-PART_ORDER, each in a function that returns the part's floats and
-gradients, then runs the EMA updates and one Adam step. This has the bits
-of the joint `stage1_loss` graph: the parts share no parameter, the seed
-gradient reaches each part's rec as 1.0 and its com as beta, and the
-floats are summed in the joint graph's order. The freed pages stay in
-the heap (`cfmlab.numerics` sets glibc's mallopt). With glibc's default
-trim they went back to the kernel: 4 stage-1 epochs at 128 clips of 512
-frames (one BLAS thread) took 93-124k minor page faults, against 10-11k
-with the heap setting (4 stage-2 epochs after them: 63-67k against 6-7k,
-since stage 1 leaves a smaller heap), over two runs each.
+step goes further: it builds and sweeps one part's `stage1_loss` graph at
+a time, in PART_ORDER, each in a function that returns the part's floats
+and gradients, then runs the EMA updates and one Adam step. The parts
+share no parameter, so these are the gradients of one graph over all
+four. The freed pages stay in the heap (`cfmlab.numerics` sets glibc's
+mallopt). With glibc's default trim they went back to the kernel: 4
+stage-1 epochs at 128 clips of 512 frames (one BLAS thread) took 93-124k
+minor page faults, against 10-11k with the heap setting (4 stage-2 epochs
+after them: 63-67k against 6-7k, since stage 1 leaves a smaller heap),
+over two runs each.
 """
 
 from __future__ import annotations
@@ -181,40 +180,36 @@ def init_stage1(cfg, frames):
     return codecs, stacks
 
 
-def stage1_loss(frames, codecs, quantize, beta):
-    """rec + beta * com (rec alone at beta = 0) over the parts of `frames`
-    (part -> batch), in their order: rec sums mse(decode(zq), x) and com
-    sums mse(z, q), where z is a part's encoding and `quantize(p, z)` gives
-    the decoder's input zq and the array q. Training takes q from the
-    codebooks and zq = straight_through(z, q). `cfmlab gradcheck` fixes q
-    and zq - z at the initial parameters: a smooth surrogate whose gradient
-    is the straight-through one. Returns (total, {"rec": ..., "com": ...})."""
-    loss_rec = Tensor(0.0)
-    loss_com = Tensor(0.0)
-    for p, batch in frames.items():
-        z = encode_part_batch(batch, codecs[p])
-        zq, q = quantize(p, z)
-        recon = decode_part_batch(zq, codecs[p])
-        loss_rec = loss_rec + mse(recon, Tensor(batch))
-        loss_com = loss_com + commitment_loss(z, q)
+def stage1_loss(batch, codec, quantize, beta):
+    """rec + beta * com (rec alone at beta = 0) for one part's `batch`:
+    rec = mse(decode(zq), batch) and com = mse(z, q), where z is the batch's
+    encoding and `quantize(z)` gives the decoder's input zq and the array
+    q. Training takes q from the codebooks and zq = straight_through(z, q).
+    `cfmlab gradcheck` fixes q and zq - z at the initial parameters: a smooth
+    surrogate whose gradient is the straight-through one. Returns (total,
+    {"rec": ..., "com": ...})."""
+    z = encode_part_batch(batch, codec)
+    zq, q = quantize(z)
+    loss_rec = mse(decode_part_batch(zq, codec), Tensor(batch))
+    loss_com = commitment_loss(z, q)
     total = loss_rec if beta == 0.0 else loss_rec + Tensor(beta) * loss_com
     return total, {"rec": loss_rec, "com": loss_com}
 
 
-def _stage1_part(p, batch, codecs, stack, beta):
+def _stage1_part(batch, codec, stack, beta):
     """One part's share of a stage-1 step: its loss, then the gradient over
     its parameters. Returns (rec, com, grads, codes, stage_inputs); the
     part's graph is dead once this returns."""
     assigned = []
 
-    def quantize(part, z):
+    def quantize(z):
         q, codes, stage_inputs = rvq_quantize_batch(
             z.data, stack.stages, return_stage_inputs=True)
         assigned.append((codes, stage_inputs))
         return straight_through(z, q), q
 
-    total, terms = stage1_loss({p: batch}, codecs, quantize, beta)
-    grads = grad(total, codecs[p].parameters())
+    total, terms = stage1_loss(batch, codec, quantize, beta)
+    grads = grad(total, codec.parameters())
     return (float(terms["rec"].data), float(terms["com"].data), grads,
             *assigned[0])
 
@@ -232,7 +227,7 @@ def train_codec(cfg, dataset):
         rec, com, grads, assigned = 0.0, 0.0, {}, []
         for p in PART_ORDER:
             rec_p, com_p, grads_p, codes, stage_inputs = _stage1_part(
-                p, frames[p][idx], codecs, stacks[p], beta)
+                frames[p][idx], codecs[p], stacks[p], beta)
             rec += rec_p
             com += com_p
             grads.update(grads_p)

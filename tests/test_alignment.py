@@ -14,7 +14,6 @@ from cfmlab.alignment import (
     project_and_normalize_batch,
     temporal_pool_batch,
 )
-from cfmlab.checkpoint import load_checkpoint, save_checkpoint
 from cfmlab.codec import PART_ORDER
 from cfmlab.config import ConfigError, config_from_dict
 from cfmlab.synthdata import build_dataset
@@ -369,17 +368,3 @@ def test_cosine_loss_fd_cross_module_oracle():
     g = grad(f(), [x])
     fd = finite_difference_gradient(lambda _t: f(), x, 1e-6)
     assert max_rel_err(g[x], fd) < 1e-4
-
-
-# ---------------------------------------------------------------- checkpoint
-
-def test_heads_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(26)
-    heads = init_projection_heads(rng, 16, 16, 32, d=16)
-    p = tmp_path / "heads.bin"
-    save_checkpoint(p, heads.named_tensors())
-    loaded = load_checkpoint(p)
-    assert set(loaded) == {"sacm/text/weight", "sacm/audio/weight", "sacm/motion/weight"}
-    from cfmlab.alignment import ProjectionHeads
-    back = ProjectionHeads.from_named_tensors(loaded)
-    assert np.array_equal(back.motion.data, heads.motion.data)

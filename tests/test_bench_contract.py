@@ -184,9 +184,9 @@ def test_one_stage1_step_spans_each_codec_layer_once_per_part():
         assert codes.shape == (5, 32 // cfg.dataset.downsample, cfg.codec.depth)
     assert probe.code_usage(cfg.codec.epochs, cfg.codec.n_codes) > 0.0
     # each part's graph has its reconstruction and commitment mse among its
-    # 26 nodes, and its decoder's neighbour_linear, which is not a matmul
+    # 24 nodes, and its decoder's neighbour_linear, which is not a matmul
     # node; constants have no node
-    assert probe.tape[stage1] == [(26, 3)] * parts
+    assert probe.tape[stage1] == [(24, 3)] * parts
 
 
 def _import_probe():

@@ -1,14 +1,18 @@
 """Binary checkpoint container: roundtrip, determinism, corruption handling."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
+from cfmlab.alignment import ProjectionHeads, init_projection_heads
 from cfmlab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from cfmlab.codec import PART_ORDER, init_codebook_stack, init_part_codec
+from cfmlab.codec import PART_ORDER, PartCodecParams, init_codebook_stack, init_part_codec
 from cfmlab.config import ConfigError, config_from_dict
+from cfmlab.flow import VelocityNet, init_velocity_net
 from cfmlab.numerics import NumericError, Tensor
+from cfmlab.sampler import ManifoldProjection
 from cfmlab.training import (
     init_stage2,
     save_stage1_checkpoint,
@@ -35,6 +39,42 @@ def test_roundtrip_bitwise(tmp_path):
         assert got.dtype == np.float64
         assert got.shape == np.asarray(arr).shape
         assert np.array_equal(got, np.asarray(arr, dtype=np.float64))
+
+
+# (build a model from an rng, load it back from named tensors), one per Weights class
+WEIGHTS = {
+    "flow": (lambda rng: init_velocity_net(rng, d_model=6, d_cond=5, d_audio=3, d_text=2,
+                                           d_s=4, time_dim=4),
+             VelocityNet.from_named_tensors),
+    "heads": (lambda rng: init_projection_heads(rng, 3, 4, 6, d=5),
+              ProjectionHeads.from_named_tensors),
+    "proj": (lambda rng: ManifoldProjection(Tensor(rng.standard_normal((5, 5)),
+                                                   requires_grad=True)),
+             ManifoldProjection.from_named_tensors),
+    "codec": (lambda rng: init_part_codec(rng, "face", downsample=2, d_g=3, hidden=5,
+                                          in_scale=0.7),
+              lambda t: PartCodecParams.from_named_tensors(t, "face")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_weights_roundtrip_bitwise_in_parameter_order(tmp_path, name):
+    build, load = WEIGHTS[name]
+    model = build(np.random.default_rng(7))
+    fields = [getattr(model, f.name) for f in dataclasses.fields(model)]
+    tensors = [t for t in fields if isinstance(t, Tensor)]
+    params = model.parameters()
+    assert len(params) == len(tensors) and all(a is b for a, b in zip(params, tensors))
+    p = tmp_path / "weights.bin"
+    save_checkpoint(p, model.named_tensors())
+    back = load(load_checkpoint(p))
+    assert type(back) is type(model)
+    assert list(back.named_tensors()) == list(model.named_tensors())
+    for a, b in zip(back.named_tensors().values(), model.named_tensors().values()):
+        assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+    assert len(back.parameters()) == len(params)
+    for a, b in zip(back.parameters(), params):
+        assert a.requires_grad and a.data.tobytes() == b.data.tobytes()
 
 
 def test_accepts_tensor_objects(tmp_path):

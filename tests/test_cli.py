@@ -234,7 +234,26 @@ def test_unwritable_output_exits_2_naming_it(stage2, tmp_path, capsys, command, 
 def test_stage1_checkpoint_alone_exits_2(stage1, tmp_path, capsys, command):
     cfg, ckpt = stage1
     _exits_2([command, "--config", str(cfg), "--out", str(tmp_path),
-              "--checkpoint", str(ckpt)], capsys, "missing flow tensor")
+              "--checkpoint", str(ckpt)], capsys, "missing tensor 'flow/p'")
+
+
+CODEC_NAMES = ("enc_w1", "enc_b1", "enc_w2", "enc_b2",
+               "dec_w1", "dec_b1", "dec_w2", "dec_b2", "in_scale")
+FLOW_NAMES = ("p", "time_w", "time_b", "cond_w", "cond_b", "align_w",
+              "tcam_q", "tcam_k", "tcam_v", "tcam_o",
+              "conv1_w", "conv1_b", "conv2_w", "conv2_b", "out_w", "out_b")
+
+
+def test_trained_checkpoints_hold_exactly_the_pinned_names(stage2):
+    # a renamed weight, or two weights saved under one name, changes a set
+    _, codec, generator = stage2
+    parts = ("hand", "upper", "lower", "face")
+    assert set(load_checkpoint(codec)) == (
+        {f"codec/{p}/{n}" for p in parts for n in CODEC_NAMES}
+        | {f"codebook/{p}/{s}" for p in parts for s in (0, 1)})
+    assert set(load_checkpoint(generator)) == (
+        {f"flow/{n}" for n in FLOW_NAMES}
+        | {f"sacm/{n}/weight" for n in ("text", "audio", "motion")} | {"proj/weight"})
 
 
 # (config change, the error); the stage2 fixture's generator has d_audio = 16
@@ -349,15 +368,16 @@ def test_non_finite_in_scale_is_a_checkpoint_error(stage1, scale):
         stage1_from_tensors(tensors)
 
 
-@pytest.mark.parametrize("load", [
-    VelocityNet.from_named_tensors,
-    ProjectionHeads.from_named_tensors,
-    ManifoldProjection.from_named_tensors,
-    lambda t: PartCodecParams.from_named_tensors(t, "hand"),
-    lambda t: CodebookStack.from_named_tensors(t, "hand"),
+@pytest.mark.parametrize("load, match", [
+    (VelocityNet.from_named_tensors, "missing tensor 'flow/p'"),
+    (ProjectionHeads.from_named_tensors, "missing tensor 'sacm/text/weight'"),
+    (ManifoldProjection.from_named_tensors, "missing tensor 'proj/weight'"),
+    (lambda t: PartCodecParams.from_named_tensors(t, "hand"),
+     "missing tensor 'codec/hand/enc_w1'"),
+    (lambda t: CodebookStack.from_named_tensors(t, "hand"), "no codebooks for part 'hand'"),
 ], ids=["flow", "heads", "proj", "codec", "codebooks"])
-def test_missing_model_tensor_is_a_checkpoint_error(load):
-    with pytest.raises(CheckpointError):
+def test_missing_model_tensor_is_a_checkpoint_error(load, match):
+    with pytest.raises(CheckpointError, match=match):
         load({})
 
 

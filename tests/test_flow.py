@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from cfmlab import flow
-from cfmlab.checkpoint import load_checkpoint, save_checkpoint
 from cfmlab.flow import (
-    VelocityNet,
     build_condition_batch,
     cfm_loss,
     init_velocity_net,
@@ -242,7 +240,7 @@ def test_velocity_forward_full_gradient_check():
         return mse(velocity_forward(net, zt, ts, prepare_condition(net, cond, 3)),
                    Tensor(v_hat))
 
-    params = dict(zip(VelocityNet._FIELD_NAMES, net.parameters()))
+    params = net.named_tensors()
     g = grad(f(), list(params.values()))
     for name, p in params.items():
         fd = finite_difference_gradient(lambda _t: f(), p, 1e-6)
@@ -419,25 +417,6 @@ def test_cfm_minimizer_closed_form_via_descent():
         adam_step([v], grad(cfm_loss(v, v_pos, v_neg, lam), [v]), state)
     expect = (v_pos - lam * v_neg) / (1.0 - lam)
     assert np.max(np.abs(v.data - expect)) < 1e-6
-
-
-# ---------------------------------------------------------------- checkpoint
-
-def test_velocity_net_checkpoint_roundtrip(tmp_path):
-    net = _small_net(35)
-    p = tmp_path / "flow.bin"
-    save_checkpoint(p, net.named_tensors())
-    loaded = load_checkpoint(p)
-    assert all(k.startswith("flow/") for k in loaded)
-    back = VelocityNet.from_named_tensors(loaded)
-    for a, b in zip(back.parameters(), net.parameters()):
-        assert np.array_equal(a.data, b.data)
-    rng = np.random.default_rng(36)
-    zt = rng.standard_normal((1, 4, 6))
-    cond = rng.standard_normal((1, 4, 6))
-    assert np.array_equal(
-        velocity_forward(back, zt, 0.4, prepare_condition(back, cond, 4)).data,
-        velocity_forward(net, zt, 0.4, prepare_condition(net, cond, 4)).data)
 
 
 @pytest.mark.parametrize("t", [float("nan"), np.float64("nan"), np.array(float("nan")),

@@ -573,6 +573,28 @@ def test_untracked_finite_check_is_quiet_too():
     assert np.array_equal(y.data, [1e308, 1e308])
 
 
+# op -> (fn, finite operands whose forward overflows float64)
+OVERFLOWS = {
+    "add": (add, ([1.7e308], [1.7e308])),
+    "sub": (sub, ([1.7e308], [-1.7e308])),
+    "mul": (mul, ([1e200], [1e200])),
+    "matmul": (matmul, ([[1e200]], [[1e200]])),
+    "mean": (mean, ([1.7e308, 1.7e308],)),
+    "mse": (mse, ([1e200], [0.0])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OVERFLOWS))
+def test_recorded_forward_overflow_raises_naming_the_op(op):
+    # the finite check reports it, as it does with recording off, and numpy
+    # does not warn first
+    fn, (x, *rest) = OVERFLOWS[op]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"produced by op '{op}'"):
+            fn(Tensor(np.array(x), requires_grad=True), *map(Tensor, rest))
+
+
 def test_matmul_rejects_vectors():
     with pytest.raises(NumericError):
         matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
@@ -978,7 +1000,7 @@ def test_softmax_accepts_a_range_wider_than_float64():
     # x - max overflows to -inf here; the composite raised at 'sub', though
     # exp takes that entry to 0 and the softmax itself is exact
     x = np.array([[-1e308, 0.0, 1e308]])
-    with pytest.raises(NumericError, match="'sub'"), np.errstate(over="ignore"):
+    with pytest.raises(NumericError, match="'sub'"):
         _composite_softmax(Tensor(x))
     xt = Tensor(x, requires_grad=True)
     s = softmax(xt)
@@ -1061,11 +1083,11 @@ def test_a_stage1_gradient_is_bitwise_the_one_through_a_plain_gelu(monkeypatch):
     # 211 windows of 64 hidden units are 67,520 entries
     def step():
         rng = np.random.default_rng(12)
-        codecs = {"hand": init_part_codec(rng, "hand")}
+        codec = init_part_codec(rng, "hand")
         batch = rng.standard_normal((5, 4 * 211, 24))
         stack = init_codebook_stack(rng, "hand")
-        rec, com, grads, _, _ = _stage1_part("hand", batch, codecs, stack, 0.25)
-        return [rec, com] + [grads[p].data.tobytes() for p in codecs["hand"].parameters()]
+        rec, com, grads, _, _ = _stage1_part(batch, codec, stack, 0.25)
+        return [rec, com] + [grads[p].data.tobytes() for p in codec.parameters()]
 
     blocked = step()
     monkeypatch.setattr("cfmlab.codec.gelu", _reference_gelu)

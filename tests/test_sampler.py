@@ -252,15 +252,6 @@ def test_projection_shape_mismatch_rejected():
         project_to_codebook_manifold(np.zeros((2, 4)), init_manifold_projection(3))
 
 
-def test_projection_checkpoint_names_roundtrip():
-    proj = init_manifold_projection(5)
-    named = proj.named_tensors()
-    assert set(named) == {"proj/weight"}
-    again = ManifoldProjection.from_named_tensors(
-        {k: v.data for k, v in named.items()})
-    assert np.array_equal(again.weight.data, proj.weight.data)
-
-
 # ------------------------------------------------------------ split regions
 
 def _split_regions(latent, dims, scale):

@@ -165,23 +165,26 @@ def test_stage1_per_part_gradients_match_the_joint_graph(small_run, beta):
     frames = training._train_motion(ds)
     codecs, stacks = training.init_stage1(cfg, frames)
     batch = {p: frames[p][:8] for p in PART_ORDER}
-
-    def quantize(p, z):
+    # the joint reference: one graph that sums rec and com over the parts
+    loss_rec, loss_com = Tensor(0.0), Tensor(0.0)
+    for p in PART_ORDER:
+        z = training.encode_part_batch(batch[p], codecs[p])
         q = training.rvq_quantize_batch(z.data, stacks[p].stages)[0]
-        return training.straight_through(z, q), q
-
-    total, terms = training.stage1_loss(batch, codecs, quantize, beta)
+        recon = training.decode_part_batch(training.straight_through(z, q), codecs[p])
+        loss_rec = loss_rec + training.mse(recon, Tensor(batch[p]))
+        loss_com = loss_com + training.commitment_loss(z, q)
+    total = loss_rec if beta == 0.0 else loss_rec + Tensor(beta) * loss_com
     params = [t for p in PART_ORDER for t in codecs[p].parameters()]
     joint = training.grad(total, params)
     rec, com, grads = 0.0, 0.0, {}
     for p in PART_ORDER:
         rec_p, com_p, grads_p, codes, _ = training._stage1_part(
-            p, batch[p], codecs, stacks[p], beta)
+            batch[p], codecs[p], stacks[p], beta)
         rec, com = rec + rec_p, com + com_p
         grads.update(grads_p)
         assert codes.shape == (8, cfg.dataset.n_frames // cfg.dataset.downsample,
                                cfg.codec.depth)
-    assert (rec, com) == (float(terms["rec"].data), float(terms["com"].data))
+    assert (rec, com) == (float(loss_rec.data), float(loss_com.data))
     assert list(grads) == params
     for t in params:
         assert grads[t].data.tobytes() == joint[t].data.tobytes()
