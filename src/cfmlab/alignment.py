@@ -23,10 +23,10 @@ from .numerics import (
     as_tensor,
     concat,
     getitem,
-    l2_normalize,
     logsumexp,
     matmul,
     mean,
+    sqrt,
     sum_,
     uniform_init,
 )
@@ -80,14 +80,18 @@ def composite_batch(parts, scale):
 
 # ---------------------------------------------------------------- projection
 
+def _normalized_rows(z, degenerate):
+    """Rows of z over their norms; one below 1e-12 raises `degenerate`."""
+    norm = sqrt(sum_(z * z, axis=-1, keepdims=True))
+    if np.any(norm.data < 1e-12):
+        raise NumericError(degenerate)
+    return z / norm
+
+
 def project_and_normalize_batch(raw, weight):
     """(..., L, d_x) @ (d_x, d) then row-wise L2 normalization."""
-    x = as_tensor(raw)
-    z = matmul(x, as_tensor(weight))
-    norms = np.linalg.norm(z.data, axis=-1)
-    if np.any(norms < 1e-12):
-        raise NumericError("projection produced a degenerate (near-zero) row")
-    return l2_normalize(z, axis=-1)
+    return _normalized_rows(matmul(raw, weight),
+                            "projection produced a degenerate (near-zero) row")
 
 
 # -------------------------------------------------------------------- fusion
@@ -100,11 +104,8 @@ def fused_target_batch(text, audio, alpha):
     a = as_tensor(audio)
     if t.shape != a.shape:
         raise NumericError(f"fused_target_batch shape mismatch {t.shape} vs {a.shape}")
-    blend = t * Tensor(alpha) + a * Tensor(1.0 - alpha)
-    norms = np.linalg.norm(blend.data, axis=-1)
-    if np.any(norms < 1e-12):
-        raise NumericError("fused target row collapsed (antipodal inputs)")
-    return l2_normalize(blend, axis=-1)
+    return _normalized_rows(t * Tensor(alpha) + a * Tensor(1.0 - alpha),
+                            "fused target row collapsed (antipodal inputs)")
 
 
 # -------------------------------------------------------------------- losses
@@ -120,12 +121,8 @@ def cosine_alignment_loss_batch(target, motion):
 
 def temporal_pool_batch(seq):
     """(..., L, d) -> (..., d): mean over time, then re-normalize."""
-    s = as_tensor(seq)
-    pooled = mean(s, axis=-2)
-    norms = np.linalg.norm(pooled.data, axis=-1)
-    if np.any(norms < 1e-12):
-        raise NumericError("temporal pool collapsed to a zero vector")
-    return l2_normalize(pooled, axis=-1)
+    return _normalized_rows(mean(as_tensor(seq), axis=-2),
+                            "temporal pool collapsed to a zero vector")
 
 
 def infonce_oneway(p, q, tau):

@@ -54,6 +54,13 @@ class Weights:
         return {self._KEY.format_map(dict(vars(self), name=n)): getattr(self, n)
                 for n in _weight_names(type(self))}
 
+    @staticmethod
+    def _required(tensors, key):
+        """tensors[key], or a `CheckpointError` naming the missing key."""
+        if key not in tensors:
+            raise CheckpointError(f"missing tensor {key!r} in checkpoint")
+        return tensors[key]
+
     @classmethod
     def from_named_tensors(cls, tensors, **fields):
         """The model whose weights `tensors` holds, as trainable Tensors;
@@ -61,9 +68,7 @@ class Weights:
         weights = {}
         for n in _weight_names(cls):
             key = cls._KEY.format_map(dict(fields, name=n))
-            if key not in tensors:
-                raise CheckpointError(f"missing tensor {key!r} in checkpoint")
-            weights[n] = Tensor(np.array(tensors[key]), requires_grad=True)
+            weights[n] = Tensor(np.array(cls._required(tensors, key)), requires_grad=True)
         return cls(**fields, **weights)
 
 

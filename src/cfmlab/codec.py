@@ -162,10 +162,10 @@ class PartCodecParams(Weights):
     def from_named_tensors(cls, tensors, part):
         params = super().from_named_tensors(tensors, part=part)
         _check_codec_shapes(part, vars(params))
-        scale = np.asarray(tensors.get(f"codec/{part}/in_scale", 1.0), dtype=np.float64)
+        key = f"codec/{part}/in_scale"
+        scale = np.asarray(cls._required(tensors, key), dtype=np.float64)
         if scale.size != 1 or not 0.0 < scale.item() < np.inf:
-            raise CheckpointError(
-                f"codec/{part}/in_scale: must be one finite number > 0, got {scale}")
+            raise CheckpointError(f"{key}: must be one finite number > 0, got {scale}")
         params.in_scale = scale.item()
         return params
 

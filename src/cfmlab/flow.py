@@ -5,11 +5,11 @@ pairs a straight-line interpolant (constant target velocity z1 - z0) with a
 repulsion term against the velocity toward another sample's latent,
 z1[perm] - z0, under the same condition (`synthdata.mismatch_pairing` draws
 the derangement perm). The network is a single TCAM block (motion tokens query
-the fused audio/text condition) followed by two residual neighbour-context
-MLP blocks (each step mixes with its two edge-clamped temporal neighbours
-in one `neighbour_linear` op — gesture strokes live at that scale) and a
-linear head; the attention output projection starts at zero so the block
-is an exact residual passthrough at init.
+the fused audio/text condition, one `attention` node) followed by two residual
+neighbour-context MLP blocks (each step mixes with its two edge-clamped
+temporal neighbours in one `neighbour_linear` op — gesture strokes live at
+that scale) and a linear head; the attention output projection starts at
+zero so the block is an exact residual passthrough at init.
 
 `velocity_forward` has a condition part and a step part. The condition
 part (`prepare_condition`) builds the terms that depend only on the
@@ -38,12 +38,12 @@ from .numerics import (
     NumericError,
     Tensor,
     as_tensor,
+    attention,
     concat,
     gelu,
     matmul,
     mse,
     neighbour_linear,
-    softmax,
     uniform_init,
     zeros_init,
 )
@@ -188,12 +188,6 @@ def temporal_position_embedding(length, dim):
     return emb
 
 
-def _attention(q, k, v, out_w, d_s):
-    scores = matmul(q, k.mT) * (1.0 / math.sqrt(d_s))
-    attn = softmax(scores, axis=-1)
-    return q + matmul(matmul(attn, v), out_w), attn
-
-
 @dataclass
 class PreparedCondition:
     """The terms of `velocity_forward` that depend only on the condition and
@@ -219,18 +213,13 @@ def prepare_condition(net, cond, length):
         aligned=aligned)
 
 
-def tcam_fuse(x, prep, net, return_attn=False):
+def tcam_fuse(x, prep, net):
     """Cross-attention: motion tokens (B, L, d_G) query the keys and values
-    of a PreparedCondition; residual on the projected query path. With
-    return_attn, also the (B, L, L_c) attention weights."""
-    xt = as_tensor(x)
-    k, v = prep.keys, prep.values
-    if xt.shape[:-2] != k.shape[:-2]:
-        raise NumericError(f"tcam batch shape mismatch {xt.shape} vs {k.shape}")
-    out, attn = _attention(matmul(xt, net.tcam_q), k, v, net.tcam_o, net.d_s)
-    if return_attn:
-        return out, attn
-    return out
+    of a PreparedCondition in one `attention` node, which refuses batches
+    that differ; residual on the projected query path."""
+    q = matmul(x, net.tcam_q)
+    return q + matmul(attention(q, prep.keys, prep.values, 1.0 / math.sqrt(net.d_s)),
+                      net.tcam_o)
 
 
 def velocity_forward(net, zt, t, prep):

@@ -7,13 +7,13 @@ from .tensor import (
     Tape,
     Tensor,
     as_tensor,
+    attention,
     concat,
     exp,
     gelu,
     getitem,
     grad,
     inject_backward_fault,
-    l2_normalize,
     log,
     logsumexp,
     matmul,
@@ -22,7 +22,6 @@ from .tensor import (
     neighbour_linear,
     no_grad,
     reshape,
-    softmax,
     sqrt,
     sum_,
     swap_last,
@@ -39,6 +38,7 @@ __all__ = [
     "Tensor",
     "adam_step",
     "as_tensor",
+    "attention",
     "check_gradients",
     "concat",
     "exp",
@@ -47,7 +47,6 @@ __all__ = [
     "getitem",
     "grad",
     "inject_backward_fault",
-    "l2_normalize",
     "log",
     "logsumexp",
     "matmul",
@@ -57,7 +56,6 @@ __all__ = [
     "neighbour_linear",
     "no_grad",
     "reshape",
-    "softmax",
     "sqrt",
     "sum_",
     "swap_last",

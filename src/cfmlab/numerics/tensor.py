@@ -15,10 +15,18 @@ NaN/Inf (non-finite values are an error state, not a silent warning), and
 the primitive set is deliberately small: the 18 ops training calls --
 matmul, add/sub/mul/div, exp/log/sqrt, GELU, sum/mean, concat/getitem/
 reshape, `swap_last` (the last two axes swapped), `neighbour_linear` (a row
-and its clamped neighbours through one linear map), `softmax`, in closed
-form: exp(x - max) / sum, with the gradient t - out * sum(t), t = g * out,
-and `mse`, one node for mean((a - b)^2). The logsumexp/l2-normalize
-composites are built on top.
+and its clamped neighbours through one linear map), `attention`,
+softmax(scale * q k^T) v with the softmax in closed form, exp(x - max) /
+sum, and `mse`, one node for mean((a - b)^2). The logsumexp composite is
+built on top.
+
+GELU (below) and `attention` run over cache-sized blocks, with the bits of
+their whole-array forms. Attention takes max(1, `_BLOCK` // (L L_c)) clips
+at a time: their scaled scores q k^T become their slice of the kept weights
+w in place (untracked, one block's buffer), then w v; its rule walks the
+same blocks. Rows stay whole, so unlike FlashAttention (Dao et al., 2022)
+nothing is rescaled. Each checks only its output, which any non-finite
+input, score or weight reaches, so 'gelu' or 'attention' names it.
 
 GELU is the tanh form of Hendrycks & Gimpel (2016), the one BERT and GPT-2
 use: x * s with the gate s = 0.5 * (1 + tanh(u)), u = x * (k + kc * x * x),
@@ -585,31 +593,57 @@ def mean(a, axis=None, keepdims=False):
     return _from_op(out, (a,), vjp, "mean")
 
 
-# -- softmax -------------------------------------------------------------------
+# -- attention -----------------------------------------------------------------
 
-def _softmax(x, axis):
-    """exp(x - max) / sum in closed form; no log of the sum is added back to
-    a large max, where it would round away. Only the output is checked: a
-    finite x whose range overflows float64 makes x - max infinite, yet exp
-    takes it to 0 and the output is right."""
-    with np.errstate(all="ignore"):
-        e = np.exp(x - np.max(x, axis=axis, keepdims=True))
-        return e / np.sum(e, axis=axis, keepdims=True)
-
-
-def softmax(a, axis=-1):
-    """Softmax along `axis` as one primitive, in closed form both ways."""
-    if not _RECORDING.enabled:
-        return _untracked(_softmax(_arr(a), axis), "softmax")
-    a = as_tensor(a)
-    out = _softmax(a.data, axis)
+def attention(q, k, v, scale):
+    """softmax(scale * q k^T) v over q (B, L, d), k (B, L_c, d) and v
+    (B, L_c, d_v) as one primitive, a block of clips at a time both ways;
+    see the module docstring."""
+    x, y, z = _arr(q), _arr(k), _arr(v)
+    if not x.ndim == y.ndim == z.ndim == 3 or x.shape[::2] != y.shape[::2] \
+            or y.shape[:2] != z.shape[:2] or y.shape[1] == 0:
+        raise NumericError(f"attention needs q (B, L, d), k (B, L_c > 0, d) and v "
+                           f"(B, L_c, d_v), got {x.shape}, {y.shape} and {z.shape}")
+    tracked, (b, l, lc) = _RECORDING.enabled, x.shape[:2] + y.shape[1:2]
+    n = max(1, _BLOCK // max(l * lc, 1))  # clips per block
+    out = np.empty((b, l, z.shape[2]))
+    a = np.empty((b if tracked else min(n, b), l, lc))  # the weights the rule reads
+    with np.errstate(all="ignore"):  # the output's finite check reports
+        for i in range(0, b, n):
+            ab = a[i:i + n] if tracked else a[:min(n, b - i)]
+            np.matmul(x[i:i + n], np.swapaxes(y[i:i + n], -1, -2), out=ab)
+            ab *= scale
+            ab -= ab.max(axis=-1, keepdims=True)  # -inf past float64's range: exp gives 0
+            np.exp(ab, out=ab)
+            ab /= ab.sum(axis=-1, keepdims=True)
+            np.matmul(ab, z[i:i + n], out=out[i:i + n])
+    if not tracked:
+        return _untracked(out, "attention")
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    sq, sk, sv = _grad_shape(q), _grad_shape(k), _grad_shape(v)
+    # v for q's and k's gradients, k for q's, q for k's; the weights for all
+    vk = None if sq is None and sk is None else z
+    kk, qk = (None if sq is None else y), (None if sk is None else x)
 
     def vjp(g):
-        t = g * out
-        np.subtract(t, out * np.sum(t, axis=axis, keepdims=True), out=t)
-        return (t,)
+        gq, gk, gv = (None if s is None else np.empty(s) for s in (sq, sk, sv))
+        for i in range(0, b, n):
+            ab, gb = a[i:i + n], g[i:i + n]
+            if gv is not None:
+                np.matmul(np.swapaxes(ab, -1, -2), gb, out=gv[i:i + n])
+            if vk is None:
+                continue
+            t = gb @ np.swapaxes(vk[i:i + n], -1, -2)
+            t *= ab
+            t -= ab * t.sum(axis=-1, keepdims=True)
+            t *= scale
+            if gq is not None:
+                np.matmul(t, kk[i:i + n], out=gq[i:i + n])
+            if gk is not None:  # not t^T @ q, which may round otherwise
+                gk[i:i + n] = np.swapaxes(np.swapaxes(qk[i:i + n], -1, -2) @ t, -1, -2)
+        return gq, gk, gv
 
-    return _from_op(out, (a,), vjp, "softmax")
+    return _from_op(out, (q, k, v), vjp, "attention")
 
 
 # -- mean squared error ---------------------------------------------------------
@@ -651,11 +685,6 @@ def logsumexp(a, axis=-1, keepdims=False):
     if keepdims:
         return lse
     return reshape(lse, np.squeeze(m.data, axis=axis).shape)
-
-
-def l2_normalize(a, axis=-1):
-    a = as_tensor(a)
-    return a / sqrt(sum_(a * a, axis=axis, keepdims=True))
 
 
 # -- tape view ----------------------------------------------------------------

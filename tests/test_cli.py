@@ -331,6 +331,8 @@ MISFIT_STAGE1 = {
     "in_scale_zero": ("codec/face/in_scale", lambda a: a * 0.0, "finite number > 0"),
     "in_scale_negative": ("codec/hand/in_scale", lambda a: -a, "finite number > 0"),
     "in_scale_vector": ("codec/hand/in_scale", lambda a: np.ones(2), "finite number > 0"),
+    "in_scale_missing": ("codec/face/in_scale", lambda a: None,
+                         "missing tensor 'codec/face/in_scale' in checkpoint"),
     "dec_w1_rows": ("codec/face/dec_w1", lambda a: a[:20], "expected 24 rows"),
     "dec_w1_d_g_rows": ("codec/face/dec_w1", lambda a: a[:8], "expected 24 rows"),
     "enc_w1_3d": ("codec/hand/enc_w1", lambda a: a[None], "2-d weight"),
@@ -350,10 +352,13 @@ def test_stage1_tensors_that_do_not_fit_exit_2_naming_the_tensor(stage1, tmp_pat
     name, alter, why = MISFIT_STAGE1[case]
     cfg, ckpt = stage1
     tensors = load_checkpoint(ckpt)
-    tensors[name] = alter(tensors[name])
+    altered = alter(tensors.pop(name))
+    if altered is not None:  # None leaves the tensor out
+        tensors[name] = altered
     save_checkpoint(tmp_path / "bad.bin", tensors)
     _exits_2(["train-generator", "--config", str(cfg), "--out", str(tmp_path),
-              "--checkpoint", str(tmp_path / "bad.bin")], capsys, f"{name}: ")
+              "--checkpoint", str(tmp_path / "bad.bin")], capsys,
+             f"{name}: " if altered is not None else why)
     assert not (tmp_path / "generator.bin").exists()
     with pytest.raises(CheckpointError, match=re.escape(why)):
         stage1_from_tensors(tensors)

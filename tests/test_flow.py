@@ -23,6 +23,7 @@ from cfmlab.numerics import (
     NumericError,
     adam_step,
     Tensor,
+    attention,
     finite_difference_gradient,
     grad,
     matmul,
@@ -158,23 +159,39 @@ def test_tcam_zero_output_projection_is_query_passthrough():
     assert np.array_equal(out.data, (Tensor(x) @ net.tcam_q).data)
 
 
+def _tcam_attention(net, x, prep, values):
+    """TCAM's attention of x's queries over prep's keys, weighting `values`."""
+    q = matmul(Tensor(x), net.tcam_q)
+    return attention(q, prep.keys, Tensor(values), 1.0 / math.sqrt(net.d_s))
+
+
+def test_tcam_refuses_a_condition_of_another_batch():
+    net = _small_net(8)
+    rng = np.random.default_rng(9)
+    prep = prepare_condition(net, rng.standard_normal((3, 5, 6)), 5)
+    with pytest.raises(NumericError, match=r"attention needs .* got \(2, 5, 8\), \(3, 5, 8\)"):
+        tcam_fuse(rng.standard_normal((2, 5, 6)), prep, net)
+
+
 def test_tcam_single_condition_frame_attention_is_one():
+    # a weight of exactly 1 gives each query the one value, unrounded
     net = _small_net(9)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, 4, 6))
-    cond = rng.standard_normal((1, 1, 6))
-    _, attn = tcam_fuse(x, prepare_condition(net, cond, 4), net, return_attn=True)
-    assert np.all(attn.data == 1.0)
+    prep = prepare_condition(net, rng.standard_normal((1, 1, 6)), 4)
+    out = _tcam_attention(net, x, prep, prep.values.data)
+    assert np.array_equal(out.data, np.broadcast_to(prep.values.data, out.shape))
 
 
 def test_tcam_attention_rows_sum_to_one():
+    # weighting values of 1, each query's output is the sum of its row
     net = _small_net(11)
     rng = np.random.default_rng(12)
     x = rng.standard_normal((3, 5, 6))
-    cond = rng.standard_normal((3, 7, 6))
-    _, attn = tcam_fuse(x, prepare_condition(net, cond, 5), net, return_attn=True)
-    assert attn.shape == (3, 5, 7)
-    assert np.allclose(attn.data.sum(axis=-1), 1.0, atol=1e-12)
+    prep = prepare_condition(net, rng.standard_normal((3, 7, 6)), 5)
+    rows = _tcam_attention(net, x, prep, np.ones((3, 7, 1)))
+    assert rows.shape == (3, 5, 1)
+    assert np.allclose(rows.data, 1.0, atol=1e-12)
 
 
 def test_velocity_forward_shape_and_determinism():

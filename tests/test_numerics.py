@@ -14,8 +14,10 @@ import weakref
 import numpy as np
 import pytest
 
+from cfmlab.alignment import _normalized_rows
 from cfmlab.cli import _gradcheck_suite, main
 from cfmlab.codec import init_codebook_stack, init_part_codec
+from cfmlab.config import config_from_dict
 from cfmlab.numerics import (
     AdamState,
     NumericError,
@@ -23,6 +25,7 @@ from cfmlab.numerics import (
     Tensor,
     adam_step,
     as_tensor,
+    attention,
     check_gradients,
     concat,
     exp,
@@ -31,7 +34,6 @@ from cfmlab.numerics import (
     getitem,
     grad,
     inject_backward_fault,
-    l2_normalize,
     log,
     logsumexp,
     matmul,
@@ -41,7 +43,6 @@ from cfmlab.numerics import (
     neighbour_linear,
     no_grad,
     reshape,
-    softmax,
     sqrt,
     sum_,
     swap_last,
@@ -49,7 +50,7 @@ from cfmlab.numerics import (
 )
 from cfmlab.numerics import tensor
 from cfmlab.numerics.tensor import add, div, mul, sub
-from cfmlab.training import _stage1_part
+from cfmlab.training import Stage2Data, _stage1_part, init_stage2, stage2_loss
 
 
 # ---------------------------------------------------------------- grad() basics
@@ -175,6 +176,13 @@ def _nonzero(rng, shape):
     return rng.uniform(0.5, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
 
+def _softmax(x):
+    """softmax(x) along the last axis of a (B, L, n) x, as `attention` runs
+    it: with identity keys and values, q k^T and the weighted sum are exact."""
+    eye = Tensor(np.tile(np.eye(x.shape[-1]), (x.shape[0], 1, 1)))
+    return attention(x, eye, eye, 1.0)
+
+
 # Each factory takes an rng and returns (f, x0); random constants are bound
 # once as default args so repeated calls of f see identical values.
 OP_CASES = {
@@ -205,8 +213,12 @@ OP_CASES = {
     "mean_axis": lambda r: (lambda x, c=Tensor(r.standard_normal(3)): sum_(mean(x, axis=1) * c), r.standard_normal((3, 4))),
     "logsumexp": lambda r: (lambda x: sum_(logsumexp(x, axis=-1)), r.standard_normal((3, 4))),
     "logsumexp_tuple_axes": lambda r: (lambda x, c=Tensor(r.standard_normal(2)): sum_(logsumexp(x, axis=(1, 2)) * c), r.standard_normal((2, 3, 4))),
-    "softmax": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): sum_(softmax(x, axis=-1) * c), r.standard_normal((3, 4))),
-    "l2_normalize": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): sum_(l2_normalize(x, axis=-1) * c), r.standard_normal((3, 4))),
+    "softmax": lambda r: (lambda x, c=Tensor(r.standard_normal((1, 3, 4))): sum_(_softmax(x) * c), r.standard_normal((1, 3, 4))),
+    "attention_q": lambda r: (lambda x, k=Tensor(r.standard_normal((2, 5, 4))), v=Tensor(r.standard_normal((2, 5, 3))), c=Tensor(r.standard_normal((2, 3, 3))): sum_(attention(x, k, v, 0.7) * c), r.standard_normal((2, 3, 4))),
+    "attention_k": lambda r: (lambda x, q=Tensor(r.standard_normal((2, 3, 4))), v=Tensor(r.standard_normal((2, 5, 3))), c=Tensor(r.standard_normal((2, 3, 3))): sum_(attention(q, x, v, 0.7) * c), r.standard_normal((2, 5, 4))),
+    "attention_v": lambda r: (lambda x, q=Tensor(r.standard_normal((2, 3, 4))), k=Tensor(r.standard_normal((2, 5, 4))), c=Tensor(r.standard_normal((2, 3, 3))): sum_(attention(q, k, x, 0.7) * c), r.standard_normal((2, 5, 3))),
+    "attention_self": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 4, 3))): sum_(attention(x, x * x, x, 0.5) * c), r.standard_normal((2, 4, 3))),
+    "l2_normalize": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): sum_(_normalized_rows(x, "degenerate") * c), r.standard_normal((3, 4))),
     "mse": lambda r: (lambda x, c=Tensor(r.standard_normal((3, 4))): mse(x, c), r.standard_normal((3, 4))),
     "mse_broadcast_a": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 3, 4))): mse(x, c), r.standard_normal(4)),
     "mse_broadcast_b": lambda r: (lambda x, c=Tensor(r.standard_normal((2, 3, 4))): mse(c, x), r.standard_normal((3, 1))),
@@ -226,23 +238,26 @@ def test_op_gradients_match_fd_over_seeds(op_name):
         assert err < 1e-4, f"{op_name} seed {seed}: rel err {err:.3e}"
 
 
+# The softmax tests run it inside `attention`, its one primitive, through
+# `_softmax` above.
+
 def test_softmax_stable_at_large_inputs():
-    x = Tensor(np.array([[700.0, -700.0, 0.0]]), requires_grad=True)
-    s = softmax(x, axis=-1)
+    x = Tensor(np.array([[[700.0, -700.0, 0.0]]]), requires_grad=True)
+    s = _softmax(x)
     assert np.all(np.isfinite(s.data))
-    g = grad(sum_(s * Tensor(np.array([[1.0, 2.0, 3.0]]))), [x])
+    g = grad(sum_(s * Tensor(np.array([[[1.0, 2.0, 3.0]]]))), [x])
     assert np.all(np.isfinite(g[x].data))
 
 
 @pytest.mark.parametrize("big", [1e15, 1e17])
 def test_softmax_of_a_tie_at_a_large_value_is_exact(big):
-    x = Tensor(np.array([big, big]), requires_grad=True)
-    s = softmax(x)
-    assert s.data.tolist() == [0.5, 0.5]
+    x = Tensor(np.array([[[big, big]]]), requires_grad=True)
+    s = _softmax(x)
+    assert s.data.tolist() == [[[0.5, 0.5]]]
     g = grad(sum_(s * Tensor(np.array([1.0, 2.0]))), [x])[x]
-    assert g.data.tolist() == [-0.25, 0.25]
+    assert g.data.tolist() == [[[-0.25, 0.25]]]
     with no_grad():
-        assert softmax(x).data.tolist() == [0.5, 0.5]
+        assert _softmax(x).data.tolist() == [[[0.5, 0.5]]]
 
 
 def test_logsumexp_tuple_axes_value():
@@ -484,19 +499,20 @@ def test_tape_replay_deterministic_bitwise():
 
 def test_a_graph_is_swept_once():
     rng = np.random.default_rng(7)
-    x, c = rng.standard_normal((4, 3)), rng.standard_normal((4, 5))
+    x, c = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 4, 2))
+    k, v = rng.standard_normal((2, 6, 5)), rng.standard_normal((2, 6, 2))
     w = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    p = softmax(matmul(Tensor(x), w))
+    p = attention(matmul(Tensor(x), w), Tensor(k), Tensor(v), 0.5)
     loss = sum_(p * Tensor(c))
     g = grad(loss, [w])[w].data
     # the first sweep keeps the plain expressions' bits
-    s = p.data
-    t = np.ones((4, 5)) * c * s
-    assert g.tobytes() == (x.T @ (t - s * np.sum(t, axis=-1, keepdims=True))).tobytes()
+    a = _chain_weights(x @ w.data, k, 0.5)
+    gq = _chain_backward(x @ w.data, k, v, 0.5, a, np.ones((2, 4, 2)) * c)[0]
+    assert g.tobytes() == (x.reshape(-1, 3).T @ gq.reshape(-1, 5)).tobytes()
     with pytest.raises(NumericError, match="op 'sum' backward: the graph was already swept"):
         grad(loss, [w])
     again = sum_(p)  # a fresh node over a spent one
-    with pytest.raises(NumericError, match="op 'softmax' backward"):
+    with pytest.raises(NumericError, match="op 'attention' backward"):
         Tape.from_output(again).replay_backward(again, np.ones(()))
 
 
@@ -761,18 +777,19 @@ def test_fault_injection_detects_shift():
         assert check_gradients(f, {"w": w})["w"] > 1e-2
 
 
-def test_fault_injection_detects_softmax():
-    # softmax is one tape node, so a fault in its VJP is a fault of 'softmax'
+def test_fault_injection_detects_attention():
+    # attention is one tape node, so a fault in its VJP is a fault of 'attention'
     rng = np.random.default_rng(1)
     w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     x = Tensor(rng.standard_normal((2, 4, 3)))
     c = Tensor(rng.standard_normal((2, 4, 3)))
 
     def f():
-        return sum_(softmax(matmul(x, w)) * c)
+        h = matmul(x, w)
+        return sum_(attention(h, h, x, 0.5) * c)
 
     assert check_gradients(f, {"w": w})["w"] < 1e-6
-    with inject_backward_fault("softmax"):
+    with inject_backward_fault("attention"):
         assert check_gradients(f, {"w": w})["w"] > 1e-2
 
 
@@ -783,7 +800,14 @@ def test_cli_gradcheck_detects_injected_shift_fault(capsys):
     assert out.count("FAIL") == 2 and "PASS" not in out
 
 
-@pytest.mark.parametrize("op", ["shift", "nosuchop", "leaf"])
+def test_cli_gradcheck_detects_injected_attention_fault(capsys):
+    # only the velocity net attends
+    assert main(["gradcheck", "--inject-fault", "attention"]) == 3
+    stage1, stage2 = capsys.readouterr().out.splitlines()[:2]
+    assert stage1.endswith("PASS") and stage2.startswith("stage2/") and stage2.endswith("FAIL")
+
+
+@pytest.mark.parametrize("op", ["shift", "nosuchop", "leaf", "softmax"])
 def test_cli_gradcheck_refuses_a_fault_in_no_taped_op(op, capsys):
     # negating an op that no checked node carries would change nothing and pass
     assert main(["gradcheck", "--inject-fault", op]) == 2
@@ -835,8 +859,9 @@ PRIMITIVES = {
     "sum": ("sum", lambda x: sum_(x, axis=1), [(3, 4)]),
     "sum_all": ("sum", sum_, [(3, 4)]),
     "mean": ("mean", lambda x: mean(x, axis=0, keepdims=True), [(3, 4)]),
-    "softmax": ("softmax", softmax, [(2, 3, 4)]),
-    "softmax_axis0": ("softmax", lambda x: softmax(x, axis=0), [(2, 3, 4)]),
+    "softmax": ("attention", _softmax, [(2, 3, 4)]),
+    "attention": ("attention", lambda q, k, v: attention(q, k, v, 0.5), [(2, 3, 4), (2, 5, 4), (2, 5, 3)]),
+    "attention_one_clip": ("attention", lambda q, k, v: attention(q, k, v, 0.5), [(1, 4, 2), (1, 1, 2), (1, 1, 3)]),
     "mse": ("mse", mse, [(2, 3, 4), (4,)]),
 }
 
@@ -924,10 +949,11 @@ def _matmul_into_add(w, c):
     return [h], sum_(h + c)
 
 
-def _scores_into_softmax(w, c):
-    scores = matmul(c, w)
-    scaled = scores * 0.5
-    return [scores, scaled], sum_(softmax(scaled) * c)
+def _q_into_attention(w, c):
+    # attention keeps its queries only for the keys' gradient
+    h = matmul(c[None], w)
+    q = h * 0.5
+    return [h, q], sum_(attention(q, c[None], c[None], 1.0) * c)
 
 
 def _gelu_into_residual(w, c):
@@ -941,7 +967,7 @@ def _matmul_into_gelu(w, c):
     return [h], sum_(gelu(h) * c)
 
 
-@pytest.mark.parametrize("build", [_mul_into_add, _matmul_into_add, _scores_into_softmax,
+@pytest.mark.parametrize("build", [_mul_into_add, _matmul_into_add, _q_into_attention,
                                    _gelu_into_residual, _matmul_into_gelu],
                          ids=lambda f: f.__name__[1:])
 def test_an_output_no_rule_reads_is_freed_while_its_graph_lives(build):
@@ -974,21 +1000,33 @@ def test_matmul_keeps_its_left_operand_only_for_the_right_gradient(right_needs_g
 
 
 def _composite_softmax(a, axis=-1):
-    """The softmax composite that the primitive replaced, kept as its
+    """The softmax composite that the closed form replaced, kept as its
     reference to within 1e-14 relative."""
     return exp(as_tensor(a) - logsumexp(a, axis=axis, keepdims=True))
+
+
+def _softmax_along(x, axis):
+    """softmax over one axis, or over trailing axes as one, through
+    `_softmax`: the axes are moved last by swap_last and reshape, which
+    move no bit."""
+    if isinstance(axis, tuple):
+        return reshape(_softmax(reshape(x, (x.shape[0], 1, -1))), x.shape)
+    if axis % x.ndim == x.ndim - 2:
+        return swap_last(_softmax_along(swap_last(x), -1))
+    return reshape(_softmax(reshape(x, (1, -1, x.shape[-1]))), x.shape)
 
 
 @pytest.mark.parametrize("shape, axis", [
     ((3, 4), -1), ((3, 4), 0), ((5,), 0), ((2, 3, 4), 1), ((2, 3, 4), (1, 2)),
     ((2, 1, 4), (1, 2)), ((2, 3, 1), -1), ((2, 16, 16), -1)])
 def test_softmax_primitive_matches_composite_bitwise(shape, axis):
+    # the softmax `attention` runs, against the logsumexp composite
     rng = np.random.default_rng(sum(shape))
     x = Tensor(3.0 * rng.standard_normal(shape), requires_grad=True)
     c = Tensor(rng.standard_normal(shape))
-    fast, ref = softmax(x, axis=axis), _composite_softmax(x, axis=axis)
+    fast, ref = _softmax_along(x, axis), _composite_softmax(x, axis=axis)
     np.testing.assert_allclose(fast.data, ref.data, rtol=1e-14, atol=0.0)
-    assert len(Tape.from_output(fast).nodes) == 2  # x and the softmax node
+    assert [n._op for n in Tape.from_output(fast).nodes].count("attention") == 1
     g_fast = grad(sum_(fast * c), [x])[x].data
     g_ref = grad(sum_(ref * c), [x])[x].data
     # entries of t - out * sum(t) can cancel, so the gradient's tolerance is
@@ -999,14 +1037,162 @@ def test_softmax_primitive_matches_composite_bitwise(shape, axis):
 def test_softmax_accepts_a_range_wider_than_float64():
     # x - max overflows to -inf here; the composite raised at 'sub', though
     # exp takes that entry to 0 and the softmax itself is exact
-    x = np.array([[-1e308, 0.0, 1e308]])
+    x = np.array([[[-1e308, 0.0, 1e308]]])
     with pytest.raises(NumericError, match="'sub'"):
         _composite_softmax(Tensor(x))
     xt = Tensor(x, requires_grad=True)
-    s = softmax(xt)
-    assert np.array_equal(s.data, [[0.0, 0.0, 1.0]])
-    g = grad(sum_(s * Tensor(np.array([[1.0, 2.0, 3.0]]))), [xt])[xt].data
+    s = _softmax(xt)
+    assert np.array_equal(s.data, [[[0.0, 0.0, 1.0]]])
+    g = grad(sum_(s * Tensor(np.array([[[1.0, 2.0, 3.0]]]))), [xt])[xt].data
     assert np.all(np.isfinite(g))
+
+
+# ------------------------------------------ attention against the TCAM chain
+#
+# `attention` replaced the five nodes matmul(q, swap_last(k)), mul by the
+# scale, softmax and matmul by v. `_chain_*` are those nodes' forwards and
+# rules as plain numpy, in their operation order.
+
+def _chain_weights(q, k, scale):
+    s = (q @ np.swapaxes(k, -1, -2)) * np.float64(scale)
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _chain_backward(q, k, v, scale, a, g):
+    """(gq, gk, gv); k's gradient is the copy the replay made of the
+    swap_last view."""
+    gv = np.swapaxes(a, -1, -2) @ g
+    t = (g @ np.swapaxes(v, -1, -2)) * a
+    np.subtract(t, a * np.sum(t, axis=-1, keepdims=True), out=t)
+    t = t * np.float64(scale)
+    gk_t = np.swapaxes(q, -1, -2) @ t
+    return t @ np.swapaxes(np.swapaxes(k, -1, -2), -1, -2), np.swapaxes(gk_t, -1, -2).copy(), gv
+
+
+def _chain_attention(q, k, v, scale):
+    """The chain as one node: `attention` with no blocks."""
+    qd, kd, vd = (as_tensor(t).data for t in (q, k, v))
+    a = _chain_weights(qd, kd, scale)
+    return tensor._from_op(a @ vd, (as_tensor(q), as_tensor(k), as_tensor(v)),
+                           lambda g: _chain_backward(qd, kd, vd, scale, a, g), "attention")
+
+
+# (B, L, L_c, d, d_v, layout)
+ATTENTION_SHAPES = {
+    "one_clip_a_block": (3, 128, 130, 4, 3, "plain"),  # L L_c >= _BLOCK
+    "tail_block": (70, 16, 16, 4, 5, "plain"),  # 64 clips a block, then 6
+    "one_clip": (1, 5, 7, 3, 2, "plain"),
+    "lc_not_l": (4, 6, 9, 3, 3, "plain"),
+    "lc_one": (5, 3, 1, 2, 2, "plain"),
+    "strided_q_k": (6, 8, 5, 4, 3, "transposed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_SHAPES))
+def test_attention_matches_the_plain_chain_bitwise(case):
+    b, l, lc, d, dv, layout = ATTENTION_SHAPES[case]
+    rng = np.random.default_rng(b + l + lc)
+    q, k = 2.0 * rng.standard_normal((b, l, d)), rng.standard_normal((b, lc, d))
+    if layout == "transposed":  # q and k as non-contiguous views
+        q = np.swapaxes(2.0 * rng.standard_normal((b, d, l)), -1, -2)
+        k = np.swapaxes(rng.standard_normal((b, d, lc)), -1, -2)
+    v, g = rng.standard_normal((b, lc, dv)), rng.standard_normal((b, l, dv))
+    scale = 1.0 / math.sqrt(d)
+    a = _chain_weights(q, k, scale)
+    ts = [Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = attention(*ts, scale)
+    assert out.data.tobytes() == (a @ v).tobytes()
+    with no_grad():
+        assert attention(q, k, v, scale).data.tobytes() == (a @ v).tobytes()
+    grads = out._node._vjp(g)
+    for got, ref in zip(grads, _chain_backward(q, k, v, scale, a, g)):
+        assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("needs", [n for n in itertools.product([False, True], repeat=3)
+                                   if any(n)])
+def test_attention_gradients_match_fd_over_several_blocks(monkeypatch, needs):
+    # 2 clips a block: blocks of 2, 2 and a tail of 1
+    monkeypatch.setattr(tensor, "_BLOCK", 2 * 3 * 4)
+    rng = np.random.default_rng(sum(needs))
+    arrays = [rng.standard_normal(s) for s in ((5, 3, 2), (5, 4, 2), (5, 4, 3))]
+    c = Tensor(rng.standard_normal((5, 3, 3)))
+    ts = [Tensor(x, requires_grad=n) for x, n in zip(arrays, needs)]
+
+    def f():
+        return sum_(attention(*ts, 0.8) * c)
+
+    params = {i: t for i, t in enumerate(ts) if t.requires_grad}
+    errs = check_gradients(f, params, h=1e-6)
+    assert max(errs.values()) < 1e-6, errs
+    a = _chain_weights(*arrays[:2], 0.8)
+    got = grad(f(), list(params.values()))
+    refs = _chain_backward(*arrays, 0.8, a, np.ones((5, 3, 3)) * c.data)
+    for i, t in params.items():
+        assert got[t].data.tobytes() == refs[i].tobytes()
+
+
+def test_a_stage2_gradient_is_bitwise_the_one_through_the_plain_chain(monkeypatch):
+    # 70 clips of 16 frames attend in blocks of 64 clips and a tail of 6
+    cfg = config_from_dict({})
+    rng = np.random.default_rng(21)
+    models = init_stage2(cfg)
+    for model in models:  # away from the init's zero output projection
+        for w in model.parameters():
+            w.data += rng.uniform(-0.2, 0.2, w.data.shape)
+    d_model = models[0].d_model
+    z1 = rng.standard_normal((70, 16, d_model))
+    batch = Stage2Data(z1, rng.standard_normal(z1.shape),
+                       rng.standard_normal((70, 16, cfg.dataset.d_audio)),
+                       rng.standard_normal((70, 16, cfg.dataset.d_text)), class_ids=None)
+    t, z0 = rng.uniform(0.1, 0.9, size=70), rng.standard_normal(z1.shape)
+    v_neg = z1[::-1] - z0
+    params = [w for model in models for w in model.parameters()]
+
+    def step():
+        total, terms = stage2_loss(cfg, *models, batch, t, z0, v_neg)
+        return [total.data.tobytes()] + [g.data.tobytes() for g in grad(total, params).values()]
+
+    blocked = step()
+    monkeypatch.setattr("cfmlab.flow.attention", _chain_attention)
+    assert step() == blocked
+
+
+@pytest.mark.parametrize("recording", [True, False])
+def test_tracked_attention_holds_little_beyond_its_output_and_weights(recording):
+    # out is 4 MiB, the kept weights 8 MiB and a block's buffers 128 KiB
+    # each; untracked, one block's buffer stands in for the weights. The
+    # chain's (64, 128, 128) nodes took 8 MiB apiece, a 24 MiB peak.
+    rng = np.random.default_rng(14)
+    q, k, v = (Tensor(rng.standard_normal((64, 128, 64)), requires_grad=True)
+               for _ in range(3))
+    with contextlib.ExitStack() as stack:
+        if not recording:
+            stack.enter_context(no_grad())
+        tracemalloc.start()
+        try:
+            out = attention(q, k, v, 0.125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert out.data.nbytes == 4 << 20
+    kept = (12 << 20) if recording else (4 << 20)
+    assert peak < kept + (1 << 19), f"{peak / (1 << 20):.2f} MiB"
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 3, 4), (2, 5, 3), (2, 5, 2)], [(2, 3, 4), (1, 5, 4), (1, 5, 2)],
+    [(2, 3, 4), (2, 5, 4), (2, 6, 2)], [(3, 4), (5, 4), (5, 2)], [(2, 3, 4), (2, 0, 4), (2, 0, 2)]],
+    ids=["d", "batch", "l_c", "2d", "no_keys"])
+@pytest.mark.parametrize("recording", [True, False])
+def test_attention_refuses_operands_that_do_not_fit(shapes, recording):
+    arrays = [np.ones(s) for s in shapes]
+    with contextlib.ExitStack() as stack:
+        if not recording:
+            stack.enter_context(no_grad())
+        with pytest.raises(NumericError, match="attention needs q"):
+            attention(*arrays, 1.0)
 
 
 def test_untracked_tensor_is_a_constant_in_a_tracked_graph():
@@ -1019,7 +1205,7 @@ def test_untracked_tensor_is_a_constant_in_a_tracked_graph():
     assert c._node is None
 
     def loss(const):
-        h = softmax(matmul(const, w) * 0.5) * k
+        h = attention(matmul(const, w), k, k, 0.5)
         return sum_(h + gelu(w[0] * const))
 
     from_untracked = grad(loss(c), [w])[w].data
