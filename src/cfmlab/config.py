@@ -183,6 +183,7 @@ _RULES = (
     (DatasetConfig, "ratios", lambda d: min(d.ratios) >= 0 and abs(sum(d.ratios) - 1.0) <= 1e-9,
      "split ratios must be 3 non-negatives summing to 1, got {ratios}"),
     (FlowSection, "time_dim", lambda f: f.time_dim % 2 == 0, "must be even, got {time_dim}"),
+    (FlowSection, "d_cond", lambda f: f.d_cond % 2 == 0, "must be even, got {d_cond}"),
 )
 
 

@@ -1,20 +1,22 @@
-"""Evaluation: generate motion for held-out conditions, then score FGD
-(pooled and per-class matched/mismatched), beat consistency against the
-planted audio onsets, and feature-space diversity.
+"""Evaluation: generate motion for held-out conditions with the trained
+velocity net, alignment heads and manifold projection, all required, then
+score FGD (pooled and per-class matched/mismatched), beat consistency
+against the planted audio onsets, and feature-space diversity.
 
 Features come from the frozen stage-1 encoders, so generated and real clips
 are compared in the same space regardless of how the generator was trained.
 
-A split is a `synthdata.Clips` record of arrays, read as it is: its
+The test split is a `synthdata.Clips` record of arrays, read as it is: its
 motion arrays are the real frames, its onsets the beat targets, and its
 class ids group the per-class FGD. `evaluate_run` walks it in the chunks
 of `Clips.chunks` (whole clips of at most `synthdata._CHUNK_ROWS` latent
 rows). Each chunk is generated in one `sample_batch` call
 (`generate_split`), with its conditions built just before it, one
-`condition_for_clip` call per clip. The chunk pays each per-op cost of the
-velocity net, TCAM, RVQ and decoders once for all its clips. Its generated
-and real frames go straight to features and kinematic peaks, so the run
-holds the per-clip features and beat scores, never a generated split.
+`condition_for_clip` call per clip, one condition row per latent frame.
+The chunk pays each per-op cost of the velocity net, TCAM, RVQ and
+decoders once for all its clips. Its generated and real frames go straight
+to features and kinematic peaks, so the run holds the per-clip features
+and beat scores, never a generated split.
 Each clip's ODE seed is drawn from the run seed by clip position, and a
 batched draw equals the draw made alone, so a clip's motion depends neither
 on the rest of the split nor on where the chunks fall. `cfmlab generate
@@ -63,7 +65,7 @@ def condition_for_clip(audio, text, net, heads):
         return build_condition_batch(a, t, net).data
 
 
-def generate_split(cfg, clips, seeds, net, heads, stacks, codecs, proj=None):
+def generate_split(cfg, clips, seeds, net, heads, stacks, codecs, proj):
     """Part -> (n, T, J) frames of one generated motion per clip of `clips`
     (a `Clips` record), in one `sample_batch` call; `seeds` are the clips'
     ODE seeds."""
@@ -78,24 +80,24 @@ def generate_split(cfg, clips, seeds, net, heads, stacks, codecs, proj=None):
 
 
 def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
-                 proj=None, split="test", self_eval=False):
-    """Score a trained run on one dataset split.
+                 proj=None, self_eval=False):
+    """Score a trained run on the dataset's test split.
 
     self_eval swaps the generated set for the real clips themselves — a
     calibration mode whose FGD must come out ~0.  Returns (MetricReport,
     details) where details carries the per-class matched/mismatched FGD the
     relational checks compare.
     """
-    clips = dataset.splits[split]
+    clips = dataset.splits["test"]
     groups = {}
     for i, c in enumerate(clips.class_id.tolist()):
         groups.setdefault(c, []).append(i)
     if len(clips) < 4 or min(map(len, groups.values())) < 2:  # per-class FGD needs 2
-        raise ConfigError(f"dataset.ratios: {split} split has {len(clips)} clips, "
+        raise ConfigError(f"dataset.ratios: test split has {len(clips)} clips, "
                           f"need >= 4 and >= 2 of each class to evaluate")
-    if not self_eval and (net is None or heads is None):
-        raise NumericError("evaluation needs a trained velocity net and alignment "
-                           "heads (or self_eval)")
+    if not self_eval and (net is None or heads is None or proj is None):
+        raise NumericError("evaluation needs a trained velocity net, alignment heads "
+                           "and manifold projection (or self_eval)")
     scale, fps = cfg.sacm.scale, cfg.dataset.fps
     # drawn from the run seed by clip position, so repeated evaluations
     # are bit-identical
@@ -142,7 +144,7 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
         "fgd_by_class": {str(c): matched[c] for c in sorted(matched)},
         "bc_per_clip": bc_values.tolist(),
         "diversity_real": diversity(real_all),
-        "split": split,
+        "split": "test",
         "self_eval": bool(self_eval),
     }
     return report, details

@@ -11,13 +11,14 @@ temporal neighbours in one `neighbour_linear` op — gesture strokes live at
 that scale) and a linear head; the attention output projection starts at
 zero so the block is an exact residual passthrough at init.
 
-`velocity_forward` has a condition part and a step part. The condition
-part (`prepare_condition`) builds the terms that depend only on the
-condition and the latent length: both position embeddings, the TCAM keys
-and values, and the frame-aligned residual. Every caller prepares the
+The condition has one row per latent frame: motion frame i is conditioned
+on audio-text frame i. `velocity_forward` has a condition part and a step
+part. The condition part (`prepare_condition`) builds the terms that
+depend only on the condition: both position embeddings, the TCAM keys and
+values, and the frame-aligned residual. Every caller prepares the
 condition itself and passes the result: training once per step, an ODE
 solve once for all its steps. The velocity field takes batched (B, L, d_G)
-latents only.
+latents only, and refuses a condition of another length.
 
 Motion tokens and condition both receive parameter-free sinusoidal temporal
 position embeddings before cross-attention: attention is otherwise a
@@ -190,27 +191,26 @@ def temporal_position_embedding(length, dim):
 
 @dataclass
 class PreparedCondition:
-    """The terms of `velocity_forward` that depend only on the condition and
-    the latent length, so one ODE solve builds them once for all its steps."""
+    """The terms of `velocity_forward` that depend only on the condition, so
+    one ODE solve builds them once for all its steps."""
     pe_x: Tensor      # (L, d_G) motion position embedding
-    keys: Tensor      # (B, L_c, d_s) TCAM keys of c + pe_c
-    values: Tensor    # (B, L_c, d_s) TCAM values of c + pe_c
-    aligned: Tensor | None  # (B, L, d_G) c @ align_w when L_c == L, else None
+    keys: Tensor      # (B, L, d_s) TCAM keys of c + pe_c
+    values: Tensor    # (B, L, d_s) TCAM values of c + pe_c
+    aligned: Tensor   # (B, L, d_G) c @ align_w
 
 
-def prepare_condition(net, cond, length):
-    """Condition terms of `velocity_forward` for latents of `length` frames,
-    from a (B, L_c, d_O) condition."""
+def prepare_condition(net, cond):
+    """Condition terms of `velocity_forward` from a (B, L, d_O) condition,
+    one row per latent frame."""
     c = as_tensor(cond)
-    # frame-aligned conditions get a direct per-step residual so timing
-    # cues reach the matching motion frame without relying on attention
-    # to discover the diagonal; unaligned conditions use attention alone
-    aligned = matmul(c, net.align_w) if c.shape[-2] == length else None
-    ct = c + Tensor(temporal_position_embedding(c.shape[-2], net.d_cond))
+    length = c.shape[-2]
+    # the frame-aligned residual lets timing cues reach the matching motion
+    # frame without relying on attention to discover the diagonal
+    aligned = matmul(c, net.align_w)
+    ct = c + Tensor(temporal_position_embedding(length, net.d_cond))
     return PreparedCondition(
         pe_x=Tensor(temporal_position_embedding(length, net.d_model)),
-        keys=matmul(ct, net.tcam_k), values=matmul(ct, net.tcam_v),
-        aligned=aligned)
+        keys=matmul(ct, net.tcam_k), values=matmul(ct, net.tcam_v), aligned=aligned)
 
 
 def tcam_fuse(x, prep, net):
@@ -224,8 +224,8 @@ def tcam_fuse(x, prep, net):
 
 def velocity_forward(net, zt, t, prep):
     """Predict the velocity field at interpolant zt (B, L, d_G), time t and
-    the PreparedCondition `prep`, built by `prepare_condition` for B
-    conditions and L frames.
+    the PreparedCondition `prep`, built by `prepare_condition` from B
+    conditions of L frames.
 
     t is a scalar or a per-example (B,) array. A scalar t builds one
     time-embedding row shared by the batch, so each example's velocity is
@@ -240,8 +240,7 @@ def velocity_forward(net, zt, t, prep):
     if prep.keys.shape[0] != b:
         raise NumericError(f"condition batch {prep.keys.shape[0]} != latent batch {b}")
     if prep.pe_x.shape[0] != l:
-        raise NumericError(
-            f"condition prepared for {prep.pe_x.shape[0]} frames, latent has {l}")
+        raise NumericError(f"condition has {prep.pe_x.shape[0]} frames, latent has {l}")
     # one row for a scalar t: (B, k) @ (k, d) runs as a gemm and (1, k) @
     # (k, d) as a gemv, which round differently in the last bit. The range
     # tests are written so that NaN fails them.
@@ -257,9 +256,7 @@ def velocity_forward(net, zt, t, prep):
         temb = sinusoidal_time_embedding(t_arr, net.time_w.shape[0])
 
     temb = matmul(Tensor(temb), net.time_w) + net.time_b        # (B or 1, d_G)
-    tokens = x + net.p + temb.reshape(temb.shape[0], 1, d_model) + prep.pe_x
-    if prep.aligned is not None:
-        tokens = tokens + prep.aligned
+    tokens = x + net.p + temb.reshape(temb.shape[0], 1, d_model) + prep.pe_x + prep.aligned
     h = tcam_fuse(tokens, prep, net)
     for w, bias in ((net.conv1_w, net.conv1_b), (net.conv2_w, net.conv2_b)):
         h = h + gelu(neighbour_linear(h, w, bias))

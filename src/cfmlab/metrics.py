@@ -60,18 +60,6 @@ class MetricReport:
     n_real: int
     n_gen: int
 
-    def __post_init__(self):
-        self.fgd = float(self.fgd)
-        if self.fgd < -1e-8:
-            raise NumericError(f"fgd {self.fgd} below numerical slack")
-        self.fgd = max(self.fgd, 0.0)
-        self.bc = float(self.bc)
-        if not 0.0 <= self.bc <= 1.0:
-            raise NumericError(f"beat consistency {self.bc} outside [0, 1]")
-        self.diversity = float(self.diversity)
-        if self.diversity < 0.0:
-            raise NumericError(f"diversity {self.diversity} negative")
-
     def to_json(self):
         return json.dumps(
             {"fgd": self.fgd, "bc": self.bc, "diversity": self.diversity,

@@ -13,7 +13,6 @@ from .tensor import (
     gelu,
     getitem,
     grad,
-    inject_backward_fault,
     log,
     logsumexp,
     matmul,
@@ -46,7 +45,6 @@ __all__ = [
     "gelu",
     "getitem",
     "grad",
-    "inject_backward_fault",
     "log",
     "logsumexp",
     "matmul",

@@ -3,15 +3,20 @@
 Central differences at 64-bit precision give ~1e-10 absolute error for
 O(1) smooth functions with h=1e-5, which is plenty of headroom for the
 reverse-mode checks in the test suite (tolerances 1e-6 .. 1e-3).
+
+`negate_backward` breaks one op's backward rule in one built graph, so the
+harness can prove it detects a wrong rule (`cfmlab gradcheck
+--inject-fault`); the tape itself has no such hook.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NumericError, Tensor, grad, no_grad
+from .tensor import NumericError, Tape, Tensor, grad, no_grad
 
-__all__ = ["finite_difference_gradient", "max_rel_err", "check_gradients"]
+__all__ = ["finite_difference_gradient", "max_rel_err", "check_gradients",
+           "negate_backward"]
 
 
 def _scalar(value):
@@ -66,13 +71,28 @@ def max_rel_err(analytic, numeric):
     return float(num / den)
 
 
-def check_gradients(f, params, h=1e-5):
+def negate_backward(loss, op):
+    """Negate the VJP of every node of op `op` in `loss`'s graph, which is yet
+    to be swept. Returns how many nodes it changed: 0 when none carries `op`."""
+    nodes = [n for n in Tape.from_output(loss).nodes if n._op == op and n._vjp is not None]
+    for n in nodes:
+        n._vjp = _negated(n._vjp)
+    return len(nodes)
+
+
+def _negated(vjp):
+    return lambda g: tuple(None if pg is None else -np.asarray(pg) for pg in vjp(g))
+
+
+def check_gradients(f, params, h=1e-5, loss=None):
     """Compare reverse-mode gradients of a scalar loss against finite differences.
 
     `f` is a zero-argument callable (closing over `params`) returning a scalar
-    Tensor; `params` maps names to leaf tensors. Returns {name: rel_err}.
+    Tensor; `params` maps names to leaf tensors. The reverse-mode side
+    differentiates `loss`, an f() already built (one `negate_backward`
+    changed, say), or a fresh f() when None. Returns {name: rel_err}.
     """
-    loss = f()
+    loss = f() if loss is None else loss
     gmap = grad(loss, list(params.values()))
     errs = {}
     for name, p in params.items():

@@ -65,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _UID = itertools.count()
-_FAULT_OP = None  # set via inject_backward_fault(), test instrumentation only
 
 _GELU_K = math.sqrt(2.0 / math.pi)
 _GELU_KC = 0.044715 * _GELU_K
@@ -108,22 +107,6 @@ def no_grad():
             yield
     finally:
         _RECORDING.enabled = prev
-
-
-@contextmanager
-def inject_backward_fault(op_name):
-    """Negate the gradients flowing out of `op_name` during backprop.
-
-    Exists so the gradient-check harness can prove it detects a broken
-    backward rule; never active outside tests / `cfmlab gradcheck`.
-    """
-    global _FAULT_OP
-    prev = _FAULT_OP
-    _FAULT_OP = op_name
-    try:
-        yield
-    finally:
-        _FAULT_OP = prev
 
 
 class _Node:
@@ -753,11 +736,7 @@ class Tape:
                 raise NumericError(f"op '{n._op}' backward: the graph was already "
                                    "swept, which freed this node's rule")
             n._vjp = _spent  # the rule and its arrays die once `vjp` is rebound
-            parent_grads = vjp(g)
-            if _FAULT_OP is not None and n._op == _FAULT_OP:
-                parent_grads = tuple(
-                    None if pg is None else -np.asarray(pg) for pg in parent_grads)
-            for p, pg in zip(n._parents, parent_grads):
+            for p, pg in zip(n._parents, vjp(g)):
                 if p is None or pg is None:  # concat slices g for constants too
                     continue
                 # numpy 0-d results come back as scalars; out= keeps them arrays

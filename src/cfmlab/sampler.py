@@ -2,16 +2,16 @@
 
 Sampling draws z0 from a seeded standard normal, integrates the learned
 velocity field from t=0 to t=1 with a fixed-step explicit scheme, projects the
-result toward the quantizer's input manifold, and then, per part, slices that
-part's channels out of the composite and undoes its scale, quantizes them
-with the part's codebook stack, and decodes the dequantized latents to
-motion frames.
+result toward the quantizer's input manifold with the trained projection
+(required), and then, per part, slices that part's channels out of the
+composite and undoes its scale, quantizes them with the part's codebook
+stack, and decodes the dequantized latents to motion frames.
 
 `integrate_ode` is a plain fixed-step stepper over a field(z, t) callable.
-The condition is the same at every ODE step, so `generate_batch` builds its
-terms (position embeddings, TCAM keys and values, the frame-aligned
-residual) once per solve, and each field evaluation computes only the
-latent side.
+A condition has one row per latent frame and is the same at every ODE step,
+so `sample_batch` builds its terms (position embeddings, TCAM keys and
+values, the frame-aligned residual) once per solve, and each field
+evaluation computes only the latent side.
 
 `sample_batch` runs the chain once for B (condition, OdeConfig) pairs, each
 z0 drawn from its own config's seed, and returns arrays: z1, and per part
@@ -19,14 +19,13 @@ the codes and the (B, T, J) frames. A fixed-step solve has no per-sample
 control flow and every op works row by row, so a row is bit-identical
 whether it is drawn alone or in a batch. Evaluation keeps the arrays of
 each chunk of clips (`evaluate.generate_split`); `generate_batch`
-packages each row as a `GeneratedMotion` for the CSV writers, and
-`generate` is its B = 1 call.
+packages each row as a `GeneratedMotion` for the CSV writers, stamped with
+the run's config hash (required), and `generate` is its B = 1 call.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,11 +81,6 @@ class OdeConfig:
             raise NumericError(
                 f"unknown ODE scheme {self.scheme!r}; expected one of {SCHEMES}")
 
-    def hash(self):
-        blob = json.dumps({"n": self.n, "scheme": self.scheme, "seed": self.seed},
-                          sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
 
 @dataclass
 class GeneratedMotion:
@@ -95,15 +89,6 @@ class GeneratedMotion:
     codes: dict      # part -> CodeSequence
     seed: int
     config_hash: str
-
-    def __post_init__(self):
-        missing = [p for p in PART_ORDER if p not in self.parts]
-        if missing:
-            raise NumericError(f"generated motion missing parts: {missing}")
-        counts = {self.parts[p].frames.shape[0] for p in PART_ORDER}
-        if len(counts) != 1:
-            raise NumericError(f"generated parts disagree on frame count: {sorted(counts)}")
-        self.latent = np.asarray(self.latent, dtype=np.float64)
 
     @property
     def n_frames(self):
@@ -171,7 +156,7 @@ def quantize_regions(parts, stacks):
     return out
 
 
-def sample_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0):
+def sample_batch(net, stacks, decoders, conds, configs, proj, scale=2.0):
     """The sampling chain for B (condition, OdeConfig) pairs, as arrays: z0
     from each config's seed -> one integration over (B, L, d_G) -> project
     -> per part: slice and rescale -> quantize -> dequantize -> decode.
@@ -187,17 +172,15 @@ def sample_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0):
     widths = [decoders[p].d_g for p in PART_ORDER]
     if sum(widths) != net.d_model:
         raise NumericError(f"latent dim {net.d_model} != sum of part dims {sum(widths)}")
-    length = seqs.shape[1]
-    z0 = np.stack([np.random.default_rng(c.seed).standard_normal((length, net.d_model))
+    z0 = np.stack([np.random.default_rng(c.seed).standard_normal((seqs.shape[1], net.d_model))
                    for c in configs])
 
     codes, frames, offset = {}, {}, 0
     with no_grad():
-        prep = prepare_condition(net, seqs, length)
+        prep = prepare_condition(net, seqs)
         z1 = integrate_ode(lambda z, t: velocity_forward(net, Tensor(z), t, prep).data,
                            z0, configs[0])
-        if proj is not None:
-            z1 = project_to_codebook_manifold(z1, proj).data
+        z1 = project_to_codebook_manifold(z1, proj).data
         for part, width in zip(PART_ORDER, widths):
             stages = stacks[part].stages
             if any(book.shape[-1] != width for book in stages):
@@ -210,19 +193,19 @@ def sample_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0):
     return z1, codes, frames
 
 
-def generate_batch(net, stacks, decoders, conds, configs, proj=None, scale=2.0,
-                   fps=15.0, config_hash=None):
-    """`sample_batch`, packaged as one GeneratedMotion per pair."""
+def generate_batch(net, stacks, decoders, conds, configs, proj, config_hash, scale=2.0,
+                   fps=15.0):
+    """`sample_batch`, packaged as one GeneratedMotion per pair, each
+    stamped with the run's `config_hash`."""
     z1, codes, frames = sample_batch(net, stacks, decoders, conds, configs,
                                      proj=proj, scale=scale)
     return [GeneratedMotion(
         parts={p: MotionClip(p, frames[p][i], fps=fps) for p in PART_ORDER},
         latent=z1[i], codes={p: CodeSequence(p, codes[p][i]) for p in PART_ORDER},
-        seed=c.seed, config_hash=config_hash or c.hash()) for i, c in enumerate(configs)]
+        seed=c.seed, config_hash=config_hash) for i, c in enumerate(configs)]
 
 
-def generate(net, stacks, decoders, cond, config, proj=None, scale=2.0,
-             fps=15.0, config_hash=None):
+def generate(net, stacks, decoders, cond, config, proj, config_hash, scale=2.0, fps=15.0):
     """One draw: the B = 1 call of `generate_batch`. Deterministic given seed."""
     return generate_batch(net, stacks, decoders, [cond], [config], proj=proj,
                           scale=scale, fps=fps, config_hash=config_hash)[0]

@@ -37,6 +37,7 @@ over two runs each.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -92,6 +93,8 @@ __all__ = [
     "load_stage2_checkpoint",
 ]
 
+logger = logging.getLogger(__name__)
+
 STAGE1, STAGE2 = 1, 2
 
 
@@ -102,12 +105,6 @@ class RunRecord:
     curves: dict                 # name -> per-epoch floats
     wall_clock_s: float
     checkpoints: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for name, values in self.curves.items():
-            arr = np.asarray(values, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite values in loss curve {name!r}")
 
     def to_json(self):
         return json.dumps(
@@ -255,18 +252,18 @@ class Stage2Data:
     class_ids: np.ndarray
 
 
-def prepare_stage2_data(cfg, dataset, codecs, stacks, split="train"):
-    """Encode every clip of the split with the frozen stage-1 codecs and
-    build composite latents (divided by the configured scale): the
+def prepare_stage2_data(cfg, dataset, codecs, stacks):
+    """Encode every clip of the train split with the frozen stage-1 codecs
+    and build composite latents (divided by the configured scale): the
     continuous encoder outputs are the flow targets, their quantized
     counterparts supervise the manifold projection. The split is encoded
     one chunk of `Clips.chunks` at a time, into arrays allocated at the
     first chunk, so only one chunk's encoder and quantizer intermediates
     are alive. The audio, text and class ids are the split's own arrays,
     not copies."""
-    clips = dataset.splits[split]
+    clips = dataset.splits["train"]
     if not clips:
-        raise ConfigError(f"dataset.ratios: {split} split is empty")
+        raise ConfigError("dataset.ratios: train split is empty")
     z1 = z1_quant = None
     with no_grad():
         for start, chunk in clips.chunks():
@@ -321,7 +318,7 @@ def stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg):
     if f.lambda_cfm > 0.0:
         cond = build_condition_batch(audio_emb, text_emb, net)
         zt = interpolate_batch(z0, batch.z1, t)
-        prep = prepare_condition(net, cond, zt.shape[1])
+        prep = prepare_condition(net, cond)
         v_pred = velocity_forward(net, Tensor(zt), t, prep)
         l_cfm = cfm_loss(v_pred, batch.z1 - z0, v_neg, f.lam, terms)
         remain = Tensor((1.0 - t)[:, None, None])
@@ -356,6 +353,10 @@ def train_generator(cfg, dataset, codecs, stacks):
         raise ConfigError("dataset.ratios: train split has 1 clip, and the contrastive "
                           "negatives (flow.lam > 0) need 2")
     data = prepare_stage2_data(cfg, dataset, codecs, stacks)
+    negatives = cfg.flow.lambda_cfm > 0.0 and cfg.flow.lam > 0.0
+    if negatives and np.unique(data.class_ids).size == 1:
+        logger.warning("train split holds one class: contrastive negatives fall back "
+                       "to plain derangements")
     net, heads, proj = init_stage2(cfg)
     params = (net.parameters() + heads.parameters() + proj.parameters())
     adam = AdamState(lr=cfg.flow.lr)
@@ -365,7 +366,7 @@ def train_generator(cfg, dataset, codecs, stacks):
         t = brng.uniform(0.0, 1.0, size=len(idx))
         z0 = brng.standard_normal(batch.z1.shape)
         v_neg = None
-        if cfg.flow.lambda_cfm > 0.0 and cfg.flow.lam > 0.0:
+        if negatives:
             v_neg = mismatch_pairing(batch.z1, z0, batch.class_ids, brng).velocity
         total, terms = stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg)
         values = {name: float(term.data) for name, term in terms.items()}

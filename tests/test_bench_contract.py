@@ -127,7 +127,7 @@ def test_one_solve_spans_one_field_eval_and_tcam_per_evaluation(scheme, evals_pe
     conds = [rng.standard_normal((8, net.d_cond)) for _ in range(3)]
     configs = [sampler.OdeConfig(n=5, scheme=scheme, seed=s) for s in range(3)]
     calls = _span_calls(lambda: sampler.generate_batch(net, stacks, codecs, conds,
-                                                       configs, proj=proj))
+                                                       configs, proj=proj, config_hash="h"))
     assert calls["sampler.integrate_ode"] == 1
     assert calls["flow.field_eval"] == calls["flow.tcam_fuse"] == 5 * evals_per_step
 

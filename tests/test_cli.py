@@ -184,6 +184,17 @@ def test_fuzzed_field_exits_0_or_2_naming_it(tmp_path, capsys, section, name):
             assert re.fullmatch(rf"error: {section}\.{name}: [^\n]*\n", err), (value, err)
 
 
+def test_odd_condition_width_exits_2_before_training(tmp_path, capsys):
+    # the condition's position embedding needs an even width; the schema
+    # refuses an odd one before any checkpoint is read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"n_clips": 24}, "codec": {"epochs": 1},
+                               "flow": {"epochs": 1, "d_cond": 31}}))
+    _exits_2(["train-generator", "--config", str(cfg), "--checkpoint",
+              str(tmp_path / "codec.bin"), "--out", str(tmp_path)], capsys,
+             "flow.d_cond: must be even, got 31")
+
+
 @pytest.mark.parametrize("lam", ["1", "nan"])
 def test_lambda_override_goes_through_the_schema(tmp_path, capsys, lam):
     _exits_2(["train-generator", "--lambda", lam, "--out", str(tmp_path)], capsys,

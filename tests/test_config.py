@@ -93,6 +93,7 @@ def test_seed_must_be_plain_int(seed):
     ({"sampler": {"scheme": "rk4"}}, r"sampler\.scheme"),
     ({"sampler": {"steps": 0}}, r"sampler\.steps"),
     ({"metrics": {"sigma": 0.0}}, r"metrics\.sigma"),
+    ({"flow": {"d_cond": 31}}, r"flow\.d_cond: must be even, got 31"),
 ], ids=[  # pinned to the ids pytest first generated: deleting a row renames no other
     r"payload0-seed", r"payload1-dataset\.n_classes", r"payload2-dataset\.n_clips",
     r"payload3-dataset\.n_frames", r"payload4-dataset\.n_frames",
@@ -105,7 +106,7 @@ def test_seed_must_be_plain_int(seed):
     r"payload22-flow\.time_dim", r"payload23-flow\.lam", r"payload24-flow\.lam",
     r"payload26-flow\.batch", r"payload27-flow\.lambda_cfm",
     r"payload28-flow\.lambda_sem", r"payload29-sampler\.scheme",
-    r"payload30-sampler\.steps", r"payload31-metrics\.sigma"])
+    r"payload30-sampler\.steps", r"payload31-metrics\.sigma", r"payload32-flow\.d_cond"])
 def test_out_of_range_fields_name_their_path(payload, path):
     with pytest.raises(ConfigError, match=path):
         config_from_dict(payload)

@@ -155,7 +155,7 @@ def test_tcam_zero_output_projection_is_query_passthrough():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 5, 6))
     cond = rng.standard_normal((2, 5, 6))
-    out = tcam_fuse(x, prepare_condition(net, cond, 5), net)
+    out = tcam_fuse(x, prepare_condition(net, cond), net)
     assert np.array_equal(out.data, (Tensor(x) @ net.tcam_q).data)
 
 
@@ -168,7 +168,7 @@ def _tcam_attention(net, x, prep, values):
 def test_tcam_refuses_a_condition_of_another_batch():
     net = _small_net(8)
     rng = np.random.default_rng(9)
-    prep = prepare_condition(net, rng.standard_normal((3, 5, 6)), 5)
+    prep = prepare_condition(net, rng.standard_normal((3, 5, 6)))
     with pytest.raises(NumericError, match=r"attention needs .* got \(2, 5, 8\), \(3, 5, 8\)"):
         tcam_fuse(rng.standard_normal((2, 5, 6)), prep, net)
 
@@ -178,7 +178,7 @@ def test_tcam_single_condition_frame_attention_is_one():
     net = _small_net(9)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((1, 4, 6))
-    prep = prepare_condition(net, rng.standard_normal((1, 1, 6)), 4)
+    prep = prepare_condition(net, rng.standard_normal((1, 1, 6)))
     out = _tcam_attention(net, x, prep, prep.values.data)
     assert np.array_equal(out.data, np.broadcast_to(prep.values.data, out.shape))
 
@@ -188,7 +188,7 @@ def test_tcam_attention_rows_sum_to_one():
     net = _small_net(11)
     rng = np.random.default_rng(12)
     x = rng.standard_normal((3, 5, 6))
-    prep = prepare_condition(net, rng.standard_normal((3, 7, 6)), 5)
+    prep = prepare_condition(net, rng.standard_normal((3, 7, 6)))
     rows = _tcam_attention(net, x, prep, np.ones((3, 7, 1)))
     assert rows.shape == (3, 5, 1)
     assert np.allclose(rows.data, 1.0, atol=1e-12)
@@ -199,8 +199,8 @@ def test_velocity_forward_shape_and_determinism():
     rng = np.random.default_rng(14)
     zt = rng.standard_normal((1, 4, 6))
     cond = rng.standard_normal((1, 4, 6))
-    a = velocity_forward(net, zt, 0.3, prepare_condition(net, cond, 4))
-    b = velocity_forward(net, zt.copy(), 0.3, prepare_condition(net, cond.copy(), 4))
+    a = velocity_forward(net, zt, 0.3, prepare_condition(net, cond))
+    b = velocity_forward(net, zt.copy(), 0.3, prepare_condition(net, cond.copy()))
     assert a.shape == (1, 4, 6)
     assert np.array_equal(a.data, b.data)
 
@@ -211,10 +211,10 @@ def test_velocity_forward_batched_matches_single():
     zt = rng.standard_normal((3, 4, 6))
     cond = rng.standard_normal((3, 4, 6))
     ts = np.array([0.1, 0.5, 0.9])
-    batched = velocity_forward(net, zt, ts, prepare_condition(net, cond, 4)).data
+    batched = velocity_forward(net, zt, ts, prepare_condition(net, cond)).data
     for i in range(3):
         one = velocity_forward(net, zt[i:i + 1], ts[i],
-                               prepare_condition(net, cond[i:i + 1], 4)).data
+                               prepare_condition(net, cond[i:i + 1])).data
         assert np.allclose(batched[i], one[0], atol=1e-12)
 
 
@@ -223,15 +223,18 @@ def test_velocity_forward_rejects_bad_time_and_dims():
     rng = np.random.default_rng(18)
     zt = rng.standard_normal((1, 4, 6))
     cond = rng.standard_normal((1, 4, 6))
-    prep = prepare_condition(net, cond, 4)
+    prep = prepare_condition(net, cond)
     with pytest.raises(NumericError):
         velocity_forward(net, zt, 1.2, prep)
     with pytest.raises(NumericError):
         velocity_forward(net, rng.standard_normal((1, 4, 5)), 0.5, prep)
-    with pytest.raises(NumericError, match="prepared for 5 frames"):
-        velocity_forward(net, zt, 0.5, prepare_condition(net, cond, 5))
+    for other in (cond[:, :3], np.concatenate([cond, cond[:, :1]], axis=1)):
+        # one condition row per latent frame, neither fewer nor more
+        with pytest.raises(NumericError, match=f"condition has {other.shape[1]} frames, "
+                                               "latent has 4"):
+            velocity_forward(net, zt, 0.5, prepare_condition(net, other))
     with pytest.raises(NumericError, match="condition batch 2"):
-        velocity_forward(net, zt, 0.5, prepare_condition(net, np.concatenate([cond] * 2), 4))
+        velocity_forward(net, zt, 0.5, prepare_condition(net, np.concatenate([cond] * 2)))
     with pytest.raises(NumericError, match=r"must be \(B, L, d_G\), got shape \(4, 6\)"):
         velocity_forward(net, zt[0], 0.5, prep)
 
@@ -241,7 +244,7 @@ def test_velocity_forward_finite_on_wide_inputs():
     rng = np.random.default_rng(20)
     zt = rng.uniform(-10, 10, size=(1, 4, 6))
     cond = rng.uniform(-10, 10, size=(1, 4, 6))
-    out = velocity_forward(net, zt, 0.7, prepare_condition(net, cond, 4))
+    out = velocity_forward(net, zt, 0.7, prepare_condition(net, cond))
     assert np.all(np.isfinite(out.data))
 
 
@@ -254,7 +257,7 @@ def test_velocity_forward_full_gradient_check():
     v_hat = rng.standard_normal((2, 3, 6))
 
     def f():
-        return mse(velocity_forward(net, zt, ts, prepare_condition(net, cond, 3)),
+        return mse(velocity_forward(net, zt, ts, prepare_condition(net, cond)),
                    Tensor(v_hat))
 
     params = net.named_tensors()
@@ -269,7 +272,7 @@ def test_time_embedding_varies_output():
     net = _small_net(23)
     rng = np.random.default_rng(24)
     zt = rng.standard_normal((1, 4, 6))
-    prep = prepare_condition(net, rng.standard_normal((1, 4, 6)), 4)
+    prep = prepare_condition(net, rng.standard_normal((1, 4, 6)))
     a = velocity_forward(net, zt, 0.0, prep).data
     b = velocity_forward(net, zt, 1.0, prep).data
     assert not np.allclose(a, b)
@@ -443,7 +446,7 @@ def test_nan_flow_time_is_rejected_as_out_of_range(t):
     net = _small_net(21)
     rng = np.random.default_rng(22)
     zt = rng.standard_normal((2, 4, 6))
-    prep = prepare_condition(net, rng.standard_normal((2, 4, 6)), 4)
+    prep = prepare_condition(net, rng.standard_normal((2, 4, 6)))
     with pytest.raises(NumericError, match=r"flow time t must lie in \[0, 1\]"):
         velocity_forward(net, zt, t, prep)
     with pytest.raises(NumericError, match=r"interpolation time t must lie in \[0, 1\]"):
@@ -455,7 +458,7 @@ def test_scalar_time_row_matches_per_example_time():
     net = _small_net(23)
     rng = np.random.default_rng(24)
     zt = rng.standard_normal((1, 4, 6))
-    prep = prepare_condition(net, rng.standard_normal((1, 4, 6)), 4)
+    prep = prepare_condition(net, rng.standard_normal((1, 4, 6)))
     for t in (0.0, 0.3, 0.3, 1.0):
         assert (velocity_forward(net, zt, t, prep).data.tobytes()
                 == velocity_forward(net, zt, np.array([t]), prep).data.tobytes())

@@ -58,24 +58,6 @@ def test_onset_track_validation():
         beat_consistency((np.array([0.5]), np.array([1, 0])), np.array([[0.5]]), 1.0)
 
 
-def test_metric_report_clamps_tiny_negative_fgd():
-    rep = MetricReport(fgd=-5e-9, bc=0.5, diversity=1.0, config_hash="h",
-                       n_real=4, n_gen=4)
-    assert rep.fgd == 0.0
-
-
-def test_metric_report_rejects_bad_fields():
-    with pytest.raises(NumericError):
-        MetricReport(fgd=-1e-6, bc=0.5, diversity=1.0, config_hash="h",
-                     n_real=2, n_gen=2)
-    with pytest.raises(NumericError):
-        MetricReport(fgd=0.0, bc=1.5, diversity=1.0, config_hash="h",
-                     n_real=2, n_gen=2)
-    with pytest.raises(NumericError):
-        MetricReport(fgd=0.0, bc=0.5, diversity=-1.0, config_hash="h",
-                     n_real=2, n_gen=2)
-
-
 def test_metric_report_json_roundtrip():
     rep = MetricReport(fgd=1.25, bc=0.75, diversity=3.5, config_hash="abc",
                        n_real=48, n_gen=48)

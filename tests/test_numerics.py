@@ -33,7 +33,6 @@ from cfmlab.numerics import (
     gelu,
     getitem,
     grad,
-    inject_backward_fault,
     log,
     logsumexp,
     matmul,
@@ -49,6 +48,7 @@ from cfmlab.numerics import (
     uniform_init,
 )
 from cfmlab.numerics import tensor
+from cfmlab.numerics.gradcheck import negate_backward
 from cfmlab.numerics.tensor import add, div, mul, sub
 from cfmlab.training import Stage2Data, _stage1_part, init_stage2, stage2_loss
 
@@ -745,6 +745,13 @@ def test_ndarray_on_the_left_runs_the_tensor_op(name):
         sugar(arr, x)
 
 
+def _check_with_fault(f, params, op):
+    """check_gradients of one built f() whose `op` nodes negate their VJPs."""
+    loss = f()
+    assert negate_backward(loss, op) >= 1
+    return check_gradients(f, params, loss=loss)
+
+
 def test_fault_injection_is_detected():
     rng = np.random.default_rng(0)
     w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -755,9 +762,12 @@ def test_fault_injection_is_detected():
 
     clean = check_gradients(f, {"w": w})
     assert clean["w"] < 1e-6
-    with inject_backward_fault("matmul"):
-        broken = check_gradients(f, {"w": w})
+    broken = _check_with_fault(f, {"w": w}, "matmul")
     assert broken["w"] > 1e-2
+    # the fault lives in the one graph it was put in: no other op and no
+    # later graph sees it
+    assert negate_backward(f(), "softmax") == 0
+    assert check_gradients(f, {"w": w})["w"] == clean["w"]
 
 
 def test_fault_injection_detects_shift():
@@ -773,8 +783,7 @@ def test_fault_injection_detects_shift():
         return sum_(gelu(neighbour_linear(matmul(x, w), w_ctx, b)) * c)
 
     assert check_gradients(f, {"w": w})["w"] < 1e-6
-    with inject_backward_fault("neighbour_linear"):
-        assert check_gradients(f, {"w": w})["w"] > 1e-2
+    assert _check_with_fault(f, {"w": w}, "neighbour_linear")["w"] > 1e-2
 
 
 def test_fault_injection_detects_attention():
@@ -789,8 +798,7 @@ def test_fault_injection_detects_attention():
         return sum_(attention(h, h, x, 0.5) * c)
 
     assert check_gradients(f, {"w": w})["w"] < 1e-6
-    with inject_backward_fault("attention"):
-        assert check_gradients(f, {"w": w})["w"] > 1e-2
+    assert _check_with_fault(f, {"w": w}, "attention")["w"] > 1e-2
 
 
 def test_cli_gradcheck_detects_injected_shift_fault(capsys):
@@ -826,8 +834,7 @@ def test_fault_injection_detects_mse():
         return mse(gelu(matmul(x, w)), c)
 
     assert check_gradients(f, {"w": w})["w"] < 1e-6
-    with inject_backward_fault("mse"):
-        assert check_gradients(f, {"w": w})["w"] > 1e-2
+    assert _check_with_fault(f, {"w": w}, "mse")["w"] > 1e-2
 
 
 def test_cli_gradcheck_detects_injected_mse_fault(capsys):

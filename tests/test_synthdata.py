@@ -8,13 +8,12 @@ from cfmlab import synthdata
 from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
 from cfmlab.codec import PART_JOINTS, PART_ORDER, init_part_codec
-from cfmlab.config import ConfigError, load_config
+from cfmlab.config import ConfigError, config_from_dict, load_config
 from cfmlab.metrics import beat_consistency, extract_kinematic_peaks, fgd, motion_features
 from cfmlab.numerics import NumericError
 from cfmlab.synthdata import (
     Clips,
     DatasetConfig,
-    GestureClass,
     build_dataset,
     generate_utterance,
     generate_utterances,
@@ -23,6 +22,7 @@ from cfmlab.synthdata import (
     mismatch_pairing,
     save_dataset,
 )
+from cfmlab.training import train_codec, train_generator
 
 
 # --------------------------------------------------------------------- classes
@@ -30,6 +30,8 @@ from cfmlab.synthdata import (
 def test_class_anchors_nearly_orthogonal():
     classes = make_gesture_classes(np.random.default_rng(0), 3)
     for a in classes:
+        for anchor in (a.text_anchor, a.audio_anchor):
+            assert abs(float(np.linalg.norm(anchor)) - 1.0) <= 1e-12
         for b in classes:
             if a.id != b.id:
                 assert abs(float(a.text_anchor @ b.text_anchor)) < 0.5
@@ -46,12 +48,6 @@ def test_class_part_signatures_differ():
 def test_too_many_classes_for_anchor_dim_rejected():
     with pytest.raises(NumericError, match="orthogonal anchors"):
         make_gesture_classes(np.random.default_rng(2), 5, d_text=4, d_audio=4)
-
-
-def test_gesture_class_requires_unit_anchors():
-    with pytest.raises(NumericError, match="unit norm"):
-        GestureClass(id=0, freqs={}, part_weights={}, phases={}, stroke_dirs={},
-                     text_anchor=np.ones(4), audio_anchor=np.ones(4) / 2.0)
 
 
 # ------------------------------------------------------------------- utterance
@@ -481,12 +477,22 @@ def test_mismatch_prefers_cross_class():
 
 
 def test_mismatch_all_same_class_warns_and_falls_back(caplog):
+    # the pairing falls back quietly at every step; training warns once a run
     class_ids = [1, 1, 1, 1]
     z1, z0 = _mismatch_inputs(class_ids, seed=3)
-    with caplog.at_level("WARNING", logger="cfmlab.synthdata"):
+    with caplog.at_level("WARNING"):
         out = mismatch_pairing(z1, z0, class_ids, np.random.default_rng(4))
-    assert "plain derangement" in caplog.text
+    assert caplog.records == []
     assert np.all(out.permutation != np.arange(4))
+    cfg = config_from_dict({"dataset": {"n_classes": 1, "n_clips": 24, "n_frames": 32,
+                                        "n_onsets": 3},
+                            "codec": {"epochs": 0}, "flow": {"epochs": 3, "batch": 4}})
+    ds = build_dataset(cfg.dataset)
+    codecs, stacks, _ = train_codec(cfg, ds)
+    with caplog.at_level("WARNING"):
+        train_generator(cfg, ds, codecs, stacks)
+    assert [r.getMessage() for r in caplog.records] == [
+        "train split holds one class: contrastive negatives fall back to plain derangements"]
 
 
 def test_mismatch_majority_class_still_valid_derangement():
