@@ -66,8 +66,6 @@ def init_projection_heads(rng, d_text, d_audio, d_motion, d=16):
 
 def composite_batch(parts, scale):
     """{part: (B, L, d_g) Tensor} -> (B, L, d_G) Tensor, values divided by scale."""
-    if not scale > 0:
-        raise NumericError(f"composite scale must be positive, got {scale}")
     missing = [p for p in PART_ORDER if p not in parts]
     if missing:
         raise NumericError(f"missing parts for composite latent: {missing}")
@@ -98,8 +96,6 @@ def project_and_normalize_batch(raw, weight):
 
 def fused_target_batch(text, audio, alpha):
     """Row-wise normalize(alpha * text + (1 - alpha) * audio)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise NumericError(f"alpha must be in [0, 1], got {alpha}")
     t = as_tensor(text)
     a = as_tensor(audio)
     if t.shape != a.shape:
@@ -127,8 +123,6 @@ def temporal_pool_batch(seq):
 
 def infonce_oneway(p, q, tau):
     """-(1/B) sum_b log softmax_l(p_b . q_l / tau) at l = b."""
-    if not tau > 0:
-        raise NumericError(f"tau must be positive, got {tau}")
     pt, qt = as_tensor(p), as_tensor(q)
     b = pt.shape[0]
     if b == 0 or qt.shape[0] != b:

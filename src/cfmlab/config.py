@@ -8,6 +8,10 @@ checks all of it and raises ConfigError naming the first failing field by
 its dotted path (e.g. "flow.lam"), which the CLI maps to exit code 2. A
 section or RunConfig runs it when built, so a parsed and a hand-built
 config are checked alike; after an in-place change, run it again.
+
+These rules are checked here and nowhere else: the functions that take a
+config's values (the ODE scheme and step count, lam, tau, alpha, the
+codec's sizes, the dataset's shape) trust them and do not test them again.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class DatasetConfig(_Schema):
 class CodecSection(_Schema):
     d_g: int = _field(8, ge=1)
     hidden: int = _field(64, ge=1)
-    n_codes: int = _field(64, ge=2)
+    n_codes: int = _field(64, ge=2)  # row 0 of every stage is the null code
     depth: int = _field(2, ge=1)
     beta: float = _field(0.25, ge=0)
     ema_decay: float = _field(0.9, ge=0, le=1)
@@ -128,7 +132,8 @@ class FlowSection(_Schema):
     d_s: int = _field(64, ge=1)
     d_cond: int = _field(32, ge=1)
     time_dim: int = _field(16, ge=2)
-    lam: float = _field(0.05, ge=0, lt=1)  # contrastive repulsion weight
+    # contrastive repulsion weight; at lam >= 1 the objective is unbounded below
+    lam: float = _field(0.05, ge=0, lt=1)
     epochs: int = _field(300, ge=0)
     batch: int = _field(128, ge=2)  # negatives need a derangement
     lr: float = _field(1e-3, gt=0)
@@ -182,6 +187,7 @@ _RULES = (
      "split ratios must be 3 numbers, got {ratios!r}"),
     (DatasetConfig, "ratios", lambda d: min(d.ratios) >= 0 and abs(sum(d.ratios) - 1.0) <= 1e-9,
      "split ratios must be 3 non-negatives summing to 1, got {ratios}"),
+    # the time and position embeddings fill sin/cos pairs
     (FlowSection, "time_dim", lambda f: f.time_dim % 2 == 0, "must be even, got {time_dim}"),
     (FlowSection, "d_cond", lambda f: f.d_cond % 2 == 0, "must be even, got {d_cond}"),
 )
@@ -244,7 +250,7 @@ def load_config(path=None, seed=None):
     global seed replaced by `seed` when given. An unreadable, non-UTF-8 or
     malformed file is a ConfigError."""
     payload = {}
-    if path:
+    if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.loads(fh.read())

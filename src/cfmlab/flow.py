@@ -168,8 +168,6 @@ def _scalar_time_row(t, dim):
 
 def sinusoidal_time_embedding(t, dim=16):
     """Scalar flow time -> (…, dim) sin/cos features, frequencies 1..1000."""
-    if dim % 2 != 0:
-        raise NumericError("time embedding dim must be even")
     t = np.asarray(t, dtype=np.float64)
     ang = t[..., None] * _time_frequencies(dim // 2)
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
@@ -177,8 +175,6 @@ def sinusoidal_time_embedding(t, dim=16):
 
 def temporal_position_embedding(length, dim):
     """Standard parameter-free transformer position encoding, (length, dim)."""
-    if dim % 2 != 0:
-        raise NumericError("position embedding dim must be even")
     pos = np.arange(length, dtype=np.float64)[:, None]
     half = dim // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
@@ -270,9 +266,9 @@ def cfm_loss(v_pred, v_pos, v_neg, lam, terms=None):
 
     lam = 0 reduces to the plain flow-matching objective (identical code
     path, bit-identical result); lam >= 1 makes the objective unbounded
-    below and is rejected. The targets v_pos and v_neg are arrays. A
-    `terms` dict receives the two means as they are built: "cfm_pos", and
-    "cfm_neg" when lam > 0.
+    below (flow.lam's config rule). The targets v_pos and v_neg are arrays.
+    A `terms` dict receives the two means as they are built: "cfm_pos",
+    and "cfm_neg" when lam > 0.
 
     With a = v_pos = z1 - z0, b = v_neg = z1[perm] - z0 and k = lam / (1 - lam),
 
@@ -284,8 +280,6 @@ def cfm_loss(v_pred, v_pos, v_neg, lam, terms=None):
     push. The constant k * mse(a, b) has no gradient, and it is why the
     loss can read below zero.
     """
-    if not 0.0 <= lam < 1.0:
-        raise NumericError(f"contrast weight must satisfy 0 <= lam < 1, got {lam}")
     vp = as_tensor(v_pred)
     if v_pos.shape != vp.shape:
         raise NumericError(f"cfm_loss shape mismatch {v_pos.shape} vs {vp.shape}")

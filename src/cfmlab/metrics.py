@@ -83,12 +83,14 @@ def _as_features(x, min_n=2):
 
 
 def _psd_sqrt(mat, tol=1e-8):
-    """Square root of a symmetric PSD matrix by eigendecomposition; tiny
-    negative eigenvalues (> -tol) are clamped, anything below is an error."""
+    """Square root of a symmetric PSD matrix by eigendecomposition. Rounding
+    error grows with the matrix, so negative eigenvalues above -tol times
+    the largest (or -tol, below 1) are clamped, anything below is an error."""
     vals, vecs = np.linalg.eigh(mat)
-    if np.any(vals < -tol):
+    floor = tol * max(1.0, float(vals.max(initial=0.0)))
+    if np.any(vals < -floor):
         raise NumericError(
-            f"matrix square root failed: eigenvalue {vals.min():.3e} < -{tol:g}")
+            f"matrix square root failed: eigenvalue {vals.min():.3e} < -{floor:g}")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
@@ -182,8 +184,6 @@ def extract_kinematic_peaks(parts, fps, threshold_std=0.5, min_separation=3):
     if len(shapes) != 1:
         raise NumericError(f"parts disagree on clip or frame count: {sorted(shapes)}")
     (n, n_frames), = shapes
-    if n_frames < 3:
-        raise NumericError(f"need at least 3 frames to extract peaks, got {n_frames}")
     speed = np.zeros((n, n_frames - 1))
     for frames in parts.values():
         d = np.diff(frames, axis=1)
@@ -205,10 +205,6 @@ def beat_consistency(peaks, onsets, duration, sigma=0.1):
     the bits it would get alone. Returns (N,)."""
     times, counts = peaks
     onsets = np.asarray(onsets, dtype=np.float64)
-    if not sigma > 0:
-        raise NumericError(f"kernel width sigma must be positive, got {sigma}")
-    if not duration > 0:
-        raise NumericError(f"clip duration must be positive, got {duration}")
     if onsets.shape[:1] != counts.shape or onsets.ndim != 2 or onsets.shape[1] == 0:
         raise NumericError(f"audio onset track is empty or not ({counts.size}, M): "
                            f"{onsets.shape}")

@@ -16,13 +16,12 @@ from .tensor import NumericError, Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # moment decays and denominator guard
+
 
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -53,9 +52,8 @@ def adam_step(params, grads, state):
                                    f"for parameter {i} of shape {p.data.shape}")
         checked.append((g, g2))
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.step
-    bc2 = 1.0 - b2 ** state.step
+    bc1 = 1.0 - BETA1 ** state.step
+    bc2 = 1.0 - BETA2 ** state.step
     for p, (g, g2) in zip(params, checked):
         key = id(p)
         m = state.m.get(key)
@@ -66,11 +64,11 @@ def adam_step(params, grads, state):
             state.v[key] = v
         else:
             v = state.v[key]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g2
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g2
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.data -= state.lr * mhat / (np.sqrt(vhat) + EPS)
     return params, state

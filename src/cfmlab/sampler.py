@@ -70,16 +70,11 @@ SCHEMES = ("euler", "midpoint")
 
 @dataclass
 class OdeConfig:
+    """One solve's settings; `n` and `scheme` are a validated `sampler`
+    section's `steps` and `scheme`, so nothing here checks them again."""
     n: int = 10
-    scheme: str = "euler"
+    scheme: str = "euler"   # one of SCHEMES
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise NumericError(f"ODE step count must be >= 1, got {self.n}")
-        if self.scheme not in SCHEMES:
-            raise NumericError(
-                f"unknown ODE scheme {self.scheme!r}; expected one of {SCHEMES}")
 
 
 @dataclass

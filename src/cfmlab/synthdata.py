@@ -135,10 +135,6 @@ def make_gesture_classes(rng, n_classes=3, d_text=16, d_audio=16):
     """Classes with orthonormal anchors (the columns of a QR factor, so
     unit norm and pairwise cosine 0) and distinct part-amplitude
     signatures."""
-    if n_classes > min(d_text, d_audio):
-        raise NumericError(
-            f"cannot fit {n_classes} orthogonal anchors in dim "
-            f"{min(d_text, d_audio)}")
     qt, _ = np.linalg.qr(rng.standard_normal((d_text, n_classes)))
     qa, _ = np.linalg.qr(rng.standard_normal((d_audio, n_classes)))
     classes = []
@@ -165,8 +161,6 @@ def _plant_onsets(rng, n_frames, n_onsets):
     its default separation can recover every one) and clear of the clip ends."""
     lo, hi = STROKE_HALF_WIDTH + 1, n_frames - STROKE_HALF_WIDTH - 3
     span = hi - lo
-    if n_onsets < 1 or span < 3 * n_onsets:
-        raise NumericError(f"clip of {n_frames} frames too short for {n_onsets} onsets")
     spacing = span / n_onsets
     jitter = min(2, max(0, int((spacing - 3.0) / 2.0)))
     frames = np.asarray(
@@ -193,13 +187,9 @@ def generate_utterances(seeds, gclasses, noise, n_frames=64, fps=15.0,
     lands exactly on each onset frame; audio features carry a pulse on their
     last channel at the matching latent step.
     """
-    if noise < 0:
-        raise NumericError(f"noise level must be non-negative, got {noise}")
     if len(seeds) != len(gclasses):
         raise NumericError(f"got {len(seeds)} seeds for {len(gclasses)} classes")
     n = len(seeds)
-    if n == 0:
-        raise NumericError("no seeds to generate clips from")
     bounds = np.cumsum([0] + [PART_JOINTS[p] for p in PART_ORDER])
     cols = {p: slice(bounds[i], bounds[i + 1]) for i, p in enumerate(PART_ORDER)}
     width, n_latent = bounds[-1], n_frames // downsample

@@ -433,10 +433,11 @@ def check_codec_dims(cfg, codecs, stacks, *stage2):
     builds on top of it, and the stage-2 (net, heads, proj), when given,
     tensor by tensor against the shapes `init_stage2(cfg)` builds."""
     for p in PART_ORDER:
-        found = {"codec.d_g": codecs[p].d_g, "dataset.downsample": codecs[p].downsample,
-                 "codec.depth": stacks[p].depth,
-                 "codec.n_codes": stacks[p].stages[0].shape[0]}
-        for path, have in found.items():
+        found = [("codec.d_g", codecs[p].d_g), ("codec.hidden", codecs[p].enc_w1.shape[1]),
+                 ("dataset.downsample", codecs[p].downsample),
+                 ("codec.depth", stacks[p].depth)]
+        found += [("codec.n_codes", book.shape[0]) for book in stacks[p].stages]
+        for path, have in found:
             want = attrgetter(path)(cfg)
             if have != want:
                 raise ConfigError(f"{path}: checkpoint has {have}, config wants {want}")

@@ -223,8 +223,6 @@ def test_infonce_rejects_empty_or_mismatched():
         infonce_oneway(np.zeros((0, 2)), np.zeros((0, 2)), tau=1.0)
     with pytest.raises(NumericError):
         infonce_oneway(np.ones((2, 2)), np.ones((3, 2)), tau=1.0)
-    with pytest.raises(NumericError):
-        infonce_oneway(np.ones((2, 2)), np.ones((2, 2)), tau=0.0)
 
 
 def test_infonce_permutation_equivariant():
@@ -324,10 +322,6 @@ def test_alignment_weights_validation():
                        ("lambda_clp", -0.1)):
         with pytest.raises(ConfigError, match=f"sacm.{key}"):
             config_from_dict({"sacm": {key: value}})
-    with pytest.raises(NumericError, match="alpha"):
-        fused_target_batch(np.ones((1, 2)), np.ones((1, 2)), 1.5)
-    with pytest.raises(NumericError, match="tau"):
-        clip_loss(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), tau=0.0)
 
 
 # ----------------------------------------------------------------- gradients

@@ -346,6 +346,7 @@ MISFIT_STAGE1 = {
                          "missing tensor 'codec/face/in_scale' in checkpoint"),
     "dec_w1_rows": ("codec/face/dec_w1", lambda a: a[:20], "expected 24 rows"),
     "dec_w1_d_g_rows": ("codec/face/dec_w1", lambda a: a[:8], "expected 24 rows"),
+    "dec_w1_hidden": ("codec/face/dec_w1", lambda a: a[:, :-1], "expected (24, 64)"),
     "enc_w1_3d": ("codec/hand/enc_w1", lambda a: a[None], "2-d weight"),
     "enc_w1_window": ("codec/upper/enc_w1", lambda a: a[:-1], "multiple of the 12 joints"),
     "enc_b1": ("codec/upper/enc_b1", lambda a: a[:-1], "expected (64,)"),

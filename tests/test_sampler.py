@@ -76,18 +76,6 @@ def _generate(net, stacks, decoders, cond, config):
                     init_manifold_projection(net.d_model), "h")
 
 
-# ----------------------------------------------------------------- OdeConfig
-
-def test_ode_config_rejects_zero_steps():
-    with pytest.raises(NumericError):
-        OdeConfig(n=0)
-
-
-def test_ode_config_rejects_unknown_scheme():
-    with pytest.raises(NumericError):
-        OdeConfig(n=4, scheme="rk4")
-
-
 # -------------------------------------------------------------- integrate_ode
 
 @pytest.mark.parametrize("scheme", ["euler", "midpoint"])

@@ -45,11 +45,6 @@ def test_class_part_signatures_differ():
     assert classes[2].part_weights["lower"] == 2.0
 
 
-def test_too_many_classes_for_anchor_dim_rejected():
-    with pytest.raises(NumericError, match="orthogonal anchors"):
-        make_gesture_classes(np.random.default_rng(2), 5, d_text=4, d_audio=4)
-
-
 # ------------------------------------------------------------------- utterance
 
 def _one_class(seed=0):
@@ -122,16 +117,6 @@ def test_onsets_strictly_increasing_and_separated():
         u = generate_utterance(seed, classes[seed % 3], noise=0.05)
         frames = (u.onsets * 15.0).round().astype(int)
         assert np.all(np.diff(frames) >= 3)
-
-
-def test_negative_noise_rejected():
-    with pytest.raises(NumericError, match="noise"):
-        generate_utterance(0, _one_class(), noise=-0.1)
-
-
-def test_clip_too_short_for_onsets_rejected():
-    with pytest.raises(NumericError, match="too short"):
-        generate_utterance(0, _one_class(), noise=0.0, n_frames=16, n_onsets=5)
 
 
 def test_every_schema_valid_clip_plants_its_onsets():
@@ -274,14 +259,8 @@ def test_single_utterance_is_its_row_of_a_batch():
 
 def test_batched_utterances_validate_inputs():
     c = _one_class()
-    with pytest.raises(NumericError, match="no seeds"):
-        generate_utterances([], [], 0.05)
-    with pytest.raises(NumericError, match="noise"):
-        generate_utterances([0, 1], [c, c], noise=-0.1)
     with pytest.raises(NumericError, match="2 seeds for 1 classes"):
         generate_utterances([0, 1], [c], noise=0.0)
-    with pytest.raises(NumericError, match="too short"):
-        generate_utterances([0, 1], [c, c], noise=0.0, n_frames=16, n_onsets=5)
 
 
 def test_saved_dataset_matches_reference_loop(tmp_path):

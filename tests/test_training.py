@@ -8,7 +8,7 @@ import pytest
 
 from cfmlab.checkpoint import load_checkpoint
 from cfmlab.cli import main
-from cfmlab.codec import PART_ORDER
+from cfmlab.codec import PART_ORDER, CodebookStack
 from cfmlab.config import ConfigError, config_from_dict
 from cfmlab.numerics import NumericError, Tape, Tensor, no_grad
 from cfmlab import synthdata, training
@@ -280,6 +280,14 @@ def test_check_codec_dims_mismatch(small_run):
     bad = small_cfg(dataset={"downsample": 2})
     with pytest.raises(ConfigError, match=r"^dataset\.downsample: checkpoint has 4, "):
         check_codec_dims(bad, codecs, stacks)
+    bad = small_cfg(codec={"hidden": 32})
+    with pytest.raises(ConfigError, match=r"^codec\.hidden: checkpoint has 64, config wants 32"):
+        check_codec_dims(bad, codecs, stacks)
+    # every stage's code count is read, not only the first's
+    cut = {**stacks, "hand": CodebookStack("hand", [stacks["hand"].stages[0],
+                                                    stacks["hand"].stages[1][:3]])}
+    with pytest.raises(ConfigError, match=r"^codec\.n_codes: checkpoint has 3, config wants 16"):
+        check_codec_dims(small_cfg(), codecs, cut)
 
 
 # -------------------------------------------------------------------- stage 2
