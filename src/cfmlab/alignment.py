@@ -6,7 +6,10 @@ frame-level cosine loss against the fused audio/text target, and a
 clip-level symmetric InfoNCE over temporally pooled embeddings.
 
 The transforms and losses are batched cores: they take Tensors or arrays
-of shape (..., L, d) and are differentiable.
+of shape (..., L, d) and are differentiable. Their operands come from one
+dataset batch through one set of heads, so `composite_batch` gets every
+part at one length, paired operands share a shape and InfoNCE batches are
+not empty; only degenerate rows are checked here.
 """
 
 from __future__ import annotations
@@ -66,14 +69,7 @@ def init_projection_heads(rng, d_text, d_audio, d_motion, d=16):
 
 def composite_batch(parts, scale):
     """{part: (B, L, d_g) Tensor} -> (B, L, d_G) Tensor, values divided by scale."""
-    missing = [p for p in PART_ORDER if p not in parts]
-    if missing:
-        raise NumericError(f"missing parts for composite latent: {missing}")
-    seqs = [as_tensor(parts[p]) for p in PART_ORDER]
-    lengths = {s.shape[-2] for s in seqs}
-    if len(lengths) != 1:
-        raise NumericError(f"part latents disagree on length: {sorted(lengths)}")
-    return concat(seqs, axis=-1) * Tensor(1.0 / scale)
+    return concat([parts[p] for p in PART_ORDER], axis=-1) * Tensor(1.0 / scale)
 
 
 # ---------------------------------------------------------------- projection
@@ -96,11 +92,8 @@ def project_and_normalize_batch(raw, weight):
 
 def fused_target_batch(text, audio, alpha):
     """Row-wise normalize(alpha * text + (1 - alpha) * audio)."""
-    t = as_tensor(text)
-    a = as_tensor(audio)
-    if t.shape != a.shape:
-        raise NumericError(f"fused_target_batch shape mismatch {t.shape} vs {a.shape}")
-    return _normalized_rows(t * Tensor(alpha) + a * Tensor(1.0 - alpha),
+    return _normalized_rows(as_tensor(text) * Tensor(alpha)
+                            + as_tensor(audio) * Tensor(1.0 - alpha),
                             "fused target row collapsed (antipodal inputs)")
 
 
@@ -108,11 +101,7 @@ def fused_target_batch(text, audio, alpha):
 
 def cosine_alignment_loss_batch(target, motion):
     """1 - mean over batch and time of row dot products."""
-    t = as_tensor(target)
-    m = as_tensor(motion)
-    if t.shape != m.shape:
-        raise NumericError(f"cosine loss shape mismatch {t.shape} vs {m.shape}")
-    return Tensor(1.0) - mean(sum_(t * m, axis=-1))
+    return Tensor(1.0) - mean(sum_(as_tensor(target) * motion, axis=-1))
 
 
 def temporal_pool_batch(seq):
@@ -125,8 +114,6 @@ def infonce_oneway(p, q, tau):
     """-(1/B) sum_b log softmax_l(p_b . q_l / tau) at l = b."""
     pt, qt = as_tensor(p), as_tensor(q)
     b = pt.shape[0]
-    if b == 0 or qt.shape[0] != b:
-        raise NumericError(f"infonce needs equal non-empty batches, got {pt.shape} vs {qt.shape}")
     scores = matmul(pt, qt.mT) * Tensor(1.0 / tau)  # (B, B)
     diag_idx = (np.arange(b), np.arange(b))
     diag = getitem(scores, diag_idx)

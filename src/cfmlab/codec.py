@@ -97,9 +97,6 @@ class CodebookStack:
     stages: list = field(default_factory=list)       # depth x (K, d_g)
     ema_counts: list = field(default_factory=list)   # depth x (K,)
     ema_vectors: list = field(default_factory=list)  # depth x (K, d_g)
-    # row 0 of every stage pinned to the zero vector: guarantees each greedy
-    # stage can never make the residual worse (min_c ||r-c|| <= ||r-0||)
-    null_code: bool = False
 
     @property
     def depth(self):
@@ -124,7 +121,6 @@ class CodebookStack:
             stages=stages,
             ema_counts=[np.ones(b.shape[0]) for b in stages],
             ema_vectors=[b.copy() for b in stages],
-            null_code=all(np.all(b[0] == 0.0) for b in stages),
         )
 
 
@@ -197,8 +193,6 @@ def _check_codec_shapes(part, arrays):
 
 def init_part_codec(rng, part, downsample=4, d_g=8, hidden=HIDDEN, in_scale=1.0):
     _require_part(part)
-    if not in_scale > 0.0:
-        raise NumericError(f"in_scale must be positive, got {in_scale}")
     window = downsample * PART_JOINTS[part]
     # decoder consumes each window's latent with its two neighbours so
     # adjacent windows reconstruct to continuous motion at the junctions
@@ -311,10 +305,7 @@ def rvq_dequantize_batch(codes, stages):
     codes = np.asarray(codes, dtype=np.int64)
     out = None
     for s, book in enumerate(stages):
-        idx = codes[..., s]
-        if np.any(idx < 0) or np.any(idx >= book.shape[0]):
-            raise NumericError(f"code index out of range [0, {book.shape[0]}) at stage {s}")
-        term = book[idx]
+        term = book[codes[..., s]]
         out = term.copy() if out is None else out + term
     return out
 
@@ -332,19 +323,13 @@ def rvq_dequantize(codes, stack):
 def straight_through(latent, quantized):
     """latent + stop_gradient(quantized - latent): forward is the quantized
     value, backward treats quantization as identity."""
-    if quantized.shape != latent.shape:
-        raise NumericError(
-            f"straight_through shape mismatch {quantized.shape} vs {latent.shape}")
     return latent + Tensor(quantized - latent.data)
 
 
 def commitment_loss(latent, quantized):
     """MSE between latent and stop-gradient(quantized); pulls the encoder
     toward its selected codes without moving the codebook."""
-    z = as_tensor(latent)
-    if quantized.shape != z.shape:
-        raise NumericError(f"commitment_loss shape mismatch {quantized.shape} vs {z.shape}")
-    return mse(z, Tensor(quantized))
+    return mse(latent, Tensor(quantized))
 
 
 def ema_codebook_update(stack, codes, stage_inputs, decay, rng, reseed_threshold=1.0):
@@ -353,7 +338,8 @@ def ema_codebook_update(stack, codes, stage_inputs, decay, rng, reseed_threshold
     codes: (..., depth) indices from rvq_quantize_batch; stage_inputs: the
     per-stage residual inputs (same leading shape, trailing d). Dead codes
     (EMA count < reseed_threshold) are reseeded from the stage's inputs,
-    drawn with `rng`.
+    drawn with `rng`. Row 0 of every stage stays the zero (null) code, so
+    no greedy stage can make the residual worse (min_c ||r-c|| <= ||r-0||).
     """
     codes = np.asarray(codes, dtype=np.int64)
     for s in range(stack.depth):
@@ -369,18 +355,15 @@ def ema_codebook_update(stack, codes, stage_inputs, decay, rng, reseed_threshold
         stack.ema_counts[s] = decay * stack.ema_counts[s] + (1.0 - decay) * counts
         stack.ema_vectors[s] = decay * stack.ema_vectors[s] + (1.0 - decay) * sums
         rows = stack.ema_vectors[s] / np.maximum(stack.ema_counts[s], 1e-8)[:, None]
-        dead = np.flatnonzero(stack.ema_counts[s] < reseed_threshold)
-        if stack.null_code:
-            dead = dead[dead != 0]
+        dead = np.flatnonzero(stack.ema_counts[s][1:] < reseed_threshold) + 1
         if dead.size:
             seeds = vecs[rng.integers(0, vecs.shape[0], size=dead.size)]
             rows[dead] = seeds
             stack.ema_vectors[s][dead] = seeds
             stack.ema_counts[s][dead] = 1.0
-        if stack.null_code:
-            rows[0] = 0.0
-            stack.ema_vectors[s][0] = 0.0
-            stack.ema_counts[s][0] = max(stack.ema_counts[s][0], 1.0)
+        rows[0] = 0.0
+        stack.ema_vectors[s][0] = 0.0
+        stack.ema_counts[s][0] = max(stack.ema_counts[s][0], 1.0)
         stack.stages[s] = rows
     return stack
 
@@ -412,5 +395,4 @@ def init_codebook_stack(rng, part, n_codes=64, depth=2, d_g=8, init_data=None):
         stages=stages,
         ema_counts=[np.ones(n_codes) for _ in range(depth)],
         ema_vectors=[b.copy() for b in stages],
-        null_code=True,
     )

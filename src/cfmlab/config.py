@@ -9,9 +9,12 @@ its dotted path (e.g. "flow.lam"), which the CLI maps to exit code 2. A
 section or RunConfig runs it when built, so a parsed and a hand-built
 config are checked alike; after an in-place change, run it again.
 
-These rules are checked here and nowhere else: the functions that take a
-config's values (the ODE scheme and step count, lam, tau, alpha, the
-codec's sizes, the dataset's shape) trust them and do not test them again.
+Each kind of check lives where its input enters, and nowhere downstream:
+config values here (the ODE scheme and step count, lam, tau, alpha, the
+codec's and dataset's sizes); loaded shapes in the checkpoint loaders and
+`training.check_codec_dims`; operand contracts and finiteness in the tape
+ops (`cfmlab.numerics`); run-time numeric guards (degenerate rows, ODE
+state, FGD) where their values are computed.
 """
 
 from __future__ import annotations

@@ -69,8 +69,6 @@ def generate_split(cfg, clips, seeds, net, heads, stacks, codecs, proj):
     """Part -> (n, T, J) frames of one generated motion per clip of `clips`
     (a `Clips` record), in one `sample_batch` call; `seeds` are the clips'
     ODE seeds."""
-    if not clips:
-        raise NumericError("no clips to generate from")
     conds = [condition_for_clip(audio, text, net, heads)
              for audio, text in zip(clips.audio, clips.text)]
     odes = [OdeConfig(n=cfg.sampler.steps, scheme=cfg.sampler.scheme, seed=int(s))
@@ -114,8 +112,7 @@ def evaluate_run(cfg, dataset, codecs, stacks, net=None, heads=None,
         real_all.append(real)
         gen_all.append(feats)
         bc_values.append(beat_consistency(
-            extract_kinematic_peaks(gen, fps), chunk.onsets, cfg.dataset.n_frames / fps,
-            sigma=cfg.metrics.sigma))
+            extract_kinematic_peaks(gen, fps), chunk.onsets, sigma=cfg.metrics.sigma))
     real_all, gen_all, bc_values = map(np.concatenate, (real_all, gen_all, bc_values))
 
     real_cls = {c: real_all[idx] for c, idx in groups.items()}

@@ -168,50 +168,43 @@ def _find_peaks(x, height, distance):
     return peaks[keep]
 
 
-def extract_kinematic_peaks(parts, fps, threshold_std=0.5, min_separation=3):
+PEAK_THRESHOLD_STD = 0.5   # a peak clears its row's mean speed + this many stds
+PEAK_MIN_SEPARATION = 3    # speed samples between two peaks of a row
+
+
+def extract_kinematic_peaks(parts, fps):
     """Local maxima of the per-frame joint-speed norm of N motions, summed
-    over the parts of `parts` (part -> (N, T, J) frames).
+    over the parts of `parts` (part -> (N, T, J) frames, one N and T for
+    every part: the dataset's or `sample_batch`'s, and not checked).
 
     Speed index i is the transition frame i -> i+1 and is reported as time
-    i / fps; a row's peaks must clear its mean + threshold_std * std and sit
-    at least min_separation speed samples apart (rounded up, and at least
-    1). Returns (times, counts): the peak times of every row, row after
-    row, and each row's peak count.
+    i / fps; a row's peaks must clear its mean + PEAK_THRESHOLD_STD * std
+    and sit at least PEAK_MIN_SEPARATION speed samples apart. Returns
+    (times, counts): the peak times of every row, row after row, and each
+    row's peak count.
     """
-    if not min_separation >= 1:
-        raise NumericError(f"min_separation must be at least 1, got {min_separation}")
-    shapes = {np.shape(frames)[:2] for frames in parts.values()}
-    if len(shapes) != 1:
-        raise NumericError(f"parts disagree on clip or frame count: {sorted(shapes)}")
-    (n, n_frames), = shapes
+    n, n_frames = next(iter(parts.values())).shape[:2]
     speed = np.zeros((n, n_frames - 1))
     for frames in parts.values():
         d = np.diff(frames, axis=1)
         d *= d  # np.linalg.norm's square and reduce, in place
         speed += np.sqrt(np.add.reduce(d, axis=2))
-    heights = speed.mean(axis=1) + threshold_std * speed.std(axis=1)
-    rows = [_find_peaks(x, h, min_separation) for x, h in zip(speed, heights)]
+    heights = speed.mean(axis=1) + PEAK_THRESHOLD_STD * speed.std(axis=1)
+    rows = [_find_peaks(x, h, PEAK_MIN_SEPARATION) for x, h in zip(speed, heights)]
     return np.concatenate(rows) / fps, np.array([r.size for r in rows])
 
 
 # ------------------------------------------------------------ beat consistency
 
-def beat_consistency(peaks, onsets, duration, sigma=0.1):
+def beat_consistency(peaks, onsets, sigma=0.1):
     """Per row, the mean Gaussian affinity of each motion peak to the nearest
     of the row's audio onsets, or 0.0 without peaks. `peaks` is the (times,
-    counts) pair of `extract_kinematic_peaks`; `onsets` (N, M) holds strictly
-    increasing times in [0, duration]. Every affinity is computed at once,
-    and the rows of one peak count are averaged together, so each row gets
-    the bits it would get alone. Returns (N,)."""
+    counts) pair of `extract_kinematic_peaks`. Contract, not checked: `onsets`
+    (N, M >= 1) holds each row's strictly increasing times within its clip,
+    as `synthdata._plant_onsets` places them. Every affinity is computed at
+    once, and the rows of one peak count are averaged together, so each row
+    gets the bits it would get alone. Returns (N,)."""
     times, counts = peaks
-    onsets = np.asarray(onsets, dtype=np.float64)
-    if onsets.shape[:1] != counts.shape or onsets.ndim != 2 or onsets.shape[1] == 0:
-        raise NumericError(f"audio onset track is empty or not ({counts.size}, M): "
-                           f"{onsets.shape}")
-    if np.any(np.diff(onsets, axis=1) <= 0):
-        raise NumericError("onset times must be strictly increasing")
-    if np.any(onsets[:, 0] < 0) or np.any(onsets[:, -1] > duration):
-        raise NumericError("onset times must lie within [0, duration]")
     delta = times[:, None] - np.repeat(onsets, counts, axis=0)
     affinity = np.exp(-np.min(delta * delta, axis=1) / (2.0 * sigma * sigma))
     out, starts = np.zeros(counts.size), np.cumsum(counts) - counts

@@ -157,8 +157,8 @@ def make_gesture_classes(rng, n_classes=3, d_text=16, d_audio=16):
 # ------------------------------------------------------------------ utterance
 
 def _plant_onsets(rng, n_frames, n_onsets):
-    """Jittered-grid onset frames: at least 3 apart (so peak extraction with
-    its default separation can recover every one) and clear of the clip ends."""
+    """Jittered-grid onset frames: at least 3 apart (so peak extraction, at
+    `metrics.PEAK_MIN_SEPARATION`, can recover every one) and clear of the clip ends."""
     lo, hi = STROKE_HALF_WIDTH + 1, n_frames - STROKE_HALF_WIDTH - 3
     span = hi - lo
     spacing = span / n_onsets

@@ -349,11 +349,11 @@ def stage2_loss(cfg, net, heads, proj, batch, t, z0, v_neg):
 def train_generator(cfg, dataset, codecs, stacks):
     """Stage 2: frozen codecs; velocity net + alignment heads + projection
     trained jointly. Returns (net, heads, proj, record)."""
-    if cfg.flow.lam > 0.0 and len(dataset.splits["train"]) == 1:
-        raise ConfigError("dataset.ratios: train split has 1 clip, and the contrastive "
-                          "negatives (flow.lam > 0) need 2")
-    data = prepare_stage2_data(cfg, dataset, codecs, stacks)
     negatives = cfg.flow.lambda_cfm > 0.0 and cfg.flow.lam > 0.0
+    if negatives and len(dataset.splits["train"]) == 1:
+        raise ConfigError("dataset.ratios: train split has 1 clip, and the contrastive "
+                          "negatives (flow.lambda_cfm > 0 and flow.lam > 0) need 2")
+    data = prepare_stage2_data(cfg, dataset, codecs, stacks)
     if negatives and np.unique(data.class_ids).size == 1:
         logger.warning("train split holds one class: contrastive negatives fall back "
                        "to plain derangements")
@@ -379,7 +379,7 @@ def train_generator(cfg, dataset, codecs, stacks):
     record = _fit(cfg, STAGE2, cfg.flow, data.z1.shape[0],
                   ("cfm", "cfm_pos", "cfm_neg", "cos", "clp", "sem", "proj",
                    "total"), step,
-                  min_rows=2 if cfg.flow.lam > 0.0 else 1)
+                  min_rows=2 if negatives else 1)
     return net, heads, proj, record
 
 

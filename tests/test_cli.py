@@ -1,7 +1,8 @@
 """CLI exit codes for malformed inputs: 2 for usage, config and checkpoint
 errors, with an `error:` line instead of a traceback; and the package's
-exported names."""
+exported names and imports."""
 
+import ast
 import importlib
 import json
 import math
@@ -318,19 +319,23 @@ def test_evaluate_on_a_too_small_test_split_exits_2(stage1, tmp_path, capsys, ra
 
 def test_one_clip_train_split_with_negatives_exits_2(stage1, tmp_path, capsys):
     # the negatives' derangement needs 2 clips, so stage 2 would skip every
-    # batch and save an untrained generator; without negatives it trains
+    # batch and save an untrained generator; without negatives (lam = 0 or
+    # lambda_cfm = 0) it trains
     _, ckpt = stage1
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**TINY, "flow": {"epochs": 2}, "dataset": {
-        **TINY["dataset"], "n_clips": 12, "ratios": [0.1, 0.45, 0.45]}}))
+    one_clip = {**TINY["dataset"], "n_clips": 12, "ratios": [0.1, 0.45, 0.45]}
+    cfg.write_text(json.dumps({**TINY, "flow": {"epochs": 2}, "dataset": one_clip}))
     argv = ["train-generator", "--config", str(cfg), "--out", str(tmp_path),
             "--checkpoint", str(ckpt)]
-    _exits_2(argv, capsys, "dataset.ratios: train split has 1 clip, and the "
-             "contrastive negatives (flow.lam > 0) need 2")
+    _exits_2(argv, capsys, "dataset.ratios: train split has 1 clip, and the contrastive "
+             "negatives (flow.lambda_cfm > 0 and flow.lam > 0) need 2")
     assert not (tmp_path / "generator.bin").exists()
-    assert main(argv + ["--lambda", "0"]) == 0
-    record = json.loads((tmp_path / "generator_record.json").read_text())
-    assert all(v > 0.0 for v in record["curves"]["total"])
+    for extra, flow in ((["--lambda", "0"], {}), ([], {"lambda_cfm": 0.0})):
+        cfg.write_text(json.dumps({**TINY, "flow": {"epochs": 2, **flow},
+                                   "dataset": one_clip}))
+        assert main(argv + extra) == 0
+        record = json.loads((tmp_path / "generator_record.json").read_text())
+        assert all(v > 0.0 for v in record["curves"]["total"])
 
 
 # (tensor, how it is altered, what the error says after the tensor's name);
@@ -404,6 +409,46 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+def _unused_imports(source):
+    """Names a module imports at module level and never reads, leaving out
+    `__future__` imports, names in `__all__` and import statements marked
+    `# noqa`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__" or \
+                any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read:
+                unused.append(bound)
+    return unused
+
+
+def test_unused_import_scan_flags_only_unread_names():
+    source = ("from __future__ import annotations\nimport os\nimport sys  # noqa: F401\n"
+              "import numpy as np\nfrom json import dumps, loads\n"
+              "from math import (\n    pi,  # noqa: F401\n    tau,\n)\n"
+              "__all__ = ['loads']\nprint(np.pi)\n")
+    assert _unused_imports(source) == ["os", "dumps"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(Path(cfmlab.__file__).parent).as_posix()
+    for p in Path(cfmlab.__file__).parent.rglob("*.py")))
+def test_no_unused_imports(path):
+    unused = _unused_imports((Path(cfmlab.__file__).parent / path).read_text())
+    assert not unused, f"{path} imports {unused} and never reads them"
 
 
 @pytest.mark.parametrize("term, row", [

@@ -14,7 +14,9 @@ from cfmlab.codec import (
     encode_part,
     init_part_codec,
 )
+from cfmlab import metrics
 from cfmlab.metrics import (
+    PEAK_MIN_SEPARATION,
     MetricReport,
     _find_peaks,
     _pair_distances,
@@ -43,17 +45,6 @@ def test_feature_validation():
             fgd(ok, bad)
         with pytest.raises(NumericError, match=match):
             diversity(bad)
-
-
-def test_onset_track_validation():
-    # beat_consistency validates the onset track of every row
-    assert _bc([0.5], [0.1, 0.5, 0.9], duration=1.0) == 1.0
-    with pytest.raises(NumericError, match="strictly increasing"):
-        _bc([0.5], [0.5, 0.5], duration=1.0)
-    with pytest.raises(NumericError, match="within"):
-        _bc([0.5], [0.5, 1.5], duration=1.0)
-    with pytest.raises(NumericError, match=r"\(2, M\)"):
-        beat_consistency((np.array([0.5]), np.array([1, 0])), np.array([[0.5]]), 1.0)
 
 
 def test_metric_report_json_roundtrip():
@@ -191,18 +182,18 @@ def _clip_from_speed(speed, part="hand"):
     return {part: frames}
 
 
-def _peak_times(parts, **kwargs):
+def _peak_times(parts):
     """The peak times of a one-motion batch."""
-    times, counts = extract_kinematic_peaks(parts, FPS, **kwargs)
+    times, counts = extract_kinematic_peaks(parts, FPS)
     assert counts.tolist() == [times.size]
     return times
 
 
-def _bc(peak_times, onset_times, duration=10.0, sigma=0.1):
+def _bc(peak_times, onset_times, sigma=0.1):
     """Beat consistency of one motion's peaks against one onset track."""
     peaks = (np.asarray(peak_times, dtype=np.float64), np.array([len(peak_times)]))
     out = beat_consistency(peaks, np.asarray(onset_times, dtype=np.float64)[None],
-                           duration, sigma=sigma)
+                           sigma=sigma)
     assert out.shape == (1,)
     return out[0]
 
@@ -246,8 +237,8 @@ def test_peaks_summed_across_parts():
 
 def test_min_separation_suppresses_adjacent_peaks():
     speed = np.array([0, 0, 3, 0, 4, 0, 0, 0], dtype=float)
-    assert _peak_times(_clip_from_speed(speed), min_separation=3) == \
-        pytest.approx([4 / 15.0])
+    assert PEAK_MIN_SEPARATION == 3
+    assert _peak_times(_clip_from_speed(speed)) == pytest.approx([4 / 15.0])
 
 
 DISTANCES = (1, 2, 3, 4, 5, 2.5)
@@ -301,41 +292,22 @@ def test_peak_finder_matches_scipy_on_generated_speed():
                 _assert_finder_matches_scipy(speed, height, distance)
 
 
-@pytest.mark.parametrize("bad", [0, -2, 0.5, float("nan")])
-def test_min_separation_below_one_rejected(bad):
-    speed = np.array([0, 0, 3, 0, 4, 0, 0, 0], dtype=float)
-    with pytest.raises(NumericError, match="min_separation"):
-        extract_kinematic_peaks(_clip_from_speed(speed), FPS, min_separation=bad)
-
-
 def test_fractional_min_separation_rounds_up():
     speed = np.array([0, 3, 0, 4, 0, 0, 0, 0], dtype=float)
-    clip = _clip_from_speed(speed)
-    assert _peak_times(clip, threshold_std=0.0, min_separation=2) == \
-        pytest.approx([1 / 15.0, 3 / 15.0])
-    assert _peak_times(clip, threshold_std=0.0, min_separation=2.5) == \
-        pytest.approx([3 / 15.0])
-
-
-def test_mismatched_part_lengths_rejected():
-    clips = {"hand": np.zeros((1, 8, 24)), "face": np.zeros((1, 6, 16))}
-    with pytest.raises(NumericError, match="disagree"):
-        extract_kinematic_peaks(clips, FPS)
-    clips = {"hand": np.zeros((2, 8, 24)), "face": np.zeros((1, 8, 16))}
-    with pytest.raises(NumericError, match="disagree"):
-        extract_kinematic_peaks(clips, FPS)
+    assert _find_peaks(speed, speed.mean(), 2).tolist() == [1, 3]
+    assert _find_peaks(speed, speed.mean(), 2.5).tolist() == [3]
 
 
 # ------------------------------------------------------------ beat consistency
 
 def test_bc_coincident_peaks_is_exactly_one():
     peaks = [0.2, 0.5, 0.8]
-    assert _bc(peaks, peaks, duration=1.0, sigma=0.1) == 1.0
+    assert _bc(peaks, peaks, sigma=0.1) == 1.0
 
 
 def test_bc_sigma_sqrt2_offset_is_exp_minus_one():
     sigma = 0.1
-    assert _bc([0.5 + sigma * math.sqrt(2.0)], [0.5], duration=2.0, sigma=sigma) == \
+    assert _bc([0.5 + sigma * math.sqrt(2.0)], [0.5], sigma=sigma) == \
         pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
@@ -349,18 +321,20 @@ def test_bc_random_tracks_match_double_loop():
         best = min((p - a) ** 2 for a in onsets)
         expected += math.exp(-best / (2 * sigma * sigma))
     expected /= len(peaks)
-    assert _bc(peaks, onsets, duration=10.0, sigma=sigma) == pytest.approx(
+    assert _bc(peaks, onsets, sigma=sigma) == pytest.approx(
         expected, abs=1e-12)
 
 
 def test_bc_empty_motion_is_zero_and_empty_audio_errors():
-    assert _bc([], [0.5], duration=1.0) == 0.0
-    with pytest.raises(NumericError, match="empty"):
-        _bc([0.5], [], duration=1.0)
+    assert _bc([], [0.5]) == 0.0
+    # an empty onset track breaks beat_consistency's contract; numpy's
+    # reduction over no onsets refuses it
+    with pytest.raises(ValueError, match="zero-size array"):
+        _bc([0.5], [])
 
 
 def test_bc_monotone_in_offset():
-    values = [_bc([1.0 + off], [1.0], duration=4.0) for off in np.linspace(0.0, 1.0, 11)]
+    values = [_bc([1.0 + off], [1.0]) for off in np.linspace(0.0, 1.0, 11)]
     assert all(x >= y - 1e-15 for x, y in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -387,11 +361,12 @@ def _reference_bc(peak_times, onset_times, sigma):
     return float(np.mean(np.exp(-nearest_sq / (2.0 * sigma * sigma))))
 
 
-def _assert_batch_matches_reference(parts, onsets, duration, sigma=0.1, **kwargs):
+def _assert_batch_matches_reference(parts, onsets, sigma=0.1, **kwargs):
     """Batched peaks and BC equal the per-clip chain on every row, bit for
-    bit; returns the per-row peak counts and BC."""
-    times, counts = extract_kinematic_peaks(parts, FPS, **kwargs)
-    bc = beat_consistency((times, counts), onsets, duration, sigma=sigma)
+    bit; `kwargs` are the reference's peak settings, which must equal the
+    module's PEAK_* constants. Returns the per-row peak counts and BC."""
+    times, counts = extract_kinematic_peaks(parts, FPS)
+    bc = beat_consistency((times, counts), onsets, sigma=sigma)
     rows = np.split(times, np.cumsum(counts)[:-1])
     for i in range(len(counts)):
         expected = _reference_peaks({p: f[i] for p, f in parts.items()}, FPS, **kwargs)
@@ -410,7 +385,10 @@ def _speed_rows(speeds):
 
 
 @pytest.mark.parametrize("min_separation", [3, 2.5, 1])
-def test_batched_peaks_and_bc_match_the_per_clip_chain_on_edge_rows(min_separation):
+def test_batched_peaks_and_bc_match_the_per_clip_chain_on_edge_rows(
+        min_separation, monkeypatch):
+    monkeypatch.setattr(metrics, "PEAK_THRESHOLD_STD", 0.0)
+    monkeypatch.setattr(metrics, "PEAK_MIN_SEPARATION", min_separation)
     rng = np.random.default_rng(14)
     speeds = [
         [0, 1, 3, 3, 3, 1, 0, 2, 2, 0, 0, 4, 4, 1, 0, 0],   # plateaus
@@ -422,8 +400,7 @@ def test_batched_peaks_and_bc_match_the_per_clip_chain_on_edge_rows(min_separati
     ]
     onsets = np.sort(rng.uniform(0.0, 16 / FPS, (len(speeds), 3)), axis=1)
     counts, bc = _assert_batch_matches_reference(
-        _speed_rows(speeds), onsets, 17 / FPS, threshold_std=0.0,
-        min_separation=min_separation)
+        _speed_rows(speeds), onsets, threshold_std=0.0, min_separation=min_separation)
     assert counts[1] == 0 and bc[1] == 0.0
     assert counts[2] == 1
 
@@ -435,7 +412,7 @@ def test_batched_peaks_and_bc_match_the_per_clip_chain_on_512_frame_rows():
     for noise in (0.0, 0.3):
         utts = generate_utterances(np.arange(12) + int(100 * noise), classes * 4, noise,
                                    n_frames=512, n_onsets=32)
-        counts, _ = _assert_batch_matches_reference(utts.motion, utts.onsets, 512 / FPS)
+        counts, _ = _assert_batch_matches_reference(utts.motion, utts.onsets)
         assert counts.min() > 8
         assert len(set(counts.tolist())) > (1 if noise else 0)  # several counts
 
@@ -521,7 +498,8 @@ def test_motion_features_deterministic():
 
 
 def test_motion_features_missing_part_rejected():
+    # no command passes fewer parts; the composite's lookup refuses it
     rng = np.random.default_rng(10)
     codecs = {p: init_part_codec(rng, p, downsample=4, d_g=2) for p in PART_ORDER}
-    with pytest.raises(NumericError, match="missing parts"):
+    with pytest.raises(KeyError, match="upper"):
         motion_features({"hand": np.zeros((1, 8, 24))}, codecs)

@@ -92,7 +92,7 @@ def test_noise_zero_beat_consistency_above_point_nine():
     for seed in range(5):
         u = generate_utterance(seed, classes[seed % 3], noise=0.0)
         peaks = extract_kinematic_peaks(_as_batch([u.motion]), 15.0)
-        assert beat_consistency(peaks, u.onsets[None], 64 / 15.0, sigma=0.1)[0] > 0.9
+        assert beat_consistency(peaks, u.onsets[None], sigma=0.1)[0] > 0.9
 
 
 def test_audio_pulse_marks_onset_latent_steps():

@@ -266,7 +266,7 @@ def test_stage1_checkpoint_roundtrip(tmp_path, small_run):
         assert np.array_equal(codecs2[p].dec_w2.data, codecs[p].dec_w2.data)
         for a, b in zip(stacks2[p].stages, stacks[p].stages):
             assert np.array_equal(a, b)
-        assert stacks2[p].null_code
+            assert not a[0].any()  # the null code
 
 
 def test_check_codec_dims_mismatch(small_run):
@@ -422,6 +422,25 @@ def test_stage2_plain_fm_never_builds_negatives(small_run, monkeypatch):
 
     monkeypatch.setattr("cfmlab.training.mismatch_pairing", boom)
     train_generator(cfg, ds, codecs, stacks)  # must complete untouched
+
+
+@pytest.mark.parametrize("flow, trains_one_row", [({}, False), ({"lam": 0.0}, True),
+                                                    ({"lambda_cfm": 0.0}, True)])
+def test_stage2_trailing_one_row_batch_trains_without_negatives(small_run, monkeypatch,
+                                                               flow, trains_one_row):
+    # only the negatives' derangement needs 2 rows; batches of n - 1 rows
+    # leave a trailing batch of one
+    _, ds, codecs, stacks, _ = small_run
+    cfg = small_cfg(flow={"epochs": 1, "batch": len(ds.splits["train"]) - 1, **flow})
+    rows, real = [], training.stage2_loss
+
+    def spy(cfg, net, heads, proj, batch, *rest):
+        rows.append(len(batch.z1))
+        return real(cfg, net, heads, proj, batch, *rest)
+
+    monkeypatch.setattr(training, "stage2_loss", spy)
+    train_generator(cfg, ds, codecs, stacks)
+    assert sorted(rows) == ([1] if trains_one_row else []) + [cfg.flow.batch]
 
 
 def test_stage2_contrastive_draws_negatives(small_run, monkeypatch):
